@@ -12,16 +12,14 @@ from __future__ import annotations
 from cdposet import zoo
 from cdposet.flags import cd_index, semi_cd_index
 from cdposet.ncpoly import format_polynomial
-from cdposet.partition import SPartitionCert, contributions_s, contributions_se
+from cdposet.partition import SPartitionCert, contributions
 
 
 def show(family: str) -> None:
     poset = zoo.gen(family)
     cert = zoo.fixture_certificate(family)
-    if isinstance(cert, SPartitionCert):
-        cm, direct = contributions_s(cert), cd_index(poset)
-    else:
-        cm, direct = contributions_se(cert), semi_cd_index(poset)
+    cm = contributions(cert)
+    direct = cd_index(poset) if isinstance(cert, SPartitionCert) else semi_cd_index(poset)
     print(f"== {family} ({len(poset.coatoms())} facets) ==")
     for sigma in sorted(cm.per_coatom):
         print(f"  {sigma:6s} {format_polynomial(cm.per_coatom[sigma])}")

@@ -26,16 +26,14 @@ from .partition import (
     SEPartitionCert,
     SPartitionCert,
     check_reverse_partition,
-    contributions_s,
-    contributions_se,
+    contributions,
     format_certificate,
     order_to_s_certificate,
     parse_certificate,
     search_s_certificate,
     search_se_certificate,
     simplicial_partition_to_s_certificate,
-    verify_s_partition,
-    verify_se_partition,
+    verify_partition,
 )
 from .poset import GradedPoset, PosetError, PosetParseError, format_poset, is_eulerian, is_semi_eulerian, parse_poset, validate
 
@@ -83,8 +81,7 @@ def _load_certificate(path: str, poset: GradedPoset, want: type) -> SPartitionCe
     except (CertificateParseError, PosetError) as exc:
         raise InputError(f"{path}: {exc}")
     if want is not object and not isinstance(cert, want):
-        kind = "spart" if want is SPartitionCert else "separt"
-        raise InputError(f"{path}: expected a {kind} certificate")
+        raise InputError(f"{path}: expected a {want.header} certificate")
     return cert
 
 
@@ -199,12 +196,11 @@ def _cmd_check_eulerian(args, rep: Report) -> int:
     return 0 if eul else 1
 
 
-def _check_cert(args, rep: Report, want: type) -> int:
+def _cmd_check_cert(args, rep: Report) -> int:
     p = _load_poset(args.poset)
+    want = SPartitionCert if args.verb == "check-spart" else SEPartitionCert
     cert = _load_certificate(args.certificate, p, want)
-    violations = (
-        verify_s_partition(cert) if isinstance(cert, SPartitionCert) else verify_se_partition(cert)
-    )
+    violations = verify_partition(cert)
     rep.violations = [str(v) for v in violations]
     rep.result["valid"] = not violations
     if violations:
@@ -214,50 +210,17 @@ def _check_cert(args, rep: Report, want: type) -> int:
     return 0
 
 
-def _cmd_check_spart(args, rep: Report) -> int:
-    return _check_cert(args, rep, SPartitionCert)
-
-
-def _cmd_check_separt(args, rep: Report) -> int:
-    return _check_cert(args, rep, SEPartitionCert)
-
-
 def _emit_cert(cert, path: str | None, rep: Report) -> None:
     if path:
         Path(path).write_text(format_certificate(cert), encoding="utf-8")
         rep.say(f"certificate written to {path}")
 
 
-def _cmd_search_spart(args, rep: Report) -> int:
+def _cmd_search(args, rep: Report) -> int:
     p = _load_poset(args.poset)
+    search = search_s_certificate if args.verb == "search-spart" else search_se_certificate
     try:
-        cert = search_s_certificate(p, budget=args.budget)
-    except BudgetExhausted as exc:
-        rep.result["found"] = False
-        rep.result["reason"] = str(exc)
-        rep.say(_bad(str(exc)))
-        return 1
-    except PosetError as exc:
-        rep.result["found"] = False
-        rep.result["reason"] = str(exc)
-        rep.say(_bad(str(exc)))
-        return 1
-    if cert is None:
-        rep.result["found"] = False
-        rep.say(_bad("exhausted: no certificate in the search family"))
-        return 1
-    total = contributions_s(cert, check=False).total
-    rep.result["found"] = True
-    rep.poly("total", total)
-    rep.say(f"FOUND total {format_polynomial(total)}")
-    _emit_cert(cert, args.emit_cert, rep)
-    return 0
-
-
-def _cmd_search_separt(args, rep: Report) -> int:
-    p = _load_poset(args.poset)
-    try:
-        cert = search_se_certificate(p, budget=args.budget)
+        cert = search(p, budget=args.budget)
     except (BudgetExhausted, PosetError) as exc:
         rep.result["found"] = False
         rep.result["reason"] = str(exc)
@@ -267,7 +230,7 @@ def _cmd_search_separt(args, rep: Report) -> int:
         rep.result["found"] = False
         rep.say(_bad("exhausted: no certificate in the search family"))
         return 1
-    total = contributions_se(cert, check=False).total
+    total = contributions(cert, check=False).total
     rep.result["found"] = True
     rep.poly("total", total)
     rep.say(f"FOUND total {format_polynomial(total)}")
@@ -275,35 +238,21 @@ def _cmd_search_separt(args, rep: Report) -> int:
     return 0
 
 
-def _contributions_of(cert) -> tuple:
-    if isinstance(cert, SPartitionCert):
-        return contributions_s(cert), cd_index(cert.poset)
-    return contributions_se(cert), semi_cd_index(cert.poset)
-
-
-def _cmd_cd_recursive(args, rep: Report) -> int:
-    p = _load_poset(args.poset)
-    cert = _load_certificate(args.certificate, p, object)
-    try:
-        cm, _direct = _contributions_of(cert)
-    except CertificateInvalid as exc:
-        rep.violations = [str(v) for v in exc.violations]
-        rep.lines.extend(_bad(str(v)) for v in exc.violations)
-        return 1
-    rep.poly("total", cm.total)
-    rep.say(format_polynomial(cm.total))
-    return 0
-
-
 def _cmd_contributions(args, rep: Report) -> int:
+    """`cd-recursive` reports the recursive total; `contributions` the whole table, checked."""
     p = _load_poset(args.poset)
     cert = _load_certificate(args.certificate, p, object)
     try:
-        cm, direct = _contributions_of(cert)
+        cm = contributions(cert)
     except CertificateInvalid as exc:
         rep.violations = [str(v) for v in exc.violations]
         rep.lines.extend(_bad(str(v)) for v in exc.violations)
         return 1
+    if args.verb == "cd-recursive":
+        rep.poly("total", cm.total)
+        rep.say(format_polynomial(cm.total))
+        return 0
+    direct = cd_index(p) if isinstance(cert, SPartitionCert) else semi_cd_index(p)
     for sigma in sorted(cm.per_coatom):
         rep.poly(sigma, cm.per_coatom[sigma])
         rep.say(f"{sigma}: {format_polynomial(cm.per_coatom[sigma])}")
@@ -327,9 +276,21 @@ def _cmd_gen(args, rep: Report) -> int:
     rep.result["name"] = p.name
     rep.result["elements"] = len(p)
     if args.emit_cert:
-        cert = zoo.fixture_certificate(args.family, params)
-        Path(args.emit_cert).write_text(format_certificate(cert), encoding="utf-8")
-        rep.say(f"certificate written to {args.emit_cert}")
+        _emit_cert(zoo.fixture_certificate(args.family, params), args.emit_cert, rep)
+    return 0
+
+
+def _report_conversion(outcome, args, rep: Report) -> int:
+    if isinstance(outcome, FailureReport):
+        rep.result["converted"] = False
+        rep.violations = [str(outcome)]
+        rep.say(_bad(str(outcome)))
+        return 1
+    total = contributions(outcome, check=False).total
+    rep.result["converted"] = True
+    rep.poly("total", total)
+    rep.say(f"OK total {format_polynomial(total)}")
+    _emit_cert(outcome, args.emit_cert, rep)
     return 0
 
 
@@ -337,17 +298,7 @@ def _cmd_convert_shelling(args, rep: Report) -> int:
     p = _load_poset(args.poset)
     order = [s.strip() for s in args.order.split(",") if s.strip()]
     outcome = order_to_s_certificate(p, order, budget=args.budget)
-    if isinstance(outcome, FailureReport):
-        rep.result["converted"] = False
-        rep.violations = [str(outcome)]
-        rep.say(_bad(str(outcome)))
-        return 1
-    total = contributions_s(outcome, check=False).total
-    rep.result["converted"] = True
-    rep.poly("total", total)
-    rep.say(f"OK total {format_polynomial(total)}")
-    _emit_cert(outcome, args.emit_cert, rep)
-    return 0
+    return _report_conversion(outcome, args, rep)
 
 
 def _parse_pairs_file(path: str) -> list[tuple[str, str]]:
@@ -374,23 +325,13 @@ def _cmd_convert_simplicial(args, rep: Report) -> int:
         outcome = simplicial_partition_to_s_certificate(p, pairs, budget=args.budget)
     except PosetError as exc:
         raise InputError(str(exc))
-    if isinstance(outcome, FailureReport):
-        rep.result["converted"] = False
-        rep.violations = [str(outcome)]
-        rep.say(_bad(str(outcome)))
-        return 1
-    total = contributions_s(outcome, check=False).total
-    rep.result["converted"] = True
-    rep.poly("total", total)
-    rep.say(f"OK total {format_polynomial(total)}")
-    _emit_cert(outcome, args.emit_cert, rep)
-    return 0
+    return _report_conversion(outcome, args, rep)
 
 
 def _cmd_reverse_check(args, rep: Report) -> int:
     p = _load_poset(args.poset)
     cert = _load_certificate(args.certificate, p, SPartitionCert)
-    violations = verify_s_partition(cert)
+    violations = verify_partition(cert)
     if violations:
         rep.violations = [str(v) for v in violations]
         rep.lines.extend(_bad(str(v)) for v in violations)
@@ -427,18 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = add(name, func, help=doc)
         sp.add_argument("poset")
-    for name, func, doc, want in [
-        ("check-spart", _cmd_check_spart, "verify an S-partition certificate", None),
-        ("check-separt", _cmd_check_separt, "verify an SE-partition certificate", None),
-        ("cd-recursive", _cmd_cd_recursive, "cd-index via certificate contributions", None),
-        ("contributions", _cmd_contributions, "per-coatom contribution table", None),
-        ("reverse-check", _cmd_reverse_check, "reverse-partition probe", None),
+    for name, func, doc in [
+        ("check-spart", _cmd_check_cert, "verify an S-partition certificate"),
+        ("check-separt", _cmd_check_cert, "verify an SE-partition certificate"),
+        ("cd-recursive", _cmd_contributions, "cd-index via certificate contributions"),
+        ("contributions", _cmd_contributions, "per-coatom contribution table"),
+        ("reverse-check", _cmd_reverse_check, "reverse-partition probe"),
     ]:
         sp = add(name, func, help=doc)
         sp.add_argument("poset")
         sp.add_argument("certificate")
-    for name, func in [("search-spart", _cmd_search_spart), ("search-separt", _cmd_search_separt)]:
-        sp = add(name, func, help="budgeted certificate search")
+    for name in ("search-spart", "search-separt"):
+        sp = add(name, _cmd_search, help="budgeted certificate search")
         sp.add_argument("poset")
         sp.add_argument("--budget", type=int, default=10**6, help="search node limit")
         sp.add_argument("--emit-cert", metavar="PATH")

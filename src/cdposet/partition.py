@@ -1,29 +1,34 @@
 """Recursive partition certificates and the per-coatom cd-index recursion.
 
-An S-certificate partitions the elements of an Eulerian poset (minus the top)
-into one class per coatom: a full initial closure, a singleton terminal class
-and ordinary classes whose capped closures are near-Eulerian with recursively
-certified semisuspensions.  The SE variant relaxes ordinary classes to split
-into several near-Eulerian subclasses and allows any number of singleton
-classes on a semi-Eulerian poset.
+An SE-certificate partitions the elements of a semi-Eulerian poset (minus
+the top) into one class per coatom: the full closure of an initial coatom,
+zero classes that hold only their coatom, and ordinary classes split into
+subclasses whose capped closures are near-Eulerian with recursively
+certified semisuspensions.  An S-certificate is the Eulerian special case:
+its one zero class is the terminal singleton and each ordinary class is a
+single subclass.  Every certificate walk (verification, contributions,
+assembly, the file format) is written once over the view both dataclasses
+share; they differ only in the Eulerian or semi-Eulerian test, the rules
+for zero classes and the SE decomposition checks.
 
 Verification never searches: a certificate is an explicit witness and
-``verify_*`` only checks it.  The searches produce certificates: a
+``verify_partition`` only checks it.  The searches produce certificates: a
 facet-order backtracking search (with a full per-element assignment fallback
 below a size threshold) for the Eulerian case, and a greedy
 adjacency-order search with backtracking for the semi-Eulerian case.
 
 Contribution maps implement the recursion: the initial coatom contributes
-the cd-index of its capped boundary times c, ordinary coatoms contribute the
-boundary cd-index times d plus the ordinary contributions of their
-semisuspensions times c, and terminal or singleton coatoms contribute zero.
-The boundary cd-indices are computed by the direct flag pipeline and
+the cd-index of its capped boundary times c, ordinary coatoms contribute,
+per subclass, the boundary cd-index times d plus the ordinary contributions
+of the semisuspension times c, and zero classes contribute zero.  The
+boundary cd-indices are computed by the direct flag pipeline and
 cross-checked against the recursive totals at every level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from .flags import cd_index
@@ -92,14 +97,46 @@ class Budget:
     limit: int = 10**6
     used: int = 0
 
+    @classmethod
+    def of(cls, budget: "Budget | int | None") -> "Budget":
+        """The caller's budget, or a fresh one with that node limit (None: the default)."""
+        if isinstance(budget, Budget):
+            return budget
+        return cls() if budget is None else cls(budget)
+
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
             raise BudgetExhausted(f"search budget of {self.limit} nodes exhausted")
 
 
+class _Certificate:
+    """The view of a certificate that every walk reads.
+
+    ``header`` is the file-format word and the default violation path;
+    ``zero_kind`` names the kind of class that contributes zero.
+    """
+
+    header = ""
+    zero_kind = ""
+
+    def zero_classes(self) -> frozenset[str]:
+        raise NotImplementedError
+
+    def _subclasses(self, sigma: str) -> list[tuple[int | None, frozenset[str], Hashable]]:
+        """(j, members without sigma, subcerts key) per subclass of an ordinary class.
+
+        j is None for the single, unnumbered subclass of an S-certificate.
+        """
+        raise NotImplementedError
+
+    def ordinary(self) -> list[str]:
+        zero = self.zero_classes()
+        return sorted(s for s in self.classes if s != self.initial and s not in zero)
+
+
 @dataclass
-class SPartitionCert:
+class SPartitionCert(_Certificate):
     """Witness of S-partitionability; sub-certificates are nested certs."""
 
     poset: GradedPoset
@@ -109,12 +146,18 @@ class SPartitionCert:
     subcert_initial: "SPartitionCert | None"
     subcerts: dict[str, "SPartitionCert"]
 
-    def ordinary(self) -> list[str]:
-        return sorted(s for s in self.classes if s not in (self.initial, self.terminal))
+    header = "spart"
+    zero_kind = "terminal"
+
+    def zero_classes(self) -> frozenset[str]:
+        return frozenset() if self.terminal is None else frozenset({self.terminal})
+
+    def _subclasses(self, sigma: str) -> list[tuple[int | None, frozenset[str], Hashable]]:
+        return [(None, self.classes[sigma] - {sigma}, sigma)]
 
 
 @dataclass
-class SEPartitionCert:
+class SEPartitionCert(_Certificate):
     """Witness of SE-partitionability with per-coatom subclass decompositions."""
 
     poset: GradedPoset
@@ -125,8 +168,22 @@ class SEPartitionCert:
     subcert_initial: "SPartitionCert | None"
     subcerts: dict[tuple[str, int], SPartitionCert]
 
-    def ordinary(self) -> list[str]:
-        return sorted(s for s in self.classes if s != self.initial and s not in self.singletons)
+    header = "separt"
+    zero_kind = "singleton"
+
+    def zero_classes(self) -> frozenset[str]:
+        return self.singletons
+
+    def _subclasses(self, sigma: str) -> list[tuple[int | None, frozenset[str], Hashable]]:
+        parts = self.subclass_decomp[sigma]
+        return [(j, frozenset(part), (sigma, j)) for j, part in enumerate(parts, start=1)]
+
+
+def _base_cert(p: GradedPoset, cls: type = SPartitionCert) -> SPartitionCert | SEPartitionCert:
+    """The empty certificate of a rank-1 poset."""
+    if cls is SPartitionCert:
+        return SPartitionCert(p, {}, None, None, None, {})
+    return SEPartitionCert(p, {}, None, frozenset(), {}, None, {})
 
 
 @dataclass
@@ -254,97 +311,40 @@ def _check_partition(
     return not out
 
 
-def _verify_subcert_initial(
-    cert: SPartitionCert | SEPartitionCert, path: str, out: list[Violation]
+def _verify_sub(
+    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]
 ) -> None:
-    expected = initial_boundary_poset(cert.poset, cert.initial)
-    sub = cert.subcert_initial
+    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse."""
     if sub is None:
-        out.append(Violation("missing-initial-subcert", f"{path}/class[{cert.initial}]", "no sub-certificate"))
+        code = "missing-initial-subcert" if tau is None else "missing-subcert"
+        out.append(Violation(code, cpath, "no sub-certificate"))
     elif sub.poset != expected:
-        out.append(Violation("subposet-mismatch", f"{path}/class[{cert.initial}]/sub", "capped boundary differs"))
+        what = "capped boundary" if tau is None else "semisuspension"
+        out.append(Violation("subposet-mismatch", f"{cpath}/sub", f"{what} differs"))
+    elif tau is not None and sub.initial != tau:
+        out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
-        out.extend(verify_s_partition(sub, f"{path}/class[{cert.initial}]/sub"))
+        out.extend(verify_partition(sub, f"{cpath}/sub"))
 
 
-def _verify_ordinary_subcert(
-    poset_path: str,
-    sigma: str,
-    rest: frozenset[str],
-    p: GradedPoset,
-    sub: SPartitionCert | None,
-    tau: str,
-    out: list[Violation],
-) -> None:
-    try:
-        gamma = _gamma_checked(p, sigma, rest)
-    except _ClassFailure as cf:
-        out.append(Violation(cf.code, poset_path, cf.detail))
-        return
-    expected, _ = semisuspension(gamma, tau)
-    if sub is None:
-        out.append(Violation("missing-subcert", poset_path, "no sub-certificate"))
-    elif sub.poset != expected:
-        out.append(Violation("subposet-mismatch", f"{poset_path}/sub", "semisuspension differs"))
-    elif sub.initial != tau:
-        out.append(Violation("initial-not-tau", f"{poset_path}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
-    else:
-        out.extend(verify_s_partition(sub, f"{poset_path}/sub"))
-
-
-def verify_s_partition(cert: SPartitionCert, path: str = "spart") -> list[Violation]:
-    """Full recursive check; empty list iff the certificate is a valid witness."""
-    out: list[Violation] = []
-    p = cert.poset
-    bad = validate(p)
-    if bad:
-        return [Violation("poset-invalid", path, str(v)) for v in bad]
-    d = p.rank_top - 1
-    if d == 0:
-        if cert.classes or cert.initial or cert.terminal or cert.subcerts or cert.subcert_initial:
-            out.append(Violation("base-not-empty", path, "rank-1 certificate carries classes"))
-        return out
-    if not is_eulerian(p):
-        return [Violation("not-eulerian", path, p.name)]
-    if not _check_partition(cert, path, out):
-        return out
-    coatoms = set(p.coatoms())
-    if cert.terminal not in coatoms:
+def _check_terminal(cert: SPartitionCert, path: str, out: list[Violation]) -> bool:
+    """S zero-class rules: one terminal singleton, distinct from the initial coatom."""
+    if cert.terminal not in cert.poset.coatoms():
         out.append(Violation("terminal-missing", path, f"{cert.terminal!r}"))
-        return out
+        return False
     if cert.terminal == cert.initial:
         out.append(Violation("initial-terminal-clash", path, cert.initial))
-        return out
+        return False
     if cert.classes[cert.terminal] != frozenset({cert.terminal}):
         out.append(Violation("terminal-not-singleton", f"{path}/class[{cert.terminal}]", "must be a one-element class"))
-    _verify_subcert_initial(cert, path, out)
-    if set(cert.subcerts) != set(cert.ordinary()):
-        out.append(Violation("subcert-keys", path, f"{sorted(cert.subcerts)} vs ordinary {cert.ordinary()}"))
-        return out
-    for sigma in cert.ordinary():
-        rest = cert.classes[sigma] - {sigma}
-        _verify_ordinary_subcert(
-            f"{path}/class[{sigma}]", sigma, rest, p, cert.subcerts.get(sigma), tau_name(sigma), out
-        )
-    return out
+    return True
 
 
-def verify_se_partition(cert: SEPartitionCert, path: str = "separt") -> list[Violation]:
-    """Full recursive check of an SE-certificate on a semi-Eulerian poset."""
-    out: list[Violation] = []
-    p = cert.poset
-    bad = validate(p)
-    if bad:
-        return [Violation("poset-invalid", path, str(v)) for v in bad]
-    d = p.rank_top - 1
-    if d == 0:
-        if cert.classes or cert.initial or cert.subcerts or cert.subcert_initial:
-            out.append(Violation("base-not-empty", path, "rank-1 certificate carries classes"))
-        return out
-    if not is_semi_eulerian(p):
-        return [Violation("not-semi-eulerian", path, p.name)]
-    if not _check_partition(cert, path, out):
-        return out
+def _check_singletons(cert: SEPartitionCert, path: str, out: list[Violation]) -> bool:
+    """SE zero-class rules: exactly the one-element classes besides the initial one are declared.
+
+    Always True: unlike the S rules, none of these stops the deeper checks.
+    """
     for sigma in sorted(cert.singletons):
         if sigma == cert.initial:
             out.append(Violation("initial-singleton-clash", path, sigma))
@@ -353,55 +353,97 @@ def verify_se_partition(cert: SEPartitionCert, path: str = "separt") -> list[Vio
     for sigma in sorted(cert.classes):
         if sigma != cert.initial and sigma not in cert.singletons and cert.classes[sigma] == frozenset({sigma}):
             out.append(Violation("undeclared-singleton", f"{path}/class[{sigma}]", "one-element class not declared singleton"))
-    _verify_subcert_initial(cert, path, out)
-    if set(cert.subclass_decomp) != set(cert.ordinary()):
-        out.append(
-            Violation("subclass-keys", path, f"{sorted(cert.subclass_decomp)} vs ordinary {cert.ordinary()}")
-        )
+    return True
+
+
+def _check_decomposition(cert: SEPartitionCert, sigma: str, cpath: str, out: list[Violation]) -> bool:
+    """SE only: the subclasses of an ordinary class partition it minus its coatom."""
+    parts = cert.subclass_decomp[sigma]
+    if not parts:
+        out.append(Violation("empty-decomposition", cpath, "ordinary class with no subclasses"))
+        return False
+    rest = cert.classes[sigma] - {sigma}
+    union: set[str] = set()
+    ok = True
+    for part in parts:
+        if union & part:
+            out.append(Violation("overlapping-subclasses", cpath, f"{sorted(union & part)}"))
+            ok = False
+        union |= part
+    if union != set(rest):
+        out.append(Violation("subclasses-not-partition", cpath, f"union {sorted(union)} vs {sorted(rest)}"))
+        ok = False
+    return ok
+
+
+def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = None) -> list[Violation]:
+    """Full recursive check; empty list iff the certificate is a valid witness.
+
+    An S-certificate needs an Eulerian poset and one terminal singleton; an
+    SE-certificate a semi-Eulerian poset, declared singletons and a subclass
+    decomposition of every ordinary class.
+    """
+    path = cert.header if path is None else path
+    eulerian = isinstance(cert, SPartitionCert)
+    p = cert.poset
+    bad = validate(p)
+    if bad:
+        return [Violation("poset-invalid", path, str(v)) for v in bad]
+    if p.rank_top - 1 == 0:
+        if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
+            return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
+        return []
+    if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
+        return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
+    out: list[Violation] = []
+    if not _check_partition(cert, path, out):
+        return out
+    if not (_check_terminal if eulerian else _check_singletons)(cert, path, out):
+        return out
+    boundary = initial_boundary_poset(p, cert.initial)
+    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
+    keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
+    if set(keyed) != set(cert.ordinary()):
+        out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {cert.ordinary()}"))
         return out
     for sigma in cert.ordinary():
         cpath = f"{path}/class[{sigma}]"
-        rest = cert.classes[sigma] - {sigma}
-        parts = cert.subclass_decomp[sigma]
-        if not parts:
-            out.append(Violation("empty-decomposition", cpath, "ordinary class with no subclasses"))
+        if not eulerian and not _check_decomposition(cert, sigma, cpath, out):
             continue
-        union: set[str] = set()
-        overlap_free = True
-        for part in parts:
-            if union & part:
-                out.append(Violation("overlapping-subclasses", cpath, f"{sorted(union & part)}"))
-                overlap_free = False
-            union |= part
-        if union != set(rest):
-            out.append(Violation("subclasses-not-partition", cpath, f"union {sorted(union)} vs {sorted(rest)}"))
-            overlap_free = False
-        if not overlap_free:
-            continue
-        for j, part in enumerate(parts, start=1):
-            _verify_ordinary_subcert(
-                f"{cpath}/subclass[{j}]",
-                sigma,
-                frozenset(part),
-                p,
-                cert.subcerts.get((sigma, j)),
-                tau_name(sigma, j),
-                out,
-            )
+        for j, part, key in cert._subclasses(sigma):
+            spath = cpath if j is None else f"{cpath}/subclass[{j}]"
+            try:
+                gamma = _gamma_checked(p, sigma, part)
+            except _ClassFailure as cf:
+                out.append(Violation(cf.code, spath, cf.detail))
+                continue
+            tau = tau_name(sigma, j)
+            expected, _ = semisuspension(gamma, tau)
+            _verify_sub(cert.subcerts.get(key), expected, spath, tau, out)
     return out
+
+
+verify_s_partition = verify_se_partition = verify_partition
 
 
 # -- contributions -----------------------------------------------------------------
 
 
-def _ordinary_block(p: GradedPoset, sigma: str, rest: frozenset[str], sub: SPartitionCert, tau: str) -> NcPolynomial:
-    """Phi(boundary)*d plus the ordinary contributions of the semisuspension times c."""
-    gamma = gamma_poset(p, sigma, rest)
-    phi_bdry = cd_index(boundary_poset(gamma))
-    rec = _contributions_s(sub)
-    rec_bdry = _contributions_s(sub.subcert_initial).total if sub.subcert_initial else NcPolynomial.unit(CD)
-    if rec_bdry != phi_bdry:
-        raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {phi_bdry} vs {rec_bdry}")
+def _ordinary_block(p: GradedPoset, sigma: str, part: frozenset[str], sub: SPartitionCert, tau: str) -> NcPolynomial:
+    """Phi(boundary)*d plus the ordinary contributions of the semisuspension times c.
+
+    The boundary is the capped boundary of the sub-certificate's initial
+    coatom, whose block the recursion already checked against its own
+    recursive total; comparing with that block closes the cross-check.
+    """
+    phi_bdry = cd_index(boundary_poset(gamma_poset(p, sigma, part)))
+    rec = _contributions(sub)
+    if sub.subcert_initial is None:
+        direct, recursive = phi_bdry, NcPolynomial.unit(CD)
+    else:
+        direct, recursive = phi_bdry.times_letter("c"), rec.per_coatom[sub.initial]
+    if direct != recursive:
+        raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {direct} vs {recursive}")
     out = phi_bdry.times_letter("d")
     for omega in sub.ordinary():
         out = out + rec.per_coatom[omega].times_letter("c")
@@ -410,48 +452,23 @@ def _ordinary_block(p: GradedPoset, sigma: str, rest: frozenset[str], sub: SPart
 
 def _initial_block(cert: SPartitionCert | SEPartitionCert) -> NcPolynomial:
     phi = cd_index(initial_boundary_poset(cert.poset, cert.initial))
-    rec = _contributions_s(cert.subcert_initial)
+    rec = _contributions(cert.subcert_initial)
     if rec.total != phi:
         raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
     return phi.times_letter("c")
 
 
-def _contributions_s(cert: SPartitionCert) -> ContributionMap:
+def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
     p = cert.poset
     if p.rank_top - 1 == 0:
         return ContributionMap({}, NcPolynomial.unit(CD))
     per: dict[str, NcPolynomial] = {cert.initial: _initial_block(cert)}
-    per[cert.terminal] = NcPolynomial.zero(CD)
-    for sigma in cert.ordinary():
-        per[sigma] = _ordinary_block(
-            p, sigma, cert.classes[sigma] - {sigma}, cert.subcerts[sigma], tau_name(sigma)
-        )
-    total = NcPolynomial.zero(CD)
-    for poly in per.values():
-        total = total + poly
-    return ContributionMap(per, total)
-
-
-def contributions_s(cert: SPartitionCert, check: bool = True) -> ContributionMap:
-    """Per-coatom contributions of a verified S-certificate; total is the cd-index."""
-    if check:
-        violations = verify_s_partition(cert)
-        if violations:
-            raise CertificateInvalid(violations)
-    return _contributions_s(cert)
-
-
-def _contributions_se(cert: SEPartitionCert) -> ContributionMap:
-    p = cert.poset
-    if p.rank_top - 1 == 0:
-        return ContributionMap({}, NcPolynomial.unit(CD))
-    per: dict[str, NcPolynomial] = {cert.initial: _initial_block(cert)}
-    for sigma in sorted(cert.singletons):
+    for sigma in sorted(cert.zero_classes()):
         per[sigma] = NcPolynomial.zero(CD)
     for sigma in cert.ordinary():
         acc = NcPolynomial.zero(CD)
-        for j, part in enumerate(cert.subclass_decomp[sigma], start=1):
-            acc = acc + _ordinary_block(p, sigma, frozenset(part), cert.subcerts[(sigma, j)], tau_name(sigma, j))
+        for j, part, key in cert._subclasses(sigma):
+            acc = acc + _ordinary_block(p, sigma, part, cert.subcerts[key], tau_name(sigma, j))
         per[sigma] = acc
     total = NcPolynomial.zero(CD)
     for poly in per.values():
@@ -459,13 +476,16 @@ def _contributions_se(cert: SEPartitionCert) -> ContributionMap:
     return ContributionMap(per, total)
 
 
-def contributions_se(cert: SEPartitionCert, check: bool = True) -> ContributionMap:
-    """Per-coatom contributions of a verified SE-certificate; total is the semi cd-index."""
+def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) -> ContributionMap:
+    """Per-coatom contributions of a verified certificate; the total is the (semi-)cd-index."""
     if check:
-        violations = verify_se_partition(cert)
+        violations = verify_partition(cert)
         if violations:
             raise CertificateInvalid(violations)
-    return _contributions_se(cert)
+    return _contributions(cert)
+
+
+contributions_s = contributions_se = contributions
 
 
 def cd_word_multiset(cm: ContributionMap) -> dict[str, Counter]:
@@ -484,8 +504,20 @@ def cd_word_multiset(cm: ContributionMap) -> dict[str, Counter]:
 # -- certificate assembly (shared by searches and converters) ------------------------
 
 
-def _base_cert(p: GradedPoset) -> SPartitionCert:
-    return SPartitionCert(p, {}, None, None, None, {})
+def _with_subcerts(cert: SPartitionCert | SEPartitionCert, budget: Budget) -> SPartitionCert | SEPartitionCert:
+    """Search the initial and every subclass sub-certificate; raises _ClassFailure on defects."""
+    p = cert.poset
+    cert.subcert_initial = _search_s(initial_boundary_poset(p, cert.initial), budget, first=None)
+    if cert.subcert_initial is None:
+        raise _ClassFailure(cert.initial, "initial-subcert", "capped boundary admits no certificate")
+    for sigma in cert.ordinary():
+        for j, part, key in cert._subclasses(sigma):
+            ss, tau = semisuspension(_gamma_checked(p, sigma, part), tau_name(sigma, j))
+            cert.subcerts[key] = _search_s(ss, budget, first=tau)
+            if cert.subcerts[key] is None:
+                where = "" if j is None else f"subclass {j} "
+                raise _ClassFailure(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
+    return cert
 
 
 def _assemble_s_cert(
@@ -495,35 +527,7 @@ def _assemble_s_cert(
     classes: dict[str, frozenset[str]],
     budget: Budget,
 ) -> SPartitionCert:
-    """Build sub-certificates for given classes; raises _ClassFailure on defects."""
-    sub_init = _search_s(initial_boundary_poset(p, initial), budget, first=None)
-    if sub_init is None:
-        raise _ClassFailure(initial, "initial-subcert", "capped boundary admits no certificate")
-    subcerts: dict[str, SPartitionCert] = {}
-    for sigma in sorted(classes):
-        if sigma in (initial, terminal):
-            continue
-        gamma = _gamma_checked(p, sigma, classes[sigma] - {sigma})
-        ss, tau = semisuspension(gamma, tau_name(sigma))
-        sub = _search_s(ss, budget, first=tau)
-        if sub is None:
-            raise _ClassFailure(sigma, "subcert-search", "semisuspension admits no certificate")
-        subcerts[sigma] = sub
-    return SPartitionCert(p, dict(classes), initial, terminal, sub_init, subcerts)
-
-
-def s_certificate_from_classes(
-    p: GradedPoset,
-    initial: str,
-    terminal: str,
-    classes: dict[str, frozenset[str]],
-    budget: Budget | None = None,
-) -> SPartitionCert | FailureReport:
-    """Assemble an S-certificate from explicit classes, searching sub-certificates."""
-    try:
-        return _assemble_s_cert(p, initial, terminal, classes, budget or Budget())
-    except _ClassFailure as cf:
-        return cf.report()
+    return _with_subcerts(SPartitionCert(p, dict(classes), initial, terminal, None, {}), budget)
 
 
 def _components(p: GradedPoset, members: frozenset[str]) -> list[frozenset[str]]:
@@ -551,29 +555,10 @@ def _assemble_se_cert(
     classes: dict[str, frozenset[str]],
     budget: Budget,
 ) -> SEPartitionCert:
-    sub_init = _search_s(initial_boundary_poset(p, initial), budget, first=None)
-    if sub_init is None:
-        raise _ClassFailure(initial, "initial-subcert", "capped boundary admits no certificate")
-    singletons = set()
-    decomp: dict[str, tuple[frozenset[str], ...]] = {}
-    subcerts: dict[tuple[str, int], SPartitionCert] = {}
-    for sigma in sorted(classes):
-        if sigma == initial:
-            continue
-        rest = classes[sigma] - {sigma}
-        if not rest:
-            singletons.add(sigma)
-            continue
-        parts = _components(p, rest)
-        decomp[sigma] = tuple(parts)
-        for j, part in enumerate(parts, start=1):
-            gamma = _gamma_checked(p, sigma, part)
-            ss, tau = semisuspension(gamma, tau_name(sigma, j))
-            sub = _search_s(ss, budget, first=tau)
-            if sub is None:
-                raise _ClassFailure(sigma, "subcert-search", f"subclass {j} semisuspension admits no certificate")
-            subcerts[(sigma, j)] = sub
-    return SEPartitionCert(p, dict(classes), initial, frozenset(singletons), decomp, sub_init, subcerts)
+    others = [s for s in sorted(classes) if s != initial]
+    singletons = frozenset(s for s in others if not classes[s] - {s})
+    decomp = {s: tuple(_components(p, classes[s] - {s})) for s in others if s not in singletons}
+    return _with_subcerts(SEPartitionCert(p, dict(classes), initial, singletons, decomp, None, {}), budget)
 
 
 def se_certificate_from_classes(
@@ -584,7 +569,7 @@ def se_certificate_from_classes(
 ) -> SEPartitionCert | FailureReport:
     """Assemble an SE-certificate from explicit classes (subclasses split by connectivity)."""
     try:
-        return _assemble_se_cert(p, initial, classes, budget or Budget())
+        return _assemble_se_cert(p, initial, classes, Budget.of(budget))
     except _ClassFailure as cf:
         return cf.report()
 
@@ -689,27 +674,25 @@ def _search_s_assignments(p: GradedPoset, budget: Budget, first: str | None) -> 
     return None
 
 
-def search_s_certificate(
-    p: GradedPoset,
-    budget: Budget | int | None = None,
-    first: str | None = None,
-    assignment_threshold: int = 40,
-) -> SPartitionCert | None:
+# posets with at most this many elements also get the exhaustive assignment search
+_ASSIGNMENT_THRESHOLD = 40
+
+
+def search_s_certificate(p: GradedPoset, budget: Budget | int | None = None) -> SPartitionCert | None:
     """Search an S-certificate: facet orders first, assignment fallback when small.
 
     Returns None when the search family is exhausted; raises BudgetExhausted
     when the node budget runs out and PosetError on a non-Eulerian input.
     """
-    if isinstance(budget, int) or budget is None:
-        budget = Budget(budget or 10**6)
+    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         raise PosetError(f"invalid poset: {bad[0]}")
     if not is_eulerian(p):
         raise PosetError(f"{p.name} is not Eulerian")
-    cert = _search_s(p, budget, first)
-    if cert is None and len(p) <= assignment_threshold and p.rank_top >= 2:
-        cert = _search_s_assignments(p, budget, first)
+    cert = _search_s(p, budget, None)
+    if cert is None and len(p) <= _ASSIGNMENT_THRESHOLD and p.rank_top >= 2:
+        cert = _search_s_assignments(p, budget, None)
     return cert
 
 
@@ -728,8 +711,7 @@ def search_se_certificate(
     covered so far; classes split into connected subclasses.  Returns None
     on exhaustion, raises BudgetExhausted or PosetError (non-semi-Eulerian).
     """
-    if isinstance(budget, int) or budget is None:
-        budget = Budget(budget or 10**6)
+    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         raise PosetError(f"invalid poset: {bad[0]}")
@@ -737,7 +719,7 @@ def search_se_certificate(
         raise PosetError(f"{p.name} is not semi-Eulerian")
     d = p.rank_top - 1
     if d == 0:
-        return SEPartitionCert(p, {}, None, frozenset(), {}, None, {})
+        return _base_cert(p, SEPartitionCert)
     coatoms = sorted(p.coatoms())
     closures = {s: closure(p, [s]) for s in coatoms}
 
@@ -783,8 +765,7 @@ def order_to_s_certificate(
     budget: Budget | int | None = None,
 ) -> SPartitionCert | FailureReport:
     """Certificate induced by a shelling-style facet order, or a failure report."""
-    if isinstance(budget, int) or budget is None:
-        budget = Budget(budget or 10**6)
+    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
@@ -830,8 +811,7 @@ def simplicial_partition_to_s_certificate(
     NotAPartition when the pairs do not form one partition class per facet
     with a unique empty restriction and a unique full restriction.
     """
-    if isinstance(budget, int) or budget is None:
-        budget = Budget(budget or 10**6)
+    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
@@ -876,13 +856,12 @@ def product_se_partition(
     are searched per subclass.  Raises RankNotThree on wrong ranks and
     CertificateInvalid when a factor certificate does not verify.
     """
-    if isinstance(budget, int) or budget is None:
-        budget = Budget(budget or 10**6)
+    budget = Budget.of(budget)
     p, q = cp.poset, cq.poset
     if p.rank_top != 3 or q.rank_top != 3:
         raise RankNotThree(f"ranks {p.rank_top} and {q.rank_top}, both must be 3")
     for cert in (cp, cq):
-        violations = verify_s_partition(cert)
+        violations = verify_partition(cert)
         if violations:
             raise CertificateInvalid(violations)
     from .poset import product as poset_product
@@ -962,54 +941,36 @@ def _members_line(members: frozenset[str], p: GradedPoset) -> str:
     return "members " + " ".join(ordered)
 
 
-def _emit_s_classes(cert: SPartitionCert, depth: int, lines: list[str]) -> None:
+def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
-    p = cert.poset
+    zero = cert.zero_classes()
     for sigma in sorted(cert.classes):
+        # (subclass number, members, sub-certificate) per block; only SE subclasses are numbered
         if sigma == cert.initial:
-            kind = "initial"
-        elif sigma == cert.terminal:
-            kind = "terminal"
+            kind, blocks = "initial", [(None, cert.classes[sigma], cert.subcert_initial)]
+        elif sigma in zero:
+            kind, blocks = cert.zero_kind, [(None, cert.classes[sigma], None)]
         else:
             kind = "ordinary"
+            blocks = [
+                (j, cert.classes[sigma] if j is None else part, cert.subcerts[key])
+                for j, part, key in cert._subclasses(sigma)
+            ]
         lines.append(f"{pad}class {sigma} kind={kind}")
-        lines.append(f"{pad}  {_members_line(cert.classes[sigma], p)}")
-        sub = None
-        if kind == "initial":
-            sub = cert.subcert_initial
-        elif kind == "ordinary":
-            sub = cert.subcerts[sigma]
-        if sub is not None:
-            lines.append(f"{pad}  sub")
-            _emit_s_classes(sub, depth + 2, lines)
+        for j, members, sub in blocks:
+            inner = depth + 1
+            if j is not None:
+                lines.append(f"{pad}  subclass {j}")
+                inner += 1
+            lines.append(f"{'  ' * inner}{_members_line(members, cert.poset)}")
+            if sub is not None:
+                lines.append(f"{'  ' * inner}sub")
+                _emit_classes(sub, inner + 1, lines)
 
 
 def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
-    lines: list[str] = []
-    if isinstance(cert, SPartitionCert):
-        lines.append(f"spart {cert.poset.name}")
-        _emit_s_classes(cert, 1, lines)
-        return "\n".join(lines) + "\n"
-    lines.append(f"separt {cert.poset.name}")
-    p = cert.poset
-    for sigma in sorted(cert.classes):
-        if sigma == cert.initial:
-            lines.append(f"  class {sigma} kind=initial")
-            lines.append(f"    {_members_line(cert.classes[sigma], p)}")
-            if cert.subcert_initial is not None:
-                lines.append("    sub")
-                _emit_s_classes(cert.subcert_initial, 3, lines)
-        elif sigma in cert.singletons:
-            lines.append(f"  class {sigma} kind=singleton")
-            lines.append(f"    members {sigma}")
-        else:
-            lines.append(f"  class {sigma} kind=ordinary")
-            for j, part in enumerate(cert.subclass_decomp[sigma], start=1):
-                lines.append(f"    subclass {j}")
-                lines.append(f"      {_members_line(part, p)}")
-                sub = cert.subcerts[(sigma, j)]
-                lines.append("      sub")
-                _emit_s_classes(sub, 4, lines)
+    lines = [f"{cert.header} {cert.poset.name}"]
+    _emit_classes(cert, 1, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -1046,69 +1007,100 @@ def _parse_block(lines: list[_Line], pos: int, depth: int) -> tuple[list[tuple[_
     return out, pos
 
 
-def _parse_s_classes(blocks: list, poset: GradedPoset, lineno: int) -> SPartitionCert:
-    d = poset.rank_top - 1
-    if d == 0:
+def _read_block(nested: list, poset: GradedPoset, what: str, lineno: int) -> tuple[frozenset[str], list]:
+    """The members and the ``sub`` block of a class or subclass block."""
+    members: frozenset[str] | None = None
+    sub_blocks: list = []
+    for inner, inner_nested in nested:
+        if inner.fields[0] == "members":
+            members = frozenset(inner.fields[1:])
+        elif inner.fields == ["sub"]:
+            sub_blocks = inner_nested
+        else:
+            raise CertificateParseError(f"unexpected {inner.fields[0]!r}", inner.lineno)
+    if members is None:
+        raise CertificateParseError(f"{what} has no members line", lineno)
+    unknown = sorted(m for m in members if m not in poset)
+    if unknown:
+        raise CertificateParseError(f"unknown members {unknown}", lineno)
+    return members, sub_blocks
+
+
+def _suspended(p: GradedPoset, sigma: str, j: int | None, part: frozenset[str]) -> GradedPoset:
+    return semisuspension(gamma_poset(p, sigma, part), tau_name(sigma, j))[0]
+
+
+def _parse_sub(blocks: list, lineno: int, build, *args) -> SPartitionCert:
+    """Build the poset a sub-certificate certifies, then parse its ``sub`` block."""
+    try:
+        sub_poset = build(*args)
+    except PosetError as exc:
+        raise CertificateParseError(str(exc), lineno)
+    return _parse_classes(blocks, sub_poset, lineno, SPartitionCert)
+
+
+def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> SPartitionCert | SEPartitionCert:
+    """The class blocks of one certificate level; SE ordinary classes hold subclass blocks."""
+    split = cls is SEPartitionCert
+    if poset.rank_top - 1 == 0:
         if blocks:
             raise CertificateParseError("rank-1 certificate must have no classes", blocks[0][0].lineno)
-        return _base_cert(poset)
+        return _base_cert(poset, cls)
     classes: dict[str, frozenset[str]] = {}
-    initial = terminal = None
+    initial = None
+    zero: list[str] = []
+    decomp: dict[str, tuple[frozenset[str], ...]] = {}
     subcert_initial = None
-    subcerts: dict[str, SPartitionCert] = {}
+    subcerts: dict = {}
     for line, nested in blocks:
         if line.fields[0] != "class" or len(line.fields) != 3 or not line.fields[2].startswith("kind="):
             raise CertificateParseError("expected: class <coatom> kind=<kind>", line.lineno)
         sigma = line.fields[1]
         kind = line.fields[2].removeprefix("kind=")
-        if kind not in ("initial", "ordinary", "terminal"):
+        if kind not in ("initial", "ordinary", cls.zero_kind):
             raise CertificateParseError(f"unknown kind {kind!r}", line.lineno)
         if sigma in classes:
             raise CertificateParseError(f"duplicate class {sigma!r}", line.lineno)
-        members: frozenset[str] | None = None
-        sub_blocks = None
-        for inner, inner_nested in nested:
-            if inner.fields[0] == "members":
-                members = frozenset(inner.fields[1:])
-            elif inner.fields == ["sub"]:
-                sub_blocks = inner_nested
-            else:
-                raise CertificateParseError(f"unexpected {inner.fields[0]!r}", inner.lineno)
-        if members is None:
-            raise CertificateParseError(f"class {sigma!r} has no members line", line.lineno)
-        unknown = [m for m in members if m not in poset]
-        if unknown:
-            raise CertificateParseError(f"unknown members {unknown}", line.lineno)
+        if kind == "ordinary" and split:
+            parts: list[frozenset[str]] = []
+            for j, (inner, inner_nested) in enumerate(nested, start=1):
+                if inner.fields[0] != "subclass":
+                    raise CertificateParseError("expected: subclass <j>", inner.lineno)
+                part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
+                parts.append(part)
+                subcerts[(sigma, j)] = _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, j, part)
+            if not parts:
+                raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
+            decomp[sigma] = tuple(parts)
+            classes[sigma] = frozenset({sigma}).union(*parts)
+            continue
+        members, sub_blocks = _read_block(nested, poset, f"class {sigma!r}", line.lineno)
         classes[sigma] = members
         if kind == "initial":
             if initial is not None:
                 raise CertificateParseError("two initial classes", line.lineno)
             initial = sigma
-            try:
-                sub_poset = initial_boundary_poset(poset, sigma)
-            except PosetError as exc:
-                raise CertificateParseError(str(exc), line.lineno)
-            subcert_initial = _parse_s_classes(sub_blocks or [], sub_poset, line.lineno)
-        elif kind == "terminal":
-            if terminal is not None:
-                raise CertificateParseError("two terminal classes", line.lineno)
-            terminal = sigma
+            subcert_initial = _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
+        elif kind == "ordinary":
+            subcerts[sigma] = _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, None, members - {sigma})
+        elif zero and not split:
+            raise CertificateParseError("two terminal classes", line.lineno)
         else:
-            try:
-                gamma = gamma_poset(poset, sigma, members - {sigma})
-                ss, _tau = semisuspension(gamma, tau_name(sigma))
-            except PosetError as exc:
-                raise CertificateParseError(str(exc), line.lineno)
-            subcerts[sigma] = _parse_s_classes(sub_blocks or [], ss, line.lineno)
-    if initial is None or terminal is None:
+            zero.append(sigma)
+    if split:
+        if initial is None:
+            raise CertificateParseError("certificate needs an initial class", lineno)
+        return SEPartitionCert(poset, classes, initial, frozenset(zero), decomp, subcert_initial, subcerts)
+    if initial is None or not zero:
         raise CertificateParseError("certificate needs an initial and a terminal class", lineno)
-    return SPartitionCert(poset, classes, initial, terminal, subcert_initial, subcerts)
+    return SPartitionCert(poset, classes, initial, zero[0], subcert_initial, subcerts)
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:
     """Parse the indentation-nested certificate format against a loaded poset."""
+    kinds = {cls.header: cls for cls in (SPartitionCert, SEPartitionCert)}
     lines = _scan_lines(text)
-    if not lines or lines[0].fields[0] not in ("spart", "separt") or len(lines[0].fields) != 2:
+    if not lines or lines[0].fields[0] not in kinds or len(lines[0].fields) != 2:
         raise CertificateParseError("expected header: spart|separt <poset-name>", 1)
     header = lines[0]
     if header.fields[1] != poset.name:
@@ -1118,83 +1110,4 @@ def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEParti
     blocks, pos = _parse_block(lines, 1, 1)
     if pos != len(lines):
         raise CertificateParseError("trailing content", lines[pos].lineno)
-    if header.fields[0] == "spart":
-        return _parse_s_classes(blocks, poset, header.lineno)
-    return _parse_se_classes(blocks, poset, header.lineno)
-
-
-def _parse_se_classes(blocks: list, poset: GradedPoset, lineno: int) -> SEPartitionCert:
-    d = poset.rank_top - 1
-    if d == 0:
-        if blocks:
-            raise CertificateParseError("rank-1 certificate must have no classes", blocks[0][0].lineno)
-        return SEPartitionCert(poset, {}, None, frozenset(), {}, None, {})
-    classes: dict[str, frozenset[str]] = {}
-    initial = None
-    singletons: set[str] = set()
-    decomp: dict[str, tuple[frozenset[str], ...]] = {}
-    subcert_initial = None
-    subcerts: dict[tuple[str, int], SPartitionCert] = {}
-    for line, nested in blocks:
-        if line.fields[0] != "class" or len(line.fields) != 3 or not line.fields[2].startswith("kind="):
-            raise CertificateParseError("expected: class <coatom> kind=<kind>", line.lineno)
-        sigma = line.fields[1]
-        kind = line.fields[2].removeprefix("kind=")
-        if kind not in ("initial", "ordinary", "singleton"):
-            raise CertificateParseError(f"unknown kind {kind!r}", line.lineno)
-        if sigma in classes:
-            raise CertificateParseError(f"duplicate class {sigma!r}", line.lineno)
-        if kind == "initial":
-            members = None
-            sub_blocks = None
-            for inner, inner_nested in nested:
-                if inner.fields[0] == "members":
-                    members = frozenset(inner.fields[1:])
-                elif inner.fields == ["sub"]:
-                    sub_blocks = inner_nested
-                else:
-                    raise CertificateParseError(f"unexpected {inner.fields[0]!r}", inner.lineno)
-            if members is None:
-                raise CertificateParseError("initial class has no members", line.lineno)
-            if initial is not None:
-                raise CertificateParseError("two initial classes", line.lineno)
-            initial = sigma
-            classes[sigma] = members
-            try:
-                sub_poset = initial_boundary_poset(poset, sigma)
-            except PosetError as exc:
-                raise CertificateParseError(str(exc), line.lineno)
-            subcert_initial = _parse_s_classes(sub_blocks or [], sub_poset, line.lineno)
-        elif kind == "singleton":
-            singletons.add(sigma)
-            classes[sigma] = frozenset({sigma})
-        else:
-            parts: list[frozenset[str]] = []
-            for j, (inner, inner_nested) in enumerate(nested, start=1):
-                if inner.fields[0] != "subclass":
-                    raise CertificateParseError("expected: subclass <j>", inner.lineno)
-                members = None
-                sub_blocks = None
-                for deep, deep_nested in inner_nested:
-                    if deep.fields[0] == "members":
-                        members = frozenset(deep.fields[1:])
-                    elif deep.fields == ["sub"]:
-                        sub_blocks = deep_nested
-                    else:
-                        raise CertificateParseError(f"unexpected {deep.fields[0]!r}", deep.lineno)
-                if members is None:
-                    raise CertificateParseError("subclass has no members", inner.lineno)
-                parts.append(members)
-                try:
-                    gamma = gamma_poset(poset, sigma, members)
-                    ss, _tau = semisuspension(gamma, tau_name(sigma, j))
-                except PosetError as exc:
-                    raise CertificateParseError(str(exc), inner.lineno)
-                subcerts[(sigma, j)] = _parse_s_classes(sub_blocks or [], ss, inner.lineno)
-            if not parts:
-                raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
-            decomp[sigma] = tuple(parts)
-            classes[sigma] = frozenset({sigma}).union(*parts)
-    if initial is None:
-        raise CertificateParseError("certificate needs an initial class", lineno)
-    return SEPartitionCert(poset, classes, initial, frozenset(singletons), decomp, subcert_initial, subcerts)
+    return _parse_classes(blocks, poset, header.lineno, kinds[header.fields[0]])

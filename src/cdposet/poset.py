@@ -78,6 +78,8 @@ class GradedPoset:
             if lo not in self._rank or hi not in self._rank:
                 missing = lo if lo not in self._rank else hi
                 raise PosetError(f"cover references unknown element {missing!r}")
+            if self._rank[hi] <= self._rank[lo]:
+                raise PosetError(f"cover {lo} {hi} does not go up in rank")
             cover_pairs.add((lo, hi))
             up[lo].add(hi)
             down[hi].add(lo)
@@ -483,6 +485,8 @@ def parse_poset(text: str) -> GradedPoset:
                 raise PosetParseError("expected: cover <lower> <upper>", lineno)
             if fields[1] not in ranks or fields[2] not in ranks:
                 raise PosetParseError(f"cover references undeclared element", lineno)
+            if ranks[fields[2]] <= ranks[fields[1]]:
+                raise PosetParseError(f"cover {fields[1]} {fields[2]} does not go up in rank", lineno)
             covers.append((fields[1], fields[2]))
         else:
             raise PosetParseError(f"unknown directive {kind!r}", lineno)

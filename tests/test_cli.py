@@ -126,6 +126,10 @@ class TestSearchAndConvert:
         code, out, _ = run("search-spart", q_files[0], "--budget", "2")
         assert code == 1 and "budget" in out
 
+    def test_zero_budget_is_exhausted_at_once(self, run, q_files):
+        code, out, _ = run("search-spart", q_files[0], "--budget", "0")
+        assert code == 1 and out.strip() == "search budget of 0 nodes exhausted"
+
     def test_search_spart_on_torus_fails(self, run, torus_files):
         code, out, _ = run("search-spart", torus_files[0])
         assert code == 1 and "not Eulerian" in out
@@ -185,3 +189,27 @@ class TestReports:
     def test_gen_to_stdout(self, run):
         code, out, _ = run("gen", "polygon", "4")
         assert code == 0 and "poset polygon4" in out and "elem top 3" in out
+
+
+class TestBadCovers:
+    POSETS = {
+        "rank1cover": (
+            "poset rank1cover\nrank 2\nelem bot 0\nelem v0 1\nelem v1 1\nelem top 2\n"
+            "cover bot v0\ncover bot v1\ncover v0 v1\ncover v0 top\ncover v1 top\n"
+        ),
+        "downward": "poset downward\nrank 1\nelem bot 0\nelem top 1\ncover top bot\n",
+    }
+    VERBS = [
+        ["validate"], ["flags"], ["euler"], ["cd"], ["semicd"], ["check-eulerian"],
+        ["search-spart"], ["search-separt"], ["convert-shelling", "--order", "v0,v1"],
+        ["check-spart", "x.cert"], ["contributions", "x.cert"],
+    ]
+
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    @pytest.mark.parametrize("verb", VERBS, ids=lambda v: v[0])
+    def test_every_verb_exits_2(self, run, tmp_path, name, verb):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(self.POSETS[name])
+        code, out, err = run(verb[0], str(path), *verb[1:])
+        assert code == 2 and out == ""
+        assert "does not go up in rank" in err

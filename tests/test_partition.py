@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from cdposet import zoo
 from cdposet.flags import cd_index, semi_cd_index
 from cdposet.ncpoly import CD, NcPolynomial
 from cdposet.partition import (
+    Budget,
     BudgetExhausted,
     CertificateInvalid,
     CertificateParseError,
@@ -36,7 +38,7 @@ from cdposet.partition import (
     verify_s_partition,
     verify_se_partition,
 )
-from cdposet.poset import BOT, PosetError, boundary_set
+from cdposet.poset import BOT, PosetError, boundary_set, parse_poset
 
 
 def poly(terms):
@@ -282,6 +284,13 @@ class TestSearch:
         with pytest.raises(BudgetExhausted):
             search_s_certificate(q_poset, budget=3)
 
+    def test_zero_budget(self, q_poset, torus6):
+        assert Budget.of(0).limit == 0
+        with pytest.raises(BudgetExhausted):
+            search_s_certificate(q_poset, budget=0)
+        with pytest.raises(BudgetExhausted):
+            search_se_certificate(torus6, budget=0)
+
     def test_not_eulerian_precondition(self, torus6):
         with pytest.raises(PosetError):
             search_s_certificate(torus6)
@@ -415,3 +424,187 @@ class TestCertificateIO:
         with pytest.raises(CertificateParseError) as err:
             parse_certificate("spart q-polytope\n   class s1 kind=initial\n", q_poset)
         assert "line 2" in str(err.value)
+
+
+# -- pinned violation lists and searched round trips -----------------------------
+
+_UNBOUNDED = (
+    "poset unbounded\nrank 2\nelem bot 0\nelem v0 1\nelem v1 1\nelem top 2\n"
+    "cover bot v0\ncover bot v1\ncover v0 top\n"
+)
+
+
+def _moved(classes, x, src, dst):
+    out = dict(classes)
+    out[src] = out[src] - {x}
+    out[dst] = out[dst] | {x}
+    return out
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _decomp(c, **parts):
+    return {**c.subclass_decomp, **parts}
+
+
+# name -> (fixture, single-field mutation, exact violation list).  Together
+# the cases reach every violation code that a well-formed class map can
+# produce; gamma-unbuildable cannot occur once the class-map checks pass.
+_MUTATIONS = {
+    "s-poset-invalid": ("q_cert", lambda c: replace(c, poset=parse_poset(_UNBOUNDED)), [
+        "VIOLATION poset-invalid spart VIOLATION not-bounded-above v1 covered by nothing",
+    ]),
+    "s-base-not-empty": ("q_cert", lambda c: replace(c, poset=zoo.gen("boolean", (1,))), [
+        "VIOLATION base-not-empty spart rank-1 certificate carries classes",
+    ]),
+    "s-not-eulerian": ("q_cert", lambda c: replace(c, poset=zoo.gen("torus-fig6")), [
+        "VIOLATION not-eulerian spart torus-fig6",
+    ]),
+    "s-class-keys": ("q_cert", lambda c: replace(c, classes=_without(c.classes, "s7")), [
+        "VIOLATION class-keys spart classes for ['s1', 's2', 's3', 's4', 's5', 's6'] "
+        "but coatoms are ['s1', 's2', 's3', 's4', 's5', 's6', 's7']",
+    ]),
+    "s-moved-member": ("q_cert", lambda c: replace(c, classes=_moved(c.classes, "C", "s2", "s3")), [
+        "VIOLATION class-not-in-closure spart/class[s3] ['C']",
+    ]),
+    "s-overlapping-classes": ("q_cert", lambda c: replace(c, classes={**c.classes, "s3": c.classes["s3"] | {"AC"}}), [
+        "VIOLATION overlapping-classes spart/class[s4] AC already in class[s3]",
+        "VIOLATION class-not-in-closure spart/class[s3] ['AC']",
+    ]),
+    "s-foreign-member": ("q_cert", lambda c: replace(c, classes={**c.classes, "s7": c.classes["s7"] | {"zz"}}), [
+        "VIOLATION foreign-members spart ['zz']",
+        "VIOLATION class-not-in-closure spart/class[s7] ['zz']",
+    ]),
+    "s-coatom-dropped": ("q_cert", lambda c: replace(c, classes={**c.classes, "s3": c.classes["s3"] - {"s3"}}), [
+        "VIOLATION not-covering spart unassigned elements ['s3']",
+        "VIOLATION coatom-not-in-class spart/class[s3] s3",
+    ]),
+    "s-initial-missing": ("q_cert", lambda c: replace(c, initial="nope"), [
+        "VIOLATION initial-missing spart 'nope'",
+    ]),
+    "s-initial-not-closure": ("q_cert", lambda c: replace(c, classes=_moved(c.classes, "P", "s1", "s3")), [
+        "VIOLATION initial-not-closure spart/class[s1] must be the full closure",
+    ]),
+    "s-terminal-missing": ("q_cert", lambda c: replace(c, terminal=None), [
+        "VIOLATION terminal-missing spart None",
+    ]),
+    "s-initial-terminal-clash": ("q_cert", lambda c: replace(c, terminal="s1"), [
+        "VIOLATION initial-terminal-clash spart s1",
+    ]),
+    "s-terminal-not-singleton": ("q_cert", lambda c: replace(c, classes=_moved(c.classes, "AC", "s4", "s7")), [
+        "VIOLATION terminal-not-singleton spart/class[s7] must be a one-element class",
+        "VIOLATION ordinary-singleton spart/class[s4] ordinary class has no members besides its coatom",
+    ]),
+    "s-ordinary-singleton": ("q_cert", lambda c: replace(c, classes=_moved(c.classes, "PR", "s3", "s4")), [
+        "VIOLATION ordinary-singleton spart/class[s3] ordinary class has no members besides its coatom",
+        "VIOLATION gamma-not-near-eulerian spart/class[s4] gamma(q-polytope@s4)",
+    ]),
+    "s-boundary-overlap": ("q_cert", lambda c: replace(c, classes=_moved(c.classes, "BC", "s2", "s6")), [
+        "VIOLATION non-disjoint-boundary spart/class[s2] ['C']",
+        "VIOLATION gamma-decomposition spart/class[s6] uncovered closure part ['C']",
+    ]),
+    "s-missing-initial-subcert": ("q_cert", lambda c: replace(c, subcert_initial=None), [
+        "VIOLATION missing-initial-subcert spart/class[s1] no sub-certificate",
+    ]),
+    "s-initial-wrong-subposet": ("q_cert", lambda c: replace(c, subcert_initial=c.subcerts["s2"]), [
+        "VIOLATION subposet-mismatch spart/class[s1]/sub capped boundary differs",
+    ]),
+    "s-missing-subcert": ("q_cert", lambda c: replace(c, subcerts=_without(c.subcerts, "s3")), [
+        "VIOLATION subcert-keys spart ['s2', 's4', 's5', 's6'] vs ordinary ['s2', 's3', 's4', 's5', 's6']",
+    ]),
+    "s-wrong-subposet": ("q_cert", lambda c: replace(c, subcerts={**c.subcerts, "s3": c.subcerts["s4"]}), [
+        "VIOLATION subposet-mismatch spart/class[s3]/sub semisuspension differs",
+    ]),
+    "s-initial-not-tau": ("q_cert", lambda c: replace(
+        c, subcerts={**c.subcerts, "s3": replace(c.subcerts["s3"], initial="PR", terminal="tau@s3")}), [
+        "VIOLATION initial-not-tau spart/class[s3]/sub initial is 'PR', expected 'tau@s3'",
+    ]),
+    "s-nested-path": ("q_cert", lambda c: replace(
+        c, subcerts={**c.subcerts, "s5": replace(c.subcerts["s5"], subcert_initial=None)}), [
+        "VIOLATION missing-initial-subcert spart/class[s5]/sub/class[tau@s5] no sub-certificate",
+    ]),
+    "se-not-semi-eulerian": ("torus6_cert", lambda c: replace(c, poset=zoo.gen("fig13-nonsemi")), [
+        "VIOLATION not-semi-eulerian separt fig13-nonsemi",
+    ]),
+    "se-base-not-empty": ("torus6_cert", lambda c: replace(c, poset=zoo.gen("boolean", (1,))), [
+        "VIOLATION base-not-empty separt rank-1 certificate carries classes",
+    ]),
+    "se-initial-missing": ("torus6_cert", lambda c: replace(c, initial=None), [
+        "VIOLATION initial-missing separt None",
+    ]),
+    "se-initial-singleton-clash": ("torus6_cert", lambda c: replace(c, singletons=c.singletons | {"F02"}), [
+        "VIOLATION initial-singleton-clash separt F02",
+    ]),
+    "se-singleton-not-singleton": ("torus6_cert", lambda c: replace(c, singletons=c.singletons | {"F11"}), [
+        "VIOLATION singleton-not-singleton separt/class[F11] declared singleton has extra members",
+        "VIOLATION subclass-keys separt ['F00', 'F11', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21'] "
+        "vs ordinary ['F00', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21']",
+    ]),
+    "se-undeclared-singleton": ("torus6_cert", lambda c: replace(c, singletons=frozenset()), [
+        "VIOLATION undeclared-singleton separt/class[F20] one-element class not declared singleton",
+        "VIOLATION subclass-keys separt ['F00', 'F11', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21'] "
+        "vs ordinary ['F00', 'F11', 'F20', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21']",
+    ]),
+    "se-moved-member": ("torus6_cert", lambda c: replace(c, classes=_moved(c.classes, "v00", "F00", "F20")), [
+        "VIOLATION singleton-not-singleton separt/class[F20] declared singleton has extra members",
+        "VIOLATION subclasses-not-partition separt/class[F00] union ['v00', 'v10'] vs ['v10']",
+    ]),
+    "se-dropped-decomposition-key": ("torus6_cert", lambda c: replace(
+        c, subclass_decomp=_without(c.subclass_decomp, "F11")), [
+        "VIOLATION subclass-keys separt ['F00', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21'] "
+        "vs ordinary ['F00', 'F11', 'F22', 'L01', 'L10', 'L12', 'L21', 'U01', 'U10', 'U12', 'U21']",
+    ]),
+    "se-empty-decomposition": ("torus6_cert", lambda c: replace(c, subclass_decomp=_decomp(c, F11=())), [
+        "VIOLATION empty-decomposition separt/class[F11] ordinary class with no subclasses",
+    ]),
+    "se-overlapping-subclasses": ("torus6_cert", lambda c: replace(c, subclass_decomp=_decomp(
+        c, F00=(c.subclass_decomp["F00"][0], c.subclass_decomp["F00"][0] | c.subclass_decomp["F00"][1]))), [
+        "VIOLATION overlapping-subclasses separt/class[F00] ['v00']",
+    ]),
+    "se-subclasses-not-partition": ("torus6_cert", lambda c: replace(
+        c, subclass_decomp=_decomp(c, F00=c.subclass_decomp["F00"][:1])), [
+        "VIOLATION subclasses-not-partition separt/class[F00] union ['v00'] vs ['v00', 'v10']",
+    ]),
+    "se-merged-subclasses": ("torus6_cert", lambda c: replace(c, subclass_decomp=_decomp(
+        c, F22=(c.subclass_decomp["F22"][0] | c.subclass_decomp["F22"][1],))), [
+        "VIOLATION gamma-not-near-eulerian separt/class[F22]/subclass[1] gamma(torus-fig6@F22)",
+    ]),
+    "se-missing-initial-subcert": ("torus6_cert", lambda c: replace(c, subcert_initial=None), [
+        "VIOLATION missing-initial-subcert separt/class[F02] no sub-certificate",
+    ]),
+    "se-missing-subcert": ("torus6_cert", lambda c: replace(c, subcerts=_without(c.subcerts, ("F00", 2))), [
+        "VIOLATION missing-subcert separt/class[F00]/subclass[2] no sub-certificate",
+    ]),
+    "se-wrong-subposet": ("torus6_cert", lambda c: replace(
+        c, subcerts={**c.subcerts, ("F00", 1): c.subcerts[("F00", 2)]}), [
+        "VIOLATION subposet-mismatch separt/class[F00]/subclass[1]/sub semisuspension differs",
+    ]),
+}
+
+
+class TestViolationLists:
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_exact_violations(self, request, name):
+        fixture, mutate, expected = _MUTATIONS[name]
+        cert = mutate(request.getfixturevalue(fixture))
+        verify = verify_s_partition if isinstance(cert, SPartitionCert) else verify_se_partition
+        assert [str(v) for v in verify(cert)] == expected
+
+
+class TestSearchedRoundTrip:
+    @pytest.mark.parametrize(
+        "family, params, search",
+        [
+            ("polygon", (12,), search_s_certificate),
+            ("cube", (3,), search_s_certificate),
+            ("connected-sum", (3,), search_s_certificate),
+            ("product", (3, 4), search_se_certificate),
+            ("torus-7vertex", (), search_se_certificate),
+        ],
+    )
+    def test_format_parse_identity(self, family, params, search):
+        p = zoo.gen(family, params)
+        text = format_certificate(search(p))
+        assert format_certificate(parse_certificate(text, p)) == text

@@ -11,6 +11,7 @@ from cdposet.poset import (
     GradedPoset,
     NotAnIsomorphism,
     NotComparable,
+    PosetError,
     PosetParseError,
     RankTooLow,
     boundary_set,
@@ -60,6 +61,36 @@ class TestValidate:
     def test_rank_skipping_cover(self):
         p = GradedPoset("skippy", {BOT: 0, "e": 2, TOP: 3}, [(BOT, "e"), ("e", TOP)])
         assert any(v.code == "not-graded" for v in validate(p))
+
+
+class TestBadCovers:
+    """A cover must go up in rank; a rank jump still constructs and fails validation."""
+
+    RANK1_COVER = (
+        "poset rank1cover\nrank 2\nelem bot 0\nelem v0 1\nelem v1 1\nelem top 2\n"
+        "cover bot v0\ncover bot v1\ncover v0 v1\ncover v0 top\ncover v1 top\n"
+    )
+
+    def test_cover_within_a_rank(self):
+        with pytest.raises(PosetError, match="does not go up in rank"):
+            GradedPoset("flat", {BOT: 0, "v0": 1, "v1": 1, TOP: 2},
+                        [(BOT, "v0"), (BOT, "v1"), ("v0", "v1"), ("v0", TOP), ("v1", TOP)])
+
+    def test_downward_cover(self):
+        with pytest.raises(PosetError, match="does not go up in rank"):
+            GradedPoset("down", {BOT: 0, TOP: 1}, [(TOP, BOT)])
+
+    def test_parse_reports_the_line(self):
+        with pytest.raises(PosetParseError) as err:
+            parse_poset(self.RANK1_COVER)
+        assert "line 9" in str(err.value)
+        with pytest.raises(PosetParseError) as err:
+            parse_poset("poset down\nrank 1\nelem bot 0\nelem top 1\ncover top bot\n")
+        assert "line 5" in str(err.value)
+
+    def test_rank_jump_still_parses(self):
+        p = parse_poset("poset skippy\nrank 3\nelem bot 0\nelem e 2\nelem top 3\ncover bot e\ncover e top\n")
+        assert [v.code for v in validate(p)] == ["not-graded"]
 
 
 class TestMobius:
