@@ -1,18 +1,21 @@
 """Chain enumeration, flag f/h-vectors, Dehn-Sommerville checks and cd-indices.
 
 Rank sets are subsets of [d] for a poset of rank d+1 and are carried as
-bitmasks internally (bit i-1 stands for rank i); the public dataclasses key
-their counts by frozenset for readability.  Chain counts are memoized per
-(element, remaining rank set) so the 2^d rank sets share suffix work.
+bitmasks internally (bit i-1 stands for rank i, which is also letter i of the
+ab-word); the public dataclasses key their counts by frozenset for
+readability.  Chain counts are memoized per (element, remaining rank set) so
+the 2^d rank sets share suffix work.  The f <-> h transforms are subset
+zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
-from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, substitute_a_minus_b
-from .poset import GradedPoset
+from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, ab_word
+from .poset import GradedPoset, is_semi_eulerian
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class ModifiedFlagVector:
     def d(self) -> int:
         return self.base.d
 
-    @property
+    @cached_property
     def counts(self) -> dict[frozenset[int], int]:
         out = dict(self.base.counts)
         if self.d >= 1:
@@ -74,16 +77,28 @@ class DsViolation:
         return f"K={ks} i={self.i} k={self.k}: {self.lhs} != {self.rhs}"
 
 
-def _masks(d: int):
-    return range(1 << d)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _rank_sets(d: int) -> list[frozenset[int]]:
+    """The rank set of every mask below 2^d, indexed by mask."""
+    sets = [frozenset()]
+    for mask in range(1, 1 << d):
+        low = mask & -mask
+        sets.append(sets[mask ^ low] | {low.bit_length()})
+    return sets
 
 
 def _set_to_mask(K) -> int:
     return sum(1 << (i - 1) for i in K)
+
+
+def _subset_transform(f: FlagVector | ModifiedFlagVector | FlagHVector, sign: int) -> list[int]:
+    """Mask-indexed sum over T in K of sign^{|K - T|} counts[T], one rank at a time."""
+    values = [0] * (1 << f.d)
+    for K, c in f.counts.items():
+        values[_set_to_mask(K)] = c
+    for _ in range(f.d):  # transform along bit 0, then rotate it to the top
+        low = values[0::2]
+        values = low + [u + sign * v for u, v in zip(values[1::2], low)]
+    return values
 
 
 def _flag_masks(p: GradedPoset) -> dict[int, int]:
@@ -111,7 +126,7 @@ def _flag_masks(p: GradedPoset) -> dict[int, int]:
         return total
 
     counts: dict[int, int] = {}
-    for mask in _masks(d):
+    for mask in range(1 << d):
         if mask == 0:
             counts[0] = 1
             continue
@@ -126,56 +141,29 @@ def flag_f(p: GradedPoset) -> FlagVector:
     """Flag f-vector: number of chains with each rank set K in [d]."""
     d = p.rank_top - 1
     counts = _flag_masks(p)
-    return FlagVector(d, {_mask_to_set(m): c for m, c in counts.items()})
+    sets = _rank_sets(d)
+    return FlagVector(d, {sets[m]: c for m, c in counts.items()})
 
 
-def flag_h(f: FlagVector) -> FlagHVector:
-    """h_K = sum over T in K of (-1)^{|K - T|} f_T."""
-    d = f.d
-    h: dict[frozenset[int], int] = {}
-    for K, _ in f.counts.items():
-        total = 0
-        km = _set_to_mask(K)
-        sub = km
-        while True:
-            T = _mask_to_set(sub)
-            total += (-1) ** (len(K) - len(T)) * f.counts[T]
-            if sub == 0:
-                break
-            sub = (sub - 1) & km
-        h[K] = total
-    return FlagHVector(d, h)
+def flag_h(f: FlagVector | ModifiedFlagVector) -> FlagHVector:
+    """h_K = sum over T in K of (-1)^{|K - T|} f_T (subset Möbius transform)."""
+    return FlagHVector(f.d, dict(zip(_rank_sets(f.d), _subset_transform(f, -1))))
 
 
 def flag_f_from_h(h: FlagHVector) -> FlagVector:
-    """Inverse transform f_K = sum over T in K of h_T; exact round trip."""
-    f: dict[frozenset[int], int] = {}
-    for K in h.counts:
-        km = _set_to_mask(K)
-        total = 0
-        sub = km
-        while True:
-            total += h.counts[_mask_to_set(sub)]
-            if sub == 0:
-                break
-            sub = (sub - 1) & km
-        f[K] = total
-    return FlagVector(h.d, f)
-
-
-def _word_for(K: frozenset[int], d: int) -> str:
-    return "".join("b" if i in K else "a" for i in range(1, d + 1))
+    """Inverse transform f_K = sum over T in K of h_T (subset zeta transform)."""
+    return FlagVector(h.d, dict(zip(_rank_sets(h.d), _subset_transform(h, 1))))
 
 
 def ab_polynomial(h: FlagHVector) -> NcPolynomial:
     """The ab-polynomial: sum of h_K u_K with u_i = b exactly when i is in K."""
-    return NcPolynomial(AB, {_word_for(K, h.d): c for K, c in h.counts.items()})
+    return NcPolynomial(AB, {ab_word(_set_to_mask(K), h.d): c for K, c in h.counts.items()})
 
 
 def chain_polynomial(f: FlagVector | ModifiedFlagVector) -> NcPolynomial:
     """The chain polynomial: sum of f_K u_K; relates to the ab-polynomial by a -> a-b."""
     d = f.d
-    return NcPolynomial(AB, {_word_for(K, d): c for K, c in f.counts.items()})
+    return NcPolynomial(AB, {ab_word(_set_to_mask(K), d): c for K, c in f.counts.items()})
 
 
 def euler_characteristic(p: GradedPoset) -> int:
@@ -211,9 +199,8 @@ def check_dehn_sommerville(f: FlagVector | ModifiedFlagVector) -> list[DsViolati
 
 
 def _extract_cd(f: FlagVector | ModifiedFlagVector) -> NcPolynomial:
-    psi = ab_polynomial(flag_h(f)) if isinstance(f, FlagVector) else substitute_a_minus_b(chain_polynomial(f))
     try:
-        return ab_to_cd(psi)
+        return ab_to_cd(ab_polynomial(flag_h(f)))
     except NotInImage as exc:
         ds = check_dehn_sommerville(f)
         if ds:
@@ -230,28 +217,25 @@ def cd_index(p: GradedPoset) -> NcPolynomial:
     return _extract_cd(flag_f(p))
 
 
+def _modified(p: GradedPoset) -> ModifiedFlagVector:
+    d = p.rank_top - 1
+    correction = sphere_euler_characteristic(d - 1) - euler_characteristic(p) if d >= 1 else 0
+    return ModifiedFlagVector(flag_f(p), correction)
+
+
 def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
     """Flag vector with f_{d} shifted by chi(S^{d-1}) - chi(p).
 
     Meaningful for semi-Eulerian posets; computed (with a warning) otherwise.
     """
-    from .poset import is_semi_eulerian
-
-    d = p.rank_top - 1
-    correction = sphere_euler_characteristic(d - 1) - euler_characteristic(p) if d >= 1 else 0
     if not is_semi_eulerian(p):
         warnings.warn(f"{p.name}: modified flag vector of a non-semi-Eulerian poset", stacklevel=2)
-    return ModifiedFlagVector(flag_f(p), correction)
+    return _modified(p)
 
 
 def semi_cd_index(p: GradedPoset) -> NcPolynomial:
-    """cd-index of the modified chain polynomial; equals cd_index on Eulerian input."""
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        mf = modified_flag_f(p)
-    return _extract_cd(mf)
+    """cd-index of the modified flag vector; equals cd_index on Eulerian input."""
+    return _extract_cd(_modified(p))
 
 
 def format_flag_vector(f: FlagVector | ModifiedFlagVector) -> str:

@@ -8,22 +8,22 @@ nothing ever overflows silently.
 
 The module also houses the two substitution homomorphisms relating the
 alphabets (``c -> a+b``, ``d -> ab+ba`` and ``a -> a-b``) and the inverse
-extraction ``ab_to_cd``, implemented as an exact integer linear solve by
-fraction-free Gaussian elimination over the basis of all cd-words of the
-given degree.
+extraction ``ab_to_cd``.  That one holds a homogeneous ab-polynomial as a
+list of coefficients indexed by bitmask and peels off the first letter
+(Psi = c*P + d*Q, the Bayer-Klapper change of basis), in O(2^degree)
+integer steps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
 AB = "ab"
 CD = "cd"
 
-_LETTER_DEGREE = {"a": 1, "b": 1, "c": 1, "d": 2}
 _ALPHABET_OF = {"a": AB, "b": AB, "c": CD, "d": CD}
+_FOREIGN = {alphabet: str.maketrans("", "", alphabet) for alphabet in (AB, CD)}  # deletes the letters
 
 
 class AlphabetMismatch(ValueError):
@@ -40,7 +40,7 @@ class NotInImage(ValueError):
 
 def word_degree(word: str) -> int:
     """Degree of a word: a, b, c count 1 and d counts 2."""
-    return sum(_LETTER_DEGREE[x] for x in word)
+    return len(word) + word.count("d")
 
 
 def canonical_key(word: str) -> tuple[int, str]:
@@ -49,9 +49,9 @@ def canonical_key(word: str) -> tuple[int, str]:
 
 
 def _check_word(word: str, alphabet: str) -> None:
-    for x in word:
-        if _ALPHABET_OF.get(x) != alphabet:
-            raise AlphabetMismatch(f"letter {x!r} is not in alphabet {alphabet!r}")
+    foreign = word.translate(_FOREIGN[alphabet])
+    if foreign:
+        raise AlphabetMismatch(f"letter {foreign[0]!r} is not in alphabet {alphabet!r}")
 
 
 class NcPolynomial:
@@ -311,84 +311,63 @@ def substitute_a_plus_b(p: NcPolynomial) -> NcPolynomial:
     return _substitute_a(p, NcPolynomial(AB, {"a": 1, "b": 1}))
 
 
-# -- cd extraction by exact linear solve ---------------------------------------
+# -- cd extraction by first-letter peel ------------------------------------------
+#
+# A homogeneous ab-polynomial of degree n is held as a list of 2^n
+# coefficients indexed by bitmask: bit i stands for letter i of the word
+# (bit 0 is the first letter) and is set for b.
+
+_AB_BITS = str.maketrans("ab", "01")
+_BITS_AB = str.maketrans("01", "ab")
 
 
-def _bareiss_solve(rows: list[list[int]], ncols: int) -> list[Fraction]:
-    """Solve the augmented integer system (last column is the rhs).
+def ab_mask(word: str) -> int:
+    """Bitmask of an ab-word: bit i is set when letter i is b."""
+    return int(word[::-1].translate(_AB_BITS) or "0", 2)
 
-    Fraction-free (Bareiss) forward elimination followed by exact rational
-    back-substitution.  Raises NotInImage on inconsistency or rank deficiency.
+
+def ab_word(mask: int, degree: int) -> str:
+    """The ab-word of the given degree whose bitmask is mask."""
+    return format(mask, f"0{degree}b")[::-1].translate(_BITS_AB) if degree else ""
+
+
+def _peel(psi: list[int], prefix: str, out: dict[str, int]) -> None:
+    """Add prefix*w to out for every cd-term w of the mask-indexed psi.
+
+    Writes psi = a*X + b*Y.  It equals c*P + d*Q exactly when
+    X - Y = (b - a)*Q, and then P = X - b*Q; P and Q are peeled in turn.
     """
-    nrows = len(rows)
-    prev = 1
-    pivot_rows: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot is None:
-            raise NotInImage(f"rank-deficient system at column {col}")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        pc = pr[col]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            if f:
-                for j in range(col, ncols + 1):
-                    ri[j] = (ri[j] * pc - f * pr[j]) // prev
-            elif prev != 1:
-                for j in range(col, ncols + 1):
-                    ri[j] = (ri[j] * pc) // prev
-        prev = pc
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols]:
-            raise NotInImage(f"inconsistent system, residual {rows[i][ncols]}")
-    sol = [Fraction(0)] * ncols
-    for col in reversed(range(ncols)):
-        row = rows[pivot_rows[col]]
-        acc = Fraction(row[ncols])
-        for j in range(col + 1, ncols):
-            acc -= row[j] * sol[j]
-        sol[col] = acc / row[col]
-    return sol
+    if not any(psi):
+        return
+    if len(psi) == 1:
+        out[prefix] = psi[0]
+        return
+    x, y = psi[0::2], psi[1::2]
+    z = [u - v for u, v in zip(x, y)]
+    q = z[1::2]  # the b-half of (b - a)*Q is Q, its a-half must be -Q
+    residual = z if len(z) == 1 else [u + v for u, v in zip(z[0::2], q)]
+    if any(residual):
+        raise NotInImage(f"nonzero residual after cd-prefix {prefix!r}")
+    x[1::2] = [u - v for u, v in zip(x[1::2], q)]
+    _peel(x, prefix + "c", out)
+    _peel(q, prefix + "d", out)
 
 
 def ab_to_cd(p: NcPolynomial) -> NcPolynomial:
-    """Invert the cd expansion on its image.
+    """Invert the cd expansion on its image by peeling off the first cd-letter.
 
-    Enumerates all cd-words of the input's degree, builds the exact integer
-    matrix of their ab-expansions and solves by fraction-free elimination.
-    Raises NotInImage when no integral solution exists and InhomogeneousInput
-    when the input mixes degrees; the round trip expand(ab_to_cd(p)) == p is
-    verified before returning.
+    Every coefficient stays an integer and every residual is checked, so the
+    result expands back to p; the work is O(2^degree).  Raises NotInImage at
+    the first nonzero residual and InhomogeneousInput when the input mixes
+    degrees.
     """
     if p.alphabet != AB:
         raise AlphabetMismatch("ab_to_cd expects an ab-polynomial")
     if p.is_zero():
         return NcPolynomial.zero(CD)
-    degree = p.degree()
-    basis = cd_words(degree)
-    columns = ab_words(degree)
-    col_index = {w: i for i, w in enumerate(columns)}
-    # equations indexed by ab-words: sum_w expansion[w][u] * x[w] = p[u]
-    nvars = len(basis)
-    rows = [[0] * (nvars + 1) for _ in columns]
-    for k, word in enumerate(basis):
-        for u, c in expand_cd_word(word).items():
-            rows[col_index[u]][k] = c
-    for u, c in p.items():
-        rows[col_index[u]][nvars] = c
-    sol = _bareiss_solve(rows, nvars)
-    coeffs: dict[str, int] = {}
-    for word, value in zip(basis, sol):
-        if value.denominator != 1:
-            raise NotInImage(f"non-integer coefficient {value} at word {word!r}")
-        if value:
-            coeffs[word] = int(value)
-    result = NcPolynomial(CD, coeffs)
-    if expand_cd_to_ab(result) != p:
-        raise NotInImage("round-trip verification failed")
-    return result
+    psi = [0] * (1 << p.degree())
+    for word, coeff in p._terms.items():
+        psi[ab_mask(word)] = coeff
+    out: dict[str, int] = {}
+    _peel(psi, "", out)
+    return NcPolynomial(CD, out)

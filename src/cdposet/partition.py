@@ -504,16 +504,26 @@ def cd_word_multiset(cm: ContributionMap) -> dict[str, Counter]:
 # -- certificate assembly (shared by searches and converters) ------------------------
 
 
+def _search_sub(q: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
+    """S-search on a derived sub-poset, None unless it is Eulerian.
+
+    A rank-1 sub-poset is always the two-element chain, so it skips the test.
+    """
+    if q.rank_top > 1 and not is_eulerian(q):
+        return None
+    return _search_s(q, budget, first)
+
+
 def _with_subcerts(cert: SPartitionCert | SEPartitionCert, budget: Budget) -> SPartitionCert | SEPartitionCert:
     """Search the initial and every subclass sub-certificate; raises _ClassFailure on defects."""
     p = cert.poset
-    cert.subcert_initial = _search_s(initial_boundary_poset(p, cert.initial), budget, first=None)
+    cert.subcert_initial = _search_sub(initial_boundary_poset(p, cert.initial), budget, first=None)
     if cert.subcert_initial is None:
         raise _ClassFailure(cert.initial, "initial-subcert", "capped boundary admits no certificate")
     for sigma in cert.ordinary():
         for j, part, key in cert._subclasses(sigma):
             ss, tau = semisuspension(_gamma_checked(p, sigma, part), tau_name(sigma, j))
-            cert.subcerts[key] = _search_s(ss, budget, first=tau)
+            cert.subcerts[key] = _search_sub(ss, budget, first=tau)
             if cert.subcerts[key] is None:
                 where = "" if j is None else f"subclass {j} "
                 raise _ClassFailure(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
@@ -588,12 +598,10 @@ def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset
 
 
 def _search_s(p: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
-    """Backtracking over facet orders with per-step class checks."""
+    """Backtracking over facet orders with per-step class checks; p must be Eulerian."""
     d = p.rank_top - 1
     if d == 0:
         return _base_cert(p)
-    if not is_eulerian(p):
-        return None
     coatoms = sorted(p.coatoms())
     if len(coatoms) < 2:
         return None

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import pytest
+import warnings
 
-from cdposet import zoo
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdposet import flags, zoo
 from cdposet.flags import (
+    FlagVector,
     ab_polynomial,
     cd_index,
     chain_polynomial,
@@ -224,3 +229,88 @@ class TestSemiCdIndex:
         mf = modified_flag_f(torus6)
         psi = substitute_a_minus_b(chain_polynomial(mf))
         assert expand_cd_to_ab(semi_cd_index(torus6)) == psi
+
+
+def naive_flag_h(f):
+    """Independent oracle: h_K summed over every subset T of K, 3^d terms in all."""
+    return {
+        K: sum(
+            (-1) ** (len(K) - k) * f.counts[frozenset(T)]
+            for k in range(len(K) + 1)
+            for T in combinations(sorted(K), k)
+        )
+        for K in f.counts
+    }
+
+
+@st.composite
+def flag_vectors(draw, max_d=6):
+    d = draw(st.integers(min_value=0, max_value=max_d))
+    sets = [frozenset(T) for k in range(d + 1) for T in combinations(range(1, d + 1), k)]
+    values = draw(st.lists(st.integers(-50, 50), min_size=len(sets), max_size=len(sets)))
+    return FlagVector(d, dict(zip(sets, values)))
+
+
+class TestSubsetTransforms:
+    @given(f=flag_vectors())
+    @settings(deadline=None, max_examples=60)
+    def test_flag_h_matches_naive_sum(self, f):
+        assert flag_h(f).counts == naive_flag_h(f)
+
+    @given(f=flag_vectors())
+    @settings(deadline=None, max_examples=60)
+    def test_flag_f_from_h_inverts(self, f):
+        assert flag_f_from_h(flag_h(f)).counts == f.counts
+
+    def test_modified_counts_built_once(self, torus6):
+        mf = modified_flag_f(torus6)
+        assert mf.counts is mf.counts
+        assert mf.get({3}) == mf.counts[frozenset({3})]
+
+    def test_semi_cd_index_skips_the_semi_eulerian_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flags, "is_semi_eulerian", lambda p: calls.append(p) or True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            semi_cd_index(zoo.gen("product", (3, 3)))
+        assert calls == []
+
+
+def _derivation(phi: NcPolynomial) -> NcPolynomial:
+    """The derivation G with c -> d and d -> cd."""
+    image = {"c": "d", "d": "cd"}
+    terms: dict[str, int] = {}
+    for word, coeff in phi.items():
+        for i, letter in enumerate(word):
+            w = word[:i] + image[letter] + word[i + 1 :]
+            terms[w] = terms.get(w, 0) + coeff
+    return NcPolynomial(CD, terms)
+
+
+def boolean_cd_indices(n_max: int) -> dict[int, NcPolynomial]:
+    """Phi(B_1) = 1 and Phi(B_{n+1}) = Phi(B_n) c + G(Phi(B_n)) (Ehrenborg-Readdy)."""
+    phis = {1: NcPolynomial.unit(CD)}
+    for n in range(1, n_max):
+        phis[n + 1] = phis[n].times_letter("c") + _derivation(phis[n])
+    return phis
+
+
+class TestClosedForms:
+    """cd-indices from formulas that share nothing with flag_f -> flag_h -> extraction."""
+
+    BOOLEAN = boolean_cd_indices(10)
+
+    def test_recursion_gives_the_tetrahedron(self):
+        assert self.BOOLEAN[4] == NcPolynomial(CD, {"ccc": 1, "cd": 2, "dc": 2})
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_boolean_lattices(self, n):
+        assert cd_index(zoo.gen("boolean", (n,))) == self.BOOLEAN[n]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_simplex_boundaries(self, n):
+        assert cd_index(zoo.gen("simplex-boundary", (n,))) == self.BOOLEAN[n + 1]
+
+    @pytest.mark.parametrize("k", range(9, 15))
+    def test_two_cell_spheres_up_to_degree_fifteen(self, k):
+        assert cd_index(zoo.gen("sphere2cells", (k,))) == NcPolynomial(CD, {"c" * (k + 1): 1})

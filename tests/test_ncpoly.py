@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,9 @@ from cdposet.ncpoly import (
     InhomogeneousInput,
     NcPolynomial,
     NotInImage,
+    ab_mask,
     ab_to_cd,
+    ab_word,
     ab_words,
     cd_words,
     expand_cd_to_ab,
@@ -156,3 +160,116 @@ class TestTextForm:
     def test_canonical_order_is_graded_lex(self):
         p = cd({"dc": 1, "cd": 1, "ccc": 1, "c": 4})
         assert [w for w, _ in p.items()] == ["c", "ccc", "cd", "dc"]
+
+
+# -- reference extraction: the exact linear solve that the first-letter peel replaced
+
+
+def _bareiss_solve(rows: list[list[int]], ncols: int) -> list[Fraction]:
+    """Solve the augmented integer system (last column is the rhs).
+
+    Fraction-free (Bareiss) forward elimination followed by exact rational
+    back-substitution.  Raises NotInImage on inconsistency or rank deficiency.
+    """
+    nrows = len(rows)
+    prev = 1
+    pivot_rows: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot is None:
+            raise NotInImage(f"rank-deficient system at column {col}")
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        pc = pr[col]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            if f:
+                for j in range(col, ncols + 1):
+                    ri[j] = (ri[j] * pc - f * pr[j]) // prev
+            elif prev != 1:
+                for j in range(col, ncols + 1):
+                    ri[j] = (ri[j] * pc) // prev
+        prev = pc
+        pivot_rows.append(r)
+        r += 1
+    for i in range(r, nrows):
+        if rows[i][ncols]:
+            raise NotInImage(f"inconsistent system, residual {rows[i][ncols]}")
+    sol = [Fraction(0)] * ncols
+    for col in reversed(range(ncols)):
+        row = rows[pivot_rows[col]]
+        acc = Fraction(row[ncols])
+        for j in range(col + 1, ncols):
+            acc -= row[j] * sol[j]
+        sol[col] = acc / row[col]
+    return sol
+
+
+def reference_ab_to_cd(p: NcPolynomial) -> NcPolynomial:
+    """Solve for the cd-coefficients over the basis of all cd-words, then expand back."""
+    if p.is_zero():
+        return NcPolynomial.zero(CD)
+    degree = p.degree()
+    basis = cd_words(degree)
+    col_index = {w: i for i, w in enumerate(ab_words(degree))}
+    nvars = len(basis)
+    rows = [[0] * (nvars + 1) for _ in col_index]
+    for k, word in enumerate(basis):
+        for u, c in expand_cd_to_ab(cd({word: 1})).items():
+            rows[col_index[u]][k] = c
+    for u, c in p.items():
+        rows[col_index[u]][nvars] = c
+    coeffs: dict[str, int] = {}
+    for word, value in zip(basis, _bareiss_solve(rows, nvars)):
+        if value.denominator != 1:
+            raise NotInImage(f"non-integer coefficient {value} at word {word!r}")
+        if value:
+            coeffs[word] = int(value)
+    result = cd(coeffs)
+    if expand_cd_to_ab(result) != p:
+        raise NotInImage("round-trip verification failed")
+    return result
+
+
+def _outcome(extract, p):
+    try:
+        return extract(p)
+    except NotInImage:
+        return NotInImage
+
+
+@st.composite
+def _images_and_near_misses(draw, max_degree=7):
+    """expand(random cd), optionally with one ab-coefficient moved by +-1."""
+    degree = draw(st.integers(min_value=0, max_value=max_degree))
+    words = cd_words(degree)
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(words), max_size=len(words)))
+    terms = expand_cd_to_ab(cd(dict(zip(words, coeffs)))).to_dict()
+    if draw(st.booleans()):
+        word = draw(st.sampled_from(ab_words(degree)))
+        terms[word] = terms.get(word, 0) + draw(st.sampled_from((1, -1)))
+    return ab(terms)
+
+
+class TestPeelAgainstLinearSolve:
+    @given(p=_images_and_near_misses())
+    @settings(deadline=None, max_examples=150)
+    def test_same_polynomial_or_both_not_in_image(self, p):
+        assert _outcome(ab_to_cd, p) == _outcome(reference_ab_to_cd, p)
+
+    def test_every_single_word_of_degree_four(self):
+        for word in ab_words(4):
+            for coeff in (1, -1):
+                q = ab({word: coeff})
+                assert _outcome(ab_to_cd, q) is NotInImage is _outcome(reference_ab_to_cd, q)
+
+    def test_peel_is_exact_on_a_large_image(self):
+        p = cd({w: (i % 7) - 3 for i, w in enumerate(cd_words(11))})
+        assert ab_to_cd(expand_cd_to_ab(p)) == p
+
+    def test_word_masks(self):
+        assert ab_mask("abb") == 0b110 and ab_word(0b110, 3) == "abb"
+        assert ab_mask("") == 0 and ab_word(0, 0) == ""
+        assert all(ab_word(ab_mask(w), 5) == w for w in ab_words(5))

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from cdposet import zoo
+from cdposet import partition, zoo
 from cdposet.flags import cd_index, semi_cd_index
 from cdposet.ncpoly import CD, NcPolynomial
 from cdposet.partition import (
@@ -608,3 +608,15 @@ class TestSearchedRoundTrip:
         p = zoo.gen(family, params)
         text = format_certificate(search(p))
         assert format_certificate(parse_certificate(text, p)) == text
+
+
+class TestEulerianTestCalls:
+    def test_s_search_tests_its_input_once(self, monkeypatch):
+        p = zoo.gen("polygon", (60,))
+        tested = []
+        real = partition.is_eulerian
+        monkeypatch.setattr(partition, "is_eulerian", lambda q: tested.append(q) or real(q))
+        assert search_s_certificate(p) is not None
+        assert sum(q is p for q in tested) == 1
+        # the sub-searches test their sub-posets at the call sites
+        assert len(tested) > 1

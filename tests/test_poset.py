@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cdposet import zoo
@@ -298,3 +300,71 @@ class TestEulerianProperty:
         for sigma in q_poset.coatoms():
             sub = cap(q_poset, closure(q_poset, [sigma]) - {sigma}, 3)
             assert is_eulerian(sub)
+
+
+# zoo posets of at most 64 elements, Eulerian, semi-Eulerian and neither
+SMALL_ZOO = [
+    ("point", ()),
+    ("discrete-points", (3,)),
+    ("polygon", (3,)),
+    ("polygon", (8,)),
+    ("simplex-boundary", (3,)),
+    ("boolean", (5,)),
+    ("cube", (3,)),
+    ("octahedron", ()),
+    ("icosahedron", ()),
+    ("sphere2cells", (5,)),
+    ("connected-sum", (3,)),
+    ("product", (3, 3)),
+    ("torus-7vertex", ()),
+    ("q-polytope", ()),
+    ("torus-fig6", ()),
+    ("torus-fig12", ()),
+    ("fig13-nonsemi", ()),
+]
+
+
+def brute_verdicts(p):
+    """(Eulerian, semi-Eulerian) from brute_mobius on every comparable pair."""
+    failing = {
+        (x, y)
+        for x in p.elements()
+        for y in p.above(x)
+        if brute_mobius(p, x, y) != (-1) ** (p.rank(y) - p.rank(x))
+    }
+    return not failing, not failing - {(p.bot(), p.top())}
+
+
+def mutations(p, seed):
+    """One dropped cover, and one added cover between incomparable elements two or more ranks apart."""
+    rng = random.Random(seed)
+    covers = p.covers()
+    dropped = rng.choice(covers)
+    yield GradedPoset(f"{p.name}-{dropped}", p.ranks(), [c for c in covers if c != dropped])
+    jumps = [
+        (x, y)
+        for x in p.elements()
+        for y in p.elements()
+        if p.rank(y) >= p.rank(x) + 2 and not p.less(x, y)
+    ]
+    if jumps:
+        added = rng.choice(jumps)
+        yield GradedPoset(f"{p.name}+{added}", p.ranks(), covers + [added])
+
+
+class TestParityAgainstMobius:
+    @pytest.mark.parametrize("family,params", SMALL_ZOO)
+    def test_zoo_verdicts(self, family, params):
+        p = zoo.gen(family, params)
+        assert (is_eulerian(p), is_semi_eulerian(p)) == brute_verdicts(p)
+
+    @pytest.mark.parametrize("family,params", SMALL_ZOO)
+    def test_single_cover_mutations(self, family, params):
+        base = zoo.gen(family, params)
+        for seed in range(20):
+            for p in mutations(base, seed):
+                assert (is_eulerian(p), is_semi_eulerian(p)) == brute_verdicts(p), p.name
+
+    def test_fixtures_cover_all_three_verdicts(self):
+        verdicts = {brute_verdicts(zoo.gen(f, params)) for f, params in SMALL_ZOO}
+        assert verdicts == {(True, True), (False, True), (False, False)}
