@@ -3,9 +3,11 @@
 Rank sets are subsets of [d] for a poset of rank d+1 and are carried as
 bitmasks internally (bit i-1 stands for rank i, which is also letter i of the
 ab-word); the public dataclasses key their counts by frozenset for
-readability.  Chain counts are memoized per (element, remaining rank set) so
-the 2^d rank sets share suffix work.  The f <-> h transforms are subset
-zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
+readability.  Chains are extended one rank at a time over the poset's
+down-closure bitsets, so each rank set costs one pass over the comparable
+pairs of two rank levels; the counts are kept per poset.  The f <-> h
+transforms are subset zeta/Möbius transforms over mask-indexed lists,
+O(d 2^d).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, ab_word
-from .poset import GradedPoset, is_semi_eulerian
+from .poset import GradedPoset, _bits, is_semi_eulerian
 
 
 @dataclass(frozen=True)
@@ -101,38 +103,37 @@ def _subset_transform(f: FlagVector | ModifiedFlagVector | FlagHVector, sign: in
     return values
 
 
-def _flag_masks(p: GradedPoset) -> dict[int, int]:
-    """Chain counts by rank-set bitmask."""
+def _flag_masks(p: GradedPoset) -> list[int]:
+    """Chain counts indexed by rank-set bitmask.
+
+    Extends chains upward one rank at a time: the count vector of a rank set
+    holds, per element of its highest rank, the chains with that rank set
+    ending there.  Rank sets are visited depth first, so only the vectors on
+    the current path are alive.
+    """
     key = "flag_masks"
     if key in p._cache:
         return p._cache[key]
     d = p.rank_top - 1
-    by_rank = {r: p.elements_of_rank(r) for r in range(1, d + 1)}
-    memo: dict[tuple[str, int], int] = {}
-
-    def suffix(x: str, mask: int) -> int:
-        if not mask:
-            return 1
-        got = memo.get((x, mask))
-        if got is not None:
-            return got
-        low = (mask & -mask).bit_length()  # smallest rank in the mask
-        rest = mask ^ (1 << (low - 1))
-        total = 0
-        for y in by_rank[low]:
-            if p.less(x, y):
-                total += suffix(y, rest)
-        memo[(x, mask)] = total
-        return total
-
-    counts: dict[int, int] = {}
-    for mask in range(1 << d):
-        if mask == 0:
-            counts[0] = 1
-            continue
-        low = (mask & -mask).bit_length()
-        rest = mask ^ (1 << (low - 1))
-        counts[mask] = sum(suffix(x, rest) for x in by_rank[low])
+    levels = [p._levels.get(r, 0) for r in range(1, d + 1)]
+    first = [(level & -level).bit_length() - 1 for level in levels]
+    # below[a][b][k]: positions within level a of the elements under the k-th element of level b
+    below = [
+        [
+            [[i - first[a] for i in _bits(p._downset[z] & levels[a])] for z in _bits(levels[b])] if a < b else []
+            for b in range(d)
+        ]
+        for a in range(d)
+    ]
+    counts = [0] * (1 << d)
+    counts[0] = 1
+    stack = [(1 << a, a, [1] * levels[a].bit_count()) for a in range(d)]
+    while stack:
+        mask, a, ends = stack.pop()
+        counts[mask] = sum(ends)
+        if counts[mask]:
+            for b in range(a + 1, d):
+                stack.append((mask | 1 << b, b, [sum([ends[k] for k in ks]) for ks in below[a][b]]))
     p._cache[key] = counts
     return counts
 
@@ -140,9 +141,7 @@ def _flag_masks(p: GradedPoset) -> dict[int, int]:
 def flag_f(p: GradedPoset) -> FlagVector:
     """Flag f-vector: number of chains with each rank set K in [d]."""
     d = p.rank_top - 1
-    counts = _flag_masks(p)
-    sets = _rank_sets(d)
-    return FlagVector(d, {sets[m]: c for m, c in counts.items()})
+    return FlagVector(d, dict(zip(_rank_sets(d), _flag_masks(p))))
 
 
 def flag_h(f: FlagVector | ModifiedFlagVector) -> FlagHVector:

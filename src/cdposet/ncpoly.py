@@ -261,41 +261,41 @@ def cd_words(degree: int) -> list[str]:
 
 # -- substitution homomorphisms -----------------------------------------------
 
-_CD_IMAGE = {
-    "c": NcPolynomial(AB, {"a": 1, "b": 1}),
-    "d": NcPolynomial(AB, {"ab": 1, "ba": 1}),
-}
+_CD_IMAGE = {"c": ("a", "b"), "d": ("ab", "ba")}  # every image word has coefficient 1
 
 
 def expand_cd_word(word: str) -> NcPolynomial:
     """Image of a single cd-word under c -> a+b, d -> ab+ba."""
-    out = NcPolynomial.unit(AB)
-    for x in word:
-        out = out * _CD_IMAGE[x]
-    return out
+    return expand_cd_to_ab(NcPolynomial(CD, {word: 1}))
 
 
 def expand_cd_to_ab(p: NcPolynomial) -> NcPolynomial:
-    """Apply the graded substitution c -> a+b, d -> ab+ba multiplicatively."""
+    """Apply the graded substitution c -> a+b, d -> ab+ba multiplicatively.
+
+    The images of distinct cd-words are collected in one dict, so the work is
+    linear in the number of ab-terms written.
+    """
     if p.alphabet != CD:
         raise AlphabetMismatch("expand_cd_to_ab expects a cd-polynomial")
-    out = NcPolynomial.zero(AB)
-    for word, coeff in p.items():
-        out = out + coeff * expand_cd_word(word)
-    return out
+    out: dict[str, int] = {}
+    for word, coeff in p._terms.items():
+        for parts in product(*(_CD_IMAGE[x] for x in word)):
+            w = "".join(parts)
+            out[w] = out.get(w, 0) + coeff
+    return NcPolynomial(AB, out)
 
 
-def _substitute_a(p: NcPolynomial, image_of_a: NcPolynomial) -> NcPolynomial:
+def _substitute_a(p: NcPolynomial, sign: int) -> NcPolynomial:
+    """Replace a -> a + sign*b (b fixed), one letter position at a time, in one dict."""
     if p.alphabet != AB:
         raise AlphabetMismatch("substitution expects an ab-polynomial")
-    b = NcPolynomial(AB, {"b": 1})
-    out = NcPolynomial.zero(AB)
-    for word, coeff in p.items():
-        term = NcPolynomial(AB, {"": coeff})
-        for x in word:
-            term = term * (image_of_a if x == "a" else b)
-        out = out + term
-    return out
+    out = dict(p._terms)
+    for i in range(max(map(len, out), default=0)):
+        for word, coeff in list(out.items()):
+            if word[i : i + 1] == "a":
+                w = word[:i] + "b" + word[i + 1 :]
+                out[w] = out.get(w, 0) + sign * coeff
+    return NcPolynomial(AB, out)
 
 
 def substitute_a_minus_b(p: NcPolynomial) -> NcPolynomial:
@@ -303,12 +303,12 @@ def substitute_a_minus_b(p: NcPolynomial) -> NcPolynomial:
 
     Sends the chain polynomial of a poset to its ab-polynomial.
     """
-    return _substitute_a(p, NcPolynomial(AB, {"a": 1, "b": -1}))
+    return _substitute_a(p, -1)
 
 
 def substitute_a_plus_b(p: NcPolynomial) -> NcPolynomial:
     """Inverse substitution a -> a+b; exact inverse of substitute_a_minus_b."""
-    return _substitute_a(p, NcPolynomial(AB, {"a": 1, "b": 1}))
+    return _substitute_a(p, 1)
 
 
 # -- cd extraction by first-letter peel ------------------------------------------

@@ -40,6 +40,8 @@ from .poset import (
     PosetError,
     RankTooLow,
     Violation,
+    _bits,
+    _union,
     boundary_set,
     cap,
     closure,
@@ -541,21 +543,16 @@ def _assemble_s_cert(
 
 
 def _components(p: GradedPoset, members: frozenset[str]) -> list[frozenset[str]]:
-    """Connected components of the comparability graph restricted to members."""
-    remaining = set(members)
+    """Connected components of the comparability graph restricted to members, by least name."""
+    remaining = p._mask(members)
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+        comp = frontier = remaining & -remaining
         while frontier:
-            x = frontier.pop()
-            for y in remaining - comp:
-                if p.less(x, y) or p.less(y, x):
-                    comp.add(y)
-                    frontier.append(y)
-        comps.append(frozenset(comp))
-        remaining -= comp
+            frontier = (_union(p._upset, frontier) | _union(p._downset, frontier)) & remaining & ~comp
+            comp |= frontier
+        comps.append(frozenset(p._names(comp)))
+        remaining &= ~comp
     return sorted(comps, key=min)
 
 
@@ -588,11 +585,11 @@ def se_certificate_from_classes(
 
 
 def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset[str]]:
-    covered: set[str] = set()
+    covered = 0
     classes: dict[str, frozenset[str]] = {}
     for sigma in order:
-        cl = closure(p, [sigma])
-        classes[sigma] = frozenset(cl - covered)
+        cl = p._downset[p._index[sigma]]
+        classes[sigma] = frozenset(p._names(cl & ~covered))
         covered |= cl
     return classes
 
@@ -644,8 +641,9 @@ def _search_s_assignments(p: GradedPoset, budget: Budget, first: str | None) -> 
     """Exhaustive per-element assignment search, for small posets only."""
     coatoms = sorted(p.coatoms())
     ground = set(p.elements()) - {p.top()}
+    coatom_mask = p._mask(coatoms)  # one rank level, so its (rank, name) order is name order
     eligible = {
-        x: [s for s in coatoms if p.less(x, s)] for x in sorted(ground) if x not in coatoms
+        x: list(p._names(p._upset[p._index[x]] & coatom_mask)) for x in sorted(ground) if x not in coatoms
     }
     for initial in coatoms if first is None else [first]:
         init_class = closure(p, [initial])
@@ -704,9 +702,9 @@ def search_s_certificate(p: GradedPoset, budget: Budget | int | None = None) -> 
     return cert
 
 
-def _facet_adjacent(p: GradedPoset, sigma: str, covered: set[str]) -> bool:
-    ridge_rank = p.rank_top - 2
-    return any(x in covered and p.rank(x) == ridge_rank for x in closure(p, [sigma]))
+def _facet_adjacent(p: GradedPoset, sigma: str, covered: int) -> bool:
+    """Does a ridge of sigma lie in the covered bitset?"""
+    return bool(p._downset[p._index[sigma]] & p._levels.get(p.rank_top - 2, 0) & covered)
 
 
 def search_se_certificate(
@@ -729,10 +727,10 @@ def search_se_certificate(
     if d == 0:
         return _base_cert(p, SEPartitionCert)
     coatoms = sorted(p.coatoms())
-    closures = {s: closure(p, [s]) for s in coatoms}
+    closures = {s: p._downset[p._index[s]] for s in coatoms}
 
-    def class_ok(sigma: str, members: set[str]) -> bool:
-        rest = frozenset(members - {sigma})
+    def class_ok(sigma: str, members: int) -> bool:
+        rest = frozenset(p._names(members)) - {sigma}
         if not rest:
             return True
         for part in _components(p, rest):
@@ -742,7 +740,7 @@ def search_se_certificate(
                 return False
         return True
 
-    def extend(order: list[str], covered: set[str]) -> SEPartitionCert | None:
+    def extend(order: list[str], covered: int) -> SEPartitionCert | None:
         if len(order) == len(coatoms):
             try:
                 return _assemble_se_cert(p, order[0], _classes_from_order(p, order), budget)
@@ -754,14 +752,14 @@ def search_se_certificate(
             if order and not _facet_adjacent(p, sigma, covered):
                 continue
             budget.spend()
-            if order and not class_ok(sigma, closures[sigma] - covered):
+            if order and not class_ok(sigma, closures[sigma] & ~covered):
                 continue
             found = extend(order + [sigma], covered | closures[sigma])
             if found is not None:
                 return found
         return None
 
-    return extend([], set())
+    return extend([], 0)
 
 
 # -- conversions ------------------------------------------------------------------------
@@ -797,13 +795,13 @@ def order_to_s_certificate(
 
 
 def _is_simplicial(p: GradedPoset) -> bool:
-    atoms = set(p.elements_of_rank(1))
-    for x in p.elements():
+    atoms = p._levels.get(1, 0)
+    top = p.top()
+    for x, below in zip(p.elements(), p._downset):
         r = p.rank(x)
-        if x == p.top() or r == 0:
+        if x == top or r == 0:
             continue
-        below = closure(p, [x])
-        if len(below & atoms) != r or len(below) != 2**r:
+        if (below & atoms).bit_count() != r or below.bit_count() != 2**r:
             return False
     return True
 
@@ -839,8 +837,8 @@ def simplicial_partition_to_s_certificate(
         raise NotAPartition(f"expected exactly one full restriction, got {len(terminals)}")
     classes: dict[str, frozenset[str]] = {}
     for restriction, facet in pairs:
-        interval = {y for y in closure(p, [facet]) if p.leq(restriction, y)}
-        classes[facet] = frozenset(interval)
+        interval = p._upset[p._index[restriction]] & p._downset[p._index[facet]]
+        classes[facet] = frozenset(p._names(interval))
     ground = set(p.elements()) - {p.top()}
     total = [m for members in classes.values() for m in members]
     if len(total) != len(set(total)) or set(total) != ground:
@@ -924,20 +922,17 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[bool, dict[tuple[str,
     if set(owner) != ground:
         return False, None
     assignment: dict[tuple[str, ...], str] = {(): owner[BOT]}
-    proper = [x for x in p.elements() if 0 < p.rank(x) < p.rank_top]
+    below_d = 0  # ranks 1..d-1
+    for r in range(1, d):
+        below_d |= p._levels.get(r, 0)
 
-    def chains(prefix: tuple[str, ...], start: int) -> None:
-        for i in range(start, len(proper)):
-            x = proper[i]
-            if p.rank(x) == d:
-                continue
-            if prefix and not p.less(prefix[-1], x):
-                continue
-            chain = prefix + (x,)
-            assignment[chain] = owner[x]
-            chains(chain, i + 1)
+    def chains(prefix: tuple[str, ...], candidates: int) -> None:
+        for i in _bits(candidates):  # everything above the chain's last element, lowest first
+            chain = prefix + (p._elements[i],)
+            assignment[chain] = owner[chain[-1]]
+            chains(chain, (p._upset[i] ^ 1 << i) & below_d)
 
-    chains((), 0)
+    chains((), below_d)
     return True, assignment
 
 
@@ -945,8 +940,7 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[bool, dict[tuple[str,
 
 
 def _members_line(members: frozenset[str], p: GradedPoset) -> str:
-    ordered = sorted(members, key=lambda x: (p.rank(x), x))
-    return "members " + " ".join(ordered)
+    return "members " + " ".join(p._names(p._mask(members)))
 
 
 def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]) -> None:

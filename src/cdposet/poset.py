@@ -1,9 +1,13 @@
 """Bounded graded posets given by ranks and cover relations.
 
-A poset is immutable after construction; comparability is precomputed as a
-transitive closure at load (fixtures stay small, a few thousand elements at
-most).  All iteration orders are sorted by element name so that derived
-objects, certificates and reports are reproducible.
+A poset is immutable after construction.  The constructor numbers the
+elements 0..n-1 in (rank, name) order and computes, once, every order
+relation as Python-int bitsets over those numbers (bit i is element i):
+the upper and lower cover masks, the down- and up-closure masks and one
+mask per rank level.  Every query and derived construction reads these
+masks; element names are used only to name inputs and results, and names
+come out in (rank, name) order.  ``covers()`` lists the cover pairs sorted
+by name.
 
 The reserved names ``bot`` and ``top`` denote the minimum and maximum.
 Synthetic elements created by derived constructions follow a fixed scheme:
@@ -54,13 +58,22 @@ class Violation:
         return f"VIOLATION {self.code} {self.path} {self.detail}"
 
 
-@dataclass(frozen=True)
-class Interval:
-    """The induced sub-poset [lower, upper], elements sorted by (rank, name)."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    lower: str
-    upper: str
-    elements: tuple[str, ...]
+
+def _union(sets: list[int], mask: int) -> int:
+    """The union of sets[i] over the bits i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= sets[i]
+    return out
 
 
 class GradedPoset:
@@ -68,38 +81,48 @@ class GradedPoset:
 
     def __init__(self, name: str, ranks: Mapping[str, int], covers: Iterable[tuple[str, str]]):
         self.name = name
-        self._rank = dict(ranks)
-        self.rank_top = max(self._rank.values(), default=0)
-        self._elements = tuple(sorted(self._rank, key=self._sort_key))
-        up: dict[str, set[str]] = {x: set() for x in self._rank}
-        down: dict[str, set[str]] = {x: set() for x in self._rank}
-        cover_pairs = set()
+        self._rank = rank = dict(ranks)
+        self.rank_top = max(rank.values(), default=0)
+        self._elements = elems = tuple(sorted(rank, key=lambda x: (rank[x], x)))
+        self._index = index = {x: i for i, x in enumerate(elems)}
+        up = [0] * len(elems)
+        down = [0] * len(elems)
         for lo, hi in covers:
-            if lo not in self._rank or hi not in self._rank:
-                missing = lo if lo not in self._rank else hi
-                raise PosetError(f"cover references unknown element {missing!r}")
-            if self._rank[hi] <= self._rank[lo]:
+            i, j = index.get(lo), index.get(hi)
+            if i is None or j is None:
+                raise PosetError(f"cover references unknown element {lo if i is None else hi!r}")
+            if rank[hi] <= rank[lo]:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
-            cover_pairs.add((lo, hi))
-            up[lo].add(hi)
-            down[hi].add(lo)
-        self._covers = frozenset(cover_pairs)
-        self._up = {x: tuple(sorted(up[x], key=self._sort_key)) for x in self._rank}
-        self._down = {x: tuple(sorted(down[x], key=self._sort_key)) for x in self._rank}
-        # strict up-sets, computed top-down so each element unions its covers
-        above: dict[str, frozenset[str]] = {}
-        for x in sorted(self._rank, key=lambda e: -self._rank[e]):
-            acc: set[str] = set()
-            for y in self._up[x]:
-                acc.add(y)
-                acc.update(above[y])
-            above[x] = frozenset(acc)
-        self._above = above
-        self._mobius_cache: dict[tuple[str, str], int] = {}
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        self._up, self._down = up, down
+        self._covers = tuple(sorted((x, y) for x, above in zip(elems, up) for y in self._names(above)))
+        # closures include the element itself; every lower cover has a smaller number
+        self._downset = [0] * len(elems)
+        for j in range(len(elems)):
+            self._downset[j] = _union(self._downset, down[j]) | 1 << j
+        self._upset = [0] * len(elems)
+        for i in reversed(range(len(elems))):
+            self._upset[i] = _union(self._upset, up[i]) | 1 << i
+        levels: dict[int, int] = {}
+        for i, x in enumerate(elems):
+            levels[rank[x]] = levels.get(rank[x], 0) | 1 << i
+        self._levels = levels
         self._cache: dict = {}
 
-    def _sort_key(self, x: str) -> tuple[int, str]:
-        return (self._rank[x], x)
+    def _mask(self, names: Iterable[str]) -> int:
+        """The bitset of the named elements; PosetError on an unknown name."""
+        mask = 0
+        for x in names:
+            i = self._index.get(x)
+            if i is None:
+                raise PosetError(f"unknown element {x!r}")
+            mask |= 1 << i
+        return mask
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The elements of a bitset, in (rank, name) order."""
+        return tuple(map(self._elements.__getitem__, _bits(mask)))
 
     # -- basic queries --------------------------------------------------------
 
@@ -119,26 +142,29 @@ class GradedPoset:
         return dict(self._rank)
 
     def covers(self) -> list[tuple[str, str]]:
-        return sorted(self._covers)
+        return list(self._covers)
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
-        return self._up[x]
+        return self._names(self._up[self._index[x]])
 
     def lower_covers(self, x: str) -> tuple[str, ...]:
-        return self._down[x]
+        return self._names(self._down[self._index[x]])
 
     def less(self, x: str, y: str) -> bool:
-        return y in self._above[x]
+        return self.leq(x, y) and x != y
 
     def leq(self, x: str, y: str) -> bool:
-        return x == y or y in self._above[x]
+        # an unknown y gets the number n, which no bitset holds
+        return x == y or self._upset[self._index[x]] >> self._index.get(y, len(self._elements)) & 1 == 1
 
     def above(self, x: str) -> frozenset[str]:
         """Elements strictly above x."""
-        return self._above[x]
+        i = self._index[x]
+        return frozenset(self._names(self._upset[i] ^ 1 << i))
 
     def elements_of_rank(self, r: int) -> list[str]:
-        return [x for x in self._elements if self._rank[x] == r]
+        level = self._levels.get(r, 0)  # a level is a run of consecutive numbers
+        return list(self._elements[(level & -level).bit_length() - 1 : level.bit_length()]) if level else []
 
     def bot(self) -> str:
         return self.elements_of_rank(0)[0]
@@ -147,14 +173,7 @@ class GradedPoset:
         return self.elements_of_rank(self.rank_top)[0]
 
     def coatoms(self) -> list[str]:
-        return list(self._down[self.top()])
-
-    def interval(self, x: str, y: str) -> Interval:
-        if not self.leq(x, y):
-            raise NotComparable(f"{x!r} is not below {y!r}")
-        inner = [z for z in self._above[x] if self.less(z, y)]
-        elems = sorted([x, y] + inner if x != y else [x], key=self._sort_key)
-        return Interval(x, y, tuple(elems))
+        return list(self.lower_covers(self.top()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,13 +204,13 @@ def validate(p: GradedPoset) -> list[Violation]:
         out.append(Violation("top-count", p.name, f"rank-{p.rank_top} elements: {tops}"))
     elif tops[0] != TOP:
         out.append(Violation("top-name", p.name, f"maximum is {tops[0]!r}, expected {TOP!r}"))
-    for x in p.elements():
+    for i, x in enumerate(p.elements()):
         r = p.rank(x)
         if r < 0 or r > p.rank_top:
             out.append(Violation("rank-range", x, f"rank {r} outside 0..{p.rank_top}"))
-        if r > 0 and not p.lower_covers(x):
+        if r > 0 and not p._down[i]:
             out.append(Violation("not-bounded-below", x, "covers nothing"))
-        if r < p.rank_top and not p.upper_covers(x):
+        if r < p.rank_top and not p._up[i]:
             out.append(Violation("not-bounded-above", x, "covered by nothing"))
     for lo, hi in p.covers():
         if p.rank(hi) - p.rank(lo) != 1:
@@ -206,45 +225,30 @@ def mobius(p: GradedPoset, x: str, y: str) -> int:
     """Exact Möbius value of the interval [x, y]."""
     if not p.leq(x, y):
         raise NotComparable(f"{x!r} is not below {y!r}")
-    cache = p._mobius_cache
-    key = (x, y)
-    if key in cache:
-        return cache[key]
-    # iterative bottom-up over [x, y] keeps recursion depth flat
-    inner = sorted((z for z in p.above(x) if p.leq(z, y)), key=p._sort_key)
-    cache[(x, x)] = 1
-    for z in inner:
-        if (x, z) in cache:
-            continue
-        total = 1  # mu(x, x)
-        for w in inner:
-            if w != z and p.less(w, z):
-                total += cache[(x, w)]
-        cache[(x, z)] = -total
-    return cache[key]
+    i, j = p._index[x], p._index[y]
+    span = p._upset[i] & p._downset[j]
+    mu = {i: 1}  # mu(x, z) by the number of z; lower elements come first
+    for k in _bits(span ^ 1 << i):
+        mu[k] = -sum(mu[w] for w in _bits(p._downset[k] & span ^ 1 << k))
+    return mu[j]
 
 
 def _parity_holds(p: GradedPoset, skip: tuple[str, str] | None = None) -> bool:
     """Every interval [x, y] with x < y, except skip, has as many even-rank as odd-rank elements.
 
     By induction over [x, y] this holds exactly when mu(x, z) = (-1)^(rank z - rank x)
-    for all x <= z <= y, on any finite poset.  Intervals are the intersection
-    of an up-closure and a down-closure, held as bitsets in element order.
+    for all x <= z <= y, on any finite poset.  An interval is the intersection
+    of an up-closure and a down-closure.
     """
-    elems = p.elements()
-    index = {x: i for i, x in enumerate(elems)}
     even = 0
-    down = [0] * len(elems)
-    for i, x in enumerate(elems):  # (rank, name) order puts lower covers first
-        even |= (p.rank(x) % 2 == 0) << i
-        down[i] = 1 << i
-        for z in p.lower_covers(x):
-            down[i] |= down[index[z]]
-    for x in elems:
-        up = (1 << index[x]) | sum(1 << index[y] for y in p.above(x))
-        for y in p.above(x):
-            span = up & down[index[y]]
-            if span.bit_count() != 2 * (span & even).bit_count() and (x, y) != skip:
+    for r, level in p._levels.items():
+        if r % 2 == 0:
+            even |= level
+    skip_pair = None if skip is None else (p._index[skip[0]], p._index[skip[1]])
+    for i, up in enumerate(p._upset):
+        for j in _bits(up ^ 1 << i):
+            span = up & p._downset[j]
+            if span.bit_count() != 2 * (span & even).bit_count() and (i, j) != skip_pair:
                 return False
     return True
 
@@ -268,51 +272,40 @@ def is_semi_eulerian(p: GradedPoset) -> bool:
 
 def closure(p: GradedPoset, members: Iterable[str]) -> set[str]:
     """Down-closure of a set; the empty union is the empty set."""
-    out: set[str] = set()
-    stack = [x for x in members]
-    for x in stack:
-        if x not in p:
-            raise PosetError(f"unknown element {x!r}")
-    while stack:
-        x = stack.pop()
-        if x in out:
-            continue
-        out.add(x)
-        stack.extend(p.lower_covers(x))
-    return out
+    return set(p._names(_union(p._downset, p._mask(members))))
 
 
 def cap(p: GradedPoset, members: Iterable[str], rank_top: int, name: str | None = None) -> GradedPoset:
     """Poset on a down-closed set with a fresh ``top`` adjoined at rank_top."""
-    elems = set(members)
-    if BOT not in elems or any(y not in elems for x in elems for y in p.lower_covers(x)):
+    mask = p._mask(members)
+    if BOT not in p or not mask >> p._index[BOT] & 1 or _union(p._downset, mask) != mask:
         raise PosetError("cap expects a down-closed set containing bot")
+    elems = p._names(mask)
     too_high = [x for x in elems if p.rank(x) >= rank_top]
     if too_high:
         raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(too_high)}")
     ranks = {x: p.rank(x) for x in elems}
     ranks[TOP] = rank_top
-    covers = [(lo, hi) for lo, hi in p.covers() if lo in elems and hi in elems]
-    maximal = [x for x in sorted(elems, key=p._sort_key) if not any(y in elems for y in p.upper_covers(x))]
-    covers.extend((x, TOP) for x in maximal)
+    covers = []
+    for i, x in zip(_bits(mask), elems):
+        above = p._up[i] & mask
+        covers.extend([(x, y) for y in p._names(above)] if above else [(x, TOP)])
     return GradedPoset(name or f"cap({p.name},{rank_top})", ranks, covers)
 
 
-def _qualifying(p: GradedPoset) -> list[str]:
-    """Elements y whose upper interval [y, top] is a three-element chain."""
-    t = p.top()
-    out = []
-    for y in p.elements_of_rank(p.rank_top - 2):
-        between = [z for z in p.above(y) if z != t]
-        if len(between) == 1:
-            out.append(y)
+def _qualifying(p: GradedPoset) -> int:
+    """Bitset of the elements y whose upper interval [y, top] is a three-element chain."""
+    not_top = ~(1 << p._index[p.top()])
+    out = 0
+    for i in _bits(p._levels.get(p.rank_top - 2, 0)):
+        if (p._upset[i] & not_top).bit_count() == 2:  # y and the one element between
+            out |= 1 << i
     return out
 
 
 def boundary_set(p: GradedPoset) -> set[str]:
     """Closure of all y with [y, top] a three-element chain (may be empty)."""
-    qs = _qualifying(p)
-    return closure(p, qs) if qs else set()
+    return set(p._names(_union(p._downset, _qualifying(p))))
 
 
 def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, str]:
@@ -328,7 +321,7 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     ranks = p.ranks()
     ranks[tau_name] = p.rank_top - 1
     covers = p.covers()
-    covers.extend((y, tau_name) for y in _qualifying(p))
+    covers.extend((y, tau_name) for y in p._names(_qualifying(p)))
     covers.append((tau_name, p.top()))
     return GradedPoset(f"ssusp({p.name})", ranks, covers), tau_name
 
@@ -384,43 +377,45 @@ def product(p: GradedPoset, q: GradedPoset, name: str | None = None) -> GradedPo
 
 
 def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
-    """A rank- and cover-preserving bijection p -> q, or None; backtracking."""
+    """A rank- and cover-preserving bijection p -> q, or None; backtracking.
+
+    Elements of p are mapped in (rank, name) order, each to an unused element
+    of q of the same rank, in (rank, name) order, whose lower covers are the
+    images of its own and which has as many upper covers.  The search keeps
+    one candidate list per mapped element on an explicit stack.
+    """
     if p.rank_top != q.rank_top or len(p) != len(q):
         return None
-    by_rank_p = [p.elements_of_rank(r) for r in range(p.rank_top + 1)]
-    by_rank_q = [q.elements_of_rank(r) for r in range(q.rank_top + 1)]
-    if any(len(a) != len(b) for a, b in zip(by_rank_p, by_rank_q)):
+    if any(p._levels.get(r, 0).bit_count() != q._levels.get(r, 0).bit_count() for r in range(p.rank_top + 1)):
         return None
-    order = [x for level in by_rank_p for x in level]
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    image = [0] * len(p)  # the q-number of each mapped p-number
+    used = 0
 
-    def compatible(x: str, y: str) -> bool:
-        if len(p.lower_covers(x)) != len(q.lower_covers(y)):
-            return False
-        if len(p.upper_covers(x)) != len(q.upper_covers(y)):
-            return False
-        for lo in p.lower_covers(x):
-            if lo in mapping and mapping[lo] not in q.lower_covers(y):
-                return False
-        return True
+    def candidates(i: int) -> list[int]:
+        lower = sum(1 << image[k] for k in _bits(p._down[i]))  # lower covers are mapped already
+        pool = q._levels.get(p.rank(p._elements[i]), 0) & ~used
+        for k in _bits(lower):
+            pool &= q._up[k]
+        n_up = p._up[i].bit_count()
+        return [j for j in _bits(pool) if q._down[j] == lower and q._up[j].bit_count() == n_up]
 
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in by_rank_q[p.rank(x)]:
-            if y in used or not compatible(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if assign(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return dict(mapping) if assign(0) else None
+    if not len(p):
+        return {}
+    stack = [iter(candidates(0))]
+    while stack:
+        j = next(stack[-1], None)
+        if j is None:
+            stack.pop()
+            if stack:
+                used ^= 1 << image[len(stack) - 1]  # the parent moves on to its next candidate
+            continue
+        i = len(stack) - 1
+        image[i] = j
+        used |= 1 << j
+        if i + 1 == len(p):
+            return {x: q._elements[j] for x, j in zip(p._elements, image)}
+        stack.append(iter(candidates(i + 1)))
+    return None
 
 
 def connected_sum(
@@ -445,12 +440,13 @@ def connected_sum(
     for x, y in iso.items():
         if p.rank(x) != q.rank(y):
             raise NotAnIsomorphism(f"rank mismatch {x!r}->{y!r}")
+    p_covers, q_covers = set(p.covers()), set(q.covers())
     for lo, hi in p.covers():
-        if lo in dom and hi in dom and (iso[lo], iso[hi]) not in q._covers:
+        if lo in dom and hi in dom and (iso[lo], iso[hi]) not in q_covers:
             raise NotAnIsomorphism(f"cover {lo}<{hi} not preserved")
     inv = {y: x for x, y in iso.items()}
     for lo, hi in q.covers():
-        if lo in cod and hi in cod and (inv[lo], inv[hi]) not in p._covers:
+        if lo in cod and hi in cod and (inv[lo], inv[hi]) not in p_covers:
             raise NotAnIsomorphism(f"cover {lo}<{hi} not reflected")
 
     def q_side(y: str) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -608,6 +609,27 @@ class TestSearchedRoundTrip:
         p = zoo.gen(family, params)
         text = format_certificate(search(p))
         assert format_certificate(parse_certificate(text, p)) == text
+
+
+class TestSearchPins:
+    """Searched certificates and node counts stay byte-identical: sha256 of the text, Budget.used."""
+
+    @pytest.mark.parametrize(
+        "family, params, search, sha256, nodes",
+        [
+            ("polygon", (25,), search_s_certificate, "944e1a9db99ab350bebd945d8057c84a37060dc088c0f264a348ea1964ee38f5", 188),
+            ("cube", (3,), search_s_certificate, "3f71bed6a0c82f3067d01751cd1a1269aaaa7809224c55315b1ec913228ad340", 49),
+            ("connected-sum", (3,), search_s_certificate, "46c97dfed676bcb497187f59fac3d88b1cc8e05fd70320a9bd6828ae929af4c5", 35),
+            ("torus-fig6", (), search_se_certificate, "cb524d7fdbd2432acf69e37188ee7d968b847966af05a4fca78dcc2147998d7b", 92),
+            ("product", (3, 4), search_se_certificate, "25c17a03b03c2d61bf2bc481eea95ea1e8cede3527233dd5e4f90d7f2f66d9fb", 97),
+            ("icosahedron", (), search_se_certificate, "c36d81aee0fa267b12c14d5bd52c5b5e2e19554a95ac6bcc5ed50f235aa393d3", 126),
+        ],
+    )
+    def test_certificate_and_node_count(self, family, params, search, sha256, nodes):
+        budget = Budget()
+        cert = search(zoo.gen(family, params), budget)
+        assert hashlib.sha256(format_certificate(cert).encode("utf-8")).hexdigest() == sha256
+        assert budget.used == nodes
 
 
 class TestEulerianTestCalls:

@@ -214,12 +214,28 @@ class TestSemisuspension:
         assert ss.lower_covers(tau) == ()
         assert any(v.code == "not-bounded-below" for v in validate(ss))
 
-    def test_interval_type(self, q_poset):
-        iv = q_poset.interval(BOT, "s1")
-        assert iv.lower == BOT and iv.upper == "s1"
-        assert set(iv.elements) == closure(q_poset, ["s1"])
-        with pytest.raises(NotComparable):
-            q_poset.interval("s1", "s2")
+
+class TestFindIsomorphism:
+    def test_large_polygon_needs_no_recursion(self):
+        p = zoo.gen("polygon", (600,))
+        assert len(p) == 1202
+        iso = find_isomorphism(p, zoo.gen("polygon", (600,)))
+        assert iso == {x: x for x in p.elements()}
+
+    def test_same_size_non_isomorphic_pair(self):
+        hexagon = zoo.gen("polygon", (6,))
+        ranks = {BOT: 0, TOP: 3}
+        covers = []
+        for t in "pq":  # two triangles: vertices t0..t2, edge tij between ti and tj
+            for i in range(3):
+                ranks[f"{t}{i}"], ranks[f"{t}e{i}"] = 1, 2
+                covers += [(BOT, f"{t}{i}"), (f"{t}e{i}", TOP)]
+                covers += [(f"{t}{i}", f"{t}e{i}"), (f"{t}{(i + 1) % 3}", f"{t}e{i}")]
+        triangles = GradedPoset("two-triangles", ranks, covers)
+        assert [len(triangles.elements_of_rank(r)) for r in range(4)] == [1, 6, 6, 1]
+        assert find_isomorphism(hexagon, triangles) is None
+        assert find_isomorphism(triangles, hexagon) is None
+        assert find_isomorphism(triangles, triangles) is not None
 
 
 class TestProduct:
