@@ -210,9 +210,16 @@ def _cmd_check_cert(args, rep: Report) -> int:
     return 0
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}")
+
+
 def _emit_cert(cert, path: str | None, rep: Report) -> None:
     if path:
-        Path(path).write_text(format_certificate(cert), encoding="utf-8")
+        _write(path, format_certificate(cert))
         rep.say(f"certificate written to {path}")
 
 
@@ -269,7 +276,7 @@ def _cmd_gen(args, rep: Report) -> int:
     p = zoo.gen(args.family, params)
     text = format_poset(p, provenance=zoo.fixture_spec(args.family, params).provenance)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
         rep.say(f"poset written to {args.out}")
     else:
         rep.say(text.rstrip("\n"))
@@ -345,6 +352,17 @@ def _cmd_reverse_check(args, rep: Report) -> int:
     return 0 if ok else 1
 
 
+def _budget(text: str) -> int:
+    """A search node limit: a nonnegative integer (0 is exhausted at once)."""
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid node limit {text!r}")
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"node limit must be nonnegative, got {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdposet",
@@ -381,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("search-spart", "search-separt"):
         sp = add(name, _cmd_search, help="budgeted certificate search")
         sp.add_argument("poset")
-        sp.add_argument("--budget", type=int, default=10**6, help="search node limit")
+        sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
         sp.add_argument("--emit-cert", metavar="PATH")
     sp = add("gen", _cmd_gen, help="generate a fixture poset")
     sp.add_argument("family", choices=zoo.families())
@@ -391,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("convert-shelling", _cmd_convert_shelling, help="facet order to S-certificate")
     sp.add_argument("poset")
     sp.add_argument("--order", required=True, help="comma-separated facet names")
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
     sp.add_argument("--emit-cert", metavar="PATH")
     sp = add("convert-simplicial-partition", _cmd_convert_simplicial, help="boolean-interval partition to S-certificate")
     sp.add_argument("poset")
     sp.add_argument("--pairs", required=True, help="file of `pair <restriction> <facet>` lines")
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
     sp.add_argument("--emit-cert", metavar="PATH")
     return parser
 

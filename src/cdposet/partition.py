@@ -12,10 +12,12 @@ share; they differ only in the Eulerian or semi-Eulerian test, the rules
 for zero classes and the SE decomposition checks.
 
 Verification never searches: a certificate is an explicit witness and
-``verify_partition`` only checks it.  The searches produce certificates: a
-facet-order backtracking search (with a full per-element assignment fallback
-below a size threshold) for the Eulerian case, and a greedy
-adjacency-order search with backtracking for the semi-Eulerian case.
+``verify_partition`` only checks it.  Both searches are one depth-first walk
+over facet orders, each class the facet's closure minus what is already
+covered; the certificate class sets the rules (a terminal singleton for S,
+ridge adjacency and connected subclasses for SE).  A search that returns
+None has exhausted the facet orders, which does not prove that no
+certificate exists.
 
 Contribution maps implement the recursion: the initial coatom contributes
 the cd-index of its capped boundary times c, ordinary coatoms contribute,
@@ -506,6 +508,19 @@ def cd_word_multiset(cm: ContributionMap) -> dict[str, Counter]:
 # -- certificate assembly (shared by searches and converters) ------------------------
 
 
+def _components(p: GradedPoset, members: int) -> list[frozenset[str]]:
+    """Connected components of the comparability graph restricted to a bitset, by least name."""
+    comps = []
+    while members:
+        comp = frontier = members & -members
+        while frontier:
+            frontier = (_union(p._upset, frontier) | _union(p._downset, frontier)) & members & ~comp
+            comp |= frontier
+        comps.append(frozenset(p._names(comp)))
+        members &= ~comp
+    return sorted(comps, key=min)
+
+
 def _search_sub(q: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
     """S-search on a derived sub-poset, None unless it is Eulerian.
 
@@ -513,15 +528,31 @@ def _search_sub(q: GradedPoset, budget: Budget, first: str | None) -> SPartition
     """
     if q.rank_top > 1 and not is_eulerian(q):
         return None
-    return _search_s(q, budget, first)
+    return _search(q, budget, SPartitionCert, first)
 
 
-def _with_subcerts(cert: SPartitionCert | SEPartitionCert, budget: Budget) -> SPartitionCert | SEPartitionCert:
-    """Search the initial and every subclass sub-certificate; raises _ClassFailure on defects."""
-    p = cert.poset
-    cert.subcert_initial = _search_sub(initial_boundary_poset(p, cert.initial), budget, first=None)
+def _certificate(
+    p: GradedPoset,
+    cls: type,
+    initial: str,
+    classes: dict[str, frozenset[str]],
+    budget: Budget,
+) -> SPartitionCert | SEPartitionCert:
+    """The certificate with these classes, its sub-certificates searched; raises _ClassFailure.
+
+    The zero classes are the one-element classes besides the initial one: the
+    S terminal (every caller leaves exactly one) or the SE singletons.  SE
+    ordinary classes split into their connected components.
+    """
+    zero = sorted(s for s in classes if s != initial and classes[s] == {s})
+    if cls is SPartitionCert:
+        cert = SPartitionCert(p, dict(classes), initial, zero[0] if zero else None, None, {})
+    else:
+        cert = SEPartitionCert(p, dict(classes), initial, frozenset(zero), {}, None, {})
+        cert.subclass_decomp = {s: tuple(_components(p, p._mask(classes[s] - {s}))) for s in cert.ordinary()}
+    cert.subcert_initial = _search_sub(initial_boundary_poset(p, initial), budget, first=None)
     if cert.subcert_initial is None:
-        raise _ClassFailure(cert.initial, "initial-subcert", "capped boundary admits no certificate")
+        raise _ClassFailure(initial, "initial-subcert", "capped boundary admits no certificate")
     for sigma in cert.ordinary():
         for j, part, key in cert._subclasses(sigma):
             ss, tau = semisuspension(_gamma_checked(p, sigma, part), tau_name(sigma, j))
@@ -532,42 +563,6 @@ def _with_subcerts(cert: SPartitionCert | SEPartitionCert, budget: Budget) -> SP
     return cert
 
 
-def _assemble_s_cert(
-    p: GradedPoset,
-    initial: str,
-    terminal: str,
-    classes: dict[str, frozenset[str]],
-    budget: Budget,
-) -> SPartitionCert:
-    return _with_subcerts(SPartitionCert(p, dict(classes), initial, terminal, None, {}), budget)
-
-
-def _components(p: GradedPoset, members: frozenset[str]) -> list[frozenset[str]]:
-    """Connected components of the comparability graph restricted to members, by least name."""
-    remaining = p._mask(members)
-    comps = []
-    while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
-            frontier = (_union(p._upset, frontier) | _union(p._downset, frontier)) & remaining & ~comp
-            comp |= frontier
-        comps.append(frozenset(p._names(comp)))
-        remaining &= ~comp
-    return sorted(comps, key=min)
-
-
-def _assemble_se_cert(
-    p: GradedPoset,
-    initial: str,
-    classes: dict[str, frozenset[str]],
-    budget: Budget,
-) -> SEPartitionCert:
-    others = [s for s in sorted(classes) if s != initial]
-    singletons = frozenset(s for s in others if not classes[s] - {s})
-    decomp = {s: tuple(_components(p, classes[s] - {s})) for s in others if s not in singletons}
-    return _with_subcerts(SEPartitionCert(p, dict(classes), initial, singletons, decomp, None, {}), budget)
-
-
 def se_certificate_from_classes(
     p: GradedPoset,
     initial: str,
@@ -576,12 +571,12 @@ def se_certificate_from_classes(
 ) -> SEPartitionCert | FailureReport:
     """Assemble an SE-certificate from explicit classes (subclasses split by connectivity)."""
     try:
-        return _assemble_se_cert(p, initial, classes, Budget.of(budget))
+        return _certificate(p, SEPartitionCert, initial, classes, Budget.of(budget))
     except _ClassFailure as cf:
         return cf.report()
 
 
-# -- searches -------------------------------------------------------------------------
+# -- search ---------------------------------------------------------------------------
 
 
 def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset[str]]:
@@ -594,172 +589,111 @@ def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset
     return classes
 
 
-def _search_s(p: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
-    """Backtracking over facet orders with per-step class checks; p must be Eulerian."""
-    d = p.rank_top - 1
-    if d == 0:
-        return _base_cert(p)
-    coatoms = sorted(p.coatoms())
-    if len(coatoms) < 2:
-        return None
-    closures = {s: closure(p, [s]) for s in coatoms}
+def _search(
+    p: GradedPoset, budget: Budget, cls: type, first: str | None = None
+) -> SPartitionCert | SEPartitionCert | None:
+    """Depth-first search over facet orders: the first order whose certificate assembles, or None.
 
-    def extend(order: list[str], covered: set[str]) -> SPartitionCert | None:
-        if len(order) == len(coatoms):
-            try:
-                return _assemble_s_cert(p, order[0], order[-1], _classes_from_order(p, order), budget)
-            except _ClassFailure:
-                return None
-        last_slot = len(order) == len(coatoms) - 1
-        for sigma in coatoms:
-            if sigma in order:
+    Facets are placed one at a time, in name order among the candidates, and
+    each class is the facet's closure minus what is already covered.  The
+    certificate class sets the rules for every facet after the first.  S: the
+    last class is a singleton, no other is, and the rest of each other class
+    passes ``_gamma_checked`` whole; ``first``, if given, fills the first
+    slot.  SE: the facet shares a ridge with the covered region and every
+    connected part of the rest passes.  The ``first`` filter and the ridge
+    test come before a facet's search node is spent, the class checks after.
+    One candidate iterator per placed facet lives on an explicit stack.  p
+    must be Eulerian (S, so it has two facets or more) or semi-Eulerian (SE).
+    """
+    if p.rank_top == 1:
+        return _base_cert(p, cls)
+    s_rules = cls is SPartitionCert
+    facets = p._levels[p.rank_top - 1]
+    ridges = p._levels.get(p.rank_top - 2, 0)
+    n = facets.bit_count()
+
+    def fits(i: int, members: int, last: bool) -> bool:
+        """Do the class rules admit facet i, not the first, with this class?"""
+        rest = members & ~(1 << i)
+        if not s_rules:
+            parts = _components(p, rest)
+        elif last == bool(rest):
+            return False
+        else:
+            parts = [frozenset(p._names(rest))] if rest else []
+        try:
+            for part in parts:
+                _gamma_checked(p, p._elements[i], part)
+        except _ClassFailure:
+            return False
+        return True
+
+    def steps(slot: int, placed: int, covered: int):
+        """(facet, placed, covered) for each facet the rules admit into this slot."""
+        pool = facets & ~placed
+        while pool:  # lowest bit first, lazily: most slots take their first candidate
+            i = (pool & -pool).bit_length() - 1
+            pool ^= 1 << i
+            if slot == 0 and first is not None and p._elements[i] != first:
                 continue
-            if not order and first is not None and sigma != first:
+            if slot and not s_rules and not p._downset[i] & ridges & covered:
                 continue
             budget.spend()
-            members = closures[sigma] - covered
-            if order:
-                if last_slot:
-                    if members != {sigma}:
-                        continue
-                else:
-                    if members == {sigma}:
-                        continue
-                    try:
-                        _gamma_checked(p, sigma, members - {sigma})
-                    except _ClassFailure:
-                        continue
-            found = extend(order + [sigma], covered | closures[sigma])
-            if found is not None:
-                return found
-        return None
+            if slot == 0 or fits(i, p._downset[i] & ~covered, slot == n - 1):
+                yield i, placed | 1 << i, covered | p._downset[i]
 
-    return extend([], set())
-
-
-def _search_s_assignments(p: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
-    """Exhaustive per-element assignment search, for small posets only."""
-    coatoms = sorted(p.coatoms())
-    ground = set(p.elements()) - {p.top()}
-    coatom_mask = p._mask(coatoms)  # one rank level, so its (rank, name) order is name order
-    eligible = {
-        x: list(p._names(p._upset[p._index[x]] & coatom_mask)) for x in sorted(ground) if x not in coatoms
-    }
-    for initial in coatoms if first is None else [first]:
-        init_class = closure(p, [initial])
-        for terminal in coatoms:
-            if terminal == initial:
-                continue
-            free = sorted(x for x in eligible if x not in init_class)
-            assign: dict[str, set[str]] = {s: {s} for s in coatoms if s not in (initial, terminal)}
-
-            def place(i: int) -> SPartitionCert | None:
-                if i == len(free):
-                    classes = {s: frozenset(v) for s, v in assign.items()}
-                    classes[initial] = frozenset(init_class)
-                    classes[terminal] = frozenset({terminal})
-                    try:
-                        return _assemble_s_cert(p, initial, terminal, classes, budget)
-                    except _ClassFailure:
-                        return None
-                x = free[i]
-                for s in eligible[x]:
-                    if s in (initial, terminal):
-                        continue
-                    budget.spend()
-                    assign[s].add(x)
-                    found = place(i + 1)
-                    if found is not None:
-                        return found
-                    assign[s].discard(x)
-                return None
-
-            found = place(0)
-            if found is not None:
-                return found
+    order = [0] * n
+    stack = [steps(0, 0, 0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        slot = len(stack) - 1
+        order[slot], placed, covered = step
+        if slot + 1 < n:
+            stack.append(steps(slot + 1, placed, covered))
+            continue
+        names = [p._elements[i] for i in order]
+        try:
+            return _certificate(p, cls, names[0], _classes_from_order(p, names), budget)
+        except _ClassFailure:
+            pass
     return None
 
 
-# posets with at most this many elements also get the exhaustive assignment search
-_ASSIGNMENT_THRESHOLD = 40
+def _search_checked(
+    p: GradedPoset, budget: Budget | int | None, cls: type
+) -> SPartitionCert | SEPartitionCert | None:
+    """Validate, test (semi-)Eulerian, search: the entry shared by both searches."""
+    bad = validate(p)
+    if bad:
+        raise PosetError(f"invalid poset: {bad[0]}")
+    if cls is SPartitionCert and not is_eulerian(p):
+        raise PosetError(f"{p.name} is not Eulerian")
+    if cls is SEPartitionCert and not is_semi_eulerian(p):
+        raise PosetError(f"{p.name} is not semi-Eulerian")
+    return _search(p, Budget.of(budget), cls)
 
 
 def search_s_certificate(p: GradedPoset, budget: Budget | int | None = None) -> SPartitionCert | None:
-    """Search an S-certificate: facet orders first, assignment fallback when small.
+    """Search an S-certificate over facet orders (see ``_search`` for the rules).
 
-    Returns None when the search family is exhausted; raises BudgetExhausted
-    when the node budget runs out and PosetError on a non-Eulerian input.
+    Returns None when the facet-order family is exhausted, which does not
+    prove that p has no S-certificate; raises BudgetExhausted when the node
+    budget runs out and PosetError on an invalid or non-Eulerian input.
     """
-    budget = Budget.of(budget)
-    bad = validate(p)
-    if bad:
-        raise PosetError(f"invalid poset: {bad[0]}")
-    if not is_eulerian(p):
-        raise PosetError(f"{p.name} is not Eulerian")
-    cert = _search_s(p, budget, None)
-    if cert is None and len(p) <= _ASSIGNMENT_THRESHOLD and p.rank_top >= 2:
-        cert = _search_s_assignments(p, budget, None)
-    return cert
+    return _search_checked(p, budget, SPartitionCert)
 
 
-def _facet_adjacent(p: GradedPoset, sigma: str, covered: int) -> bool:
-    """Does a ridge of sigma lie in the covered bitset?"""
-    return bool(p._downset[p._index[sigma]] & p._levels.get(p.rank_top - 2, 0) & covered)
+def search_se_certificate(p: GradedPoset, budget: Budget | int | None = None) -> SEPartitionCert | None:
+    """Search an SE-certificate over ridge-adjacent facet orders (see ``_search``).
 
-
-def search_se_certificate(
-    p: GradedPoset,
-    budget: Budget | int | None = None,
-) -> SEPartitionCert | None:
-    """Search an SE-certificate by adjacency orders with backtracking.
-
-    Facets are added one at a time, each sharing a ridge with the region
-    covered so far; classes split into connected subclasses.  Returns None
-    on exhaustion, raises BudgetExhausted or PosetError (non-semi-Eulerian).
+    Classes split into connected subclasses.  Returns None when the
+    facet-order family is exhausted; raises BudgetExhausted, or PosetError on
+    an invalid or non-semi-Eulerian input.
     """
-    budget = Budget.of(budget)
-    bad = validate(p)
-    if bad:
-        raise PosetError(f"invalid poset: {bad[0]}")
-    if not is_semi_eulerian(p):
-        raise PosetError(f"{p.name} is not semi-Eulerian")
-    d = p.rank_top - 1
-    if d == 0:
-        return _base_cert(p, SEPartitionCert)
-    coatoms = sorted(p.coatoms())
-    closures = {s: p._downset[p._index[s]] for s in coatoms}
-
-    def class_ok(sigma: str, members: int) -> bool:
-        rest = frozenset(p._names(members)) - {sigma}
-        if not rest:
-            return True
-        for part in _components(p, rest):
-            try:
-                _gamma_checked(p, sigma, part)
-            except _ClassFailure:
-                return False
-        return True
-
-    def extend(order: list[str], covered: int) -> SEPartitionCert | None:
-        if len(order) == len(coatoms):
-            try:
-                return _assemble_se_cert(p, order[0], _classes_from_order(p, order), budget)
-            except _ClassFailure:
-                return None
-        for sigma in coatoms:
-            if sigma in order:
-                continue
-            if order and not _facet_adjacent(p, sigma, covered):
-                continue
-            budget.spend()
-            if order and not class_ok(sigma, closures[sigma] & ~covered):
-                continue
-            found = extend(order + [sigma], covered | closures[sigma])
-            if found is not None:
-                return found
-        return None
-
-    return extend([], 0)
+    return _search_checked(p, budget, SEPartitionCert)
 
 
 # -- conversions ------------------------------------------------------------------------
@@ -789,7 +723,7 @@ def order_to_s_certificate(
         if classes[sigma] == frozenset({sigma}):
             return FailureReport(sigma, "ordinary-singleton", "intermediate facet already covered")
     try:
-        return _assemble_s_cert(p, facet_order[0], terminal, classes, budget)
+        return _certificate(p, SPartitionCert, facet_order[0], classes, budget)
     except _ClassFailure as cf:
         return cf.report()
 
@@ -846,7 +780,7 @@ def simplicial_partition_to_s_certificate(
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
     try:
-        return _assemble_s_cert(p, initials[0], terminals[0], classes, budget)
+        return _certificate(p, SPartitionCert, initials[0], classes, budget)
     except _ClassFailure as cf:
         return cf.report()
 
@@ -885,7 +819,7 @@ def product_se_partition(
     initial = pair_name(cp.initial, cq.initial)
     classes[initial] = classes[initial] | {BOT}
     try:
-        return _assemble_se_cert(prod, initial, classes, budget)
+        return _certificate(prod, SEPartitionCert, initial, classes, budget)
     except _ClassFailure as cf:
         raise PosetError(f"product classes failed: {cf.report()}")
 

@@ -37,6 +37,19 @@ def torus_files(tmp_path, run):
     return str(poset), str(cert)
 
 
+@pytest.fixture()
+def simplex_files(tmp_path, run):
+    """simplex-boundary(3) and the boolean-interval pairs of its name-order shelling."""
+    from cdposet import zoo
+
+    poset = tmp_path / "s.poset"
+    assert run("gen", "simplex-boundary", "3", "--out", str(poset))[0] == 0
+    p = zoo.gen("simplex-boundary", (3,))
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"pair {r} {f}\n" for r, f in zoo.shelling_restrictions(p, sorted(p.coatoms()))))
+    return str(poset), str(pairs)
+
+
 class TestCoreVerbs:
     def test_cd_q(self, run, q_files):
         code, out, _ = run("cd", q_files[0])
@@ -130,6 +143,20 @@ class TestSearchAndConvert:
         code, out, _ = run("search-spart", q_files[0], "--budget", "0")
         assert code == 1 and out.strip() == "search budget of 0 nodes exhausted"
 
+    @pytest.mark.parametrize("verb", ["search-spart", "convert-shelling", "convert-simplicial-partition"])
+    def test_negative_budget_is_input_error(self, run, capsys, q_files, verb):
+        extra = {"convert-shelling": ["--order", "s1"], "convert-simplicial-partition": ["--pairs", "x"]}
+        with pytest.raises(SystemExit) as exc:
+            run(verb, q_files[0], "--budget", "-3", *extra.get(verb, []))
+        assert exc.value.code == 2
+        assert "node limit must be nonnegative, got -3" in capsys.readouterr().err
+
+    def test_search_separt_deeper_than_the_recursion_limit(self, run, tmp_path):
+        poset = tmp_path / "d.poset"
+        assert run("gen", "discrete-points", "1100", "--out", str(poset))[0] == 0
+        code, out, _ = run("search-separt", str(poset))
+        assert code == 0 and out.strip() == "FOUND total c"
+
     def test_search_spart_on_torus_fails(self, run, torus_files):
         code, out, _ = run("search-spart", torus_files[0])
         assert code == 1 and "not Eulerian" in out
@@ -142,18 +169,8 @@ class TestSearchAndConvert:
         code, out, _ = run("convert-shelling", q_files[0], "--order", "s7,s1,s2,s3,s4,s5,s6")
         assert code == 1 and "FAILURE" in out
 
-    def test_convert_simplicial(self, run, tmp_path):
-        code, _, _ = run("gen", "simplex-boundary", "3", "--out", str(tmp_path / "s.poset"))
-        assert code == 0
-        from cdposet import zoo
-
-        p = zoo.gen("simplex-boundary", (3,))
-        pairs = zoo.shelling_restrictions(p, sorted(p.coatoms()))
-        pairs_file = tmp_path / "pairs.txt"
-        pairs_file.write_text("".join(f"pair {r} {f}\n" for r, f in pairs))
-        code, out, _ = run(
-            "convert-simplicial-partition", str(tmp_path / "s.poset"), "--pairs", str(pairs_file)
-        )
+    def test_convert_simplicial(self, run, simplex_files):
+        code, out, _ = run("convert-simplicial-partition", simplex_files[0], "--pairs", simplex_files[1])
         assert code == 0 and out.startswith("OK total")
 
 
@@ -213,3 +230,24 @@ class TestBadCovers:
         code, out, err = run(verb[0], str(path), *verb[1:])
         assert code == 2 and out == ""
         assert "does not go up in rank" in err
+
+
+class TestUnwritableOutput:
+    """Writing into a missing directory is an input error: exit 2, no traceback."""
+
+    VERBS = {
+        "search-spart": ["search-spart", "Q", "--emit-cert"],
+        "search-separt": ["search-separt", "T", "--emit-cert"],
+        "convert-shelling": ["convert-shelling", "Q", "--order", "s1,s2,s3,s4,s5,s6,s7", "--emit-cert"],
+        "convert-simplicial-partition": ["convert-simplicial-partition", "S", "--pairs", "PAIRS", "--emit-cert"],
+        "gen-out": ["gen", "polygon", "4", "--out"],
+        "gen-emit-cert": ["gen", "q-polytope", "--emit-cert"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(VERBS))
+    def test_missing_directory_exits_2(self, run, tmp_path, q_files, torus_files, simplex_files, name):
+        files = {"Q": q_files[0], "T": torus_files[0], "S": simplex_files[0], "PAIRS": simplex_files[1]}
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(*[files.get(a, a) for a in self.VERBS[name]], str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {target}: ") and not target.parent.exists()

@@ -1,9 +1,11 @@
-"""The library stays dependency-free: no declared runtime dependency, stdlib-only imports."""
+"""The library stays dependency-free (no declared runtime dependency, stdlib-only imports); its scripts run."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,14 @@ def test_every_import_is_stdlib_or_cdposet():
     for path in SOURCES:
         foreign = imported_packages(path) - set(sys.stdlib_module_names) - {"cdposet"}
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_reproduce_tables_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().splitlines()[-1] == "all recursive totals agree with the direct pipeline"

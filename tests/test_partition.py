@@ -296,14 +296,6 @@ class TestSearch:
         with pytest.raises(PosetError):
             search_s_certificate(torus6)
 
-    def test_assignment_fallback_agrees_with_order_search(self):
-        from cdposet.partition import Budget, _search_s_assignments
-
-        p = zoo.gen("polygon", (4,))
-        cert = _search_s_assignments(p, Budget(10**6), first=None)
-        assert cert is not None and verify_s_partition(cert) == []
-        assert contributions_s(cert, check=False).total == poly({"cc": 1, "d": 2})
-
     def test_se_torus(self, torus6):
         cert = search_se_certificate(torus6)
         assert cert is not None
@@ -313,6 +305,13 @@ class TestSearch:
         cert = search_se_certificate(zoo.gen("discrete-points", (9,)))
         assert cert is not None
         assert contributions_se(cert, check=False).total == poly({"c": 1})
+
+    def test_se_order_deeper_than_the_recursion_limit(self):
+        # 1100 facets: one stack slot per placed facet, no Python frame per facet
+        p = zoo.gen("discrete-points", (1100,))
+        cert = search_se_certificate(p)
+        assert cert is not None and verify_se_partition(cert) == []
+        assert len(cert.singletons) == 1099
 
     def test_se_pseudomanifolds(self):
         for fam in ("octahedron", "icosahedron", "torus-7vertex"):
