@@ -42,6 +42,22 @@ class InputError(Exception):
     pass
 
 
+class _UsageError(SystemExit):
+    """The exit-2 SystemExit of an argparse rejection, carrying its message for the JSON report."""
+
+    def __init__(self, message: str):
+        super().__init__(2)
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        try:
+            super().error(message)  # prints the usage and the message, then exits 2
+        except SystemExit:
+            raise _UsageError(message) from None
+
+
 def _color(text: str, code: str) -> str:
     if os.environ.get("CDX_COLOR", "") in ("", "0"):
         return text
@@ -105,6 +121,10 @@ class Report:
 
     def poly(self, name: str, p: NcPolynomial) -> None:
         self.polynomials[name] = _poly_json(p)
+
+    def with_error(self, message: str) -> "Report":
+        self.result["error"] = message
+        return self
 
     def to_json(self, seconds: float) -> str:
         payload = {
@@ -364,7 +384,7 @@ def _budget(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdposet",
         description="Flag vectors, cd-indices and partition certificates of graded posets.",
     )
@@ -420,18 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(json=False, verb=None)  # --json comes before the verb, so it is read first
+    try:
+        build_parser().parse_args(argv, namespace=args)
+    except _UsageError as exc:
+        if args.json:
+            print(Report(args.verb, []).with_error(exc.message).to_json(0.0))
+        raise
     rep = Report(args.verb, [v for k, v in vars(args).items() if k in ("poset", "certificate", "family") and v])
     start = time.perf_counter()
     try:
         code = args.func(args, rep)
-    except InputError as exc:
-        rep.result["error"] = str(exc)
+    except (InputError, zoo.UnknownFamily, zoo.BadParams, zoo.NoPublishedCertificate) as exc:
         if args.json:
-            print(rep.to_json(time.perf_counter() - start))
-        print(_bad(f"error: {exc}"), file=sys.stderr)
-        return 2
-    except (zoo.UnknownFamily, zoo.BadParams, zoo.NoPublishedCertificate) as exc:
+            print(rep.with_error(str(exc)).to_json(time.perf_counter() - start))
         print(_bad(f"error: {exc}"), file=sys.stderr)
         return 2
     if args.json:

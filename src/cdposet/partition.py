@@ -3,34 +3,30 @@
 An SE-certificate partitions the elements of a semi-Eulerian poset (minus
 the top) into one class per coatom: the full closure of an initial coatom,
 zero classes that hold only their coatom, and ordinary classes split into
-subclasses whose capped closures are near-Eulerian with recursively
+subclasses whose capped closures (gamma) are near-Eulerian with recursively
 certified semisuspensions.  An S-certificate is the Eulerian special case:
 its one zero class is the terminal singleton and each ordinary class is a
-single subclass.  Every certificate walk (verification, contributions,
-assembly, the file format) is written once over the view both dataclasses
-share; they differ only in the Eulerian or semi-Eulerian test, the rules
-for zero classes and the SE decomposition checks.
+single subclass.  Every walk is written once over the view both share.
 
-Verification never searches: a certificate is an explicit witness and
-``verify_partition`` only checks it.  Both searches are one depth-first walk
-over facet orders, each class the facet's closure minus what is already
-covered; the certificate class sets the rules (a terminal singleton for S,
-ridge adjacency and connected subclasses for SE).  A search that returns
-None has exhausted the facet orders, which does not prove that no
-certificate exists.
+A class check builds gamma and its semisuspension once and hands both on.
+``verify_partition`` checks an explicit witness and never searches; a
+sub-certificate on a checked semisuspension is not tested again, and
+``contributions`` totals over the boundaries and gammas its verification
+recorded.  Both searches walk facet orders depth first, and their class
+checks hand the semisuspensions to the sub-searches.  A search that returns
+None has exhausted the facet orders, not shown that no certificate exists.
 
-Contribution maps implement the recursion: the initial coatom contributes
-the cd-index of its capped boundary times c, ordinary coatoms contribute,
-per subclass, the boundary cd-index times d plus the ordinary contributions
-of the semisuspension times c, and zero classes contribute zero.  The
-boundary cd-indices are computed by the direct flag pipeline and
-cross-checked against the recursive totals at every level.
+The initial coatom contributes the cd-index of its capped boundary times
+c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
+plus the ordinary contributions of the semisuspension times c; zero classes
+contribute zero.  The boundary cd-indices come from the direct flag
+pipeline and are cross-checked against the recursive totals at every level.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Hashable
+from collections import ChainMap, Counter
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
 from .flags import cd_index
@@ -48,9 +44,10 @@ from .poset import (
     cap,
     closure,
     is_eulerian,
-    is_near_eulerian,
     is_semi_eulerian,
+    near_eulerian_suspension,
     pair_name,
+    product as poset_product,
     semisuspension,
     validate,
 )
@@ -183,7 +180,7 @@ class SEPartitionCert(_Certificate):
         return [(j, frozenset(part), (sigma, j)) for j, part in enumerate(parts, start=1)]
 
 
-def _base_cert(p: GradedPoset, cls: type = SPartitionCert) -> SPartitionCert | SEPartitionCert:
+def _base_cert(p: GradedPoset, cls: type) -> SPartitionCert | SEPartitionCert:
     """The empty certificate of a rank-1 poset."""
     if cls is SPartitionCert:
         return SPartitionCert(p, {}, None, None, None, {})
@@ -212,14 +209,11 @@ class FailureReport:
 
 
 class _ClassFailure(Exception):
+    """A class check failed; ``report`` names the facet, the failure code and the detail."""
+
     def __init__(self, facet: str | None, code: str, detail: str):
         super().__init__(f"{code} at {facet}: {detail}")
-        self.facet = facet
-        self.code = code
-        self.detail = detail
-
-    def report(self) -> FailureReport:
-        return FailureReport(self.facet, self.code, self.detail)
+        self.report = FailureReport(facet, code, detail)
 
 
 # -- derived sub-posets -----------------------------------------------------------
@@ -247,15 +241,21 @@ def boundary_poset(gamma: GradedPoset) -> GradedPoset:
     return cap(gamma, boundary_set(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
 
 
-def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str]) -> GradedPoset:
-    """Build and fully check an ordinary class closure; raises _ClassFailure."""
+def _gamma_checked(
+    p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], tau: str
+) -> tuple[GradedPoset, GradedPoset]:
+    """Build and fully check an ordinary (sub)class closure; raises _ClassFailure.
+
+    Returns gamma and its semisuspension at tau, found valid and Eulerian.
+    """
     if not rest:
         raise _ClassFailure(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
     try:
         gamma = gamma_poset(p, sigma, rest)
     except (RankTooLow, PosetError) as exc:
         raise _ClassFailure(sigma, "gamma-unbuildable", str(exc))
-    if not is_near_eulerian(gamma):
+    suspended = near_eulerian_suspension(gamma, tau)
+    if suspended is None:
         raise _ClassFailure(sigma, "gamma-not-near-eulerian", gamma.name)
     bdry = boundary_set(gamma)
     if set(rest) & bdry:
@@ -263,7 +263,7 @@ def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str]) 
     if set(rest) | bdry != set(gamma.elements()) - {TOP}:
         missing = (set(gamma.elements()) - {TOP}) - (set(rest) | bdry)
         raise _ClassFailure(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
-    return gamma
+    return gamma, suspended
 
 
 # -- verification ------------------------------------------------------------------
@@ -316,9 +316,12 @@ def _check_partition(
 
 
 def _verify_sub(
-    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]
+    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation], built: dict
 ) -> None:
-    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse."""
+    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse.
+
+    A sub-certificate on a subclass's semisuspension, tested by the class check, is not tested again.
+    """
     if sub is None:
         code = "missing-initial-subcert" if tau is None else "missing-subcert"
         out.append(Violation(code, cpath, "no sub-certificate"))
@@ -328,7 +331,7 @@ def _verify_sub(
     elif tau is not None and sub.initial != tau:
         out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
-        out.extend(verify_partition(sub, f"{cpath}/sub"))
+        out.extend(_verify(sub, f"{cpath}/sub", built, tested=tau is not None))
 
 
 def _check_terminal(cert: SPartitionCert, path: str, out: list[Violation]) -> bool:
@@ -387,17 +390,25 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = 
     SE-certificate a semi-Eulerian poset, declared singletons and a subclass
     decomposition of every ordinary class.
     """
-    path = cert.header if path is None else path
+    return _verify(cert, cert.header if path is None else path, {})
+
+
+def _verify(cert: SPartitionCert | SEPartitionCert, path: str, built: dict, tested: bool = False) -> list[Violation]:
+    """The checks of ``verify_partition``; ``tested``: the poset is known valid and Eulerian.
+
+    Records in ``built[id(cert)]``, for the totals of the same call, the
+    capped initial boundary (key None) and each gamma (by ``subcerts`` key).
+    """
     eulerian = isinstance(cert, SPartitionCert)
     p = cert.poset
-    bad = validate(p)
+    bad = [] if tested else validate(p)
     if bad:
         return [Violation("poset-invalid", path, str(v)) for v in bad]
     if p.rank_top - 1 == 0:
         if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
             return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
         return []
-    if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
+    if not (tested or (is_eulerian(p) if eulerian else is_semi_eulerian(p))):
         return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
     out: list[Violation] = []
     if not _check_partition(cert, path, out):
@@ -405,7 +416,8 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = 
     if not (_check_terminal if eulerian else _check_singletons)(cert, path, out):
         return out
     boundary = initial_boundary_poset(p, cert.initial)
-    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
+    level = built[id(cert)] = {None: boundary}
+    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out, built)
     keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
     if set(keyed) != set(cert.ordinary()):
         out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {cert.ordinary()}"))
@@ -416,14 +428,13 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = 
             continue
         for j, part, key in cert._subclasses(sigma):
             spath = cpath if j is None else f"{cpath}/subclass[{j}]"
-            try:
-                gamma = _gamma_checked(p, sigma, part)
-            except _ClassFailure as cf:
-                out.append(Violation(cf.code, spath, cf.detail))
-                continue
             tau = tau_name(sigma, j)
-            expected, _ = semisuspension(gamma, tau)
-            _verify_sub(cert.subcerts.get(key), expected, spath, tau, out)
+            try:
+                level[key], suspended = _gamma_checked(p, sigma, part, tau)
+            except _ClassFailure as cf:
+                out.append(Violation(cf.report.code, spath, cf.report.detail))
+                continue
+            _verify_sub(cert.subcerts.get(key), suspended, spath, tau, out, built)
     return out
 
 
@@ -433,60 +444,61 @@ verify_s_partition = verify_se_partition = verify_partition
 # -- contributions -----------------------------------------------------------------
 
 
-def _ordinary_block(p: GradedPoset, sigma: str, part: frozenset[str], sub: SPartitionCert, tau: str) -> NcPolynomial:
+def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert, built: dict) -> NcPolynomial:
     """Phi(boundary)*d plus the ordinary contributions of the semisuspension times c.
 
     The boundary is the capped boundary of the sub-certificate's initial
     coatom, whose block the recursion already checked against its own
     recursive total; comparing with that block closes the cross-check.
     """
-    phi_bdry = cd_index(boundary_poset(gamma_poset(p, sigma, part)))
-    rec = _contributions(sub)
+    phi_bdry = cd_index(boundary_poset(gamma))
+    rec = _contributions(sub, built)
     if sub.subcert_initial is None:
         direct, recursive = phi_bdry, NcPolynomial.unit(CD)
     else:
         direct, recursive = phi_bdry.times_letter("c"), rec.per_coatom[sub.initial]
     if direct != recursive:
         raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {direct} vs {recursive}")
-    out = phi_bdry.times_letter("d")
-    for omega in sub.ordinary():
-        out = out + rec.per_coatom[omega].times_letter("c")
-    return out
+    ordinary = (rec.per_coatom[omega].times_letter("c") for omega in sub.ordinary())
+    return sum(ordinary, phi_bdry.times_letter("d"))
 
 
-def _initial_block(cert: SPartitionCert | SEPartitionCert) -> NcPolynomial:
-    phi = cd_index(initial_boundary_poset(cert.poset, cert.initial))
-    rec = _contributions(cert.subcert_initial)
-    if rec.total != phi:
-        raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
-    return phi.times_letter("c")
-
-
-def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
+def _contributions(cert: SPartitionCert | SEPartitionCert, built: dict) -> ContributionMap:
     p = cert.poset
     if p.rank_top - 1 == 0:
         return ContributionMap({}, NcPolynomial.unit(CD))
-    per: dict[str, NcPolynomial] = {cert.initial: _initial_block(cert)}
+    level = built.get(id(cert), {})  # empty unless verified in this call: then build here
+    phi = cd_index(level[None] if level else initial_boundary_poset(p, cert.initial))
+    rec = _contributions(cert.subcert_initial, built)
+    if rec.total != phi:
+        raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
+    per: dict[str, NcPolynomial] = {cert.initial: phi.times_letter("c")}
     for sigma in sorted(cert.zero_classes()):
         per[sigma] = NcPolynomial.zero(CD)
     for sigma in cert.ordinary():
         acc = NcPolynomial.zero(CD)
-        for j, part, key in cert._subclasses(sigma):
-            acc = acc + _ordinary_block(p, sigma, part, cert.subcerts[key], tau_name(sigma, j))
+        for _, part, key in cert._subclasses(sigma):
+            gamma = level[key] if level else gamma_poset(p, sigma, part)
+            acc = acc + _ordinary_block(sigma, gamma, cert.subcerts[key], built)
         per[sigma] = acc
-    total = NcPolynomial.zero(CD)
-    for poly in per.values():
-        total = total + poly
-    return ContributionMap(per, total)
+    return ContributionMap(per, sum(per.values(), NcPolynomial.zero(CD)))
 
 
 def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) -> ContributionMap:
-    """Per-coatom contributions of a verified certificate; the total is the (semi-)cd-index."""
+    """Per-coatom contributions of a certificate; the total is the (semi-)cd-index.
+
+    ``check`` verifies first, raising all violations as CertificateInvalid
+    before any cd-index, and the totals reuse the boundaries and gammas that
+    verification built.  Each boundary cd-index, from the direct flag
+    pipeline, must equal its sub-certificate's recursive total (else
+    CrossCheckError).
+    """
+    built: dict[int, dict] = {}
     if check:
-        violations = verify_partition(cert)
+        violations = _verify(cert, cert.header, built)
         if violations:
             raise CertificateInvalid(violations)
-    return _contributions(cert)
+    return _contributions(cert, built)
 
 
 contributions_s = contributions_se = contributions
@@ -521,28 +533,20 @@ def _components(p: GradedPoset, members: int) -> list[frozenset[str]]:
     return sorted(comps, key=min)
 
 
-def _search_sub(q: GradedPoset, budget: Budget, first: str | None) -> SPartitionCert | None:
-    """S-search on a derived sub-poset, None unless it is Eulerian.
-
-    A rank-1 sub-poset is always the two-element chain, so it skips the test.
-    """
-    if q.rank_top > 1 and not is_eulerian(q):
-        return None
-    return _search(q, budget, SPartitionCert, first)
-
-
 def _certificate(
     p: GradedPoset,
     cls: type,
     initial: str,
     classes: dict[str, frozenset[str]],
     budget: Budget,
-) -> SPartitionCert | SEPartitionCert:
-    """The certificate with these classes, its sub-certificates searched; raises _ClassFailure.
+    checked: Mapping[str, GradedPoset] | None = None,
+) -> SPartitionCert | SEPartitionCert | FailureReport:
+    """The certificate with these classes and its searched sub-certificates, or the first class failure.
 
     The zero classes are the one-element classes besides the initial one: the
     S terminal (every caller leaves exactly one) or the SE singletons.  SE
-    ordinary classes split into their connected components.
+    ordinary classes split into their connected components.  ``checked`` maps
+    each subclass's tau to its semisuspension when the caller ran the checks.
     """
     zero = sorted(s for s in classes if s != initial and classes[s] == {s})
     if cls is SPartitionCert:
@@ -550,16 +554,24 @@ def _certificate(
     else:
         cert = SEPartitionCert(p, dict(classes), initial, frozenset(zero), {}, None, {})
         cert.subclass_decomp = {s: tuple(_components(p, p._mask(classes[s] - {s}))) for s in cert.ordinary()}
-    cert.subcert_initial = _search_sub(initial_boundary_poset(p, initial), budget, first=None)
+    boundary = initial_boundary_poset(p, initial)
+    # a rank-1 boundary is the two-element chain and needs no test
+    if boundary.rank_top == 1 or is_eulerian(boundary):
+        cert.subcert_initial = _search(boundary, budget, SPartitionCert)
     if cert.subcert_initial is None:
-        raise _ClassFailure(initial, "initial-subcert", "capped boundary admits no certificate")
+        return FailureReport(initial, "initial-subcert", "capped boundary admits no certificate")
     for sigma in cert.ordinary():
         for j, part, key in cert._subclasses(sigma):
-            ss, tau = semisuspension(_gamma_checked(p, sigma, part), tau_name(sigma, j))
-            cert.subcerts[key] = _search_sub(ss, budget, first=tau)
+            tau = tau_name(sigma, j)
+            try:
+                suspended = checked[tau] if checked is not None else _gamma_checked(p, sigma, part, tau)[1]
+            except _ClassFailure as cf:
+                return cf.report
+            # the class check found the semisuspension Eulerian
+            cert.subcerts[key] = _search(suspended, budget, SPartitionCert, first=tau)
             if cert.subcerts[key] is None:
                 where = "" if j is None else f"subclass {j} "
-                raise _ClassFailure(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
+                return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
     return cert
 
 
@@ -570,10 +582,7 @@ def se_certificate_from_classes(
     budget: Budget | None = None,
 ) -> SEPartitionCert | FailureReport:
     """Assemble an SE-certificate from explicit classes (subclasses split by connectivity)."""
-    try:
-        return _certificate(p, SEPartitionCert, initial, classes, Budget.of(budget))
-    except _ClassFailure as cf:
-        return cf.report()
+    return _certificate(p, SEPartitionCert, initial, classes, Budget.of(budget))
 
 
 # -- search ---------------------------------------------------------------------------
@@ -595,15 +604,22 @@ def _search(
     """Depth-first search over facet orders: the first order whose certificate assembles, or None.
 
     Facets are placed one at a time, in name order among the candidates, and
-    each class is the facet's closure minus what is already covered.  The
-    certificate class sets the rules for every facet after the first.  S: the
+    each class is the facet's closure minus what is already covered.  Every
+    facet after the first shares a ridge with the covered region.  S: the
     last class is a singleton, no other is, and the rest of each other class
     passes ``_gamma_checked`` whole; ``first``, if given, fills the first
-    slot.  SE: the facet shares a ridge with the covered region and every
-    connected part of the rest passes.  The ``first`` filter and the ridge
-    test come before a facet's search node is spent, the class checks after.
-    One candidate iterator per placed facet lives on an explicit stack.  p
-    must be Eulerian (S, so it has two facets or more) or semi-Eulerian (SE).
+    slot.  SE: every connected part of the rest passes.  The ``first`` filter
+    and the ridge test come before a facet's search node is spent, the class
+    checks after.  One candidate iterator per placed facet lives on an
+    explicit stack, with the semisuspensions its checks built for
+    ``_certificate``.  p must be Eulerian (S, so it has two facets or more)
+    or semi-Eulerian (SE).
+
+    The ridge test loses no S-certificate: a facet sharing no ridge with the
+    covered region keeps all its ridges, so its rest is not empty and its
+    gamma caps the whole open interval below it.  Every rank-2 interval of
+    an Eulerian poset is a diamond, so gamma has an empty boundary and its
+    semisuspension, with a coatom covering nothing, fails validation.
     """
     if p.rank_top == 1:
         return _base_cert(p, cls)
@@ -612,37 +628,38 @@ def _search(
     ridges = p._levels.get(p.rank_top - 2, 0)
     n = facets.bit_count()
 
-    def fits(i: int, members: int, last: bool) -> bool:
-        """Do the class rules admit facet i, not the first, with this class?"""
+    def fits(i: int, members: int, last: bool) -> dict[str, GradedPoset] | None:
+        """Each subclass's semisuspension, by tau, if the rules admit facet i (not the first); else None."""
+        sigma = p._elements[i]
         rest = members & ~(1 << i)
         if not s_rules:
-            parts = _components(p, rest)
+            parts = [(tau_name(sigma, j), part) for j, part in enumerate(_components(p, rest), start=1)]
         elif last == bool(rest):
-            return False
+            return None
         else:
-            parts = [frozenset(p._names(rest))] if rest else []
+            parts = [(tau_name(sigma), frozenset(p._names(rest)))] if rest else []
         try:
-            for part in parts:
-                _gamma_checked(p, p._elements[i], part)
+            return {tau: _gamma_checked(p, sigma, part, tau)[1] for tau, part in parts}
         except _ClassFailure:
-            return False
-        return True
+            return None
 
     def steps(slot: int, placed: int, covered: int):
-        """(facet, placed, covered) for each facet the rules admit into this slot."""
+        """(facet, placed, covered, checked) for each facet the rules admit into this slot."""
         pool = facets & ~placed
         while pool:  # lowest bit first, lazily: most slots take their first candidate
             i = (pool & -pool).bit_length() - 1
             pool ^= 1 << i
             if slot == 0 and first is not None and p._elements[i] != first:
                 continue
-            if slot and not s_rules and not p._downset[i] & ridges & covered:
+            if slot and not p._downset[i] & ridges & covered:
                 continue
             budget.spend()
-            if slot == 0 or fits(i, p._downset[i] & ~covered, slot == n - 1):
-                yield i, placed | 1 << i, covered | p._downset[i]
+            checked = {} if slot == 0 else fits(i, p._downset[i] & ~covered, slot == n - 1)
+            if checked is not None:
+                yield i, placed | 1 << i, covered | p._downset[i], checked
 
     order = [0] * n
+    checked: list[dict[str, GradedPoset]] = [{}] * n
     stack = [steps(0, 0, 0)]
     while stack:
         step = next(stack[-1], None)
@@ -650,15 +667,14 @@ def _search(
             stack.pop()
             continue
         slot = len(stack) - 1
-        order[slot], placed, covered = step
+        order[slot], placed, covered, checked[slot] = step
         if slot + 1 < n:
             stack.append(steps(slot + 1, placed, covered))
             continue
         names = [p._elements[i] for i in order]
-        try:
-            return _certificate(p, cls, names[0], _classes_from_order(p, names), budget)
-        except _ClassFailure:
-            pass
+        cert = _certificate(p, cls, names[0], _classes_from_order(p, names), budget, ChainMap(*checked))
+        if not isinstance(cert, FailureReport):
+            return cert
     return None
 
 
@@ -705,7 +721,6 @@ def order_to_s_certificate(
     budget: Budget | int | None = None,
 ) -> SPartitionCert | FailureReport:
     """Certificate induced by a shelling-style facet order, or a failure report."""
-    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
@@ -722,10 +737,7 @@ def order_to_s_certificate(
     for sigma in facet_order[1:-1]:
         if classes[sigma] == frozenset({sigma}):
             return FailureReport(sigma, "ordinary-singleton", "intermediate facet already covered")
-    try:
-        return _certificate(p, SPartitionCert, facet_order[0], classes, budget)
-    except _ClassFailure as cf:
-        return cf.report()
+    return _certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget))
 
 
 def _is_simplicial(p: GradedPoset) -> bool:
@@ -751,7 +763,6 @@ def simplicial_partition_to_s_certificate(
     NotAPartition when the pairs do not form one partition class per facet
     with a unique empty restriction and a unique full restriction.
     """
-    budget = Budget.of(budget)
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
@@ -779,10 +790,7 @@ def simplicial_partition_to_s_certificate(
         raise NotAPartition("boolean intervals do not partition the poset")
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
-    try:
-        return _certificate(p, SPartitionCert, initials[0], classes, budget)
-    except _ClassFailure as cf:
-        return cf.report()
+    return _certificate(p, SPartitionCert, initials[0], classes, Budget.of(budget))
 
 
 def product_se_partition(
@@ -796,7 +804,6 @@ def product_se_partition(
     are searched per subclass.  Raises RankNotThree on wrong ranks and
     CertificateInvalid when a factor certificate does not verify.
     """
-    budget = Budget.of(budget)
     p, q = cp.poset, cq.poset
     if p.rank_top != 3 or q.rank_top != 3:
         raise RankNotThree(f"ranks {p.rank_top} and {q.rank_top}, both must be 3")
@@ -804,8 +811,6 @@ def product_se_partition(
         violations = verify_partition(cert)
         if violations:
             raise CertificateInvalid(violations)
-    from .poset import product as poset_product
-
     prod = poset_product(p, q)
     classes: dict[str, frozenset[str]] = {}
     for s in sorted(cp.classes):
@@ -818,10 +823,10 @@ def product_se_partition(
             classes[pair_name(s, t)] = frozenset(members)
     initial = pair_name(cp.initial, cq.initial)
     classes[initial] = classes[initial] | {BOT}
-    try:
-        return _certificate(prod, SEPartitionCert, initial, classes, budget)
-    except _ClassFailure as cf:
-        raise PosetError(f"product classes failed: {cf.report()}")
+    cert = _certificate(prod, SEPartitionCert, initial, classes, Budget.of(budget))
+    if isinstance(cert, FailureReport):
+        raise PosetError(f"product classes failed: {cert}")
+    return cert
 
 
 # -- reverse partitions ---------------------------------------------------------------
@@ -835,29 +840,24 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[bool, dict[tuple[str,
     appended (the terminal coatom for the empty chain).
     """
     p = cert.poset
-    d = p.rank_top - 1
-    ground = set(p.elements()) - {p.top()}
-    reverse: dict[str, frozenset[str]] = {}
-    for sigma in sorted(cert.classes):
-        bdry = closure(p, [sigma]) - {sigma}
-        if sigma == cert.initial:
-            gamma_members = bdry
-        elif sigma == cert.terminal:
-            gamma_members = set()
-        else:
-            gamma_members = closure(p, cert.classes[sigma] - {sigma})
-        reverse[sigma] = frozenset((bdry - gamma_members) | {sigma})
     owner: dict[str, str] = {}
-    for sigma, members in sorted(reverse.items()):
-        for m in members:
-            if m in owner:
-                return False, None
-            owner[m] = sigma
-    if set(owner) != ground:
+    covered = 0
+    for sigma in sorted(cert.classes):
+        i = p._index[sigma]
+        if sigma == cert.initial:  # its gamma is its whole boundary
+            reverse = 1 << i
+        else:  # the terminal's gamma is empty
+            rest = () if sigma == cert.terminal else cert.classes[sigma] - {sigma}
+            reverse = p._downset[i] & ~_union(p._downset, p._mask(rest)) | 1 << i
+        if reverse & covered:
+            return False, None
+        covered |= reverse
+        owner.update(dict.fromkeys(p._names(reverse), sigma))
+    if covered != (1 << len(p)) - 1 ^ 1 << p._index[p.top()]:
         return False, None
     assignment: dict[tuple[str, ...], str] = {(): owner[BOT]}
     below_d = 0  # ranks 1..d-1
-    for r in range(1, d):
+    for r in range(1, p.rank_top - 1):
         below_d |= p._levels.get(r, 0)
 
     def chains(prefix: tuple[str, ...], candidates: int) -> None:

@@ -326,14 +326,23 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     return GradedPoset(f"ssusp({p.name})", ranks, covers), tau_name
 
 
+def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:
+    """The semisuspension of p at tau_name if it is a valid Eulerian poset, else None.
+
+    p is near-Eulerian exactly when this is not None; callers that go on to
+    use the semisuspension keep it instead of building it again.
+    """
+    if p.rank_top < 2 or validate(p):
+        return None
+    susp, _ = semisuspension(p, tau_name)
+    if validate(susp) or not is_eulerian(susp):
+        return None
+    return susp
+
+
 def is_near_eulerian(p: GradedPoset) -> bool:
     """True iff the semisuspension restores an Eulerian poset."""
-    if p.rank_top < 2 or validate(p):
-        return False
-    susp, _ = semisuspension(p, "tau!near")
-    if validate(susp):
-        return False
-    return is_eulerian(susp)
+    return near_eulerian_suspension(p, "tau!near") is not None
 
 
 # -- products and connected sums -------------------------------------------------

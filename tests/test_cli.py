@@ -207,6 +207,21 @@ class TestReports:
         code, out, _ = run("gen", "polygon", "4")
         assert code == 0 and "poset polygon4" in out and "elem top 3" in out
 
+    def test_json_zoo_error(self, run):
+        code, out, err = run("--json", "gen", "polygon")
+        assert code == 2 and "polygon takes 1 parameter(s), got 0" in err
+        assert json.loads(out)["result"]["error"] == "polygon takes 1 parameter(s), got 0"
+
+    def test_json_usage_error(self, capsys, q_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", "search-spart", q_files[0], "--budget", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["command"] == "search-spart"
+        assert payload["result"]["error"] == "argument --budget: node limit must be nonnegative, got -3"
+        assert "node limit must be nonnegative, got -3" in captured.err
+
 
 class TestBadCovers:
     POSETS = {

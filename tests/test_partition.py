@@ -17,6 +17,7 @@ from cdposet.partition import (
     BudgetExhausted,
     CertificateInvalid,
     CertificateParseError,
+    CrossCheckError,
     FailureReport,
     NegativeCoefficient,
     NotAPartition,
@@ -616,12 +617,18 @@ class TestSearchPins:
     @pytest.mark.parametrize(
         "family, params, search, sha256, nodes",
         [
-            ("polygon", (25,), search_s_certificate, "944e1a9db99ab350bebd945d8057c84a37060dc088c0f264a348ea1964ee38f5", 188),
-            ("cube", (3,), search_s_certificate, "3f71bed6a0c82f3067d01751cd1a1269aaaa7809224c55315b1ec913228ad340", 49),
+            ("polygon", (25,), search_s_certificate, "944e1a9db99ab350bebd945d8057c84a37060dc088c0f264a348ea1964ee38f5", 73),
+            ("cube", (3,), search_s_certificate, "3f71bed6a0c82f3067d01751cd1a1269aaaa7809224c55315b1ec913228ad340", 45),
             ("connected-sum", (3,), search_s_certificate, "46c97dfed676bcb497187f59fac3d88b1cc8e05fd70320a9bd6828ae929af4c5", 35),
-            ("torus-fig6", (), search_se_certificate, "cb524d7fdbd2432acf69e37188ee7d968b847966af05a4fca78dcc2147998d7b", 92),
-            ("product", (3, 4), search_se_certificate, "25c17a03b03c2d61bf2bc481eea95ea1e8cede3527233dd5e4f90d7f2f66d9fb", 97),
+            ("torus-fig6", (), search_se_certificate, "cb524d7fdbd2432acf69e37188ee7d968b847966af05a4fca78dcc2147998d7b", 90),
+            ("product", (3, 4), search_se_certificate, "25c17a03b03c2d61bf2bc481eea95ea1e8cede3527233dd5e4f90d7f2f66d9fb", 94),
             ("icosahedron", (), search_se_certificate, "c36d81aee0fa267b12c14d5bd52c5b5e2e19554a95ac6bcc5ed50f235aa393d3", 126),
+            ("polygon", (50,), search_s_certificate, "ca6af9554c9f119546a0a97f318ff1eee481e4fd3793c454646a61bd1f35ddad", 148),
+            ("polygon", (100,), search_s_certificate, "308091667281d628fd01d33e7c4e6f898c6431c0bebd57bc7d2e50cd3db48609", 298),
+            ("polygon", (200,), search_s_certificate, "b2170cbd315451fad13d3f75383edcd99f951c0fc182f2426a996c7fd1073b30", 598),
+            ("cube", (4,), search_s_certificate, "501af56b9d469a2faec155ba9b6d5f83da68cb1e49ee345407a049266da06461", 239),
+            ("simplex-boundary", (5,), search_s_certificate, "57902771889b58e76073a0f4407cd61804948965b5f37d6d1f2dd58b23a7e610", 292),
+            ("product", (5, 5), search_se_certificate, "48d2d5023c12322216daafcc84a143e8b3eacda97467c2edbd414d4bee3e6d45", 198),
         ],
     )
     def test_certificate_and_node_count(self, family, params, search, sha256, nodes):
@@ -641,3 +648,66 @@ class TestEulerianTestCalls:
         assert sum(q is p for q in tested) == 1
         # the sub-searches test their sub-posets at the call sites
         assert len(tested) > 1
+
+
+class TestCrossChecks:
+    """A wrong direct boundary cd-index must be caught by the comparison with the recursion."""
+
+    @pytest.mark.parametrize(
+        "fixture, target, message",
+        [
+            ("q_cert", "bnd(q-polytope@s1)", "initial boundary cd-index mismatch"),
+            ("q_cert", "bnd(gamma(q-polytope@s2))", "boundary cd-index mismatch at s2"),
+            ("torus6_cert", "bnd(torus-fig6@F02)", "initial boundary cd-index mismatch"),
+            ("torus6_cert", "bnd(gamma(torus-fig6@F11))", "boundary cd-index mismatch at F11"),
+        ],
+    )
+    def test_perturbed_boundary_raises(self, request, monkeypatch, fixture, target, message):
+        cert = request.getfixturevalue(fixture)
+        real = partition.cd_index
+        hits = []
+
+        def perturbed(q):
+            phi = real(q)
+            if q.name != target:
+                return phi
+            hits.append(q)
+            return phi + phi
+
+        monkeypatch.setattr(partition, "cd_index", perturbed)
+        with pytest.raises(CrossCheckError, match=message):
+            contributions_s(cert, check=True)
+        assert hits
+
+
+class TestWalk:
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_contributions_raise_the_exact_violations(self, request, name):
+        fixture, mutate, expected = _MUTATIONS[name]
+        cert = mutate(request.getfixturevalue(fixture))
+        with pytest.raises(CertificateInvalid) as err:
+            contributions_s(cert, check=True)
+        assert [str(v) for v in err.value.violations] == expected
+
+    def test_checked_totals_build_no_more_subposets(self, monkeypatch, torus12_cert):
+        caps = []
+        real = partition.cap
+        monkeypatch.setattr(partition, "cap", lambda *a, **k: caps.append(1) or real(*a, **k))
+        unchecked = contributions_se(torus12_cert, check=False)
+        n_unchecked = len(caps)
+        checked = contributions_se(torus12_cert, check=True)
+        assert checked == unchecked
+        assert len(caps) - n_unchecked <= n_unchecked
+
+    def test_search_checks_each_class_once(self, monkeypatch):
+        calls = []
+        real = partition._gamma_checked
+
+        def recorded(p, sigma, rest, *args):
+            calls.append((p, sigma, frozenset(rest)))  # holds p, so its id stays unique
+            return real(p, sigma, rest, *args)
+
+        monkeypatch.setattr(partition, "_gamma_checked", recorded)
+        assert search_s_certificate(zoo.gen("simplex-boundary", (6,))) is not None
+        distinct = {(id(p), sigma, rest) for p, sigma, rest in calls}
+        assert calls and len(calls) == len(distinct)

@@ -26,6 +26,7 @@ from cdposet.poset import (
     is_near_eulerian,
     is_semi_eulerian,
     mobius,
+    near_eulerian_suspension,
     parse_poset,
     product,
     semisuspension,
@@ -201,6 +202,13 @@ class TestSemisuspension:
         assert not is_near_eulerian(zoo.gen("polygon", (5,)))
         two_components = cap(torus6, closure(torus6, ["h22", "h20"]), 3)
         assert not is_near_eulerian(two_components)
+
+    def test_near_eulerian_suspension_is_the_checked_semisuspension(self, q_poset, torus6):
+        path = cap(q_poset, closure(q_poset, ["BC", "CR", "QR"]), 3)
+        ss = near_eulerian_suspension(path, "tau@x")
+        assert ss == semisuspension(path, "tau@x")[0] and is_eulerian(ss)
+        assert near_eulerian_suspension(zoo.gen("polygon", (5,))) is None
+        assert near_eulerian_suspension(cap(torus6, closure(torus6, ["h22", "h20"]), 3)) is None
 
     def test_suspend_delete_recap_round_trip(self, q_poset):
         gamma = cap(q_poset, closure(q_poset, ["BC", "CR", "QR"]), 3)
