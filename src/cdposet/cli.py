@@ -9,11 +9,13 @@ text report.  ``CDX_COLOR`` switches ANSI styling on (any value but ``0``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import zoo
 from .flags import cd_index, euler_characteristic, flag_f, format_flag_vector, semi_cd_index
@@ -35,7 +37,7 @@ from .partition import (
     simplicial_partition_to_s_certificate,
     verify_partition,
 )
-from .poset import GradedPoset, PosetError, PosetParseError, format_poset, is_eulerian, is_semi_eulerian, parse_poset, validate
+from .poset import GradedPoset, PosetError, format_poset, is_eulerian, is_semi_eulerian, parse_poset, read_lines, validate
 
 
 class InputError(Exception):
@@ -64,23 +66,20 @@ def _color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _ok(text: str = "OK") -> str:
-    return _color(text, "32")
-
-
 def _bad(text: str) -> str:
     return _color(text, "31")
 
 
+def _load(path: str, parse: Callable, *args):
+    """``parse(text, *args)`` of the file at ``path``; a read or parse failure is an input error."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except (OSError, UnicodeDecodeError, PosetError) as exc:
+        raise InputError(f"{path}: {exc}")
+
+
 def _load_poset(path: str) -> GradedPoset:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
-    try:
-        p = parse_poset(text)
-    except PosetParseError as exc:
-        raise InputError(f"{path}: {exc}")
+    p = _load(path, parse_poset)
     problems = validate(p)
     if problems:
         raise InputError(f"{path}: {problems[0]}")
@@ -88,21 +87,20 @@ def _load_poset(path: str) -> GradedPoset:
 
 
 def _load_certificate(path: str, poset: GradedPoset, want: type) -> SPartitionCert | SEPartitionCert:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
-    try:
-        cert = parse_certificate(text, poset)
-    except (CertificateParseError, PosetError) as exc:
-        raise InputError(f"{path}: {exc}")
+    cert = _load(path, parse_certificate, poset)
     if want is not object and not isinstance(cert, want):
         raise InputError(f"{path}: expected a {want.header} certificate")
     return cert
 
 
-def _poly_json(p: NcPolynomial) -> dict[str, int]:
-    return {w: c for w, c in p.items()}
+def _parse_pairs(text: str) -> list[tuple[str, str]]:
+    """The ``pair <restriction> <facet>`` lines of a boolean-interval partition file."""
+    pairs = []
+    for lineno, _, fields in read_lines(text):
+        if fields[0] != "pair" or len(fields) != 3:
+            raise CertificateParseError("expected `pair <restriction> <facet>`", lineno)
+        pairs.append((fields[1], fields[2]))
+    return pairs
 
 
 class Report:
@@ -120,7 +118,7 @@ class Report:
         self.lines.append(line)
 
     def poly(self, name: str, p: NcPolynomial) -> None:
-        self.polynomials[name] = _poly_json(p)
+        self.polynomials[name] = dict(p.items())
 
     def with_error(self, message: str) -> "Report":
         self.result["error"] = message
@@ -138,26 +136,25 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cmd_validate(args, rep: Report) -> int:
-    p = _load_poset_lenient(args.poset)
-    problems = [str(v) for v in validate(p)]
-    rep.violations = problems
-    rep.result["valid"] = not problems
-    if problems:
-        rep.lines.extend(_bad(v) for v in problems)
-        return 1
-    rep.say(_ok())
+def _report_violations(violations: list, rep: Report) -> int:
+    """One line per violation (there is at least one); exit code 1."""
+    rep.violations = [str(v) for v in violations]
+    rep.lines.extend(_bad(v) for v in rep.violations)
+    return 1
+
+
+def _cmd_check(args, rep: Report) -> int:
+    """`validate` a poset, loaded without the validity gate so that it reports every violation, or a certificate."""
+    if args.verb == "validate":
+        violations = validate(_load(args.poset, parse_poset))
+    else:
+        want = SPartitionCert if args.verb == "check-spart" else SEPartitionCert
+        violations = verify_partition(_load_certificate(args.certificate, _load_poset(args.poset), want))
+    rep.result["valid"] = not violations
+    if violations:
+        return _report_violations(violations, rep)
+    rep.say(_color("OK", "32"))
     return 0
-
-
-def _load_poset_lenient(path: str) -> GradedPoset:
-    """Parse without the validity gate, so `validate` can report violations."""
-    try:
-        return parse_poset(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
-    except PosetParseError as exc:
-        raise InputError(f"{path}: {exc}")
 
 
 def _cmd_flags(args, rep: Report) -> int:
@@ -179,29 +176,17 @@ def _cmd_euler(args, rep: Report) -> int:
 
 
 def _cmd_cd(args, rep: Report) -> int:
+    """`cd` by the direct pipeline, `semicd` through the modified flag vector."""
     p = _load_poset(args.poset)
+    key, index = ("cd_index", cd_index) if args.verb == "cd" else ("semi_cd_index", semi_cd_index)
     try:
-        phi = cd_index(p)
+        phi = index(p)
     except NotInImage as exc:
-        rep.result["cd_index"] = None
+        rep.result[key] = None
         rep.result["reason"] = str(exc)
         rep.say(_bad(f"NotInImage: {exc}"))
         return 1
-    rep.poly("cd_index", phi)
-    rep.say(format_polynomial(phi))
-    return 0
-
-
-def _cmd_semicd(args, rep: Report) -> int:
-    p = _load_poset(args.poset)
-    try:
-        phi = semi_cd_index(p)
-    except NotInImage as exc:
-        rep.result["semi_cd_index"] = None
-        rep.result["reason"] = str(exc)
-        rep.say(_bad(f"NotInImage: {exc}"))
-        return 1
-    rep.poly("semi_cd_index", phi)
+    rep.poly(key, phi)
     rep.say(format_polynomial(phi))
     return 0
 
@@ -214,20 +199,6 @@ def _cmd_check_eulerian(args, rep: Report) -> int:
     rep.result["semi_eulerian"] = semi
     rep.say("eulerian" if eul else ("semi-eulerian" if semi else "not-semi-eulerian"))
     return 0 if eul else 1
-
-
-def _cmd_check_cert(args, rep: Report) -> int:
-    p = _load_poset(args.poset)
-    want = SPartitionCert if args.verb == "check-spart" else SEPartitionCert
-    cert = _load_certificate(args.certificate, p, want)
-    violations = verify_partition(cert)
-    rep.violations = [str(v) for v in violations]
-    rep.result["valid"] = not violations
-    if violations:
-        rep.lines.extend(_bad(str(v)) for v in violations)
-        return 1
-    rep.say(_ok())
-    return 0
 
 
 def _write(path: str, text: str) -> None:
@@ -243,26 +214,35 @@ def _emit_cert(cert, path: str | None, rep: Report) -> None:
         rep.say(f"certificate written to {path}")
 
 
+def _report_found(outcome, key: str, args, rep: Report) -> int:
+    """Report a searched (key ``found``) or converted (``converted``) certificate, written to
+    ``--emit-cert``, or why there is none: None, a FailureReport or the exception that stopped it."""
+    rep.result[key] = False
+    if outcome is None:
+        rep.say(_bad("exhausted: no certificate in the search family"))
+        return 1
+    if isinstance(outcome, FailureReport):
+        return _report_violations([outcome], rep)
+    if isinstance(outcome, Exception):
+        rep.result["reason"] = str(outcome)
+        rep.say(_bad(str(outcome)))
+        return 1
+    total = contributions(outcome, check=False).total
+    rep.result[key] = True
+    rep.poly("total", total)
+    rep.say(f"{'FOUND' if key == 'found' else 'OK'} total {format_polynomial(total)}")
+    _emit_cert(outcome, args.emit_cert, rep)
+    return 0
+
+
 def _cmd_search(args, rep: Report) -> int:
     p = _load_poset(args.poset)
     search = search_s_certificate if args.verb == "search-spart" else search_se_certificate
     try:
-        cert = search(p, budget=args.budget)
+        outcome = search(p, budget=args.budget)
     except (BudgetExhausted, PosetError) as exc:
-        rep.result["found"] = False
-        rep.result["reason"] = str(exc)
-        rep.say(_bad(str(exc)))
-        return 1
-    if cert is None:
-        rep.result["found"] = False
-        rep.say(_bad("exhausted: no certificate in the search family"))
-        return 1
-    total = contributions(cert, check=False).total
-    rep.result["found"] = True
-    rep.poly("total", total)
-    rep.say(f"FOUND total {format_polynomial(total)}")
-    _emit_cert(cert, args.emit_cert, rep)
-    return 0
+        outcome = exc
+    return _report_found(outcome, "found", args, rep)
 
 
 def _cmd_contributions(args, rep: Report) -> int:
@@ -272,18 +252,15 @@ def _cmd_contributions(args, rep: Report) -> int:
     try:
         cm = contributions(cert)
     except CertificateInvalid as exc:
-        rep.violations = [str(v) for v in exc.violations]
-        rep.lines.extend(_bad(str(v)) for v in exc.violations)
-        return 1
+        return _report_violations(exc.violations, rep)
+    rep.poly("total", cm.total)
     if args.verb == "cd-recursive":
-        rep.poly("total", cm.total)
         rep.say(format_polynomial(cm.total))
         return 0
     direct = cd_index(p) if isinstance(cert, SPartitionCert) else semi_cd_index(p)
     for sigma in sorted(cm.per_coatom):
         rep.poly(sigma, cm.per_coatom[sigma])
         rep.say(f"{sigma}: {format_polynomial(cm.per_coatom[sigma])}")
-    rep.poly("total", cm.total)
     rep.say(f"total: {format_polynomial(cm.total)}")
     agrees = cm.total == direct
     rep.result["agrees_with_direct"] = agrees
@@ -294,65 +271,33 @@ def _cmd_contributions(args, rep: Report) -> int:
 def _cmd_gen(args, rep: Report) -> int:
     params = tuple(args.params)
     p = zoo.gen(args.family, params)
+    rep.result["name"] = p.name
+    rep.result["elements"] = len(p)
+    cert = zoo.fixture_certificate(args.family, params) if args.emit_cert else None  # before writing any file
     text = format_poset(p, provenance=zoo.fixture_spec(args.family, params).provenance)
     if args.out:
         _write(args.out, text)
         rep.say(f"poset written to {args.out}")
     else:
         rep.say(text.rstrip("\n"))
-    rep.result["name"] = p.name
-    rep.result["elements"] = len(p)
-    if args.emit_cert:
-        _emit_cert(zoo.fixture_certificate(args.family, params), args.emit_cert, rep)
+    _emit_cert(cert, args.emit_cert, rep)
     return 0
 
 
-def _report_conversion(outcome, args, rep: Report) -> int:
-    if isinstance(outcome, FailureReport):
-        rep.result["converted"] = False
-        rep.violations = [str(outcome)]
-        rep.say(_bad(str(outcome)))
-        return 1
-    total = contributions(outcome, check=False).total
-    rep.result["converted"] = True
-    rep.poly("total", total)
-    rep.say(f"OK total {format_polynomial(total)}")
-    _emit_cert(outcome, args.emit_cert, rep)
-    return 0
-
-
-def _cmd_convert_shelling(args, rep: Report) -> int:
+def _cmd_convert(args, rep: Report) -> int:
+    """`convert-shelling` converts a facet order, `convert-simplicial-partition` a file of pairs."""
     p = _load_poset(args.poset)
-    order = [s.strip() for s in args.order.split(",") if s.strip()]
-    outcome = order_to_s_certificate(p, order, budget=args.budget)
-    return _report_conversion(outcome, args, rep)
-
-
-def _parse_pairs_file(path: str) -> list[tuple[str, str]]:
-    pairs = []
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] != "pair" or len(fields) != 3:
-            raise InputError(f"{path}: line {lineno}: expected `pair <restriction> <facet>`")
-        pairs.append((fields[1], fields[2]))
-    return pairs
-
-
-def _cmd_convert_simplicial(args, rep: Report) -> int:
-    p = _load_poset(args.poset)
-    pairs = _parse_pairs_file(args.pairs)
-    try:
-        outcome = simplicial_partition_to_s_certificate(p, pairs, budget=args.budget)
+        if args.verb == "convert-shelling":
+            order = [s.strip() for s in args.order.split(",") if s.strip()]
+            outcome = order_to_s_certificate(p, order, budget=args.budget)
+        else:
+            outcome = simplicial_partition_to_s_certificate(p, _load(args.pairs, _parse_pairs), budget=args.budget)
+    except BudgetExhausted as exc:
+        outcome = exc
     except PosetError as exc:
         raise InputError(str(exc))
-    return _report_conversion(outcome, args, rep)
+    return _report_found(outcome, "converted", args, rep)
 
 
 def _cmd_reverse_check(args, rep: Report) -> int:
@@ -360,9 +305,7 @@ def _cmd_reverse_check(args, rep: Report) -> int:
     cert = _load_certificate(args.certificate, p, SPartitionCert)
     violations = verify_partition(cert)
     if violations:
-        rep.violations = [str(v) for v in violations]
-        rep.lines.extend(_bad(str(v)) for v in violations)
-        return 1
+        return _report_violations(violations, rep)
     ok, assignment = check_reverse_partition(cert)
     rep.result["reverse_partitionable"] = ok
     rep.result["top_chain_assignments"] = len(assignment) if assignment else 0
@@ -383,59 +326,60 @@ def _budget(text: str) -> int:
     return limit
 
 
+def _arg(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    """The positional and keyword arguments of one `add_argument` call."""
+    return names, options
+
+
+_POSET = _arg("poset")
+_CERTIFICATE = _arg("certificate")
+_BUDGET = _arg("--budget", type=_budget, default=10**6, help="search node limit")
+_EMIT_CERT = _arg("--emit-cert", metavar="PATH")
+_ORDER = _arg("--order", required=True, help="comma-separated facet names")
+_PAIRS = _arg("--pairs", required=True, help="file of `pair <restriction> <facet>` lines")
+_FAMILY = _arg("family", choices=zoo.families())
+_PARAMS = _arg("params", nargs="*", type=int)
+_OUT = _arg("--out", metavar="PATH")
+_PUBLISHED_CERT = _arg("--emit-cert", metavar="PATH", help="also write the published certificate")
+
+# verb -> (handler, help, arguments), in the order `cdposet --help` lists the verbs
+# and each verb's usage line lists its arguments
+VERBS: dict[str, tuple[Callable[[argparse.Namespace, Report], int], str, tuple]] = {
+    "validate": (_cmd_check, "check poset invariants", (_POSET,)),
+    "flags": (_cmd_flags, "flag f-vector", (_POSET,)),
+    "euler": (_cmd_euler, "Euler characteristic", (_POSET,)),
+    "cd": (_cmd_cd, "cd-index by the direct pipeline", (_POSET,)),
+    "semicd": (_cmd_cd, "semi-Eulerian cd-index (modified chain polynomial)", (_POSET,)),
+    "check-eulerian": (_cmd_check_eulerian, "Eulerian / semi-Eulerian status", (_POSET,)),
+    "check-spart": (_cmd_check, "verify an S-partition certificate", (_POSET, _CERTIFICATE)),
+    "check-separt": (_cmd_check, "verify an SE-partition certificate", (_POSET, _CERTIFICATE)),
+    "cd-recursive": (_cmd_contributions, "cd-index via certificate contributions", (_POSET, _CERTIFICATE)),
+    "contributions": (_cmd_contributions, "per-coatom contribution table", (_POSET, _CERTIFICATE)),
+    "reverse-check": (_cmd_reverse_check, "reverse-partition probe", (_POSET, _CERTIFICATE)),
+    "search-spart": (_cmd_search, "budgeted certificate search", (_POSET, _BUDGET, _EMIT_CERT)),
+    "search-separt": (_cmd_search, "budgeted certificate search", (_POSET, _BUDGET, _EMIT_CERT)),
+    "gen": (_cmd_gen, "generate a fixture poset", (_FAMILY, _PARAMS, _OUT, _PUBLISHED_CERT)),
+    "convert-shelling": (_cmd_convert, "facet order to S-certificate", (_POSET, _ORDER, _BUDGET, _EMIT_CERT)),
+    "convert-simplicial-partition": (
+        _cmd_convert, "boolean-interval partition to S-certificate", (_POSET, _PAIRS, _BUDGET, _EMIT_CERT)
+    ),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb in `VERBS`, built once per process and shared by every `main` call."""
     parser = _Parser(
         prog="cdposet",
         description="Flag vectors, cd-indices and partition certificates of graded posets.",
     )
     parser.add_argument("--json", action="store_true", help="emit a structured JSON report")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(func=func)
-        return sp
-
-    for name, func, doc in [
-        ("validate", _cmd_validate, "check poset invariants"),
-        ("flags", _cmd_flags, "flag f-vector"),
-        ("euler", _cmd_euler, "Euler characteristic"),
-        ("cd", _cmd_cd, "cd-index by the direct pipeline"),
-        ("semicd", _cmd_semicd, "semi-Eulerian cd-index (modified chain polynomial)"),
-        ("check-eulerian", _cmd_check_eulerian, "Eulerian / semi-Eulerian status"),
-    ]:
-        sp = add(name, func, help=doc)
-        sp.add_argument("poset")
-    for name, func, doc in [
-        ("check-spart", _cmd_check_cert, "verify an S-partition certificate"),
-        ("check-separt", _cmd_check_cert, "verify an SE-partition certificate"),
-        ("cd-recursive", _cmd_contributions, "cd-index via certificate contributions"),
-        ("contributions", _cmd_contributions, "per-coatom contribution table"),
-        ("reverse-check", _cmd_reverse_check, "reverse-partition probe"),
-    ]:
-        sp = add(name, func, help=doc)
-        sp.add_argument("poset")
-        sp.add_argument("certificate")
-    for name in ("search-spart", "search-separt"):
-        sp = add(name, _cmd_search, help="budgeted certificate search")
-        sp.add_argument("poset")
-        sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
-        sp.add_argument("--emit-cert", metavar="PATH")
-    sp = add("gen", _cmd_gen, help="generate a fixture poset")
-    sp.add_argument("family", choices=zoo.families())
-    sp.add_argument("params", nargs="*", type=int)
-    sp.add_argument("--out", metavar="PATH")
-    sp.add_argument("--emit-cert", metavar="PATH", help="also write the published certificate")
-    sp = add("convert-shelling", _cmd_convert_shelling, help="facet order to S-certificate")
-    sp.add_argument("poset")
-    sp.add_argument("--order", required=True, help="comma-separated facet names")
-    sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
-    sp.add_argument("--emit-cert", metavar="PATH")
-    sp = add("convert-simplicial-partition", _cmd_convert_simplicial, help="boolean-interval partition to S-certificate")
-    sp.add_argument("poset")
-    sp.add_argument("--pairs", required=True, help="file of `pair <restriction> <facet>` lines")
-    sp.add_argument("--budget", type=_budget, default=10**6, help="search node limit")
-    sp.add_argument("--emit-cert", metavar="PATH")
+    for name, (handler, doc, arguments) in VERBS.items():
+        sp = sub.add_parser(name, help=doc)
+        sp.set_defaults(func=handler)
+        for names, options in arguments:
+            sp.add_argument(*names, **options)
     return parser
 
 

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 AB = "ab"
 CD = "cd"
 
-_ALPHABET_OF = {"a": AB, "b": AB, "c": CD, "d": CD}
 _FOREIGN = {alphabet: str.maketrans("", "", alphabet) for alphabet in (AB, CD)}  # deletes the letters
 
 
@@ -87,13 +86,6 @@ class NcPolynomial:
     @classmethod
     def unit(cls, alphabet: str) -> "NcPolynomial":
         return cls(alphabet, {"": 1})
-
-    @classmethod
-    def from_word(cls, word: str, coeff: int = 1) -> "NcPolynomial":
-        """Build coeff*word; the alphabet is inferred (unit words default to cd)."""
-        if not word:
-            return cls(CD, {"": coeff})
-        return cls(_ALPHABET_OF[word[0]], {word: coeff})
 
     # -- queries ------------------------------------------------------------
 
@@ -229,10 +221,6 @@ def format_polynomial(p: NcPolynomial) -> str:
 # -- named operation aliases ---------------------------------------------------
 
 
-def add(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    return p + q
-
-
 def multiply_right_letter(p: NcPolynomial, letter: str) -> NcPolynomial:
     return p.times_letter(letter)
 
@@ -262,11 +250,6 @@ def cd_words(degree: int) -> list[str]:
 # -- substitution homomorphisms -----------------------------------------------
 
 _CD_IMAGE = {"c": ("a", "b"), "d": ("ab", "ba")}  # every image word has coefficient 1
-
-
-def expand_cd_word(word: str) -> NcPolynomial:
-    """Image of a single cd-word under c -> a+b, d -> ab+ba."""
-    return expand_cd_to_ab(NcPolynomial(CD, {word: 1}))
 
 
 def expand_cd_to_ab(p: NcPolynomial) -> NcPolynomial:

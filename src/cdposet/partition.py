@@ -48,6 +48,7 @@ from .poset import (
     near_eulerian_suspension,
     pair_name,
     product as poset_product,
+    read_lines,
     semisuspension,
     validate,
 )
@@ -772,7 +773,7 @@ def simplicial_partition_to_s_certificate(
     if sorted(facet for _, facet in pairs) != coatoms:
         raise NotAPartition("pairs must name every facet exactly once")
     for restriction, facet in pairs:
-        if not p.leq(restriction, facet):
+        if restriction not in p or not p.leq(restriction, facet):
             raise NotAPartition(f"restriction {restriction!r} not below facet {facet!r}")
     initials = [facet for restriction, facet in pairs if restriction == BOT]
     terminals = [facet for restriction, facet in pairs if restriction == facet]
@@ -919,15 +920,10 @@ class _Line:
 
 def _scan_lines(text: str) -> list[_Line]:
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        body = stripped.lstrip(" ")
-        spaces = len(stripped) - len(body)
+    for lineno, spaces, fields in read_lines(text):
         if spaces % 2:
             raise CertificateParseError("odd indentation", lineno)
-        out.append(_Line(spaces // 2, body.split(), lineno))
+        out.append(_Line(spaces // 2, fields, lineno))
     return out
 
 

@@ -18,7 +18,7 @@ may pass qualified names such as ``tau@<coatom>``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 BOT = "bot"
 TOP = "top"
@@ -477,17 +477,28 @@ def connected_sum(
 # -- file format ------------------------------------------------------------------
 
 
+def read_lines(text: str) -> Iterator[tuple[int, int, list[str]]]:
+    """The lines of a poset, certificate or pairs file as ``(lineno, indent, fields)``.
+
+    ``#`` starts a comment that runs to the end of the line, and lines left
+    blank are skipped.  ``lineno`` counts from 1 over every line of ``text``,
+    ``indent`` is the number of leading spaces and ``fields`` are the
+    whitespace-separated words (never empty).
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        fields = line.split()
+        if fields:
+            yield lineno, len(line) - len(line.lstrip(" ")), fields
+
+
 def parse_poset(text: str) -> GradedPoset:
     """Parse the line-oriented poset file format (``#`` starts a comment)."""
     name: str | None = None
     declared_rank: int | None = None
     ranks: dict[str, int] = {}
     covers: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, _, fields in read_lines(text):
         kind = fields[0]
         if kind == "poset":
             if len(fields) != 2:

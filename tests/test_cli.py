@@ -266,3 +266,58 @@ class TestUnwritableOutput:
         code, out, err = run(*[files.get(a, a) for a in self.VERBS[name]], str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {target}: ") and not target.parent.exists()
+
+
+class TestParserBuiltOnce:
+    def test_second_call_constructs_no_parser(self, run, monkeypatch):
+        import argparse
+
+        assert run("gen", "polygon", "4")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run("gen", "polygon", "4")[0] == 0
+        assert built == []
+
+
+class TestInputErrors:
+    def test_unknown_restriction_in_pairs(self, run, tmp_path, simplex_files):
+        poset, pairs = simplex_files
+        text = open(pairs).read()
+        assert text.startswith("pair bot abc\n")
+        bad = tmp_path / "unknown.pairs"
+        bad.write_text(text.replace("pair bot abc", "pair nosuch abc"))
+        code, out, err = run("convert-simplicial-partition", poset, "--pairs", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: restriction 'nosuch' not below facet 'abc'\n"
+
+    def test_gen_without_published_certificate_writes_nothing(self, run, tmp_path):
+        poset, cert = tmp_path / "p.poset", tmp_path / "p.spart"
+        code, out, err = run("gen", "polygon", "6", "--out", str(poset), "--emit-cert", str(cert))
+        assert code == 2 and out == ""
+        assert err == "error: no transcribed certificate for family 'polygon'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_not_utf8(self, run, tmp_path):
+        path = tmp_path / "latin1.poset"
+        path.write_bytes(b"poset caf\xe9\n")
+        code, out, err = run("cd", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("verb", ["convert-shelling", "convert-simplicial-partition"])
+    def test_conversion_budget_exhausted(self, run, q_files, simplex_files, verb):
+        argv = {
+            "convert-shelling": [q_files[0], "--order", "s1,s2,s3,s4,s5,s6,s7"],
+            "convert-simplicial-partition": [simplex_files[0], "--pairs", simplex_files[1]],
+        }[verb]
+        code, out, _ = run(verb, *argv, "--budget", "0")
+        assert code == 1 and out == "search budget of 0 nodes exhausted\n"
+        code, out, _ = run("--json", verb, *argv, "--budget", "0")
+        result = json.loads(out)["result"]
+        assert code == 1 and result == {"converted": False, "reason": "search budget of 0 nodes exhausted"}

@@ -251,6 +251,13 @@ class TestSimplicialConversion:
         with pytest.raises(NotAPartition):
             simplicial_partition_to_s_certificate(p, bad)
 
+    def test_unknown_restriction(self):
+        p = zoo.gen("simplex-boundary", (3,))
+        pairs = zoo.shelling_restrictions(p, sorted(p.coatoms()))
+        assert pairs[0] == (BOT, "abc")
+        with pytest.raises(NotAPartition, match="'nosuch' not below facet 'abc'"):
+            simplicial_partition_to_s_certificate(p, [("nosuch", "abc")] + pairs[1:])
+
     def test_non_simplicial_rejected(self, q_poset):
         with pytest.raises(NotSimplicial):
             simplicial_partition_to_s_certificate(q_poset, [(BOT, s) for s in q_poset.coatoms()])
