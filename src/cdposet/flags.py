@@ -5,7 +5,7 @@ bitmasks internally (bit i-1 stands for rank i, which is also letter i of the
 ab-word); the public dataclasses key their counts by frozenset for
 readability.  Chains are extended one rank at a time over the poset's
 down-closure bitsets, so each rank set costs one pass over the comparable
-pairs of two rank levels; the counts are kept per poset.  The f <-> h
+pairs of two rank levels; the counts are memoized on the poset.  The f <-> h
 transforms are subset zeta/Möbius transforms over mask-indexed lists,
 O(d 2^d).
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, ab_word
-from .poset import GradedPoset, _bits, is_semi_eulerian
+from .poset import GradedPoset, _bits, is_semi_eulerian, memoized
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def _subset_transform(f: FlagVector | ModifiedFlagVector | FlagHVector, sign: in
     return values
 
 
-def _flag_masks(p: GradedPoset) -> list[int]:
+@memoized
+def _flag_masks(p: GradedPoset) -> tuple[int, ...]:
     """Chain counts indexed by rank-set bitmask.
 
     Extends chains upward one rank at a time: the count vector of a rank set
@@ -111,9 +112,6 @@ def _flag_masks(p: GradedPoset) -> list[int]:
     ending there.  Rank sets are visited depth first, so only the vectors on
     the current path are alive.
     """
-    key = "flag_masks"
-    if key in p._cache:
-        return p._cache[key]
     d = p.rank_top - 1
     levels = [p._levels.get(r, 0) for r in range(1, d + 1)]
     first = [(level & -level).bit_length() - 1 for level in levels]
@@ -134,8 +132,7 @@ def _flag_masks(p: GradedPoset) -> list[int]:
         if counts[mask]:
             for b in range(a + 1, d):
                 stack.append((mask | 1 << b, b, [sum([ends[k] for k in ks]) for ks in below[a][b]]))
-    p._cache[key] = counts
-    return counts
+    return tuple(counts)
 
 
 def flag_f(p: GradedPoset) -> FlagVector:

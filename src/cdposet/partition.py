@@ -8,13 +8,13 @@ certified semisuspensions.  An S-certificate is the Eulerian special case:
 its one zero class is the terminal singleton and each ordinary class is a
 single subclass.  Every walk is written once over the view both share.
 
-A class check builds gamma and its semisuspension once and hands both on.
-``verify_partition`` checks an explicit witness and never searches; a
-sub-certificate on a checked semisuspension is not tested again, and
-``contributions`` totals over the boundaries and gammas its verification
-recorded.  Both searches walk facet orders depth first, and their class
-checks hand the semisuspensions to the sub-searches.  A search that returns
-None has exhausted the facet orders, not shown that no certificate exists.
+The derived sub-posets (capped initial boundary, gamma, its boundary and
+semisuspension) and their Eulerian verdicts are memoized on the poset they
+come from, so parsing, verifying, totalling and searching one certificate
+build each of them once.  ``verify_partition`` checks an explicit witness
+and never searches.  Both searches walk facet orders depth first.  A
+search that returns None has exhausted the facet orders, not shown that no
+certificate exists.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -25,8 +25,8 @@ pipeline and are cross-checked against the recursive totals at every level.
 
 from __future__ import annotations
 
-from collections import ChainMap, Counter
-from collections.abc import Hashable, Mapping
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from .flags import cd_index
@@ -45,6 +45,7 @@ from .poset import (
     closure,
     is_eulerian,
     is_semi_eulerian,
+    memoized,
     near_eulerian_suspension,
     pair_name,
     product as poset_product,
@@ -224,6 +225,7 @@ def tau_name(sigma: str, j: int | None = None) -> str:
     return f"tau@{sigma}" if j is None else f"tau@{sigma}/{j}"
 
 
+@memoized
 def initial_boundary_poset(p: GradedPoset, sigma1: str) -> GradedPoset:
     """The capped open closure of the initial coatom, a rank-d poset."""
     d = p.rank_top - 1
@@ -233,29 +235,35 @@ def initial_boundary_poset(p: GradedPoset, sigma1: str) -> GradedPoset:
 
 def gamma_poset(p: GradedPoset, sigma: str, members: set[str] | frozenset[str]) -> GradedPoset:
     """Capped closure of a class minus its coatom (or of an SE subclass)."""
-    d = p.rank_top - 1
-    return cap(p, closure(p, members), d, name=f"gamma({p.name}@{sigma})")
+    return _gamma(p, sigma, _union(p._downset, p._mask(members)))
 
 
+@memoized
+def _gamma(p: GradedPoset, sigma: str, closed: int) -> GradedPoset:
+    """gamma_poset on the bitset of a down-closed set."""
+    return cap(p, p._names(closed), p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
+
+
+@memoized
 def boundary_poset(gamma: GradedPoset) -> GradedPoset:
     """The boundary of a capped near-Eulerian poset, capped one rank lower."""
     return cap(gamma, boundary_set(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
 
 
-def _gamma_checked(
-    p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], tau: str
-) -> tuple[GradedPoset, GradedPoset]:
-    """Build and fully check an ordinary (sub)class closure; raises _ClassFailure.
+def _suspended(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset:
+    """The semisuspension of the gamma of subclass j (None: the whole class) at its tau, unchecked."""
+    return semisuspension(gamma_poset(p, sigma, rest), tau_name(sigma, j))[0]
 
-    Returns gamma and its semisuspension at tau, found valid and Eulerian.
-    """
+
+def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset:
+    """``_suspended`` after the full check of an ordinary (sub)class; raises _ClassFailure."""
     if not rest:
         raise _ClassFailure(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
     try:
         gamma = gamma_poset(p, sigma, rest)
     except (RankTooLow, PosetError) as exc:
         raise _ClassFailure(sigma, "gamma-unbuildable", str(exc))
-    suspended = near_eulerian_suspension(gamma, tau)
+    suspended = near_eulerian_suspension(gamma, tau_name(sigma, j))
     if suspended is None:
         raise _ClassFailure(sigma, "gamma-not-near-eulerian", gamma.name)
     bdry = boundary_set(gamma)
@@ -264,7 +272,7 @@ def _gamma_checked(
     if set(rest) | bdry != set(gamma.elements()) - {TOP}:
         missing = (set(gamma.elements()) - {TOP}) - (set(rest) | bdry)
         raise _ClassFailure(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
-    return gamma, suspended
+    return suspended
 
 
 # -- verification ------------------------------------------------------------------
@@ -317,12 +325,9 @@ def _check_partition(
 
 
 def _verify_sub(
-    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation], built: dict
+    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]
 ) -> None:
-    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse.
-
-    A sub-certificate on a subclass's semisuspension, tested by the class check, is not tested again.
-    """
+    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse."""
     if sub is None:
         code = "missing-initial-subcert" if tau is None else "missing-subcert"
         out.append(Violation(code, cpath, "no sub-certificate"))
@@ -332,7 +337,7 @@ def _verify_sub(
     elif tau is not None and sub.initial != tau:
         out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
-        out.extend(_verify(sub, f"{cpath}/sub", built, tested=tau is not None))
+        out.extend(_verify(sub, f"{cpath}/sub"))
 
 
 def _check_terminal(cert: SPartitionCert, path: str, out: list[Violation]) -> bool:
@@ -391,25 +396,20 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = 
     SE-certificate a semi-Eulerian poset, declared singletons and a subclass
     decomposition of every ordinary class.
     """
-    return _verify(cert, cert.header if path is None else path, {})
+    return _verify(cert, cert.header if path is None else path)
 
 
-def _verify(cert: SPartitionCert | SEPartitionCert, path: str, built: dict, tested: bool = False) -> list[Violation]:
-    """The checks of ``verify_partition``; ``tested``: the poset is known valid and Eulerian.
-
-    Records in ``built[id(cert)]``, for the totals of the same call, the
-    capped initial boundary (key None) and each gamma (by ``subcerts`` key).
-    """
+def _verify(cert: SPartitionCert | SEPartitionCert, path: str) -> list[Violation]:
     eulerian = isinstance(cert, SPartitionCert)
     p = cert.poset
-    bad = [] if tested else validate(p)
+    bad = validate(p)
     if bad:
         return [Violation("poset-invalid", path, str(v)) for v in bad]
     if p.rank_top - 1 == 0:
         if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
             return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
         return []
-    if not (tested or (is_eulerian(p) if eulerian else is_semi_eulerian(p))):
+    if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
         return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
     out: list[Violation] = []
     if not _check_partition(cert, path, out):
@@ -417,8 +417,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str, built: dict, test
     if not (_check_terminal if eulerian else _check_singletons)(cert, path, out):
         return out
     boundary = initial_boundary_poset(p, cert.initial)
-    level = built[id(cert)] = {None: boundary}
-    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out, built)
+    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
     keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
     if set(keyed) != set(cert.ordinary()):
         out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {cert.ordinary()}"))
@@ -429,13 +428,12 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str, built: dict, test
             continue
         for j, part, key in cert._subclasses(sigma):
             spath = cpath if j is None else f"{cpath}/subclass[{j}]"
-            tau = tau_name(sigma, j)
             try:
-                level[key], suspended = _gamma_checked(p, sigma, part, tau)
+                suspended = _gamma_checked(p, sigma, part, j)
             except _ClassFailure as cf:
                 out.append(Violation(cf.report.code, spath, cf.report.detail))
                 continue
-            _verify_sub(cert.subcerts.get(key), suspended, spath, tau, out, built)
+            _verify_sub(cert.subcerts.get(key), suspended, spath, tau_name(sigma, j), out)
     return out
 
 
@@ -445,7 +443,7 @@ verify_s_partition = verify_se_partition = verify_partition
 # -- contributions -----------------------------------------------------------------
 
 
-def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert, built: dict) -> NcPolynomial:
+def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert) -> NcPolynomial:
     """Phi(boundary)*d plus the ordinary contributions of the semisuspension times c.
 
     The boundary is the capped boundary of the sub-certificate's initial
@@ -453,7 +451,7 @@ def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert, built: 
     recursive total; comparing with that block closes the cross-check.
     """
     phi_bdry = cd_index(boundary_poset(gamma))
-    rec = _contributions(sub, built)
+    rec = _contributions(sub)
     if sub.subcert_initial is None:
         direct, recursive = phi_bdry, NcPolynomial.unit(CD)
     else:
@@ -464,13 +462,12 @@ def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert, built: 
     return sum(ordinary, phi_bdry.times_letter("d"))
 
 
-def _contributions(cert: SPartitionCert | SEPartitionCert, built: dict) -> ContributionMap:
+def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
     p = cert.poset
     if p.rank_top - 1 == 0:
         return ContributionMap({}, NcPolynomial.unit(CD))
-    level = built.get(id(cert), {})  # empty unless verified in this call: then build here
-    phi = cd_index(level[None] if level else initial_boundary_poset(p, cert.initial))
-    rec = _contributions(cert.subcert_initial, built)
+    phi = cd_index(initial_boundary_poset(p, cert.initial))
+    rec = _contributions(cert.subcert_initial)
     if rec.total != phi:
         raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
     per: dict[str, NcPolynomial] = {cert.initial: phi.times_letter("c")}
@@ -479,8 +476,7 @@ def _contributions(cert: SPartitionCert | SEPartitionCert, built: dict) -> Contr
     for sigma in cert.ordinary():
         acc = NcPolynomial.zero(CD)
         for _, part, key in cert._subclasses(sigma):
-            gamma = level[key] if level else gamma_poset(p, sigma, part)
-            acc = acc + _ordinary_block(sigma, gamma, cert.subcerts[key], built)
+            acc = acc + _ordinary_block(sigma, gamma_poset(p, sigma, part), cert.subcerts[key])
         per[sigma] = acc
     return ContributionMap(per, sum(per.values(), NcPolynomial.zero(CD)))
 
@@ -489,17 +485,15 @@ def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) ->
     """Per-coatom contributions of a certificate; the total is the (semi-)cd-index.
 
     ``check`` verifies first, raising all violations as CertificateInvalid
-    before any cd-index, and the totals reuse the boundaries and gammas that
-    verification built.  Each boundary cd-index, from the direct flag
-    pipeline, must equal its sub-certificate's recursive total (else
-    CrossCheckError).
+    before any cd-index.  The totals read the same memoized boundaries and
+    gammas as verification, so checking builds no sub-poset twice.  Each
+    boundary cd-index, from the direct flag pipeline, must equal its
+    sub-certificate's recursive total (else CrossCheckError).
     """
-    built: dict[int, dict] = {}
-    if check:
-        violations = _verify(cert, cert.header, built)
-        if violations:
-            raise CertificateInvalid(violations)
-    return _contributions(cert, built)
+    violations = _verify(cert, cert.header) if check else []
+    if violations:
+        raise CertificateInvalid(violations)
+    return _contributions(cert)
 
 
 contributions_s = contributions_se = contributions
@@ -540,14 +534,14 @@ def _certificate(
     initial: str,
     classes: dict[str, frozenset[str]],
     budget: Budget,
-    checked: Mapping[str, GradedPoset] | None = None,
+    checked: bool = False,
 ) -> SPartitionCert | SEPartitionCert | FailureReport:
     """The certificate with these classes and its searched sub-certificates, or the first class failure.
 
     The zero classes are the one-element classes besides the initial one: the
     S terminal (every caller leaves exactly one) or the SE singletons.  SE
-    ordinary classes split into their connected components.  ``checked`` maps
-    each subclass's tau to its semisuspension when the caller ran the checks.
+    ordinary classes split into their connected components.  ``checked``:
+    the caller already ran the class checks.
     """
     zero = sorted(s for s in classes if s != initial and classes[s] == {s})
     if cls is SPartitionCert:
@@ -563,13 +557,12 @@ def _certificate(
         return FailureReport(initial, "initial-subcert", "capped boundary admits no certificate")
     for sigma in cert.ordinary():
         for j, part, key in cert._subclasses(sigma):
-            tau = tau_name(sigma, j)
             try:
-                suspended = checked[tau] if checked is not None else _gamma_checked(p, sigma, part, tau)[1]
+                suspended = (_suspended if checked else _gamma_checked)(p, sigma, part, j)
             except _ClassFailure as cf:
                 return cf.report
             # the class check found the semisuspension Eulerian
-            cert.subcerts[key] = _search(suspended, budget, SPartitionCert, first=tau)
+            cert.subcerts[key] = _search(suspended, budget, SPartitionCert, first=tau_name(sigma, j))
             if cert.subcerts[key] is None:
                 where = "" if j is None else f"subclass {j} "
                 return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
@@ -612,9 +605,9 @@ def _search(
     slot.  SE: every connected part of the rest passes.  The ``first`` filter
     and the ridge test come before a facet's search node is spent, the class
     checks after.  One candidate iterator per placed facet lives on an
-    explicit stack, with the semisuspensions its checks built for
-    ``_certificate``.  p must be Eulerian (S, so it has two facets or more)
-    or semi-Eulerian (SE).
+    explicit stack.  ``_certificate`` finds the semisuspensions the checks
+    built memoized on p.  p must be Eulerian (S, so it has two facets or
+    more) or semi-Eulerian (SE).
 
     The ridge test loses no S-certificate: a facet sharing no ridge with the
     covered region keeps all its ridges, so its rest is not empty and its
@@ -629,23 +622,25 @@ def _search(
     ridges = p._levels.get(p.rank_top - 2, 0)
     n = facets.bit_count()
 
-    def fits(i: int, members: int, last: bool) -> dict[str, GradedPoset] | None:
-        """Each subclass's semisuspension, by tau, if the rules admit facet i (not the first); else None."""
+    def fits(i: int, members: int, last: bool) -> bool:
+        """Whether the rules admit facet i (not the first) with these members."""
         sigma = p._elements[i]
         rest = members & ~(1 << i)
         if not s_rules:
-            parts = [(tau_name(sigma, j), part) for j, part in enumerate(_components(p, rest), start=1)]
+            parts = list(enumerate(_components(p, rest), start=1))
         elif last == bool(rest):
-            return None
+            return False
         else:
-            parts = [(tau_name(sigma), frozenset(p._names(rest)))] if rest else []
+            parts = [(None, frozenset(p._names(rest)))] if rest else []
         try:
-            return {tau: _gamma_checked(p, sigma, part, tau)[1] for tau, part in parts}
+            for j, part in parts:
+                _gamma_checked(p, sigma, part, j)
         except _ClassFailure:
-            return None
+            return False
+        return True
 
     def steps(slot: int, placed: int, covered: int):
-        """(facet, placed, covered, checked) for each facet the rules admit into this slot."""
+        """(facet, placed, covered) for each facet the rules admit into this slot."""
         pool = facets & ~placed
         while pool:  # lowest bit first, lazily: most slots take their first candidate
             i = (pool & -pool).bit_length() - 1
@@ -655,12 +650,10 @@ def _search(
             if slot and not p._downset[i] & ridges & covered:
                 continue
             budget.spend()
-            checked = {} if slot == 0 else fits(i, p._downset[i] & ~covered, slot == n - 1)
-            if checked is not None:
-                yield i, placed | 1 << i, covered | p._downset[i], checked
+            if slot == 0 or fits(i, p._downset[i] & ~covered, slot == n - 1):
+                yield i, placed | 1 << i, covered | p._downset[i]
 
     order = [0] * n
-    checked: list[dict[str, GradedPoset]] = [{}] * n
     stack = [steps(0, 0, 0)]
     while stack:
         step = next(stack[-1], None)
@@ -668,12 +661,12 @@ def _search(
             stack.pop()
             continue
         slot = len(stack) - 1
-        order[slot], placed, covered, checked[slot] = step
+        order[slot], placed, covered = step
         if slot + 1 < n:
             stack.append(steps(slot + 1, placed, covered))
             continue
         names = [p._elements[i] for i in order]
-        cert = _certificate(p, cls, names[0], _classes_from_order(p, names), budget, ChainMap(*checked))
+        cert = _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
         if not isinstance(cert, FailureReport):
             return cert
     return None
@@ -939,13 +932,21 @@ def _parse_block(lines: list[_Line], pos: int, depth: int) -> tuple[list[tuple[_
     return out, pos
 
 
-def _read_block(nested: list, poset: GradedPoset, what: str, lineno: int) -> tuple[frozenset[str], list]:
-    """The members and the ``sub`` block of a class or subclass block."""
+def _read_block(
+    nested: list, poset: GradedPoset, what: str, lineno: int, sub: bool = True
+) -> tuple[frozenset[str], list]:
+    """The members and the ``sub`` block (none unless ``sub``) of a class or subclass block."""
     members: frozenset[str] | None = None
     sub_blocks: list = []
+    seen: set[str] = set()
     for inner, inner_nested in nested:
+        if inner.fields[0] in seen:
+            raise CertificateParseError(f"second {inner.fields[0]!r} line in {what}", inner.lineno)
+        seen.add(inner.fields[0])
         if inner.fields[0] == "members":
             members = frozenset(inner.fields[1:])
+        elif inner.fields == ["sub"] and not sub:
+            raise CertificateParseError(f"{what} takes no sub block", inner.lineno)
         elif inner.fields == ["sub"]:
             sub_blocks = inner_nested
         else:
@@ -956,10 +957,6 @@ def _read_block(nested: list, poset: GradedPoset, what: str, lineno: int) -> tup
     if unknown:
         raise CertificateParseError(f"unknown members {unknown}", lineno)
     return members, sub_blocks
-
-
-def _suspended(p: GradedPoset, sigma: str, j: int | None, part: frozenset[str]) -> GradedPoset:
-    return semisuspension(gamma_poset(p, sigma, part), tau_name(sigma, j))[0]
 
 
 def _parse_sub(blocks: list, lineno: int, build, *args) -> SPartitionCert:
@@ -996,17 +993,17 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> 
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
             for j, (inner, inner_nested) in enumerate(nested, start=1):
-                if inner.fields[0] != "subclass":
-                    raise CertificateParseError("expected: subclass <j>", inner.lineno)
+                if inner.fields != ["subclass", str(j)]:
+                    raise CertificateParseError(f"expected: subclass {j}", inner.lineno)
                 part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
                 parts.append(part)
-                subcerts[(sigma, j)] = _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, j, part)
+                subcerts[(sigma, j)] = _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
             decomp[sigma] = tuple(parts)
             classes[sigma] = frozenset({sigma}).union(*parts)
             continue
-        members, sub_blocks = _read_block(nested, poset, f"class {sigma!r}", line.lineno)
+        members, sub_blocks = _read_block(nested, poset, f"{kind} class {sigma!r}", line.lineno, kind != cls.zero_kind)
         classes[sigma] = members
         if kind == "initial":
             if initial is not None:
@@ -1014,7 +1011,7 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> 
             initial = sigma
             subcert_initial = _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
-            subcerts[sigma] = _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, None, members - {sigma})
+            subcerts[sigma] = _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
         elif zero and not split:
             raise CertificateParseError("two terminal classes", line.lineno)
         else:

@@ -9,6 +9,9 @@ masks; element names are used only to name inputs and results, and names
 come out in (rank, name) order.  ``covers()`` lists the cover pairs sorted
 by name.
 
+Derived values (Eulerian verdicts, semisuspensions, flag counts,
+certificate sub-posets) are ``memoized`` on the poset object they come from.
+
 The reserved names ``bot`` and ``top`` denote the minimum and maximum.
 Synthetic elements created by derived constructions follow a fixed scheme:
 capped sub-posets get a fresh ``top``, semisuspensions get ``tau`` (callers
@@ -17,6 +20,7 @@ may pass qualified names such as ``tau@<coatom>``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -76,6 +80,24 @@ def _union(sets: list[int], mask: int) -> int:
     return out
 
 
+def memoized(fn):
+    """Compute ``fn(p, ...)`` once per poset p and arguments, kept in ``p._cache`` and gone with p.
+
+    A poset never changes after it is built; the values must not change either.
+    Keys name fn by string, so a poset with a memo still pickles.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(p: GradedPoset, *args, **kwargs):
+        key = (name, args, *kwargs.items())
+        if key not in p._cache:
+            p._cache[key] = fn(p, *args, **kwargs)
+        return p._cache[key]
+
+    return wrapper
+
+
 class GradedPoset:
     """Finite bounded graded poset with explicit ranks and covers."""
 
@@ -108,7 +130,7 @@ class GradedPoset:
         for i, x in enumerate(elems):
             levels[rank[x]] = levels.get(rank[x], 0) | 1 << i
         self._levels = levels
-        self._cache: dict = {}
+        self._cache: dict = {}  # the values of ``memoized`` functions of this poset
 
     def _mask(self, names: Iterable[str]) -> int:
         """The bitset of the named elements; PosetError on an unknown name."""
@@ -176,7 +198,7 @@ class GradedPoset:
         return list(self.lower_covers(self.top()))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GradedPoset)
             and self._rank == other._rank
             and self._covers == other._covers
@@ -253,6 +275,7 @@ def _parity_holds(p: GradedPoset, skip: tuple[str, str] | None = None) -> bool:
     return True
 
 
+@memoized
 def is_eulerian(p: GradedPoset) -> bool:
     """Every interval has Möbius value (-1)^(rank difference).
 
@@ -262,6 +285,7 @@ def is_eulerian(p: GradedPoset) -> bool:
     return _parity_holds(p)
 
 
+@memoized
 def is_semi_eulerian(p: GradedPoset) -> bool:
     """Every proper interval (all but [bot, top]) passes the Möbius test."""
     return _parity_holds(p, (p.bot(), p.top()))
@@ -308,6 +332,7 @@ def boundary_set(p: GradedPoset) -> set[str]:
     return set(p._names(_union(p._downset, _qualifying(p))))
 
 
+@memoized
 def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, str]:
     """Adjoin a new coatom covering every qualifying y; returns (poset, tau id).
 
@@ -329,8 +354,8 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:
     """The semisuspension of p at tau_name if it is a valid Eulerian poset, else None.
 
-    p is near-Eulerian exactly when this is not None; callers that go on to
-    use the semisuspension keep it instead of building it again.
+    p is near-Eulerian exactly when this is not None; the semisuspension is
+    memoized on p and its Eulerian verdict on itself.
     """
     if p.rank_top < 2 or validate(p):
         return None

@@ -24,6 +24,29 @@ def imported_packages(path: Path) -> set[str]:
     return out
 
 
+def cache_touches(path: Path) -> list[tuple[str, int]]:
+    """(enclosing class and function names, line) of every ``._cache`` attribute in a module."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_cache":
+                out.append((".".join(scope), child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def test_only_the_memo_helper_touches_the_poset_memo():
+    """Every memo lives on a poset object and goes through ``poset.memoized``."""
+    allowed = {("poset.py", "memoized.wrapper"), ("poset.py", "GradedPoset.__init__")}
+    touches = [(path.name, scope, line) for path in SOURCES for scope, line in cache_touches(path)]
+    assert touches
+    assert [t for t in touches if t[:2] not in allowed] == []
+
+
 def test_no_runtime_dependencies_declared():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)

@@ -40,7 +40,7 @@ from cdposet.partition import (
     verify_s_partition,
     verify_se_partition,
 )
-from cdposet.poset import BOT, PosetError, boundary_set, parse_poset
+from cdposet.poset import BOT, PosetError, boundary_set, format_poset, parse_poset
 
 
 def poly(terms):
@@ -433,6 +433,39 @@ class TestCertificateIO:
             parse_certificate("spart q-polytope\n   class s1 kind=initial\n", q_poset)
         assert "line 2" in str(err.value)
 
+    # (fixture, text replaced once, replacement, offending line within it, message):
+    # text that format_certificate never writes
+    NEVER_WRITTEN = {
+        "subclass-misnumbered": ("torus6_cert", "    subclass 2\n", "    subclass 9\n", 0, "expected: subclass 2"),
+        "subclass-unnumbered": ("torus6_cert", "    subclass 1\n", "    subclass\n", 0, "expected: subclass 1"),
+        "terminal-sub": (
+            "q_cert", "  class s7 kind=terminal\n    members s7\n", "  class s7 kind=terminal\n    members s7\n    sub\n",
+            2, "terminal class 's7' takes no sub block",
+        ),
+        "singleton-sub": (
+            "torus6_cert", "  class F20 kind=singleton\n    members F20\n",
+            "  class F20 kind=singleton\n    members F20\n    sub\n", 2, "singleton class 'F20' takes no sub block",
+        ),
+        "second-members": (
+            "q_cert", "    members C R BC CR QR s2\n", "    members C R BC CR QR s2\n    members C R BC CR QR s2\n",
+            1, "second 'members' line in ordinary class 's2'",
+        ),
+        "second-sub": (
+            "q_cert", "        members bot B Q tau@s2\n        sub\n", "        members bot B Q tau@s2\n        sub\n        sub\n",
+            2, "second 'sub' line in initial class 'tau@s2'",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEVER_WRITTEN))
+    def test_text_never_written_is_rejected(self, request, name):
+        fixture, old, new, offset, message = self.NEVER_WRITTEN[name]
+        cert = request.getfixturevalue(fixture)
+        text = format_certificate(cert)
+        lineno = text[: text.index(old)].count("\n") + 1 + offset
+        with pytest.raises(CertificateParseError) as err:
+            parse_certificate(text.replace(old, new, 1), cert.poset)
+        assert str(err.value) == f"line {lineno}: {message}"
+
 
 # -- pinned violation lists and searched round trips -----------------------------
 
@@ -718,3 +751,39 @@ class TestWalk:
         assert search_s_certificate(zoo.gen("simplex-boundary", (6,))) is not None
         distinct = {(id(p), sigma, rest) for p, sigma, rest in calls}
         assert calls and len(calls) == len(distinct)
+
+
+class TestSharedSubposets:
+    """Parse, verify, totals and search read one set of sub-posets, memoized on the objects
+    they come from.  Every object here is built from text, so no session fixture warms a memo."""
+
+    @staticmethod
+    def record_caps(monkeypatch) -> list:
+        capped = []
+        real = partition.cap
+        monkeypatch.setattr(partition, "cap", lambda p, *a, **k: capped.append(p.name) or real(p, *a, **k))
+        return capped
+
+    @staticmethod
+    def parsed_torus12():
+        cert = zoo.fixture_certificate("torus-fig12")
+        return parse_certificate(format_certificate(cert), parse_poset(format_poset(cert.poset)))
+
+    def test_verify_after_parse_builds_no_subposet(self, monkeypatch):
+        cert = self.parsed_torus12()
+        capped = self.record_caps(monkeypatch)
+        assert verify_se_partition(cert) == []
+        assert capped == []
+
+    def test_checked_totals_after_parse_build_only_the_gamma_boundaries(self, monkeypatch):
+        cert = self.parsed_torus12()
+        capped = self.record_caps(monkeypatch)
+        contributions_se(cert, check=True)
+        assert len(capped) == 20 and all(name.startswith("gamma(") for name in capped)
+
+    def test_verify_and_totals_after_search_build_only_the_gamma_boundaries(self, monkeypatch):
+        cert = search_s_certificate(parse_poset(format_poset(zoo.gen("simplex-boundary", (5,)))))
+        capped = self.record_caps(monkeypatch)
+        assert verify_s_partition(cert) == []
+        contributions_s(cert, check=False)
+        assert len(capped) == 60 and all(name.startswith("gamma(") for name in capped)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from cdposet import zoo
+from cdposet.flags import flag_f
+from cdposet.partition import (
+    boundary_poset,
+    contributions,
+    gamma_poset,
+    initial_boundary_poset,
+    search_se_certificate,
+)
 from cdposet.poset import (
     BOT,
     TOP,
@@ -392,3 +401,71 @@ class TestParityAgainstMobius:
     def test_fixtures_cover_all_three_verdicts(self):
         verdicts = {brute_verdicts(zoo.gen(f, params)) for f, params in SMALL_ZOO}
         assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+class TestMemo:
+    """Derived values are memoized on the poset object they come from, never shared mutably."""
+
+    @staticmethod
+    def fresh(family="q-polytope", params=()):
+        return parse_poset(format_poset(zoo.gen(family, params)))
+
+    def test_second_call_returns_the_same_object(self):
+        p = self.fresh()
+        gamma = gamma_poset(p, "s2", {"C", "R", "BC", "CR", "QR"})
+        assert gamma_poset(p, "s2", frozenset({"C", "R", "BC", "CR", "QR"})) is gamma
+        assert gamma_poset(p, "s2", {"BC", "CR", "QR"}) is gamma  # the same closure
+        assert initial_boundary_poset(p, "s1") is initial_boundary_poset(p, "s1")
+        assert boundary_poset(gamma) is boundary_poset(gamma)
+        assert semisuspension(gamma, "tau@s2") is semisuspension(gamma, "tau@s2")
+        assert semisuspension(gamma) is semisuspension(gamma)
+        assert is_eulerian(p) is is_eulerian(p) is True
+
+    def test_different_arguments_give_different_objects(self):
+        p = self.fresh()
+        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
+        assert gamma_poset(p, "s3", {"BC", "CR", "QR"}) is not gamma  # sigma names the result
+        assert gamma_poset(p, "s2", {"BC", "CR"}) is not gamma
+        assert initial_boundary_poset(p, "s1") is not initial_boundary_poset(p, "s2")
+        assert semisuspension(gamma, "tau@a")[0] is not semisuspension(gamma, "tau@b")[0]
+        assert semisuspension(gamma, "tau@a")[0].name == semisuspension(gamma, "tau@b")[0].name
+
+    def test_a_reparsed_poset_starts_with_an_empty_memo(self):
+        p = self.fresh()
+        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
+        assert validate(p) == [] and is_eulerian(p) and p._cache
+        q = parse_poset(format_poset(p))
+        assert q == p and q._cache == {}
+        assert gamma_poset(q, "s2", {"BC", "CR", "QR"}) is not gamma
+
+    def test_returned_values_are_not_shared_mutably(self):
+        p = GradedPoset("unbounded", {BOT: 0, "v0": 1, "v1": 1, TOP: 2}, [(BOT, "v0"), (BOT, "v1"), ("v0", TOP)])
+        first = validate(p)
+        first.append("junk")
+        assert validate(p) == first[:-1] and len(first) == 2
+        q = self.fresh()
+        counts = flag_f(q).counts
+        counts[frozenset({1})] = -1
+        assert flag_f(q).counts[frozenset({1})] == len(q.elements_of_rank(1))
+
+    def test_a_poset_with_a_memo_pickles(self):
+        p = self.fresh()
+        assert is_eulerian(p) and p._cache
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and is_eulerian(back)
+
+    def test_every_memoized_value_is_immutable(self):
+        p = self.fresh("torus-fig6")
+        contributions(search_se_certificate(p), check=True)
+        seen, stack = set(), [p]
+        while stack:
+            q = stack.pop()
+            if id(q) in seen:
+                continue
+            seen.add(id(q))
+            for value in q._cache.values():
+                for item in value if isinstance(value, tuple) else (value,):
+                    assert isinstance(item, (bool, int, str, GradedPoset))
+                    if isinstance(item, GradedPoset):
+                        stack.append(item)
+        assert len(seen) > 50
