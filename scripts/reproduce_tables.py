@@ -10,16 +10,16 @@ Usage: python scripts/reproduce_tables.py
 from __future__ import annotations
 
 from cdposet import zoo
-from cdposet.flags import cd_index, semi_cd_index
+from cdposet.flags import semi_cd_index
 from cdposet.ncpoly import format_polynomial
-from cdposet.partition import SPartitionCert, contributions
+from cdposet.partition import contributions
 
 
 def show(family: str) -> None:
     poset = zoo.gen(family)
     cert = zoo.fixture_certificate(family)
     cm = contributions(cert)
-    direct = cd_index(poset) if isinstance(cert, SPartitionCert) else semi_cd_index(poset)
+    direct = semi_cd_index(poset)  # cd_index on the Eulerian poset of an S-certificate
     print(f"== {family} ({len(poset.coatoms())} facets) ==")
     for sigma in sorted(cm.per_coatom):
         print(f"  {sigma:6s} {format_polynomial(cm.per_coatom[sigma])}")

@@ -257,7 +257,7 @@ def _cmd_contributions(args, rep: Report) -> int:
     if args.verb == "cd-recursive":
         rep.say(format_polynomial(cm.total))
         return 0
-    direct = cd_index(p) if isinstance(cert, SPartitionCert) else semi_cd_index(p)
+    direct = semi_cd_index(p)  # cd_index on the Eulerian poset of an S-certificate
     for sigma in sorted(cm.per_coatom):
         rep.poly(sigma, cm.per_coatom[sigma])
         rep.say(f"{sigma}: {format_polynomial(cm.per_coatom[sigma])}")
@@ -306,13 +306,13 @@ def _cmd_reverse_check(args, rep: Report) -> int:
     violations = verify_partition(cert)
     if violations:
         return _report_violations(violations, rep)
-    ok, assignment = check_reverse_partition(cert)
-    rep.result["reverse_partitionable"] = ok
-    rep.result["top_chain_assignments"] = len(assignment) if assignment else 0
-    rep.say(f"reverse-partitionable: {'yes' if ok else 'no'}")
-    if ok:
-        rep.say(f"top-chain assignments: {len(assignment)}")
-    return 0 if ok else 1
+    found = check_reverse_partition(cert)
+    rep.result["reverse_partitionable"] = found is not None
+    rep.result["top_chain_assignments"] = found[1] if found else 0
+    rep.say(f"reverse-partitionable: {'yes' if found else 'no'}")
+    if found:
+        rep.say(f"top-chain assignments: {found[1]}")
+    return 0 if found else 1
 
 
 def _budget(text: str) -> int:

@@ -218,13 +218,6 @@ def format_polynomial(p: NcPolynomial) -> str:
     return "".join(parts)
 
 
-# -- named operation aliases ---------------------------------------------------
-
-
-def multiply_right_letter(p: NcPolynomial, letter: str) -> NcPolynomial:
-    return p.times_letter(letter)
-
-
 # -- word enumeration ----------------------------------------------------------
 
 

@@ -826,42 +826,36 @@ def product_se_partition(
 # -- reverse partitions ---------------------------------------------------------------
 
 
-def check_reverse_partition(cert: SPartitionCert) -> tuple[bool, dict[tuple[str, ...], str] | None]:
+def check_reverse_partition(cert: SPartitionCert) -> tuple[dict[str, str], int] | None:
     """Do the reverse classes (boundary minus Gamma, plus the coatom) partition too?
 
-    When they do, also emit the explicit top-chain assignment: every chain
-    avoiding rank d gets the reverse-class owner of its highest element
-    appended (the terminal coatom for the empty chain).
+    The reverse class of sigma is its closed boundary minus the closure of
+    class(sigma) - sigma, plus sigma: {sigma} for the initial coatom, the whole
+    closed boundary for the terminal.  `cert` must pass `verify_partition`.
+
+    None when the reverse classes do not partition the elements below the top;
+    otherwise (owner, count).  `owner` maps each element below the top to the
+    coatom whose reverse class holds it, which fixes the top-chain assignment:
+    a chain avoiding rank d gets owner[chain[-1]], the empty chain owner["bot"].
+    `count` is the number of such chains, the empty one included.
     """
     p = cert.poset
     owner: dict[str, str] = {}
     covered = 0
     for sigma in sorted(cert.classes):
         i = p._index[sigma]
-        if sigma == cert.initial:  # its gamma is its whole boundary
-            reverse = 1 << i
-        else:  # the terminal's gamma is empty
-            rest = () if sigma == cert.terminal else cert.classes[sigma] - {sigma}
-            reverse = p._downset[i] & ~_union(p._downset, p._mask(rest)) | 1 << i
+        reverse = p._downset[i] & ~_union(p._downset, p._mask(cert.classes[sigma] - {sigma})) | 1 << i
         if reverse & covered:
-            return False, None
+            return None
         covered |= reverse
         owner.update(dict.fromkeys(p._names(reverse), sigma))
     if covered != (1 << len(p)) - 1 ^ 1 << p._index[p.top()]:
-        return False, None
-    assignment: dict[tuple[str, ...], str] = {(): owner[BOT]}
-    below_d = 0  # ranks 1..d-1
-    for r in range(1, p.rank_top - 1):
-        below_d |= p._levels.get(r, 0)
-
-    def chains(prefix: tuple[str, ...], candidates: int) -> None:
-        for i in _bits(candidates):  # everything above the chain's last element, lowest first
-            chain = prefix + (p._elements[i],)
-            assignment[chain] = owner[chain[-1]]
-            chains(chain, (p._upset[i] ^ 1 << i) & below_d)
-
-    chains((), below_d)
-    return True, assignment
+        return None
+    below_d = covered & ~p._levels[p.rank_top - 1] ^ 1 << p._index[BOT]  # ranks 1..d-1
+    ending = [0] * len(p)  # chains within ranks 1..d-1 whose highest element is i
+    for i in _bits(below_d):  # lower ranks first
+        ending[i] = 1 + sum(ending[j] for j in _bits(p._downset[i] & below_d ^ 1 << i))
+    return owner, 1 + sum(ending)
 
 
 # -- certificate file format ------------------------------------------------------------

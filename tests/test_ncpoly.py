@@ -22,7 +22,6 @@ from cdposet.ncpoly import (
     cd_words,
     expand_cd_to_ab,
     format_polynomial,
-    multiply_right_letter,
     substitute_a_minus_b,
     substitute_a_plus_b,
     word_degree,
@@ -64,21 +63,21 @@ class TestArithmetic:
             cd({"c": 1}) + ab({"a": 1})
 
     def test_right_letter_square_example(self):
-        assert multiply_right_letter(cd({"cc": 1, "d": 2}), "c") == cd({"ccc": 1, "dc": 2})
+        assert cd({"cc": 1, "d": 2}).times_letter("c") == cd({"ccc": 1, "dc": 2})
 
     def test_right_letter_unit(self):
-        assert multiply_right_letter(NcPolynomial.unit(CD), "d") == cd({"d": 1})
+        assert NcPolynomial.unit(CD).times_letter("d") == cd({"d": 1})
 
     def test_right_letter_word(self):
-        assert multiply_right_letter(cd({"cd": 1}), "c") == cd({"cdc": 1})
+        assert cd({"cd": 1}).times_letter("c") == cd({"cdc": 1})
 
     def test_right_letter_foreign(self):
         with pytest.raises(AlphabetMismatch):
-            multiply_right_letter(cd({"c": 1}), "a")
+            cd({"c": 1}).times_letter("a")
 
     @given(p=cd_polys(), q=cd_polys())
     def test_right_letter_distributes(self, p, q):
-        assert multiply_right_letter(p + q, "d") == multiply_right_letter(p, "d") + multiply_right_letter(q, "d")
+        assert (p + q).times_letter("d") == p.times_letter("d") + q.times_letter("d")
 
     @given(p=cd_polys())
     def test_degree_additive(self, p):
@@ -86,8 +85,8 @@ class TestArithmetic:
             return
         if not p.is_homogeneous():
             return
-        assert multiply_right_letter(p, "d").degree() == p.degree() + 2
-        assert multiply_right_letter(p, "c").degree() == p.degree() + 1
+        assert p.times_letter("d").degree() == p.degree() + 2
+        assert p.times_letter("c").degree() == p.degree() + 1
 
 
 class TestSubstitutions:

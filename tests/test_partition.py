@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from cdposet import partition, zoo
-from cdposet.flags import cd_index, semi_cd_index
+from cdposet.flags import cd_index, flag_f, semi_cd_index
 from cdposet.ncpoly import CD, NcPolynomial
 from cdposet.partition import (
     Budget,
@@ -352,26 +353,54 @@ class TestProductSE:
 
 class TestReversePartition:
     def test_q_fixture(self, q_cert):
-        ok, assignment = check_reverse_partition(q_cert)
-        assert ok
-        assert assignment[()] == q_cert.terminal
-        # every assigned chain avoids rank d and gains a coatom strictly above nothing in it
+        owner, count = check_reverse_partition(q_cert)
+        assert owner[BOT] == q_cert.terminal  # the empty chain goes to the terminal
+        # every element below the top is owned, and every owner is a coatom
         p = q_cert.poset
-        for chain, sigma in assignment.items():
-            assert all(p.rank(x) < p.rank_top - 1 for x in chain)
-            assert sigma in p.coatoms()
+        assert set(owner) == set(p.elements()) - {p.top()}
+        assert set(owner.values()) <= set(p.coatoms())
+        assert count == 44
 
     def test_diamond(self):
         cert = search_s_certificate(zoo.gen("sphere2cells", (0,)))
-        ok, assignment = check_reverse_partition(cert)
-        assert ok and assignment == {(): cert.terminal}
+        owner, count = check_reverse_partition(cert)
+        assert count == 1 and owner[BOT] == cert.terminal
 
     def test_probe_on_polygon_corpus(self):
         # empirical record: every order-induced polygon certificate is reversible
         for n in (3, 4, 5, 6):
             cert = search_s_certificate(zoo.gen("polygon", (n,)))
-            ok, _ = check_reverse_partition(cert)
-            assert ok is True
+            assert check_reverse_partition(cert) is not None
+
+    def test_not_a_partition(self, q_cert):
+        # PR moved from s3 to s4: the reverse classes of s3 and s4 overlap
+        assert check_reverse_partition(replace(q_cert, classes=_moved(q_cert.classes, "PR", "s3", "s4"))) is None
+
+    @pytest.mark.parametrize("family, params", [
+        ("q-polytope", ()), ("polygon", (3,)), ("polygon", (4,)), ("polygon", (5,)), ("polygon", (6,)),
+        ("cube", (4,)), ("simplex-boundary", (5,)),
+    ])
+    def test_count_is_flag_f_below_d(self, family, params):
+        # oracle: the chains avoiding rank d are counted by flag_f over rank sets without d
+        p = zoo.gen(family, params)
+        f = flag_f(p)
+        _, count = check_reverse_partition(search_s_certificate(p))
+        assert count == sum(c for K, c in f.counts.items() if f.d not in K)
+
+    def test_count_at_rank_100(self):
+        # sphere2cells(d) has two elements per rank, so 3**d chains avoid rank d
+        _, count = check_reverse_partition(search_s_certificate(zoo.gen("sphere2cells", (100,))))
+        assert count == 3**100
+
+    def test_memory_stays_flat(self):
+        cert = search_s_certificate(zoo.gen("sphere2cells", (12,)))
+        tracemalloc.start()
+        try:
+            check_reverse_partition(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one entry per element, not one per chain (3**12 of them)
 
 
 class TestMiddleChains:
