@@ -3,7 +3,7 @@
 Exit codes: 0 on success or a true predicate, 1 on a definite negative
 (failed check, NotInImage, exhausted search), 2 on input errors.  Every verb
 accepts ``--json``; the JSON report carries the same numeric content as the
-text report.  ``CDX_COLOR`` switches ANSI styling on (any value but ``0``).
+text report.
 """
 
 from __future__ import annotations
@@ -58,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
             super().error(message)  # prints the usage and the message, then exits 2
         except SystemExit:
             raise _UsageError(message) from None
-
-
-def _color(text: str, code: str) -> str:
-    if os.environ.get("CDX_COLOR", "") in ("", "0"):
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _bad(text: str) -> str:
-    return _color(text, "31")
 
 
 def _load(path: str, parse: Callable, *args):
@@ -139,7 +129,7 @@ class Report:
 def _report_violations(violations: list, rep: Report) -> int:
     """One line per violation (there is at least one); exit code 1."""
     rep.violations = [str(v) for v in violations]
-    rep.lines.extend(_bad(v) for v in rep.violations)
+    rep.lines.extend(rep.violations)
     return 1
 
 
@@ -153,7 +143,7 @@ def _cmd_check(args, rep: Report) -> int:
     rep.result["valid"] = not violations
     if violations:
         return _report_violations(violations, rep)
-    rep.say(_color("OK", "32"))
+    rep.say("OK")
     return 0
 
 
@@ -184,7 +174,7 @@ def _cmd_cd(args, rep: Report) -> int:
     except NotInImage as exc:
         rep.result[key] = None
         rep.result["reason"] = str(exc)
-        rep.say(_bad(f"NotInImage: {exc}"))
+        rep.say(f"NotInImage: {exc}")
         return 1
     rep.poly(key, phi)
     rep.say(format_polynomial(phi))
@@ -219,13 +209,13 @@ def _report_found(outcome, key: str, args, rep: Report) -> int:
     ``--emit-cert``, or why there is none: None, a FailureReport or the exception that stopped it."""
     rep.result[key] = False
     if outcome is None:
-        rep.say(_bad("exhausted: no certificate in the search family"))
+        rep.say("exhausted: no certificate in the search family")
         return 1
     if isinstance(outcome, FailureReport):
         return _report_violations([outcome], rep)
     if isinstance(outcome, Exception):
         rep.result["reason"] = str(outcome)
-        rep.say(_bad(str(outcome)))
+        rep.say(str(outcome))
         return 1
     total = contributions(outcome, check=False).total
     rep.result[key] = True
@@ -366,6 +356,15 @@ VERBS: dict[str, tuple[Callable[[argparse.Namespace, Report], int], str, tuple]]
 }
 
 
+def _print(text: str) -> None:
+    """Print to stdout; a reader that closes the pipe early gets less output, not a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull, as the Python docs advise for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb in `VERBS`, built once per process and shared by every `main` call."""
@@ -389,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().parse_args(argv, namespace=args)
     except _UsageError as exc:
         if args.json:
-            print(Report(args.verb, []).with_error(exc.message).to_json(0.0))
+            _print(Report(args.verb, []).with_error(exc.message).to_json(0.0))
         raise
     rep = Report(args.verb, [v for k, v in vars(args).items() if k in ("poset", "certificate", "family") and v])
     start = time.perf_counter()
@@ -397,14 +396,13 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, rep)
     except (InputError, zoo.UnknownFamily, zoo.BadParams, zoo.NoPublishedCertificate) as exc:
         if args.json:
-            print(rep.with_error(str(exc)).to_json(time.perf_counter() - start))
-        print(_bad(f"error: {exc}"), file=sys.stderr)
+            _print(rep.with_error(str(exc)).to_json(time.perf_counter() - start))
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(rep.to_json(time.perf_counter() - start))
-    else:
-        for line in rep.lines:
-            print(line)
+        _print(rep.to_json(time.perf_counter() - start))
+    elif rep.lines:
+        _print("\n".join(rep.lines))
     return code
 
 

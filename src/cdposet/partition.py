@@ -11,10 +11,12 @@ single subclass.  Every walk is written once over the view both share.
 The derived sub-posets (capped initial boundary, gamma, its boundary and
 semisuspension) and their Eulerian verdicts are memoized on the poset they
 come from, so parsing, verifying, totalling and searching one certificate
-build each of them once.  ``verify_partition`` checks an explicit witness
-and never searches.  Both searches walk facet orders depth first.  A
-search that returns None has exhausted the facet orders, not shown that no
-certificate exists.
+build each of them once.  Searching, verifying, parsing and formatting walk
+the levels of a certificate as generators that yield each sub-level to
+``poset._run``, so depth costs no Python frames.  ``verify_partition``
+checks an explicit witness and never searches.  Both searches walk facet
+orders depth first.  A search that returns None has exhausted the facet
+orders, not shown that no certificate exists.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -39,6 +41,7 @@ from .poset import (
     RankTooLow,
     Violation,
     _bits,
+    _run,
     _union,
     boundary_set,
     cap,
@@ -210,14 +213,6 @@ class FailureReport:
         return f"FAILURE {self.code} {where} {self.detail}"
 
 
-class _ClassFailure(Exception):
-    """A class check failed; ``report`` names the facet, the failure code and the detail."""
-
-    def __init__(self, facet: str | None, code: str, detail: str):
-        super().__init__(f"{code} at {facet}: {detail}")
-        self.report = FailureReport(facet, code, detail)
-
-
 # -- derived sub-posets -----------------------------------------------------------
 
 
@@ -255,23 +250,23 @@ def _suspended(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: i
     return semisuspension(gamma_poset(p, sigma, rest), tau_name(sigma, j))[0]
 
 
-def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset:
-    """``_suspended`` after the full check of an ordinary (sub)class; raises _ClassFailure."""
+def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset | FailureReport:
+    """``_suspended`` after the full check of an ordinary (sub)class, or the failure."""
     if not rest:
-        raise _ClassFailure(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
+        return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
     try:
         gamma = gamma_poset(p, sigma, rest)
     except (RankTooLow, PosetError) as exc:
-        raise _ClassFailure(sigma, "gamma-unbuildable", str(exc))
+        return FailureReport(sigma, "gamma-unbuildable", str(exc))
     suspended = near_eulerian_suspension(gamma, tau_name(sigma, j))
     if suspended is None:
-        raise _ClassFailure(sigma, "gamma-not-near-eulerian", gamma.name)
+        return FailureReport(sigma, "gamma-not-near-eulerian", gamma.name)
     bdry = boundary_set(gamma)
     if set(rest) & bdry:
-        raise _ClassFailure(sigma, "non-disjoint-boundary", f"{sorted(set(rest) & bdry)}")
+        return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(set(rest) & bdry)}")
     if set(rest) | bdry != set(gamma.elements()) - {TOP}:
         missing = (set(gamma.elements()) - {TOP}) - (set(rest) | bdry)
-        raise _ClassFailure(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
+        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
     return suspended
 
 
@@ -324,10 +319,8 @@ def _check_partition(
     return not out
 
 
-def _verify_sub(
-    sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]
-) -> None:
-    """Check the sub-certificate of the initial class (tau None) or of a subclass, then recurse."""
+def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]):
+    """Check the sub-certificate of the initial class (tau None) or of a subclass, then walk it."""
     if sub is None:
         code = "missing-initial-subcert" if tau is None else "missing-subcert"
         out.append(Violation(code, cpath, "no sub-certificate"))
@@ -337,7 +330,7 @@ def _verify_sub(
     elif tau is not None and sub.initial != tau:
         out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
-        out.extend(_verify(sub, f"{cpath}/sub"))
+        out.extend((yield _verify(sub, f"{cpath}/sub")))
 
 
 def _check_terminal(cert: SPartitionCert, path: str, out: list[Violation]) -> bool:
@@ -389,17 +382,17 @@ def _check_decomposition(cert: SEPartitionCert, sigma: str, cpath: str, out: lis
     return ok
 
 
-def verify_partition(cert: SPartitionCert | SEPartitionCert, path: str | None = None) -> list[Violation]:
+def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
     """Full recursive check; empty list iff the certificate is a valid witness.
 
     An S-certificate needs an Eulerian poset and one terminal singleton; an
     SE-certificate a semi-Eulerian poset, declared singletons and a subclass
     decomposition of every ordinary class.
     """
-    return _verify(cert, cert.header if path is None else path)
+    return _run(_verify(cert, cert.header))
 
 
-def _verify(cert: SPartitionCert | SEPartitionCert, path: str) -> list[Violation]:
+def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
     eulerian = isinstance(cert, SPartitionCert)
     p = cert.poset
     bad = validate(p)
@@ -417,7 +410,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str) -> list[Violation
     if not (_check_terminal if eulerian else _check_singletons)(cert, path, out):
         return out
     boundary = initial_boundary_poset(p, cert.initial)
-    _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
+    yield from _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
     keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
     if set(keyed) != set(cert.ordinary()):
         out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {cert.ordinary()}"))
@@ -428,12 +421,11 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str) -> list[Violation
             continue
         for j, part, key in cert._subclasses(sigma):
             spath = cpath if j is None else f"{cpath}/subclass[{j}]"
-            try:
-                suspended = _gamma_checked(p, sigma, part, j)
-            except _ClassFailure as cf:
-                out.append(Violation(cf.report.code, spath, cf.report.detail))
+            suspended = _gamma_checked(p, sigma, part, j)
+            if isinstance(suspended, FailureReport):
+                out.append(Violation(suspended.code, spath, suspended.detail))
                 continue
-            _verify_sub(cert.subcerts.get(key), suspended, spath, tau_name(sigma, j), out)
+            yield from _verify_sub(cert.subcerts.get(key), suspended, spath, tau_name(sigma, j), out)
     return out
 
 
@@ -463,6 +455,11 @@ def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert) -> NcPo
 
 
 def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
+    """The contribution map; unlike the walks, it recurses on the Python stack.
+
+    Each level takes an O(2^rank) cd-index through the flag vector, so no
+    certificate within reach of that cost is deep enough to hit the limit.
+    """
     p = cert.poset
     if p.rank_top - 1 == 0:
         return ContributionMap({}, NcPolynomial.unit(CD))
@@ -490,7 +487,7 @@ def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) ->
     boundary cd-index, from the direct flag pipeline, must equal its
     sub-certificate's recursive total (else CrossCheckError).
     """
-    violations = _verify(cert, cert.header) if check else []
+    violations = verify_partition(cert) if check else []
     if violations:
         raise CertificateInvalid(violations)
     return _contributions(cert)
@@ -535,7 +532,7 @@ def _certificate(
     classes: dict[str, frozenset[str]],
     budget: Budget,
     checked: bool = False,
-) -> SPartitionCert | SEPartitionCert | FailureReport:
+):
     """The certificate with these classes and its searched sub-certificates, or the first class failure.
 
     The zero classes are the one-element classes besides the initial one: the
@@ -552,17 +549,16 @@ def _certificate(
     boundary = initial_boundary_poset(p, initial)
     # a rank-1 boundary is the two-element chain and needs no test
     if boundary.rank_top == 1 or is_eulerian(boundary):
-        cert.subcert_initial = _search(boundary, budget, SPartitionCert)
+        cert.subcert_initial = yield _search(boundary, budget, SPartitionCert)
     if cert.subcert_initial is None:
         return FailureReport(initial, "initial-subcert", "capped boundary admits no certificate")
     for sigma in cert.ordinary():
         for j, part, key in cert._subclasses(sigma):
-            try:
-                suspended = (_suspended if checked else _gamma_checked)(p, sigma, part, j)
-            except _ClassFailure as cf:
-                return cf.report
+            suspended = (_suspended if checked else _gamma_checked)(p, sigma, part, j)
+            if isinstance(suspended, FailureReport):
+                return suspended
             # the class check found the semisuspension Eulerian
-            cert.subcerts[key] = _search(suspended, budget, SPartitionCert, first=tau_name(sigma, j))
+            cert.subcerts[key] = yield _search(suspended, budget, SPartitionCert, first=tau_name(sigma, j))
             if cert.subcerts[key] is None:
                 where = "" if j is None else f"subclass {j} "
                 return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
@@ -576,7 +572,7 @@ def se_certificate_from_classes(
     budget: Budget | None = None,
 ) -> SEPartitionCert | FailureReport:
     """Assemble an SE-certificate from explicit classes (subclasses split by connectivity)."""
-    return _certificate(p, SEPartitionCert, initial, classes, Budget.of(budget))
+    return _run(_certificate(p, SEPartitionCert, initial, classes, Budget.of(budget)))
 
 
 # -- search ---------------------------------------------------------------------------
@@ -592,9 +588,7 @@ def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset
     return classes
 
 
-def _search(
-    p: GradedPoset, budget: Budget, cls: type, first: str | None = None
-) -> SPartitionCert | SEPartitionCert | None:
+def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None):
     """Depth-first search over facet orders: the first order whose certificate assembles, or None.
 
     Facets are placed one at a time, in name order among the candidates, and
@@ -632,12 +626,7 @@ def _search(
             return False
         else:
             parts = [(None, frozenset(p._names(rest)))] if rest else []
-        try:
-            for j, part in parts:
-                _gamma_checked(p, sigma, part, j)
-        except _ClassFailure:
-            return False
-        return True
+        return not any(isinstance(_gamma_checked(p, sigma, part, j), FailureReport) for j, part in parts)
 
     def steps(slot: int, placed: int, covered: int):
         """(facet, placed, covered) for each facet the rules admit into this slot."""
@@ -666,7 +655,7 @@ def _search(
             stack.append(steps(slot + 1, placed, covered))
             continue
         names = [p._elements[i] for i in order]
-        cert = _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
+        cert = yield _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
         if not isinstance(cert, FailureReport):
             return cert
     return None
@@ -683,7 +672,7 @@ def _search_checked(
         raise PosetError(f"{p.name} is not Eulerian")
     if cls is SEPartitionCert and not is_semi_eulerian(p):
         raise PosetError(f"{p.name} is not semi-Eulerian")
-    return _search(p, Budget.of(budget), cls)
+    return _run(_search(p, Budget.of(budget), cls))
 
 
 def search_s_certificate(p: GradedPoset, budget: Budget | int | None = None) -> SPartitionCert | None:
@@ -731,7 +720,7 @@ def order_to_s_certificate(
     for sigma in facet_order[1:-1]:
         if classes[sigma] == frozenset({sigma}):
             return FailureReport(sigma, "ordinary-singleton", "intermediate facet already covered")
-    return _certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget))
+    return _run(_certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget)))
 
 
 def _is_simplicial(p: GradedPoset) -> bool:
@@ -784,7 +773,7 @@ def simplicial_partition_to_s_certificate(
         raise NotAPartition("boolean intervals do not partition the poset")
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
-    return _certificate(p, SPartitionCert, initials[0], classes, Budget.of(budget))
+    return _run(_certificate(p, SPartitionCert, initials[0], classes, Budget.of(budget)))
 
 
 def product_se_partition(
@@ -817,7 +806,7 @@ def product_se_partition(
             classes[pair_name(s, t)] = frozenset(members)
     initial = pair_name(cp.initial, cq.initial)
     classes[initial] = classes[initial] | {BOT}
-    cert = _certificate(prod, SEPartitionCert, initial, classes, Budget.of(budget))
+    cert = _run(_certificate(prod, SEPartitionCert, initial, classes, Budget.of(budget)))
     if isinstance(cert, FailureReport):
         raise PosetError(f"product classes failed: {cert}")
     return cert
@@ -865,7 +854,7 @@ def _members_line(members: frozenset[str], p: GradedPoset) -> str:
     return "members " + " ".join(p._names(p._mask(members)))
 
 
-def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]) -> None:
+def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]):
     pad = "  " * depth
     zero = cert.zero_classes()
     for sigma in sorted(cert.classes):
@@ -889,12 +878,12 @@ def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: lis
             lines.append(f"{'  ' * inner}{_members_line(members, cert.poset)}")
             if sub is not None:
                 lines.append(f"{'  ' * inner}sub")
-                _emit_classes(sub, inner + 1, lines)
+                yield _emit_classes(sub, inner + 1, lines)
 
 
 def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
     lines = [f"{cert.header} {cert.poset.name}"]
-    _emit_classes(cert, 1, lines)
+    _run(_emit_classes(cert, 1, lines))
     return "\n".join(lines) + "\n"
 
 
@@ -914,16 +903,19 @@ def _scan_lines(text: str) -> list[_Line]:
     return out
 
 
-def _parse_block(lines: list[_Line], pos: int, depth: int) -> tuple[list[tuple[_Line, list]], int]:
-    """Group lines at the given depth with their nested blocks."""
-    out: list[tuple[_Line, list]] = []
-    while pos < len(lines) and lines[pos].indent >= depth:
-        line = lines[pos]
-        if line.indent > depth:
+def _parse_block(lines: list[_Line]) -> list[tuple[_Line, list]]:
+    """The tree of the lines below the header: each line with the block of lines nested in it."""
+    open_blocks: list[list] = [[]]  # open_blocks[k] collects the lines at indentation level k + 1
+    for line in lines[1:]:
+        if line.indent == 0:
+            raise CertificateParseError("trailing content", line.lineno)
+        if line.indent > len(open_blocks):
             raise CertificateParseError("unexpected indentation", line.lineno)
-        nested, pos = _parse_block(lines, pos + 1, depth + 1)
-        out.append((line, nested))
-    return out, pos
+        del open_blocks[line.indent :]
+        nested: list[tuple[_Line, list]] = []
+        open_blocks[-1].append((line, nested))
+        open_blocks.append(nested)
+    return open_blocks[0]
 
 
 def _read_block(
@@ -953,8 +945,8 @@ def _read_block(
     return members, sub_blocks
 
 
-def _parse_sub(blocks: list, lineno: int, build, *args) -> SPartitionCert:
-    """Build the poset a sub-certificate certifies, then parse its ``sub`` block."""
+def _parse_sub(blocks: list, lineno: int, build, *args):
+    """Build the poset a sub-certificate certifies; the walk that parses its ``sub`` block."""
     try:
         sub_poset = build(*args)
     except PosetError as exc:
@@ -962,7 +954,7 @@ def _parse_sub(blocks: list, lineno: int, build, *args) -> SPartitionCert:
     return _parse_classes(blocks, sub_poset, lineno, SPartitionCert)
 
 
-def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> SPartitionCert | SEPartitionCert:
+def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
     """The class blocks of one certificate level; SE ordinary classes hold subclass blocks."""
     split = cls is SEPartitionCert
     if poset.rank_top - 1 == 0:
@@ -991,7 +983,7 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> 
                     raise CertificateParseError(f"expected: subclass {j}", inner.lineno)
                 part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
                 parts.append(part)
-                subcerts[(sigma, j)] = _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
+                subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
             decomp[sigma] = tuple(parts)
@@ -1003,9 +995,9 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type) -> 
             if initial is not None:
                 raise CertificateParseError("two initial classes", line.lineno)
             initial = sigma
-            subcert_initial = _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
+            subcert_initial = yield _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
-            subcerts[sigma] = _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
+            subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
         elif zero and not split:
             raise CertificateParseError("two terminal classes", line.lineno)
         else:
@@ -1030,7 +1022,4 @@ def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEParti
         raise CertificateParseError(
             f"certificate is for {header.fields[1]!r}, poset is {poset.name!r}", header.lineno
         )
-    blocks, pos = _parse_block(lines, 1, 1)
-    if pos != len(lines):
-        raise CertificateParseError("trailing content", lines[pos].lineno)
-    return _parse_classes(blocks, poset, header.lineno, kinds[header.fields[0]])
+    return _run(_parse_classes(_parse_block(lines), poset, header.lineno, kinds[header.fields[0]]))

@@ -80,6 +80,25 @@ def _union(sets: list[int], mask: int) -> int:
     return out
 
 
+def _run(walk):
+    """The value of a walk: a generator that yields each recursive call as a sub-walk.
+
+    The sub-walk's value is sent back.  Suspended walks wait on a list, so depth costs heap,
+    not Python frames.  Exceptions pass out unchanged: no walk catches one around a ``yield``.
+    """
+    stack, value = [walk], None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
+
+
 def memoized(fn):
     """Compute ``fn(p, ...)`` once per poset p and arguments, kept in ``p._cache`` and gone with p.
 
@@ -415,41 +434,33 @@ def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
 
     Elements of p are mapped in (rank, name) order, each to an unused element
     of q of the same rank, in (rank, name) order, whose lower covers are the
-    images of its own and which has as many upper covers.  The search keeps
-    one candidate list per mapped element on an explicit stack.
+    images of its own and which has as many upper covers.  Each mapped
+    element is one level of a walk (see ``_run``).
     """
     if p.rank_top != q.rank_top or len(p) != len(q):
         return None
     if any(p._levels.get(r, 0).bit_count() != q._levels.get(r, 0).bit_count() for r in range(p.rank_top + 1)):
         return None
     image = [0] * len(p)  # the q-number of each mapped p-number
-    used = 0
 
-    def candidates(i: int) -> list[int]:
+    def extend(i: int, used: int):
+        """The first completion of image[:i], whose q-numbers are the bits of used, or None."""
+        if i == len(p):
+            return {x: q._elements[j] for x, j in zip(p._elements, image)}
         lower = sum(1 << image[k] for k in _bits(p._down[i]))  # lower covers are mapped already
         pool = q._levels.get(p.rank(p._elements[i]), 0) & ~used
         for k in _bits(lower):
             pool &= q._up[k]
         n_up = p._up[i].bit_count()
-        return [j for j in _bits(pool) if q._down[j] == lower and q._up[j].bit_count() == n_up]
+        for j in _bits(pool):
+            if q._down[j] == lower and q._up[j].bit_count() == n_up:
+                image[i] = j
+                found = yield extend(i + 1, used | 1 << j)
+                if found is not None:
+                    return found
+        return None
 
-    if not len(p):
-        return {}
-    stack = [iter(candidates(0))]
-    while stack:
-        j = next(stack[-1], None)
-        if j is None:
-            stack.pop()
-            if stack:
-                used ^= 1 << image[len(stack) - 1]  # the parent moves on to its next candidate
-            continue
-        i = len(stack) - 1
-        image[i] = j
-        used |= 1 << j
-        if i + 1 == len(p):
-            return {x: q._elements[j] for x, j in zip(p._elements, image)}
-        stack.append(iter(candidates(i + 1)))
-    return None
+    return _run(extend(0, 0))
 
 
 def connected_sum(

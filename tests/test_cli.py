@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cdposet.cli import main
+from cdposet.partition import format_certificate
+from cdposet.poset import format_poset
 
 
 @pytest.fixture()
@@ -321,3 +327,37 @@ class TestInputErrors:
         code, out, _ = run("--json", verb, *argv, "--budget", "0")
         result = json.loads(out)["result"]
         assert code == 1 and result == {"converted": False, "reason": "search budget of 0 nodes exhausted"}
+
+
+class TestDeepCertificates:
+    """`check-spart` and `reverse-check` read, verify and probe a certificate 121 levels deep."""
+
+    @pytest.fixture()
+    def deep_files(self, tmp_path, deep_sphere):
+        p, cert = deep_sphere
+        (tmp_path / "s.poset").write_text(format_poset(p))
+        (tmp_path / "s.spart").write_text(format_certificate(cert))
+        return str(tmp_path / "s.poset"), str(tmp_path / "s.spart")
+
+    def test_check_spart(self, run, deep_files, shallow_stack):
+        assert run("check-spart", *deep_files)[:2] == (0, "OK\n")
+
+    def test_reverse_check(self, run, deep_files, shallow_stack):
+        code, out, _ = run("reverse-check", *deep_files)
+        assert code == 0 and out.startswith("reverse-partitionable: yes\n")
+
+
+def test_closed_stdout_shows_no_traceback():
+    # polygon(3000) is ~200 kB of text, more than a pipe holds, so the write meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdposet.cli", "gen", "polygon", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"# provenance: generator\n"
+    assert b"Traceback" not in err

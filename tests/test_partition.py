@@ -294,6 +294,18 @@ class TestSearch:
         with pytest.raises(BudgetExhausted):
             search_s_certificate(q_poset, budget=3)
 
+    def test_budget_runs_out_inside_nested_sub_searches(self):
+        # cube(3) spends 45 nodes: 7 on its own facet order, 38 in nested sub-searches
+        p = zoo.gen("cube", (3,))
+        for limit in range(45):
+            budget = Budget(limit)
+            with pytest.raises(BudgetExhausted):
+                search_s_certificate(p, budget)
+            assert budget.used == limit + 1
+        cert = search_s_certificate(p, Budget(45))
+        digest = hashlib.sha256(format_certificate(cert).encode("utf-8")).hexdigest()
+        assert digest == "3f71bed6a0c82f3067d01751cd1a1269aaaa7809224c55315b1ec913228ad340"
+
     def test_zero_budget(self, q_poset, torus6):
         assert Budget.of(0).limit == 0
         with pytest.raises(BudgetExhausted):
@@ -677,6 +689,21 @@ class TestSearchedRoundTrip:
     def test_format_parse_identity(self, family, params, search):
         p = zoo.gen(family, params)
         text = format_certificate(search(p))
+        assert format_certificate(parse_certificate(text, p)) == text
+
+
+class TestDepth:
+    """Every certificate walk keeps its levels on a list, not on the Python stack (``shallow_stack``)."""
+
+    def test_search(self, shallow_stack):
+        assert search_s_certificate(zoo.gen("sphere2cells", (120,))) is not None
+
+    def test_verify(self, deep_sphere, shallow_stack):
+        assert verify_s_partition(deep_sphere[1]) == []
+
+    def test_format_and_parse(self, deep_sphere, shallow_stack):
+        p, cert = deep_sphere
+        text = format_certificate(cert)
         assert format_certificate(parse_certificate(text, p)) == text
 
 

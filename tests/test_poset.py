@@ -239,6 +239,10 @@ class TestFindIsomorphism:
         iso = find_isomorphism(p, zoo.gen("polygon", (600,)))
         assert iso == {x: x for x in p.elements()}
 
+    def test_large_polygon_on_a_shallow_stack(self, shallow_stack):
+        p = zoo.gen("polygon", (600,))
+        assert find_isomorphism(p, zoo.gen("polygon", (600,))) == {x: x for x in p.elements()}
+
     def test_same_size_non_isomorphic_pair(self):
         hexagon = zoo.gen("polygon", (6,))
         ranks = {BOT: 0, TOP: 3}
