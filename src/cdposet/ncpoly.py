@@ -16,8 +16,8 @@ integer steps.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import product
-from typing import Iterable, Mapping
 
 AB = "ab"
 CD = "cd"

@@ -6,8 +6,9 @@ relation as Python-int bitsets over those numbers (bit i is element i):
 the upper and lower cover masks, the down- and up-closure masks and one
 mask per rank level.  Every query and derived construction reads these
 masks; element names are used only to name inputs and results, and names
-come out in (rank, name) order.  ``covers()`` lists the cover pairs sorted
-by name.
+come out in (rank, name) order.  ``covers()`` sorts the cover pairs by name
+on demand.  Derived posets (capped sub-posets, semisuspensions) renumber the
+parent's masks and never go through the name constructor.
 
 Derived values (Eulerian verdicts, semisuspensions, flag counts,
 certificate sub-posets) are ``memoized`` on the poset object they come from.
@@ -20,6 +21,7 @@ may pass qualified names such as ``tau@<coatom>``).
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -75,8 +77,10 @@ def _bits(mask: int) -> list[int]:
 def _union(sets: list[int], mask: int) -> int:
     """The union of sets[i] over the bits i of mask."""
     out = 0
-    for i in _bits(mask):
-        out |= sets[i]
+    while mask:
+        low = mask & -mask
+        out |= sets[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -121,11 +125,9 @@ class GradedPoset:
     """Finite bounded graded poset with explicit ranks and covers."""
 
     def __init__(self, name: str, ranks: Mapping[str, int], covers: Iterable[tuple[str, str]]):
-        self.name = name
-        self._rank = rank = dict(ranks)
-        self.rank_top = max(rank.values(), default=0)
-        self._elements = elems = tuple(sorted(rank, key=lambda x: (rank[x], x)))
-        self._index = index = {x: i for i, x in enumerate(elems)}
+        rank = dict(ranks)
+        elems = tuple(sorted(rank, key=lambda x: (rank[x], x)))
+        index = {x: i for i, x in enumerate(elems)}
         up = [0] * len(elems)
         down = [0] * len(elems)
         for lo, hi in covers:
@@ -136,8 +138,20 @@ class GradedPoset:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
             up[i] |= 1 << j
             down[j] |= 1 << i
-        self._up, self._down = up, down
-        self._covers = tuple(sorted((x, y) for x, above in zip(elems, up) for y in self._names(above)))
+        self._fill(name, rank, elems, up, down)
+
+    @classmethod
+    def _from_bits(cls, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> GradedPoset:
+        """The poset with these cover masks over elems, which must be in (rank, name) order."""
+        p = cls.__new__(cls)
+        p._fill(name, rank, elems, up, down)
+        return p
+
+    def _fill(self, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> None:
+        """Set the name, the cover masks and everything computed from them."""
+        self.name, self._rank, self._elements, self._up, self._down = name, rank, elems, up, down
+        self._index = dict(zip(elems, range(len(elems))))
+        self.rank_top = rank[elems[-1]] if elems else 0
         # closures include the element itself; every lower cover has a smaller number
         self._downset = [0] * len(elems)
         for j in range(len(elems)):
@@ -183,7 +197,7 @@ class GradedPoset:
         return dict(self._rank)
 
     def covers(self) -> list[tuple[str, str]]:
-        return list(self._covers)
+        return sorted((x, y) for x, above in zip(self._elements, self._up) for y in self._names(above))
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
         return self._names(self._up[self._index[x]])
@@ -220,7 +234,7 @@ class GradedPoset:
         return self is other or (
             isinstance(other, GradedPoset)
             and self._rank == other._rank
-            and self._covers == other._covers
+            and self._up == other._up  # the same ranks give the same numbering
         )
 
     __hash__ = None  # mutable caches inside; structural equality only
@@ -245,6 +259,7 @@ def validate(p: GradedPoset) -> list[Violation]:
         out.append(Violation("top-count", p.name, f"rank-{p.rank_top} elements: {tops}"))
     elif tops[0] != TOP:
         out.append(Violation("top-name", p.name, f"maximum is {tops[0]!r}, expected {TOP!r}"))
+    jumps = []
     for i, x in enumerate(p.elements()):
         r = p.rank(x)
         if r < 0 or r > p.rank_top:
@@ -253,9 +268,11 @@ def validate(p: GradedPoset) -> list[Violation]:
             out.append(Violation("not-bounded-below", x, "covers nothing"))
         if r < p.rank_top and not p._up[i]:
             out.append(Violation("not-bounded-above", x, "covered by nothing"))
-    for lo, hi in p.covers():
-        if p.rank(hi) - p.rank(lo) != 1:
-            out.append(Violation("not-graded", f"{lo}<{hi}", f"rank jump {p.rank(lo)}->{p.rank(hi)}"))
+        jump = p._up[i] & ~p._levels.get(r + 1, 0)
+        if jump:
+            jumps.extend((x, y) for y in p._names(jump))
+    for lo, hi in sorted(jumps):
+        out.append(Violation("not-graded", f"{lo}<{hi}", f"rank jump {p.rank(lo)}->{p.rank(hi)}"))
     return out
 
 
@@ -319,21 +336,34 @@ def closure(p: GradedPoset, members: Iterable[str]) -> set[str]:
 
 
 def cap(p: GradedPoset, members: Iterable[str], rank_top: int, name: str | None = None) -> GradedPoset:
-    """Poset on a down-closed set with a fresh ``top`` adjoined at rank_top."""
+    """Poset on a down-closed set with a fresh ``top`` adjoined at rank_top.
+
+    The members keep their (rank, name) order and the fresh top comes last, so
+    the parent's cover masks are renumbered by the kept bits.
+    """
     mask = p._mask(members)
     if BOT not in p or not mask >> p._index[BOT] & 1 or _union(p._downset, mask) != mask:
         raise PosetError("cap expects a down-closed set containing bot")
-    elems = p._names(mask)
-    too_high = [x for x in elems if p.rank(x) >= rank_top]
-    if too_high:
-        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(too_high)}")
-    ranks = {x: p.rank(x) for x in elems}
-    ranks[TOP] = rank_top
-    covers = []
-    for i, x in zip(_bits(mask), elems):
-        above = p._up[i] & mask
-        covers.extend([(x, y) for y in p._names(above)] if above else [(x, TOP)])
-    return GradedPoset(name or f"cap({p.name},{rank_top})", ranks, covers)
+    kept = _bits(mask)
+    elems = tuple(map(p._elements.__getitem__, kept))
+    if p._rank[elems[-1]] >= rank_top:
+        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(x for x in elems if p._rank[x] >= rank_top)}")
+    if TOP in p and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
+        above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
+        raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
+    n = len(kept)
+    new = dict(zip(kept, range(n)))
+    up, down = [0] * (n + 1), [0] * (n + 1)
+    for k, i in enumerate(kept):
+        for j in _bits(p._down[i]):
+            down[k] |= 1 << new[j]
+            up[new[j]] |= 1 << k
+    for k in range(n):
+        if not up[k]:
+            up[k] = 1 << n
+            down[n] |= 1 << k
+    ranks = {x: p._rank[x] for x in elems} | {TOP: rank_top}
+    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", ranks, elems + (TOP,), up, down)
 
 
 def _qualifying(p: GradedPoset) -> int:
@@ -362,12 +392,19 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
         raise PosetError("semisuspension needs rank at least 2")
     if tau_name in p:
         raise PosetError(f"name {tau_name!r} already present")
-    ranks = p.ranks()
-    ranks[tau_name] = p.rank_top - 1
-    covers = p.covers()
-    covers.extend((y, tau_name) for y in p._names(_qualifying(p)))
-    covers.append((tau_name, p.top()))
-    return GradedPoset(f"ssusp({p.name})", ranks, covers), tau_name
+    r = p.rank_top - 1
+    at = bisect.bisect_left(p._elements, (r, tau_name), key=lambda x: (p._rank[x], x))
+    low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
+    up = [m & low | (m & ~low) << 1 for m in p._up]
+    down = [m & low | (m & ~low) << 1 for m in p._down]
+    top, qualifying = p._index[p.top()] + 1, _qualifying(p)  # qualifying ranks are below r
+    up.insert(at, 1 << top)
+    down.insert(at, qualifying)
+    down[top] |= 1 << at
+    for i in _bits(qualifying):
+        up[i] |= 1 << at
+    elems = p._elements[:at] + (tau_name,) + p._elements[at:]
+    return GradedPoset._from_bits(f"ssusp({p.name})", {**p._rank, tau_name: r}, elems, up, down), tau_name
 
 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:

@@ -41,7 +41,7 @@ def cache_touches(path: Path) -> list[tuple[str, int]]:
 
 def test_only_the_memo_helper_touches_the_poset_memo():
     """Every memo lives on a poset object and goes through ``poset.memoized``."""
-    allowed = {("poset.py", "memoized.wrapper"), ("poset.py", "GradedPoset.__init__")}
+    allowed = {("poset.py", "memoized.wrapper"), ("poset.py", "GradedPoset._fill")}
     touches = [(path.name, scope, line) for path in SOURCES for scope, line in cache_touches(path)]
     assert touches
     assert [t for t in touches if t[:2] not in allowed] == []

@@ -6,15 +6,21 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdposet import zoo
 from cdposet.flags import flag_f
 from cdposet.partition import (
     boundary_poset,
     contributions,
+    format_certificate,
     gamma_poset,
     initial_boundary_poset,
+    parse_certificate,
+    search_s_certificate,
     search_se_certificate,
+    verify_partition,
 )
 from cdposet.poset import (
     BOT,
@@ -73,6 +79,19 @@ class TestValidate:
     def test_rank_skipping_cover(self):
         p = GradedPoset("skippy", {BOT: 0, "e": 2, TOP: 3}, [(BOT, "e"), ("e", TOP)])
         assert any(v.code == "not-graded" for v in validate(p))
+
+    def test_not_graded_violations_in_cover_name_order(self):
+        # the jumping covers come from elements of ranks 0, 1 and 2; their names sort the other way
+        p = GradedPoset(
+            "jumps",
+            {BOT: 0, "x": 1, "a": 2, "b": 3, TOP: 4},
+            [(BOT, "x"), ("x", "a"), ("a", "b"), ("b", TOP), (BOT, "a"), ("x", "b"), ("a", TOP)],
+        )
+        assert [str(v) for v in validate(p)] == [
+            "VIOLATION not-graded a<top rank jump 2->4",
+            "VIOLATION not-graded bot<a rank jump 0->2",
+            "VIOLATION not-graded x<b rank jump 1->3",
+        ]
 
 
 class TestBadCovers:
@@ -473,3 +492,147 @@ class TestMemo:
                     if isinstance(item, GradedPoset):
                         stack.append(item)
         assert len(seen) > 50
+
+
+# every field that the bitset core sets, besides the name and the memo
+CORE_FIELDS = ("_elements", "_index", "_rank", "_up", "_down", "_downset", "_upset", "_levels", "rank_top")
+
+
+def assert_name_built_twin(q):
+    """q has every core field of the same poset built from its names, and the same covers and violations."""
+    twin = GradedPoset(q.name, q.ranks(), q.covers())
+    for field in CORE_FIELDS:
+        assert getattr(q, field) == getattr(twin, field), (q.name, field)
+    assert q.covers() == twin.covers() and q == twin
+    assert validate(q) == validate(twin)
+
+
+def memo_tree(p):
+    """Every poset memoized below p, each once."""
+    seen, stack, out = {id(p)}, [p], []
+    while stack:
+        for value in stack.pop()._cache.values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, GradedPoset) and id(item) not in seen:
+                    seen.add(id(item))
+                    out.append(item)
+                    stack.append(item)
+    return out
+
+
+class TestDerivedEdgeCases:
+    """Derived constructions on edge and invalid inputs, pinned before the bitset rewrite."""
+
+    def test_cap_over_the_parents_own_top(self, q_poset):
+        with pytest.raises(PosetError) as err:
+            cap(q_poset, q_poset.elements(), q_poset.rank_top + 1)
+        assert type(err.value) is PosetError and str(err.value) == "cover top top does not go up in rank"
+
+    def test_cap_over_a_top_that_is_not_maximal(self):
+        p = GradedPoset("low-top", {BOT: 0, TOP: 1, "x": 2, "y": 2}, [(BOT, TOP), (TOP, "y"), (TOP, "x")])
+        with pytest.raises(PosetError) as err:
+            cap(p, p.elements(), 3)
+        assert type(err.value) is PosetError and str(err.value) == "cover top x does not go up in rank"
+
+    @pytest.mark.parametrize("tau", ["AA", "C0", "CS", "ZZ", "tau"])
+    def test_semisuspension_places_tau_among_the_coatoms(self, q_poset, tau):
+        gamma = cap(q_poset, closure(q_poset, ["BC", "CR", "QR"]), 3)
+        assert gamma.elements_of_rank(2) == ["BC", "CR", "QR"]
+        ss, name = semisuspension(gamma, tau)
+        assert name == tau and sorted(ss.elements_of_rank(2)) == ss.elements_of_rank(2)
+        assert ss.lower_covers(tau) == ("B", "Q") and ss.upper_covers(tau) == (TOP,)
+        assert_name_built_twin(ss)
+
+    def test_semisuspension_of_an_invalid_rank_2_poset(self):
+        p = GradedPoset("unbounded", {BOT: 0, "s1": 1, "s2": 1, TOP: 2}, [(BOT, "s1"), (BOT, "s2"), ("s1", TOP)])
+        ss, tau = semisuspension(p)
+        assert ss.lower_covers(tau) == ()
+        assert_name_built_twin(ss)
+        assert [(v.code, v.path) for v in validate(ss)] == [("not-bounded-above", "s2"), ("not-bounded-below", tau)]
+
+    def test_semisuspension_without_elements_below_the_top_rank(self):
+        p = GradedPoset("gap", {BOT: 0, "e": 1, TOP: 3}, [(BOT, "e"), ("e", TOP)])
+        ss, tau = semisuspension(p, "m")
+        assert ss.elements() == (BOT, "e", "m", TOP) and ss.lower_covers(tau) == ()
+        assert_name_built_twin(ss)
+        assert [str(v) for v in validate(ss)] == [
+            "VIOLATION not-bounded-below m covers nothing",
+            "VIOLATION not-graded e<top rank jump 1->3",
+        ]
+
+
+# search, then checked totals: each poset's memo tree holds every kind of derived poset
+DIFFERENTIAL_ZOO = [
+    ("polygon", (25,)),
+    ("simplex-boundary", (5,)),
+    ("cube", (4,)),
+    ("cross-polytope", (4,)),
+    ("connected-sum", (4,)),
+    ("sphere2cells", (8,)),
+    ("q-polytope", ()),
+    ("torus-fig6", ()),
+    ("torus-fig12", ()),
+    ("torus-7vertex", ()),
+    ("product", (4, 5)),
+    ("icosahedron", ()),
+]
+
+
+@pytest.fixture()
+def count_inits(monkeypatch):
+    """The list that gains one entry per ``GradedPoset.__init__`` call from here on."""
+    calls = []
+    real = GradedPoset.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0] if args else kwargs.get("name"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPoset, "__init__", counted)
+    return calls
+
+
+class TestBitsetCore:
+    """Derived posets renumber their parent's bitsets; they equal the posets built from their names."""
+
+    @pytest.mark.parametrize("family,params", DIFFERENTIAL_ZOO)
+    def test_memo_tree_matches_name_built_posets(self, family, params):
+        p = parse_poset(format_poset(zoo.gen(family, params)))
+        cert = search_s_certificate(p) if is_eulerian(p) else search_se_certificate(p)
+        assert cert is not None
+        contributions(cert, check=True)
+        derived = memo_tree(p)
+        assert len(derived) > 5
+        for q in derived:
+            assert_name_built_twin(q)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([("q-polytope", ()), ("cube", (3,)), ("torus-fig6", ()), ("product", (3, 4))]),
+        st.data(),
+    )
+    def test_cap_of_a_random_down_closed_set(self, family_params, data):
+        p = zoo.gen(*family_params)
+        picked = data.draw(st.lists(st.sampled_from(p.elements()[:-1]), max_size=6))
+        members = closure(p, picked) | {BOT}
+        top_rank = max(p.rank(x) for x in members) + data.draw(st.integers(1, 2))
+        sub = cap(p, members, top_rank)
+        expected = [(x, y) for x, y in p.covers() if x in members and y in members]
+        expected += [(x, TOP) for x in members if not set(p.upper_covers(x)) & members]
+        assert sub.covers() == sorted(expected) and sub.rank(TOP) == top_rank
+        assert_name_built_twin(sub)
+
+    def test_search_builds_no_poset_from_names(self, count_inits):
+        p = zoo.gen("cube", (4,))
+        count_inits.clear()
+        assert search_s_certificate(p) is not None
+        assert count_inits == []
+
+    def test_verify_and_totals_after_parse_build_no_poset_from_names(self, count_inits, torus12_cert):
+        text, poset_text = format_certificate(torus12_cert), format_poset(torus12_cert.poset)
+        cert = parse_certificate(text, parse_poset(poset_text))
+        assert len(count_inits) == 1
+        count_inits.clear()
+        assert verify_partition(cert) == []
+        contributions(cert, check=True)
+        assert count_inits == []
