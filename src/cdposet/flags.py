@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, ab_word
-from .poset import GradedPoset, _bits, is_semi_eulerian, memoized
+from .poset import GradedPoset, RankTooLow, _bits, is_semi_eulerian, memoized
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,13 @@ def _flag_masks(p: GradedPoset) -> tuple[int, ...]:
 
 
 def flag_f(p: GradedPoset) -> FlagVector:
-    """Flag f-vector: number of chains with each rank set K in [d]."""
+    """Flag f-vector: number of chains with each rank set K in [d].
+
+    Raises RankTooLow when p has rank 0 or no elements: the rank sets need d >= 0.
+    """
     d = p.rank_top - 1
+    if d < 0:
+        raise RankTooLow(f"{p.name} has rank {p.rank_top}; a flag vector needs rank 1 or more")
     return FlagVector(d, dict(zip(_rank_sets(d), _flag_masks(p))))
 
 
@@ -208,7 +213,8 @@ def cd_index(p: GradedPoset) -> NcPolynomial:
     """The cd-index via flag_f -> flag_h -> ab-polynomial -> exact extraction.
 
     Raises NotInImage (with the first failing Dehn-Sommerville triple when one
-    exists) if the flag vector admits no cd-expression.
+    exists) if the flag vector admits no cd-expression, and RankTooLow (a
+    PosetError) below rank 1, like ``flag_f``.
     """
     return _extract_cd(flag_f(p))
 
@@ -223,14 +229,19 @@ def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
     """Flag vector with f_{d} shifted by chi(S^{d-1}) - chi(p).
 
     Meaningful for semi-Eulerian posets; computed (with a warning) otherwise.
+    Raises RankTooLow below rank 1, like ``flag_f``.
     """
+    modified = _modified(p)
     if not is_semi_eulerian(p):
         warnings.warn(f"{p.name}: modified flag vector of a non-semi-Eulerian poset", stacklevel=2)
-    return _modified(p)
+    return modified
 
 
 def semi_cd_index(p: GradedPoset) -> NcPolynomial:
-    """cd-index of the modified flag vector; equals cd_index on Eulerian input."""
+    """cd-index of the modified flag vector; equals cd_index on Eulerian input.
+
+    Raises like ``cd_index``.
+    """
     return _extract_cd(_modified(p))
 
 

@@ -11,12 +11,13 @@ single subclass.  Every walk is written once over the view both share.
 The derived sub-posets (capped initial boundary, gamma, its boundary and
 semisuspension) and their Eulerian verdicts are memoized on the poset they
 come from, so parsing, verifying, totalling and searching one certificate
-build each of them once.  Searching, verifying, parsing and formatting walk
-the levels of a certificate as generators that yield each sub-level to
-``poset._run``, so depth costs no Python frames.  ``verify_partition``
-checks an explicit witness and never searches.  Both searches walk facet
-orders depth first.  A search that returns None has exhausted the facet
-orders, not shown that no certificate exists.
+build each of them once.  Searching, verifying, totalling, parsing and
+formatting walk the levels of a certificate as generators that yield each
+sub-level to ``poset._run``, so depth costs no Python frames.
+``verify_partition`` checks an explicit witness and never searches.  Both
+searches walk facet orders depth first, one slot per level of the walk.  A
+search that returns None has exhausted the facet orders, not shown that no
+certificate exists.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -38,7 +39,6 @@ from .poset import (
     TOP,
     GradedPoset,
     PosetError,
-    RankTooLow,
     Violation,
     _bits,
     _run,
@@ -256,7 +256,7 @@ def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], 
         return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
     try:
         gamma = gamma_poset(p, sigma, rest)
-    except (RankTooLow, PosetError) as exc:
+    except PosetError as exc:
         return FailureReport(sigma, "gamma-unbuildable", str(exc))
     suspended = near_eulerian_suspension(gamma, tau_name(sigma, j))
     if suspended is None:
@@ -435,36 +435,18 @@ verify_s_partition = verify_se_partition = verify_partition
 # -- contributions -----------------------------------------------------------------
 
 
-def _ordinary_block(sigma: str, gamma: GradedPoset, sub: SPartitionCert) -> NcPolynomial:
-    """Phi(boundary)*d plus the ordinary contributions of the semisuspension times c.
+def _contributions(cert: SPartitionCert | SEPartitionCert):
+    """The walk of the contribution map, one certificate level per sub-walk.
 
-    The boundary is the capped boundary of the sub-certificate's initial
-    coatom, whose block the recursion already checked against its own
-    recursive total; comparing with that block closes the cross-check.
-    """
-    phi_bdry = cd_index(boundary_poset(gamma))
-    rec = _contributions(sub)
-    if sub.subcert_initial is None:
-        direct, recursive = phi_bdry, NcPolynomial.unit(CD)
-    else:
-        direct, recursive = phi_bdry.times_letter("c"), rec.per_coatom[sub.initial]
-    if direct != recursive:
-        raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {direct} vs {recursive}")
-    ordinary = (rec.per_coatom[omega].times_letter("c") for omega in sub.ordinary())
-    return sum(ordinary, phi_bdry.times_letter("d"))
-
-
-def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
-    """The contribution map; unlike the walks, it recurses on the Python stack.
-
-    Each level takes an O(2^rank) cd-index through the flag vector, so no
-    certificate within reach of that cost is deep enough to hit the limit.
+    Each boundary cd-index, direct through the flag vector, must equal its
+    sub-certificate's recursive total, or for an ordinary block that
+    sub-certificate's initial block (else CrossCheckError).
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
         return ContributionMap({}, NcPolynomial.unit(CD))
     phi = cd_index(initial_boundary_poset(p, cert.initial))
-    rec = _contributions(cert.subcert_initial)
+    rec = yield _contributions(cert.subcert_initial)
     if rec.total != phi:
         raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
     per: dict[str, NcPolynomial] = {cert.initial: phi.times_letter("c")}
@@ -473,7 +455,17 @@ def _contributions(cert: SPartitionCert | SEPartitionCert) -> ContributionMap:
     for sigma in cert.ordinary():
         acc = NcPolynomial.zero(CD)
         for _, part, key in cert._subclasses(sigma):
-            acc = acc + _ordinary_block(sigma, gamma_poset(p, sigma, part), cert.subcerts[key])
+            sub = cert.subcerts[key]
+            phi_bdry = cd_index(boundary_poset(gamma_poset(p, sigma, part)))
+            rec = yield _contributions(sub)
+            if sub.subcert_initial is None:
+                direct, recursive = phi_bdry, NcPolynomial.unit(CD)
+            else:
+                direct, recursive = phi_bdry.times_letter("c"), rec.per_coatom[sub.initial]
+            if direct != recursive:
+                raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {direct} vs {recursive}")
+            ordinary = (rec.per_coatom[omega].times_letter("c") for omega in sub.ordinary())
+            acc = acc + sum(ordinary, phi_bdry.times_letter("d"))
         per[sigma] = acc
     return ContributionMap(per, sum(per.values(), NcPolynomial.zero(CD)))
 
@@ -490,7 +482,7 @@ def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) ->
     violations = verify_partition(cert) if check else []
     if violations:
         raise CertificateInvalid(violations)
-    return _contributions(cert)
+    return _run(_contributions(cert))
 
 
 contributions_s = contributions_se = contributions
@@ -571,7 +563,23 @@ def se_certificate_from_classes(
     classes: dict[str, frozenset[str]],
     budget: Budget | None = None,
 ) -> SEPartitionCert | FailureReport:
-    """Assemble an SE-certificate from explicit classes (subclasses split by connectivity)."""
+    """Assemble an SE-certificate from explicit classes (subclasses split by connectivity).
+
+    p must be valid and semi-Eulerian, and the classes must pass the top-level
+    class-map checks of ``verify_partition``; the first failure is returned.
+    """
+    bad = validate(p)
+    if bad:
+        return FailureReport(None, "poset-invalid", str(bad[0]))
+    if not is_semi_eulerian(p):
+        return FailureReport(None, "not-semi-eulerian", p.name)
+    zero = frozenset(s for s in classes if s != initial and classes[s] == {s})
+    draft = SEPartitionCert(p, dict(classes), initial, zero, {}, None, {})
+    out: list[Violation] = []
+    if _check_partition(draft, draft.header, out):
+        _check_singletons(draft, draft.header, out)
+    if out:
+        return FailureReport(None, out[0].code, f"{out[0].path}: {out[0].detail}")
     return _run(_certificate(p, SEPartitionCert, initial, classes, Budget.of(budget)))
 
 
@@ -598,10 +606,10 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
     passes ``_gamma_checked`` whole; ``first``, if given, fills the first
     slot.  SE: every connected part of the rest passes.  The ``first`` filter
     and the ridge test come before a facet's search node is spent, the class
-    checks after.  One candidate iterator per placed facet lives on an
-    explicit stack.  ``_certificate`` finds the semisuspensions the checks
-    built memoized on p.  p must be Eulerian (S, so it has two facets or
-    more) or semi-Eulerian (SE).
+    checks after.  Each slot is one level of the walk, and the last slot
+    yields ``_certificate``, which finds the semisuspensions the checks built
+    memoized on p.  p must be Eulerian (S, so it has two facets or more) or
+    semi-Eulerian (SE).
 
     The ridge test loses no S-certificate: a facet sharing no ridge with the
     covered region keeps all its ridges, so its rest is not empty and its
@@ -628,10 +636,12 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
             parts = [(None, frozenset(p._names(rest)))] if rest else []
         return not any(isinstance(_gamma_checked(p, sigma, part, j), FailureReport) for j, part in parts)
 
-    def steps(slot: int, placed: int, covered: int):
-        """(facet, placed, covered) for each facet the rules admit into this slot."""
+    order = [0] * n  # the facet number placed in each slot
+
+    def place(slot: int, placed: int, covered: int):
+        """The first certificate whose facet order extends order[:slot], or None."""
         pool = facets & ~placed
-        while pool:  # lowest bit first, lazily: most slots take their first candidate
+        while pool:  # lowest bit first
             i = (pool & -pool).bit_length() - 1
             pool ^= 1 << i
             if slot == 0 and first is not None and p._elements[i] != first:
@@ -639,26 +649,19 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
             if slot and not p._downset[i] & ridges & covered:
                 continue
             budget.spend()
-            if slot == 0 or fits(i, p._downset[i] & ~covered, slot == n - 1):
-                yield i, placed | 1 << i, covered | p._downset[i]
+            if slot and not fits(i, p._downset[i] & ~covered, slot == n - 1):
+                continue
+            order[slot] = i
+            if slot + 1 < n:
+                cert = yield place(slot + 1, placed | 1 << i, covered | p._downset[i])
+            else:
+                names = [p._elements[k] for k in order]
+                cert = yield _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
+            if isinstance(cert, _Certificate):
+                return cert
+        return None
 
-    order = [0] * n
-    stack = [steps(0, 0, 0)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        slot = len(stack) - 1
-        order[slot], placed, covered = step
-        if slot + 1 < n:
-            stack.append(steps(slot + 1, placed, covered))
-            continue
-        names = [p._elements[i] for i in order]
-        cert = yield _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
-        if not isinstance(cert, FailureReport):
-            return cert
-    return None
+    return (yield place(0, 0, 0))
 
 
 def _search_checked(
@@ -850,10 +853,6 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[dict[str, str], int] 
 # -- certificate file format ------------------------------------------------------------
 
 
-def _members_line(members: frozenset[str], p: GradedPoset) -> str:
-    return "members " + " ".join(p._names(p._mask(members)))
-
-
 def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]):
     pad = "  " * depth
     zero = cert.zero_classes()
@@ -875,7 +874,7 @@ def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: lis
             if j is not None:
                 lines.append(f"{pad}  subclass {j}")
                 inner += 1
-            lines.append(f"{'  ' * inner}{_members_line(members, cert.poset)}")
+            lines.append(f"{'  ' * inner}members {' '.join(cert.poset._names(cert.poset._mask(members)))}")
             if sub is not None:
                 lines.append(f"{'  ' * inner}sub")
                 yield _emit_classes(sub, inner + 1, lines)

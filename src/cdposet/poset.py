@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -469,21 +470,35 @@ def product(p: GradedPoset, q: GradedPoset, name: str | None = None) -> GradedPo
 def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
     """A rank- and cover-preserving bijection p -> q, or None; backtracking.
 
-    Elements of p are mapped in (rank, name) order, each to an unused element
-    of q of the same rank, in (rank, name) order, whose lower covers are the
-    images of its own and which has as many upper covers.  Each mapped
-    element is one level of a walk (see ``_run``).
+    Each element of p is mapped as soon as all its lower covers are, the
+    highest rank first and then in (rank, name) order, so a wrong image fails
+    at the first element above it with another mapped lower cover.  The image
+    is an unused element of q of the same rank, in (rank, name) order, whose
+    lower covers are the images of its own and which has as many upper
+    covers.  Each mapped element is one level of a walk (see ``_run``).
     """
     if p.rank_top != q.rank_top or len(p) != len(q):
         return None
     if any(p._levels.get(r, 0).bit_count() != q._levels.get(r, 0).bit_count() for r in range(p.rank_top + 1)):
         return None
+    order = []  # p-numbers, each after its lower covers
+    waiting = [down.bit_count() for down in p._down]  # lower covers not yet in order
+    ready = [(-p.rank(x), i) for i, x in enumerate(p._elements) if not waiting[i]]
+    heapq.heapify(ready)
+    while ready:
+        i = heapq.heappop(ready)[1]
+        order.append(i)
+        for k in _bits(p._up[i]):
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, (-p.rank(p._elements[k]), k))
     image = [0] * len(p)  # the q-number of each mapped p-number
 
-    def extend(i: int, used: int):
-        """The first completion of image[:i], whose q-numbers are the bits of used, or None."""
-        if i == len(p):
+    def extend(n: int, used: int):
+        """The first completion of the images of order[:n], whose q-numbers are the bits of used, or None."""
+        if n == len(p):
             return {x: q._elements[j] for x, j in zip(p._elements, image)}
+        i = order[n]
         lower = sum(1 << image[k] for k in _bits(p._down[i]))  # lower covers are mapped already
         pool = q._levels.get(p.rank(p._elements[i]), 0) & ~used
         for k in _bits(lower):
@@ -492,7 +507,7 @@ def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
         for j in _bits(pool):
             if q._down[j] == lower and q._up[j].bit_count() == n_up:
                 image[i] = j
-                found = yield extend(i + 1, used | 1 << j)
+                found = yield extend(n + 1, used | 1 << j)
                 if found is not None:
                     return found
         return None

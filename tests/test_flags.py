@@ -26,6 +26,7 @@ from cdposet.flags import (
     semi_cd_index,
 )
 from cdposet.ncpoly import AB, CD, NcPolynomial, NotInImage, expand_cd_to_ab
+from cdposet.poset import BOT, TOP, GradedPoset, PosetError, RankTooLow
 
 
 def brute_flag_f(p):
@@ -182,6 +183,24 @@ class TestCdIndex:
     def test_expand_matches_ab_polynomial(self, q_poset):
         psi = ab_polynomial(flag_h(flag_f(q_poset)))
         assert expand_cd_to_ab(cd_index(q_poset)) == psi
+
+
+class TestRankTooLow:
+    """Below rank 1 there are no rank sets: a documented PosetError, not a shift error."""
+
+    @pytest.mark.parametrize(
+        "p", [GradedPoset("point-only", {BOT: 0}, []), GradedPoset("empty", {}, [])], ids=["rank-0", "empty"]
+    )
+    @pytest.mark.parametrize("fn", [flag_f, cd_index, semi_cd_index, modified_flag_f])
+    def test_raises_a_poset_error_naming_the_rank(self, p, fn):
+        with pytest.raises(RankTooLow, match=f"{p.name} has rank 0") as err:
+            fn(p)
+        assert isinstance(err.value, PosetError)
+
+    def test_rank_1_is_the_empty_word(self):
+        chain = GradedPoset("chain", {BOT: 0, TOP: 1}, [(BOT, TOP)])
+        assert flag_f(chain).counts == {K(): 1}
+        assert cd_index(chain) == NcPolynomial.unit(CD)
 
 
 class TestModified:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -35,13 +36,14 @@ from cdposet.partition import (
     order_to_s_certificate,
     parse_certificate,
     product_se_partition,
+    se_certificate_from_classes,
     search_s_certificate,
     search_se_certificate,
     simplicial_partition_to_s_certificate,
     verify_s_partition,
     verify_se_partition,
 )
-from cdposet.poset import BOT, PosetError, boundary_set, format_poset, parse_poset
+from cdposet.poset import BOT, GradedPoset, PosetError, boundary_set, closure, format_poset, parse_poset
 
 
 def poly(terms):
@@ -361,6 +363,40 @@ class TestProductSE:
         qc = search_s_certificate(q_poset)
         with pytest.raises(RankNotThree):
             product_se_partition(qc, polygon3_cert)
+
+
+class TestClassesConversion:
+    """``se_certificate_from_classes`` returns a FailureReport where verify would reject its result."""
+
+    def test_empty_class_map(self, q_poset):
+        report = se_certificate_from_classes(q_poset, "s1", {})
+        assert isinstance(report, FailureReport)
+        assert report.code == "class-keys"
+
+    def test_not_semi_eulerian(self):
+        p = zoo.gen("fig13-nonsemi")
+        first, *rest = p.coatoms()
+        classes = {first: frozenset(closure(p, [first]))} | {s: frozenset({s}) for s in rest}
+        assert se_certificate_from_classes(p, first, classes) == FailureReport(None, "not-semi-eulerian", p.name)
+
+    def test_invalid_poset(self):
+        square = zoo.gen("polygon", (4,))
+        p = GradedPoset("square-minus-a-cover", square.ranks(), square.covers()[1:])
+        report = se_certificate_from_classes(p, p.coatoms()[0], {})
+        assert isinstance(report, FailureReport) and report.code == "poset-invalid"
+
+    def test_overlapping_classes(self, torus6):
+        classes = dict(zoo.fixture_certificate("torus-fig6").classes)
+        stolen = sorted(classes["U12"] - {"U12"})[0]
+        classes["L12"] = classes["L12"] | {stolen}
+        report = se_certificate_from_classes(torus6, "F02", classes)
+        assert isinstance(report, FailureReport) and report.code == "overlapping-classes"
+
+    def test_fixture_classes_still_assemble(self, torus6):
+        cert = zoo.fixture_certificate("torus-fig6")
+        again = se_certificate_from_classes(torus6, cert.initial, cert.classes)
+        assert format_certificate(again) == format_certificate(cert)
+        assert verify_se_partition(again) == []
 
 
 class TestReversePartition:
@@ -705,6 +741,20 @@ class TestDepth:
         p, cert = deep_sphere
         text = format_certificate(cert)
         assert format_certificate(parse_certificate(text, p)) == text
+
+    def test_contributions(self, monkeypatch):
+        """Every level takes its cd-indices at one stack depth (a deep total costs O(2^rank) anyway)."""
+        depths = set()
+        real = partition.cd_index
+
+        def recorded(q):
+            depths.add(len(traceback.extract_stack()))
+            return real(q)
+
+        cert = search_s_certificate(zoo.gen("sphere2cells", (8,)))
+        monkeypatch.setattr(partition, "cd_index", recorded)
+        assert contributions_s(cert, check=False).total == poly({"c" * 9: 1})
+        assert len(depths) == 1
 
 
 class TestSearchPins:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,17 @@ class TestFindIsomorphism:
     def test_large_polygon_on_a_shallow_stack(self, shallow_stack):
         p = zoo.gen("polygon", (600,))
         assert find_isomorphism(p, zoo.gen("polygon", (600,))) == {x: x for x in p.elements()}
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 5)])
+    def test_transposed_products(self, m, n):
+        """A wrong vertex image fails at the first edge it shares, not one rank later."""
+        p, q = zoo.gen("product", (m, n)), zoo.gen("product", (n, m))
+        start = time.perf_counter()
+        iso = find_isomorphism(p, q)
+        assert time.perf_counter() - start < 10
+        assert iso is not None and sorted(iso.values()) == sorted(q.elements())
+        assert all(p.rank(x) == q.rank(iso[x]) for x in p.elements())
+        assert sorted((iso[x], iso[y]) for x, y in p.covers()) == q.covers()
 
     def test_same_size_non_isomorphic_pair(self):
         hexagon = zoo.gen("polygon", (6,))
