@@ -291,7 +291,7 @@ def _check_partition(
     ground = set(p.elements()) - {p.top()}
     owner: dict[str, str] = {}
     for sigma in sorted(cert.classes):
-        for m in cert.classes[sigma]:
+        for m in sorted(cert.classes[sigma]):
             if m in owner:
                 out.append(
                     Violation("overlapping-classes", f"{path}/class[{sigma}]", f"{m} already in class[{owner[m]}]")

@@ -223,12 +223,21 @@ class GradedPoset:
         return list(self._elements[(level & -level).bit_length() - 1 : level.bit_length()]) if level else []
 
     def bot(self) -> str:
-        return self.elements_of_rank(0)[0]
+        """The first element of rank 0; PosetError if there is none (the empty poset)."""
+        return self._first_of_rank(0)
 
     def top(self) -> str:
-        return self.elements_of_rank(self.rank_top)[0]
+        """The first element of the top rank; PosetError on the empty poset."""
+        return self._first_of_rank(self.rank_top)
+
+    def _first_of_rank(self, r: int) -> str:
+        level = self.elements_of_rank(r)
+        if not level:
+            raise PosetError(f"{self.name} has no element of rank {r}")
+        return level[0]
 
     def coatoms(self) -> list[str]:
+        """The lower covers of top; PosetError on the empty poset."""
         return list(self.lower_covers(self.top()))
 
     def __eq__(self, other) -> bool:
@@ -324,7 +333,7 @@ def is_eulerian(p: GradedPoset) -> bool:
 
 @memoized
 def is_semi_eulerian(p: GradedPoset) -> bool:
-    """Every proper interval (all but [bot, top]) passes the Möbius test."""
+    """Every proper interval (all but [bot, top]) passes the Möbius test; PosetError without a bot."""
     return _parity_holds(p, (p.bot(), p.top()))
 
 

@@ -1,5 +1,17 @@
 """Deterministic poset generators and transcribed fixtures.
 
+Every family is a face table turned into a poset by ``_facet_poset``.  A face
+table is a dict from each face (a cell of the complex) to the faces one rank
+below it, vertices to ``[]``; it is ranked in one pass in insertion order, so
+each face comes after the faces it lists.  ``bot`` and ``top`` are adjoined.
+A simplicial complex is given by its facets instead, which
+``_simplicial_poset`` turns into a face table; products and connected sums
+combine built posets (``poset.product``, ``_glued``).  To add a family, write
+a builder that checks its parameters (``BadParams``) and returns one of
+these, and give it a row of ``_FAMILIES``: builder, number of parameters,
+provenance.  A fixture that publishes a certificate also gets a row of
+``_CERTIFICATES``.
+
 Every generator returns a validated poset with deterministic element names.
 The transcribed fixtures (the truncated-bipyramid polytope and the two torus
 decompositions) assert their published invariants at build time, so any
@@ -9,10 +21,11 @@ transcription drift fails fast.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
-from .flags import euler_characteristic, semi_cd_index
+from .flags import cd_index, euler_characteristic, semi_cd_index
 from .ncpoly import CD, NcPolynomial
 from .partition import (
     FailureReport,
@@ -26,6 +39,8 @@ from .poset import (
     TOP,
     GradedPoset,
     PosetError,
+    _bits,
+    _union,
     closure,
     connected_sum,
     is_eulerian,
@@ -55,28 +70,17 @@ class FixtureSpec:
 
 
 def _facet_poset(name: str, rank_top: int, faces: dict[str, list[str]]) -> GradedPoset:
-    """Poset from a face dictionary mapping each face to its codim-1 faces.
+    """Poset of a face table (see the module docstring), ranked in one pass.
 
-    Vertices list no faces and get rank 1; everything else gets rank
-    1 + max over listed faces.  bot and top are adjoined.
+    A vertex gets rank 1, every other face one more than the first face it
+    lists (a KeyError if that face has no entry yet); top covers every
+    element of rank ``rank_top - 1``, bot included.
     """
-    ranks: dict[str, int] = {BOT: 0, TOP: rank_top}
-    covers: list[tuple[str, str]] = []
-    order: dict[str, int] = {}
-
-    def rank_of(x: str) -> int:
-        if x in order:
-            return order[x]
-        below = faces.get(x, [])
-        order[x] = 1 if not below else 1 + max(rank_of(y) for y in below)
-        return order[x]
-
-    for x in faces:
-        ranks[x] = rank_of(x)
+    ranks = {BOT: 0, TOP: rank_top}
+    covers = [(BOT, TOP)] if rank_top == 1 else []
     for x, below in faces.items():
-        if not below:
-            covers.append((BOT, x))
-        for y in below:
+        ranks[x] = ranks[below[0]] + 1 if below else 1
+        for y in below or (BOT,):
             covers.append((y, x))
         if ranks[x] == rank_top - 1:
             covers.append((x, TOP))
@@ -84,25 +88,20 @@ def _facet_poset(name: str, rank_top: int, faces: dict[str, list[str]]) -> Grade
 
 
 def _simplicial_poset(name: str, rank_top: int, facets: list[tuple[str, ...]]) -> GradedPoset:
-    """Face poset of the simplicial complex generated by the given facets."""
+    """Face poset of the simplicial complex generated by the given facets.
+
+    A face is named by joining its sorted vertex names.
+    """
     faces: set[tuple[str, ...]] = set()
     for facet in facets:
         vs = tuple(sorted(facet))
         for k in range(1, len(vs) + 1):
             faces.update(combinations(vs, k))
-    ranks = {BOT: 0, TOP: rank_top}
-    covers: list[tuple[str, str]] = []
-    names = {face: "".join(face) for face in faces}
-    for face in faces:
-        ranks[names[face]] = len(face)
-        if len(face) == 1:
-            covers.append((BOT, names[face]))
-        else:
-            for sub in combinations(face, len(face) - 1):
-                covers.append((names[sub], names[face]))
-        if len(face) == rank_top - 1:
-            covers.append((names[face], TOP))
-    return GradedPoset(name, ranks, covers)
+    table = {
+        "".join(face): ["".join(sub) for sub in combinations(face, len(face) - 1) if sub]
+        for face in sorted(faces, key=len)
+    }
+    return _facet_poset(name, rank_top, table)
 
 
 # -- generated families -----------------------------------------------------------
@@ -111,11 +110,8 @@ def _simplicial_poset(name: str, rank_top: int, facets: list[tuple[str, ...]]) -
 def polygon(n: int) -> GradedPoset:
     if n < 2:
         raise BadParams(f"polygon needs n >= 2, got {n}")
-    faces: dict[str, list[str]] = {}
-    for i in range(n):
-        faces[f"v{i}"] = []
-    for i in range(n):
-        faces[f"e{i}"] = [f"v{i}", f"v{(i + 1) % n}"]
+    faces: dict[str, list[str]] = {f"v{i}": [] for i in range(n)}
+    faces |= {f"e{i}": [f"v{i}", f"v{(i + 1) % n}"] for i in range(n)}
     return _facet_poset(f"polygon{n}", 3, faces)
 
 
@@ -132,8 +128,6 @@ def boolean_lattice(n: int) -> GradedPoset:
     """The boolean lattice of subsets of n vertices; the full set is the top."""
     if n < 1:
         raise BadParams(f"boolean needs n >= 1, got {n}")
-    if n == 1:
-        return GradedPoset("boolean1", {BOT: 0, TOP: 1}, [(BOT, TOP)])
     vs = [chr(ord("a") + i) for i in range(n)]
     facets = [tuple(v for v in vs if v != skip) for skip in vs]
     return _simplicial_poset(f"boolean{n}", n, facets)
@@ -143,22 +137,12 @@ def cube(n: int) -> GradedPoset:
     """Boundary of the n-cube; cells are words over 0, 1, * with at least one fixed bit."""
     if n < 1:
         raise BadParams(f"cube needs n >= 1, got {n}")
-    ranks = {BOT: 0, TOP: n + 1}
-    covers = []
-    cells = [c for c in iproduct("01*", repeat=n) if any(x != "*" for x in c)]
-    for cell in cells:
-        name = "".join(cell)
-        stars = name.count("*")
-        ranks[name] = stars + 1
-        if stars == 0:
-            covers.append((BOT, name))
-        if stars == n - 1:
-            covers.append((name, TOP))
-        for i, x in enumerate(cell):
-            if x == "*":
-                for bit in "01":
-                    covers.append(("".join(cell[:i]) + bit + "".join(cell[i + 1 :]), name))
-    return GradedPoset(f"cube{n}", ranks, covers)
+    words = sorted(("".join(w) for w in iproduct("01*", repeat=n)), key=lambda w: w.count("*"))
+    faces = {}
+    for cell in words[:-1]:  # the last word, all stars, is the top
+        stars = [i for i, x in enumerate(cell) if x == "*"]
+        faces[cell] = [cell[:i] + bit + cell[i + 1 :] for i in stars for bit in "01"]
+    return _facet_poset(f"cube{n}", n + 1, faces)
 
 
 def cross_polytope(n: int) -> GradedPoset:
@@ -174,36 +158,19 @@ def sphere_two_cells(d: int) -> GradedPoset:
     """Sphere with exactly two cells in every dimension 0..d (rank d+2 poset)."""
     if d < 0:
         raise BadParams(f"sphere2cells needs d >= 0, got {d}")
-    ranks = {BOT: 0, TOP: d + 2}
-    covers = []
-    for i in range(d + 1):
-        for s in "AB":
-            ranks[f"c{i}{s}"] = i + 1
-            if i == 0:
-                covers.append((BOT, f"c{i}{s}"))
-            else:
-                covers.append((f"c{i-1}A", f"c{i}{s}"))
-                covers.append((f"c{i-1}B", f"c{i}{s}"))
-            if i == d:
-                covers.append((f"c{i}{s}", TOP))
-    return GradedPoset(f"sphere2cells{d}", ranks, covers)
+    faces = {f"c{i}{s}": [f"c{i-1}A", f"c{i-1}B"] if i else [] for i in range(d + 1) for s in "AB"}
+    return _facet_poset(f"sphere2cells{d}", d + 2, faces)
 
 
 def discrete_points(n: int) -> GradedPoset:
     if n < 1:
         raise BadParams(f"discrete-points needs n >= 1, got {n}")
-    ranks = {BOT: 0, TOP: 2}
-    covers = []
-    for i in range(1, n + 1):
-        ranks[f"p{i}"] = 1
-        covers.append((BOT, f"p{i}"))
-        covers.append((f"p{i}", TOP))
-    return GradedPoset(f"discrete{n}", ranks, covers)
+    return _facet_poset(f"discrete{n}", 2, {f"p{i}": [] for i in range(1, n + 1)})
 
 
 def point() -> GradedPoset:
     """The one-point complex, the identity-like factor for products."""
-    return GradedPoset("point", {BOT: 0, "pt": 1, TOP: 2}, [(BOT, "pt"), ("pt", TOP)])
+    return _facet_poset("point", 2, {"pt": []})
 
 
 def torus_seven_vertices() -> GradedPoset:
@@ -264,13 +231,11 @@ def q_polytope() -> GradedPoset:
     faces["s7"] = [ca, ad, cd_]
     p = _facet_poset("q-polytope", 4, faces)
     assert not validate(p) and is_eulerian(p)
-    from .flags import cd_index
-
     assert cd_index(p) == NcPolynomial(CD, {"ccc": 1, "cd": 5, "dc": 5})
     return p
 
 
-def _torus_grid() -> GradedPoset:
+def torus_fig6() -> GradedPoset:
     """Flat-torus grid of 5 squares and 8 triangles (13 facets, 22 edges, 9 vertices).
 
     Squares sit at positions (col,row) on a 3x3 grid with wraparound; the four
@@ -278,7 +243,6 @@ def _torus_grid() -> GradedPoset:
     diagonal from their bottom-left to their top-right corner.
     """
     split = {(0, 1), (1, 2), (1, 0), (2, 1)}
-    faces: dict[str, list[str]] = {}
 
     def v(i: int, j: int) -> str:
         return f"p{i % 3}{j % 3}"
@@ -289,9 +253,7 @@ def _torus_grid() -> GradedPoset:
     def vt(i: int, j: int) -> str:
         return f"v{i % 3}{j % 3}"
 
-    for i in range(3):
-        for j in range(3):
-            faces[v(i, j)] = []
+    faces: dict[str, list[str]] = {v(i, j): [] for i in range(3) for j in range(3)}
     for i in range(3):
         for j in range(3):
             faces[h(i, j)] = [v(i, j), v(i + 1, j)]
@@ -305,11 +267,7 @@ def _torus_grid() -> GradedPoset:
                 faces[f"U{c}{r}"] = [vt(c, r), h(c, r + 1), f"d{c}{r}"]
             else:
                 faces[f"F{c}{r}"] = [h(c, r), h(c, r + 1), vt(c, r), vt(c + 1, r)]
-    return _facet_poset("torus-fig6", 4, faces)
-
-
-def torus_fig6() -> GradedPoset:
-    p = _torus_grid()
+    p = _facet_poset("torus-fig6", 4, faces)
     assert not validate(p)
     assert euler_characteristic(p) == 0 and is_semi_eulerian(p) and not is_eulerian(p)
     assert semi_cd_index(p) == NcPolynomial(CD, {"ccc": 1, "cd": 13, "dc": 7})
@@ -333,7 +291,7 @@ _TORUS6_CLASSES: dict[str, list[str] | None] = {
 }
 
 
-def _torus_fig12_complex() -> GradedPoset:
+def torus_fig12() -> GradedPoset:
     """Torus tiled by four pentagons, four squares and one central octagon.
 
     13 vertices, 22 edges, 9 faces; corner pentagons have one cut edge glued
@@ -356,11 +314,7 @@ def _torus_fig12_complex() -> GradedPoset:
     faces["PO"] = ["ebz", "eab", "eap", e("h", "p"), e("h", "z")]
     faces["QS"] = ["eeg", e("g", "h"), "ehp", "eep"]
     faces["OC"] = ["ecn", "emn", "emq", "eqw", "ewz", "ehz", "egh", "ecg"]
-    return _facet_poset("torus-fig12", 4, faces)
-
-
-def torus_fig12() -> GradedPoset:
-    p = _torus_fig12_complex()
+    p = _facet_poset("torus-fig12", 4, faces)
     assert not validate(p)
     assert euler_characteristic(p) == 0 and is_semi_eulerian(p) and not is_eulerian(p)
     assert semi_cd_index(p) == NcPolynomial(CD, {"ccc": 1, "cd": 9, "dc": 11})
@@ -396,12 +350,47 @@ def fig13_nonsemi() -> GradedPoset:
 # -- composition families ----------------------------------------------------------
 
 
+def _glued(kind: str, build: Callable[[int], GradedPoset], *params: int) -> GradedPoset:
+    """Connected sum of build(params[0]) and build(params[-1]) along their first coatoms.
+
+    The open facet closures are glued by name; the sum is ``sum-<kind><params joined by ->``.
+    """
+    left, right = build(params[0]), build(params[-1])
+    fp, fq = left.coatoms()[0], right.coatoms()[0]
+    iso = {x: x for x in closure(left, [fp]) - {fp}}
+    name = f"sum-{kind}{'-'.join(map(str, params))}"
+    return connected_sum(left, right, fp, fq, iso, name=name)
+
+
 def glued_simplex_spheres(n: int) -> GradedPoset:
     """Connected sum of two n-simplex boundaries along canonical first facets."""
-    left = simplex_boundary(n)
-    fp = left.coatoms()[0]
-    iso = {x: x for x in closure(left, [fp]) - {fp}}
-    return connected_sum(left, simplex_boundary(n), fp, fp, iso, name=f"sum-simplex{n}")
+    return _glued("simplex", simplex_boundary, n)
+
+
+# rank -> the pieces random_eulerian_small picks from (no draw for one); each draws its parameters
+_PIECES: dict[int, list[Callable[[random.Random], GradedPoset]]] = {
+    2: [lambda r: sphere_two_cells(0)],
+    3: [
+        lambda r: polygon(r.randint(3, 8)),
+        lambda r: _glued("polygon", polygon, r.randint(3, 5), r.randint(3, 5)),
+        lambda r: sphere_two_cells(1),
+    ],
+    4: [
+        lambda r: simplex_boundary(3),
+        lambda r: cube(3),
+        lambda r: boolean_lattice(4),
+        lambda r: sphere_two_cells(2),
+        lambda r: q_polytope(),
+        lambda r: cross_polytope(3),
+        lambda r: glued_simplex_spheres(3),
+    ],
+    5: [
+        lambda r: simplex_boundary(4),
+        lambda r: boolean_lattice(5),
+        lambda r: sphere_two_cells(3),
+        lambda r: cross_polytope(4),
+    ],
+}
 
 
 def random_eulerian_small(seed: int, max_rank: int = 4) -> GradedPoset:
@@ -409,41 +398,8 @@ def random_eulerian_small(seed: int, max_rank: int = 4) -> GradedPoset:
     if max_rank > 5:
         raise BadParams("max_rank must be at most 5")
     rng = random.Random(seed)
-    rank = rng.randint(2, max(2, max_rank))
-    if rank == 2:
-        return sphere_two_cells(0)
-    if rank == 3:
-        kind = rng.choice(["polygon", "sum", "sphere2"])
-        if kind == "polygon":
-            return polygon(rng.randint(3, 8))
-        if kind == "sphere2":
-            return sphere_two_cells(1)
-        return _polygon_sum(rng.randint(3, 5), rng.randint(3, 5))
-    if rank == 4:
-        kind = rng.choice(["simplex", "cube", "boolean", "sphere2", "q", "cross", "sum"])
-        return {
-            "simplex": lambda: simplex_boundary(3),
-            "cube": lambda: cube(3),
-            "boolean": lambda: boolean_lattice(4),
-            "sphere2": lambda: sphere_two_cells(2),
-            "q": q_polytope,
-            "cross": lambda: cross_polytope(3),
-            "sum": lambda: glued_simplex_spheres(3),
-        }[kind]()
-    kind = rng.choice(["simplex", "boolean", "sphere2", "cross"])
-    return {
-        "simplex": lambda: simplex_boundary(4),
-        "boolean": lambda: boolean_lattice(5),
-        "sphere2": lambda: sphere_two_cells(3),
-        "cross": lambda: cross_polytope(4),
-    }[kind]()
-
-
-def _polygon_sum(m: int, n: int) -> GradedPoset:
-    left, right = polygon(m), polygon(n)
-    fp, fq = left.coatoms()[0], right.coatoms()[0]
-    iso = {x: x for x in closure(left, [fp]) - {fp}}
-    return connected_sum(left, right, fp, fq, iso, name=f"sum-polygon{m}-{n}")
+    pieces = _PIECES[rng.randint(2, max(2, max_rank))]
+    return (rng.choice(pieces) if len(pieces) > 1 else pieces[0])(rng)
 
 
 # -- registry -------------------------------------------------------------------------
@@ -495,35 +451,35 @@ def gen(family: str, params: tuple[int, ...] | list[int] = ()) -> GradedPoset:
     return p
 
 
-def _class_map(p: GradedPoset, table: dict[str, list[str] | None]) -> dict[str, frozenset[str]]:
-    classes = {}
-    for sigma, members in table.items():
-        if members is None:
-            classes[sigma] = frozenset(closure(p, [sigma]))
-        else:
-            classes[sigma] = frozenset(members) | {sigma}
-    return classes
+def _se_from_table(
+    p: GradedPoset, table: dict[str, list[str] | None]
+) -> SEPartitionCert | FailureReport:
+    """The SE-certificate whose classes the table lists; its first entry is the initial class."""
+    classes = {
+        sigma: frozenset(closure(p, [sigma]) if members is None else [*members, sigma])
+        for sigma, members in table.items()
+    }
+    return se_certificate_from_classes(p, next(iter(table)), classes)
+
+
+# family -> (builder, converter, what the converter reads besides the poset)
+_CERTIFICATES: dict[str, tuple] = {
+    "q-polytope": (q_polytope, order_to_s_certificate, [f"s{i}" for i in range(1, 8)]),
+    "torus-fig6": (torus_fig6, _se_from_table, _TORUS6_CLASSES),
+    "torus-fig12": (torus_fig12, _se_from_table, _TORUS12_CLASSES),
+}
 
 
 def fixture_certificate(
     family: str, params: tuple[int, ...] | list[int] = ()
 ) -> SPartitionCert | SEPartitionCert:
     """Transcribed partition certificate for fixtures that publish one."""
-    if family == "q-polytope":
-        cert = order_to_s_certificate(q_polytope(), [f"s{i}" for i in range(1, 8)])
-        assert not isinstance(cert, FailureReport), cert
-        return cert
-    if family == "torus-fig6":
-        p = torus_fig6()
-        cert = se_certificate_from_classes(p, "F02", _class_map(p, _TORUS6_CLASSES))
-        assert not isinstance(cert, FailureReport), cert
-        return cert
-    if family == "torus-fig12":
-        p = torus_fig12()
-        cert = se_certificate_from_classes(p, "OC", _class_map(p, _TORUS12_CLASSES))
-        assert not isinstance(cert, FailureReport), cert
-        return cert
-    raise NoPublishedCertificate(f"no transcribed certificate for family {family!r}")
+    if family not in _CERTIFICATES:
+        raise NoPublishedCertificate(f"no transcribed certificate for family {family!r}")
+    build, convert, data = _CERTIFICATES[family]
+    cert = convert(build(), data)
+    assert not isinstance(cert, FailureReport), cert
+    return cert
 
 
 def shelling_restrictions(p: GradedPoset, order: list[str]) -> list[tuple[str, str]]:
@@ -531,35 +487,18 @@ def shelling_restrictions(p: GradedPoset, order: list[str]) -> list[tuple[str, s
 
     R is the smallest face of the facet not contained in any earlier facet;
     for a valid shelling the interval [R, facet] is exactly the set of new
-    faces.  Used to feed the boolean-interval partition converter.
+    faces.  Used to feed the boolean-interval partition converter.  R is
+    spanned by the facet's vertices whose opposite ridge is already covered.
     """
-    covered: set[str] = set()
+    covered = 0
     pairs: list[tuple[str, str]] = []
     for facet in order:
-        ratoms = _restriction_atoms(p, facet, covered)
-        if not ratoms:
-            restriction = BOT
-        else:
-            restriction = min(
-                (
-                    x
-                    for x in closure(p, [facet])
-                    if p.rank(x) == len(ratoms) and all(p.leq(a, x) for a in ratoms)
-                ),
-                key=lambda x: x,
-            )
-        pairs.append((restriction, facet))
-        covered |= closure(p, [facet])
+        below = _union(p._downset, p._mask([facet]))
+        ridges = below & p._levels.get(p.rank(facet) - 1, 0)
+        spans, k = below, 0  # the faces above every restriction vertex so far, and their count
+        for a in _bits(below & p._levels.get(1, 0)):
+            if ridges & ~p._upset[a] & covered:
+                spans, k = spans & p._upset[a], k + 1
+        pairs.append((min(p._names(spans & p._levels.get(k, 0))) if k else BOT, facet))
+        covered |= below
     return pairs
-
-
-def _restriction_atoms(p: GradedPoset, facet: str, covered: set[str]) -> set[str]:
-    """Vertices v of the facet whose opposite ridge lies in the covered region."""
-    atoms = [a for a in p.elements_of_rank(1) if p.leq(a, facet)]
-    ridges = [x for x in closure(p, [facet]) if p.rank(x) == p.rank(facet) - 1]
-    out = set()
-    for a in atoms:
-        opposite = [r for r in ridges if not p.leq(a, r)]
-        if any(r in covered for r in opposite):
-            out.add(a)
-    return out

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import traceback
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +402,36 @@ class TestClassesConversion:
         again = se_certificate_from_classes(torus6, cert.initial, cert.classes)
         assert format_certificate(again) == format_certificate(cert)
         assert verify_se_partition(again) == []
+
+
+# three of s2's members also put in the terminal class s7 of the q-polytope certificate
+_OVERLAP_SCRIPT = """
+import json
+from dataclasses import replace
+from cdposet import zoo
+from cdposet.partition import se_certificate_from_classes, verify_s_partition
+cert = zoo.fixture_certificate("q-polytope")
+classes = dict(cert.classes)
+classes["s7"] = classes["s7"] | set(sorted(classes["s2"] - {"s2"})[:3])
+violations = [str(v) for v in verify_s_partition(replace(cert, classes=classes))]
+print(json.dumps([violations, repr(se_certificate_from_classes(cert.poset, "s1", classes))]))
+"""
+
+
+def test_overlapping_classes_do_not_depend_on_string_hashing():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _OVERLAP_SCRIPT], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    violations, report = json.loads(outs.pop())
+    assert [v for v in violations if "overlapping-classes" in v] == [
+        f"VIOLATION overlapping-classes spart/class[s7] {m} already in class[s2]" for m in ("BC", "C", "CR")
+    ]
+    assert "BC already in class[s2]" in report
 
 
 class TestReversePartition:

@@ -252,6 +252,23 @@ class TestSemisuspension:
         assert any(v.code == "not-bounded-below" for v in validate(ss))
 
 
+class TestMissingRanks:
+    """bot, top, coatoms and is_semi_eulerian raise PosetError where a rank has no element."""
+
+    @pytest.mark.parametrize("query", [
+        GradedPoset.bot, GradedPoset.top, GradedPoset.coatoms, is_semi_eulerian,
+    ])
+    def test_empty_poset(self, query):
+        with pytest.raises(PosetError, match="^e has no element of rank 0$"):
+            query(GradedPoset("e", {}, []))
+
+    def test_no_bottom(self):
+        p = GradedPoset("no-bot", {"x": 1, "y": 2}, [("x", "y")])
+        assert p.top() == "y" and p.coatoms() == ["x"]
+        with pytest.raises(PosetError, match="^no-bot has no element of rank 0$"):
+            p.bot()
+
+
 class TestFindIsomorphism:
     def test_large_polygon_needs_no_recursion(self):
         p = zoo.gen("polygon", (600,))

@@ -17,7 +17,6 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cdposet").gl
 ALLOWED = {
     "ncpoly._peel": "depth is the degree; the work is already 2^degree",
     "ncpoly.cd_words": "its output is exponential in the degree",
-    "zoo._facet_poset.rank_of": "fixture-only ranking of hand-written face tables",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -70,6 +70,28 @@ class TestGenerators:
             assert is_eulerian(zoo.gen("boolean", (n,)))
 
 
+def deep_faces(depth: int) -> dict[str, list[str]]:
+    """Two cells per rank, each covering both cells one rank below, listed bottom-up."""
+    return {f"x{i}{s}": [f"x{i-1}a", f"x{i-1}b"] if i else [] for i in range(depth) for s in "ab"}
+
+
+class TestFaceTable:
+    def test_deeper_than_the_recursion_limit(self, shallow_stack):
+        p = zoo._facet_poset("deep", 2001, deep_faces(2000))
+        assert p.rank("x1999b") == 2000 and p.coatoms() == ["x1999a", "x1999b"]
+        assert p.lower_covers("x1000a") == ("x999a", "x999b")
+        assert validate(p) == []
+
+    def test_a_face_listed_before_its_entry_fails_at_once(self, shallow_stack):
+        top_down = dict(reversed(deep_faces(2000).items()))
+        with pytest.raises(KeyError, match="x1998a"):
+            zoo._facet_poset("top-down", 2001, top_down)
+
+    def test_an_empty_table_is_the_rank_1_boolean_lattice(self):
+        p = zoo._facet_poset("empty", 1, {})
+        assert p.elements() == ("bot", "top") and p.covers() == [("bot", "top")]
+
+
 class TestTranscribedFixtures:
     def test_torus_fig6_invariants(self, torus6):
         assert euler_characteristic(torus6) == 0
