@@ -1,13 +1,19 @@
 """Chain enumeration, flag f/h-vectors, Dehn-Sommerville checks and cd-indices.
 
-Rank sets are subsets of [d] for a poset of rank d+1 and are carried as
-bitmasks internally (bit i-1 stands for rank i, which is also letter i of the
-ab-word); the public dataclasses key their counts by frozenset for
-readability.  Chains are extended one rank at a time over the poset's
-down-closure bitsets, so each rank set costs one pass over the comparable
-pairs of two rank levels; the counts are memoized on the poset.  The f <-> h
-transforms are subset zeta/Möbius transforms over mask-indexed lists,
-O(d 2^d).
+Rank sets are subsets of [d] for a poset of rank d+1.  Every computation
+holds them as bitmasks: bit i-1 stands for rank i, which is also letter i of
+the ab-word, so one list of 2^d numbers indexed by mask carries chain counts,
+their h-transform and the ab-polynomial alike.  Frozensets appear only in
+the public dataclasses, whose counts are keyed by rank set for readability.
+
+Chains are extended one rank at a time over the poset's down-closure
+bitsets, so each rank set costs one pass over the comparable pairs of two
+rank levels; the counts are memoized on the poset.  The f <-> h transforms
+are subset zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
+``cd_index`` and ``semi_cd_index`` stay in masks from the chain counts to
+the cd-index: they transform the count list and hand it to the first-letter
+peel of ``ncpoly``.  The staged API (``flag_f``, ``flag_h``,
+``ab_polynomial``, ``ab_to_cd``) computes the same index one step at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ncpoly import AB, NcPolynomial, NotInImage, ab_to_cd, ab_word
+from .ncpoly import AB, NcPolynomial, NotInImage, _cd_from_masks, ab_word
 from .poset import GradedPoset, RankTooLow, _bits, is_semi_eulerian, memoized
 
 
@@ -92,12 +98,23 @@ def _set_to_mask(K) -> int:
     return sum(1 << (i - 1) for i in K)
 
 
-def _subset_transform(f: FlagVector | ModifiedFlagVector | FlagHVector, sign: int) -> list[int]:
-    """Mask-indexed sum over T in K of sign^{|K - T|} counts[T], one rank at a time."""
+def _by_rank_set(values: list[int] | tuple[int, ...]) -> dict[frozenset[int], int]:
+    """The counts of a mask-indexed list of length 2^d, keyed by rank set."""
+    return dict(zip(_rank_sets(len(values).bit_length() - 1), values))
+
+
+def _by_mask(f: FlagVector | ModifiedFlagVector | FlagHVector) -> list[int]:
+    """The counts of a flag vector as a mask-indexed list."""
     values = [0] * (1 << f.d)
     for K, c in f.counts.items():
         values[_set_to_mask(K)] = c
-    for _ in range(f.d):  # transform along bit 0, then rotate it to the top
+    return values
+
+
+def _subset_transform(values: list[int] | tuple[int, ...], sign: int) -> list[int]:
+    """Mask-indexed sum over T in K of sign^{|K - T|} values[T], one rank at a time."""
+    values = list(values)
+    for _ in range(len(values).bit_length() - 1):  # transform along bit 0, then rotate it to the top
         low = values[0::2]
         values = low + [u + sign * v for u, v in zip(values[1::2], low)]
     return values
@@ -135,25 +152,29 @@ def _flag_masks(p: GradedPoset) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _chain_counts(p: GradedPoset) -> tuple[int, ...]:
+    """``_flag_masks(p)``, after checking that p has rank sets at all."""
+    if p.rank_top < 1:
+        raise RankTooLow(f"{p.name} has rank {p.rank_top}; a flag vector needs rank 1 or more")
+    return _flag_masks(p)
+
+
 def flag_f(p: GradedPoset) -> FlagVector:
     """Flag f-vector: number of chains with each rank set K in [d].
 
     Raises RankTooLow when p has rank 0 or no elements: the rank sets need d >= 0.
     """
-    d = p.rank_top - 1
-    if d < 0:
-        raise RankTooLow(f"{p.name} has rank {p.rank_top}; a flag vector needs rank 1 or more")
-    return FlagVector(d, dict(zip(_rank_sets(d), _flag_masks(p))))
+    return FlagVector(p.rank_top - 1, _by_rank_set(_chain_counts(p)))
 
 
 def flag_h(f: FlagVector | ModifiedFlagVector) -> FlagHVector:
     """h_K = sum over T in K of (-1)^{|K - T|} f_T (subset Möbius transform)."""
-    return FlagHVector(f.d, dict(zip(_rank_sets(f.d), _subset_transform(f, -1))))
+    return FlagHVector(f.d, _by_rank_set(_subset_transform(_by_mask(f), -1)))
 
 
 def flag_f_from_h(h: FlagHVector) -> FlagVector:
     """Inverse transform f_K = sum over T in K of h_T (subset zeta transform)."""
-    return FlagVector(h.d, dict(zip(_rank_sets(h.d), _subset_transform(h, 1))))
+    return FlagVector(h.d, _by_rank_set(_subset_transform(_by_mask(h), 1)))
 
 
 def ab_polynomial(h: FlagHVector) -> NcPolynomial:
@@ -199,30 +220,40 @@ def check_dehn_sommerville(f: FlagVector | ModifiedFlagVector) -> list[DsViolati
     return out
 
 
-def _extract_cd(f: FlagVector | ModifiedFlagVector) -> NcPolynomial:
+def _extract_cd(counts: list[int] | tuple[int, ...]) -> NcPolynomial:
+    """The cd-index of mask-indexed chain counts: Möbius transform, then peel.
+
+    Only on failure are the counts keyed by rank set, to name the first
+    failing Dehn-Sommerville equation.
+    """
     try:
-        return ab_to_cd(ab_polynomial(flag_h(f)))
+        return _cd_from_masks(_subset_transform(counts, -1))
     except NotInImage as exc:
-        ds = check_dehn_sommerville(f)
+        ds = check_dehn_sommerville(FlagVector(len(counts).bit_length() - 1, _by_rank_set(counts)))
         if ds:
             raise NotInImage(f"first failing Dehn-Sommerville equation: {ds[0]}") from exc
         raise
 
 
 def cd_index(p: GradedPoset) -> NcPolynomial:
-    """The cd-index via flag_f -> flag_h -> ab-polynomial -> exact extraction.
+    """The cd-index of the flag vector, by exact extraction.
+
+    The chain counts stay a mask-indexed list: their subset Möbius transform
+    is the ab-polynomial's coefficient list, from which the cd-index is
+    peeled letter by letter.  It equals
+    ``ab_to_cd(ab_polynomial(flag_h(flag_f(p))))``.
 
     Raises NotInImage (with the first failing Dehn-Sommerville triple when one
     exists) if the flag vector admits no cd-expression, and RankTooLow (a
     PosetError) below rank 1, like ``flag_f``.
     """
-    return _extract_cd(flag_f(p))
+    return _extract_cd(_chain_counts(p))
 
 
-def _modified(p: GradedPoset) -> ModifiedFlagVector:
+def _correction(p: GradedPoset) -> int:
+    """chi(S^{d-1}) - chi(p), the shift of the top-rank count; 0 at rank 1."""
     d = p.rank_top - 1
-    correction = sphere_euler_characteristic(d - 1) - euler_characteristic(p) if d >= 1 else 0
-    return ModifiedFlagVector(flag_f(p), correction)
+    return sphere_euler_characteristic(d - 1) - euler_characteristic(p) if d >= 1 else 0
 
 
 def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
@@ -231,7 +262,7 @@ def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
     Meaningful for semi-Eulerian posets; computed (with a warning) otherwise.
     Raises RankTooLow below rank 1, like ``flag_f``.
     """
-    modified = _modified(p)
+    modified = ModifiedFlagVector(flag_f(p), _correction(p))
     if not is_semi_eulerian(p):
         warnings.warn(f"{p.name}: modified flag vector of a non-semi-Eulerian poset", stacklevel=2)
     return modified
@@ -240,9 +271,14 @@ def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
 def semi_cd_index(p: GradedPoset) -> NcPolynomial:
     """cd-index of the modified flag vector; equals cd_index on Eulerian input.
 
+    The correction is added to the count at mask 2^(d-1), the rank set {d}.
     Raises like ``cd_index``.
     """
-    return _extract_cd(_modified(p))
+    counts = list(_chain_counts(p))
+    d = p.rank_top - 1
+    if d >= 1:
+        counts[1 << (d - 1)] += _correction(p)
+    return _extract_cd(counts)
 
 
 def format_flag_vector(f: FlagVector | ModifiedFlagVector) -> str:

@@ -11,7 +11,8 @@ alphabets (``c -> a+b``, ``d -> ab+ba`` and ``a -> a-b``) and the inverse
 extraction ``ab_to_cd``.  That one holds a homogeneous ab-polynomial as a
 list of coefficients indexed by bitmask and peels off the first letter
 (Psi = c*P + d*Q, the Bayer-Klapper change of basis), in O(2^degree)
-integer steps.
+integer steps.  ``flags.cd_index`` already holds such a list and enters the
+peel directly through ``_cd_from_masks``.
 """
 
 from __future__ import annotations
@@ -329,6 +330,17 @@ def _peel(psi: list[int], prefix: str, out: dict[str, int]) -> None:
     _peel(q, prefix + "d", out)
 
 
+def _cd_from_masks(psi: list[int]) -> NcPolynomial:
+    """The cd-polynomial whose expansion has coefficient psi[mask] on each ab-word.
+
+    psi is mask-indexed with 2^degree entries; raises NotInImage at the first
+    nonzero residual.  ``ab_to_cd`` and ``flags.cd_index`` both end here.
+    """
+    out: dict[str, int] = {}
+    _peel(psi, "", out)
+    return NcPolynomial(CD, out)
+
+
 def ab_to_cd(p: NcPolynomial) -> NcPolynomial:
     """Invert the cd expansion on its image by peeling off the first cd-letter.
 
@@ -344,6 +356,4 @@ def ab_to_cd(p: NcPolynomial) -> NcPolynomial:
     psi = [0] * (1 << p.degree())
     for word, coeff in p._terms.items():
         psi[ab_mask(word)] = coeff
-    out: dict[str, int] = {}
-    _peel(psi, "", out)
-    return NcPolynomial(CD, out)
+    return _cd_from_masks(psi)

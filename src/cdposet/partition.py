@@ -726,16 +726,18 @@ def order_to_s_certificate(
     return _run(_certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget)))
 
 
-def _is_simplicial(p: GradedPoset) -> bool:
+def _all_simplices(p: GradedPoset, faces: int) -> bool:
+    """Whether every face in the mask has a boolean lower interval: r atoms and 2^r elements at rank r."""
     atoms = p._levels.get(1, 0)
-    top = p.top()
-    for x, below in zip(p.elements(), p._downset):
-        r = p.rank(x)
-        if x == top or r == 0:
-            continue
-        if (below & atoms).bit_count() != r or below.bit_count() != 2**r:
-            return False
-    return True
+    return all(
+        (p._downset[x] & atoms).bit_count() == r and p._downset[x].bit_count() == 1 << r
+        for r, level in p._levels.items()
+        for x in _bits(faces & level)
+    )
+
+
+def _is_simplicial(p: GradedPoset) -> bool:
+    return _all_simplices(p, ~p._mask([p.top()]))
 
 
 def simplicial_partition_to_s_certificate(

@@ -29,8 +29,10 @@ from .flags import cd_index, euler_characteristic, semi_cd_index
 from .ncpoly import CD, NcPolynomial
 from .partition import (
     FailureReport,
+    NotSimplicial,
     SEPartitionCert,
     SPartitionCert,
+    _all_simplices,
     order_to_s_certificate,
     se_certificate_from_classes,
 )
@@ -489,11 +491,16 @@ def shelling_restrictions(p: GradedPoset, order: list[str]) -> list[tuple[str, s
     for a valid shelling the interval [R, facet] is exactly the set of new
     faces.  Used to feed the boolean-interval partition converter.  R is
     spanned by the facet's vertices whose opposite ridge is already covered.
+
+    Raises NotSimplicial (a PosetError) naming the first facet in the order
+    whose lower interval is not boolean.
     """
     covered = 0
     pairs: list[tuple[str, str]] = []
     for facet in order:
         below = _union(p._downset, p._mask([facet]))
+        if not _all_simplices(p, below):
+            raise NotSimplicial(f"{p.name}: facet {facet!r} is not a simplex")
         ridges = below & p._levels.get(p.rank(facet) - 1, 0)
         spans, k = below, 0  # the faces above every restriction vertex so far, and their count
         for a in _bits(below & p._levels.get(1, 0)):

@@ -1,8 +1,10 @@
-"""The benchmark's generated inputs still match the hashes pinned in ``bench_cdposet/expected.json``.
+"""The benchmark's inputs and cd results still match those pinned in ``bench_cdposet/expected.json``.
 
 Set-up builds every benchmark poset with ``cdposet.zoo`` and raises
 ``InputMismatch`` on any drift, so a change to the zoo that alters an input
-fails here, not only in a benchmark run.  The benchmark files are only read.
+fails here, not only in a benchmark run.  Each op of the ``cd`` workload runs
+once through the benchmark's own oracle, so a wrong cd-index fails here too.
+The benchmark files are only read.
 """
 
 from __future__ import annotations
@@ -33,3 +35,15 @@ def test_setup_matches_the_pinned_inputs(mixes, workload, tmp_path):
     workload = mixes.WORKLOADS[workload]
     inputs = mixes.setup(workload, mixes.load_expected(), tmp_path)  # InputMismatch on any drift
     assert set(inputs.posets) == set(workload.posets) and set(inputs.certs) == set(workload.certs)
+
+
+def test_cd_ops_give_the_pinned_results(mixes, tmp_path):
+    workload, expected = mixes.WORKLOADS["cd"], mixes.load_expected()
+    inputs = mixes.setup(workload, expected, tmp_path)
+    wrong = {}
+    for op in workload.ops:
+        raw, error = mixes.execute(op, inputs)
+        passed, got = mixes.judge(op, raw, error, expected)
+        if not passed:
+            wrong[op.id] = got
+    assert wrong == {}

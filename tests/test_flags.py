@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdposet import flags, zoo
+from cdposet import flags, ncpoly, zoo
 from cdposet.flags import (
     FlagVector,
     ab_polynomial,
@@ -25,7 +25,7 @@ from cdposet.flags import (
     modified_flag_f,
     semi_cd_index,
 )
-from cdposet.ncpoly import AB, CD, NcPolynomial, NotInImage, expand_cd_to_ab
+from cdposet.ncpoly import AB, CD, NcPolynomial, NotInImage, ab_to_cd, expand_cd_to_ab
 from cdposet.poset import BOT, TOP, GradedPoset, PosetError, RankTooLow
 
 
@@ -293,6 +293,102 @@ class TestSubsetTransforms:
             warnings.simplefilter("error")
             semi_cd_index(zoo.gen("product", (3, 3)))
         assert calls == []
+
+
+# one sample of every zoo family, plus larger and non-Eulerian cases
+DIFFERENTIAL = {
+    "polygon(5)": ("polygon", (5,)),
+    "simplex-boundary(4)": ("simplex-boundary", (4,)),
+    "boolean(5)": ("boolean", (5,)),
+    "cube(4)": ("cube", (4,)),
+    "cross-polytope(4)": ("cross-polytope", (4,)),
+    "octahedron": ("octahedron", ()),
+    "icosahedron": ("icosahedron", ()),
+    "sphere2cells(10)": ("sphere2cells", (10,)),
+    "discrete-points(4)": ("discrete-points", (4,)),
+    "point": ("point", ()),
+    "product(6,8)": ("product", (6, 8)),
+    "connected-sum(4)": ("connected-sum", (4,)),
+    "torus-7vertex": ("torus-7vertex", ()),
+    "q-polytope": ("q-polytope", ()),
+    "torus-fig6": ("torus-fig6", ()),
+    "torus-fig12": ("torus-fig12", ()),
+    "fig13-nonsemi": ("fig13-nonsemi", ()),
+}
+RANDOM_SEEDS = (0, 4, 13, 23)  # cross-polytope(4), a polygon sum, boolean(4), a simplex sum
+
+
+def _outcome(call):
+    """("ok", value) or ("raises", message, message of the cause) for a cd extraction."""
+    try:
+        return ("ok", call())
+    except NotInImage as exc:
+        return ("raises", str(exc), str(exc.__cause__))
+
+
+def _staged(f):
+    """The staged route ab_to_cd(ab_polynomial(flag_h(f))), with cd_index's diagnosis on failure."""
+    try:
+        return ab_to_cd(ab_polynomial(flag_h(f)))
+    except NotInImage as exc:
+        ds = check_dehn_sommerville(f)
+        if not ds:
+            raise
+        raise NotInImage(f"first failing Dehn-Sommerville equation: {ds[0]}") from exc
+
+
+def _builders():
+    """One fresh-poset builder per differential case, so each route counts chains on its own object."""
+    builders = [pytest.param(lambda f=f, a=a: zoo.gen(f, a), id=pid) for pid, (f, a) in DIFFERENTIAL.items()]
+    return builders + [
+        pytest.param(lambda s=s: zoo.random_eulerian_small(s, max_rank=5), id=f"random_eulerian_small({s})")
+        for s in RANDOM_SEEDS
+    ]
+
+
+class TestMaskPath:
+    """cd_index and semi_cd_index stay in masks; the staged API is their oracle."""
+
+    @pytest.mark.parametrize("build", _builders())
+    def test_cd_index_matches_the_staged_route(self, build):
+        expected = _outcome(lambda: _staged(flag_f(build())))
+        assert _outcome(lambda: cd_index(build())) == expected
+
+    @pytest.mark.parametrize("build", _builders())
+    def test_semi_cd_index_matches_the_staged_route(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            modified = modified_flag_f(build())
+        assert _outcome(lambda: semi_cd_index(build())) == _outcome(lambda: _staged(modified))
+
+    @pytest.mark.parametrize("family", ["torus-fig6", "torus-fig12", "torus-7vertex"])
+    def test_torus_message_is_unchanged(self, family):
+        assert _outcome(lambda: cd_index(zoo.gen(family))) == (
+            "raises",
+            "first failing Dehn-Sommerville equation: K={} i=0 k=4: 0 != 2",
+            "nonzero residual after cd-prefix 'cc'",
+        )
+
+    def test_fig13_message_is_unchanged(self):
+        assert _outcome(lambda: semi_cd_index(zoo.gen("fig13-nonsemi"))) == (
+            "raises",
+            "first failing Dehn-Sommerville equation: K={1} i=1 k=4: 12 != 0",
+            "nonzero residual after cd-prefix 'd'",
+        )
+
+    def test_no_rank_set_word_or_staged_step_on_the_way(self, monkeypatch):
+        sphere, torus = zoo.gen("sphere2cells", (8,)), zoo.gen("product", (3, 3))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cd path left the mask-indexed list")
+
+        for module, name in ((flags, "_rank_sets"), (flags, "flag_h"), (flags, "ab_polynomial"), (ncpoly, "ab_mask")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert cd_index(sphere) == NcPolynomial(CD, {"c" * 9: 1})
+        assert semi_cd_index(torus) == NcPolynomial(CD, {"ccc": 1, "cd": 9, "dc": 7})
+        monkeypatch.undo()
+        with pytest.raises(NotInImage, match=r"first failing Dehn-Sommerville equation: K=\{\} i=0 k=4"):
+            cd_index(torus)
 
 
 def _derivation(phi: NcPolynomial) -> NcPolynomial:

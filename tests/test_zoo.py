@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cdposet import zoo
 from cdposet.flags import cd_index, euler_characteristic, semi_cd_index
 from cdposet.ncpoly import CD, NcPolynomial
-from cdposet.poset import is_eulerian, is_semi_eulerian, validate
+from cdposet.partition import NotSimplicial
+from cdposet.poset import PosetError, is_eulerian, is_semi_eulerian, validate
 
 
 class TestGenerators:
@@ -156,3 +157,10 @@ class TestShellingRestrictions:
         pairs = zoo.shelling_restrictions(p, sorted(p.coatoms()))
         sizes = sorted(0 if r == "bot" else p.rank(r) for r, _ in pairs)
         assert sizes == [0, 1, 2, 3]
+
+    def test_a_facet_that_is_not_a_simplex_is_named(self):
+        # s1 of the q-polytope is a square; its restriction face is undefined
+        p = zoo.gen("q-polytope")
+        with pytest.raises(NotSimplicial, match="facet 's1' is not a simplex") as err:
+            zoo.shelling_restrictions(p, [f"s{i}" for i in range(1, 8)])
+        assert isinstance(err.value, PosetError)
