@@ -6,10 +6,13 @@ the ab-word, so one list of 2^d numbers indexed by mask carries chain counts,
 their h-transform and the ab-polynomial alike.  Frozensets appear only in
 the public dataclasses, whose counts are keyed by rank set for readability.
 
-Chains are extended one rank at a time over the poset's down-closure
-bitsets, so each rank set costs one pass over the comparable pairs of two
-rank levels; the counts are memoized on the poset.  The f <-> h transforms
-are subset zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
+Chains are counted in one pass over the elements in rank order.  Each
+element holds one packed integer whose fixed-width fields count the chains
+ending there, one field per rank set, and the packed integers of an
+element's down-set are summed in C.  The field width bounds every chain
+count, so no field carries into its neighbour (see ``_flag_masks``).  The
+counts are memoized on the poset.  The f <-> h transforms are subset
+zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
 ``cd_index`` and ``semi_cd_index`` stay in masks from the chain counts to
 the cd-index: they transform the count list and hand it to the first-letter
 peel of ``ncpoly``.  The staged API (``flag_f``, ``flag_h``,
@@ -21,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 
 from .ncpoly import AB, NcPolynomial, NotInImage, _cd_from_masks, ab_word
 from .poset import GradedPoset, RankTooLow, _bits, is_semi_eulerian, memoized
@@ -120,35 +124,48 @@ def _subset_transform(values: list[int] | tuple[int, ...], sign: int) -> list[in
     return values
 
 
+_SELECT = bytes.maketrans(b"01", b"\0\1")  # a reversed bin() string -> one selector byte per element
+
+
 @memoized
 def _flag_masks(p: GradedPoset) -> tuple[int, ...]:
-    """Chain counts indexed by rank-set bitmask.
+    """Chain counts indexed by rank-set bitmask, from one packed integer per element.
 
-    Extends chains upward one rank at a time: the count vector of a rank set
-    holds, per element of its highest rank, the chains with that rank set
-    ending there.  Rank sets are visited depth first, so only the vectors on
-    the current path are alive.
+    For z of rank a+1, P[z] is one int of 2^a fields of W bits: field m holds
+    the number of chains ending at z whose rank set is m | 1 << a.  Extending
+    a chain that ends at k (rank b+1 < a+1) by z moves its field m to
+    m | 1 << b, which is a shift by W 2^b bits, so
+
+        P[z] = 1 + sum over k < z of rank >= 1 of P[k] << (W 2^(rank k - 1)),
+
+    and the fields of the sum of P[z] over level a are the counts of the rank
+    sets whose highest bit is a: the slice ``counts[2^a : 2^(a+1)]``.  The
+    shifted values wait in one list by element number; the strict down-set
+    of z selects them in C, so no comparable pair costs a Python step.
+
+    No field carries into its neighbour: each is a chain count, and a chain
+    takes at most one element of each rank, so no count exceeds the product
+    of (|L_r| + 1) over the ranks 1..d, which W holds.  That holds on any
+    poset, validated or not.  W is rounded up to whole bytes, so the fields
+    come out of ``to_bytes``, which raises rather than wraps.
     """
     d = p.rank_top - 1
     levels = [p._levels.get(r, 0) for r in range(1, d + 1)]
-    first = [(level & -level).bit_length() - 1 for level in levels]
-    # below[a][b][k]: positions within level a of the elements under the k-th element of level b
-    below = [
-        [
-            [[i - first[a] for i in _bits(p._downset[z] & levels[a])] for z in _bits(levels[b])] if a < b else []
-            for b in range(d)
-        ]
-        for a in range(d)
-    ]
-    counts = [0] * (1 << d)
-    counts[0] = 1
-    stack = [(1 << a, a, [1] * levels[a].bit_count()) for a in range(d)]
-    while stack:
-        mask, a, ends = stack.pop()
-        counts[mask] = sum(ends)
-        if counts[mask]:
-            for b in range(a + 1, d):
-                stack.append((mask | 1 << b, b, [sum([ends[k] for k in ks]) for ks in below[a][b]]))
+    bound = 1
+    for level in levels:
+        bound *= level.bit_count() + 1
+    width = (bound.bit_length() + 7) // 8  # bytes per field
+    shifted = [0] * len(p)  # P[k] << (W 2^(rank k - 1)) by element number k; 0 below rank 1
+    counts = [1]
+    for a, level in enumerate(levels):
+        total = 0
+        for z in _bits(level):
+            below = p._downset[z] ^ 1 << z
+            packed = 1 + sum(compress(shifted, bin(below)[:1:-1].encode().translate(_SELECT)))
+            shifted[z] = packed << (8 * width << a)
+            total += packed
+        fields = total.to_bytes(width << a, "little")
+        counts += map(int.from_bytes, zip(*[iter(fields)] * width), repeat("little"))  # width bytes each, lowest first
     return tuple(counts)
 
 

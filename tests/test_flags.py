@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
+import random
 import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from cdposet.flags import (
     semi_cd_index,
 )
 from cdposet.ncpoly import AB, CD, NcPolynomial, NotInImage, ab_to_cd, expand_cd_to_ab
-from cdposet.poset import BOT, TOP, GradedPoset, PosetError, RankTooLow
+from cdposet.poset import BOT, TOP, GradedPoset, PosetError, RankTooLow, format_poset, validate
 
 
 def brute_flag_f(p):
@@ -75,6 +75,61 @@ class TestFlagVectors:
     def test_serialization(self):
         text = format_flag_vector(flag_f(zoo.gen("polygon", (4,))))
         assert "K={1,2}: 8" in text.splitlines()
+
+
+def random_unvalidated(rng: random.Random) -> GradedPoset:
+    """Up to 10 elements with ranks in -2..5 and random covers that go up in rank."""
+    ranks = {f"e{i}": rng.randint(-2, 5) for i in range(rng.randint(1, 10))}
+    names = list(ranks)
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(3 * len(names))]
+    return GradedPoset("random", ranks, [(x, y) for x, y in pairs if ranks[x] < ranks[y]])
+
+
+class TestChainCountOracles:
+    """Chain counts against enumeration and closed forms, which share nothing with the packed count."""
+
+    UNVALIDATED = {
+        "missing-rank-level": (
+            {BOT: 0, "a": 1, "b": 1, "c": 3, TOP: 4},
+            [(BOT, "a"), (BOT, "b"), ("a", "c"), ("b", "c"), ("c", TOP)],
+        ),
+        "two-rank-0-elements": (
+            {BOT: 0, "bot2": 0, "a": 1, "b": 1, TOP: 2},
+            [(BOT, "a"), ("bot2", "a"), ("bot2", "b"), ("a", TOP), ("b", TOP)],
+        ),
+        "cover-skips-a-rank": (
+            {BOT: 0, "v1": 1, "v2": 1, "e1": 2, "e2": 2, TOP: 3},
+            [(BOT, "v1"), (BOT, "v2"), ("v1", "e1"), ("v2", "e1"), (BOT, "e2"), ("v1", TOP), ("e1", TOP), ("e2", TOP)],
+        ),
+        "negative-ranks": (
+            {"m2": -2, "m1": -1, BOT: 0, "a": 1, "b": 1, "c": 2, TOP: 3},
+            [("m2", "m1"), ("m1", BOT), ("m2", "a"), (BOT, "a"), (BOT, "b"), ("a", "c"), ("b", "c"), ("c", TOP)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", UNVALIDATED)
+    def test_unvalidated_posets_against_enumeration(self, name):
+        p = GradedPoset(name, *self.UNVALIDATED[name])
+        assert validate(p)
+        assert flag_f(p).counts == brute_flag_f(p)
+
+    def test_random_unvalidated_posets_against_enumeration(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            p = random_unvalidated(rng)
+            if p.rank_top >= 1:
+                assert flag_f(p).counts == brute_flag_f(p), format_poset(p)
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_two_cell_spheres_have_two_to_the_size_chains(self, k):
+        d = k + 1
+        subsets = (frozenset(S) for n in range(d + 1) for S in combinations(range(1, d + 1), n))
+        assert flag_f(zoo.gen("sphere2cells", (k,))).counts == {S: 2 ** len(S) for S in subsets}
+
+    def test_polygons_across_one_two_and_three_byte_fields(self):
+        # the width bound (k + 1)^2 passes 2^8 at k = 15 and 2^16 at k = 255
+        for k in range(3, 301):
+            assert flag_f(zoo.gen("polygon", (k,))).counts == {K(): 1, K(1): k, K(2): k, K(1, 2): 2 * k}
 
 
 class TestFlagH:
