@@ -611,6 +611,12 @@ def read_lines(text: str) -> Iterator[tuple[int, int, list[str]]]:
             yield lineno, len(line) - len(line.lstrip(" ")), fields
 
 
+def _integer(field: str) -> int | None:
+    """The value of a field of ASCII digits with an optional leading ``-``, else None."""
+    digits = field[1:] if field[:1] == "-" else field
+    return int(field) if digits.isdigit() and digits.isascii() else None
+
+
 def parse_poset(text: str) -> GradedPoset:
     """Parse the line-oriented poset file format (``#`` starts a comment)."""
     name: str | None = None
@@ -624,15 +630,16 @@ def parse_poset(text: str) -> GradedPoset:
                 raise PosetParseError("expected: poset <name>", lineno)
             name = fields[1]
         elif kind == "rank":
-            if len(fields) != 2 or not fields[1].lstrip("-").isdigit():
+            declared_rank = _integer(fields[1]) if len(fields) == 2 else None
+            if declared_rank is None:
                 raise PosetParseError("expected: rank <integer>", lineno)
-            declared_rank = int(fields[1])
         elif kind == "elem":
-            if len(fields) != 3 or not fields[2].lstrip("-").isdigit():
+            r = _integer(fields[2]) if len(fields) == 3 else None
+            if r is None:
                 raise PosetParseError("expected: elem <id> <rank>", lineno)
             if fields[1] in ranks:
                 raise PosetParseError(f"duplicate element {fields[1]!r}", lineno)
-            ranks[fields[1]] = int(fields[2])
+            ranks[fields[1]] = r
         elif kind == "cover":
             if len(fields) != 3:
                 raise PosetParseError("expected: cover <lower> <upper>", lineno)

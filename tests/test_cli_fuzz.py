@@ -31,7 +31,7 @@ SEEDS = [
 SIMPLEX = SEEDS[2][0]
 PAIRS = "".join(f"pair {r} {f}\n" for r, f in zoo.shelling_restrictions(SIMPLEX, sorted(SIMPLEX.coatoms())))
 TOKENS = [
-    "", "bot", "top", "0", "1", "-1", "99", "x", "s1", "abc", "kind=initial", "kind=bogus", "#",
+    "", "bot", "top", "0", "1", "-1", "--1", "²", "99", "x", "s1", "abc", "kind=initial", "kind=bogus", "#",
     "poset", "rank", "elem", "cover", "spart", "separt", "class", "members", "sub", "subclass", "pair",
 ]
 

@@ -71,13 +71,23 @@ def format_pairs(pairs: list[tuple[str, str]]) -> str:
 
 
 class TestReadLines:
+    CASES = [
+        ("# header comment\n\nposet x  # name\n  class a kind=initial\n\t\n   #\n    members a b#c\n",
+         [(3, 0, ["poset", "x"]), (4, 2, ["class", "a", "kind=initial"]), (7, 4, ["members", "a", "b"])]),
+        # a tab is not indentation, and a tab-led line keeps its fields
+        ("\tpair a b\n \t  sub\n\t# x\n", [(1, 0, ["pair", "a", "b"]), (2, 1, ["sub"])]),
+        # CRLF and a lone CR end lines as LF does
+        ("poset x\r\n  rank 1\r\n\r\nelem a 0 # c\relem b 1\r\n",
+         [(1, 0, ["poset", "x"]), (2, 2, ["rank", "1"]), (4, 0, ["elem", "a", "0"]), (5, 0, ["elem", "b", "1"])]),
+        # lines that hold only a comment count but yield nothing
+        ("#\n# poset x\n   # indented\n\t#tab\nposet y\n#", [(5, 0, ["poset", "y"])]),
+        ("# only comments\n  #\n", []),
+        ("", []),
+    ]
+
     def test_fields_indent_and_line_numbers(self):
-        text = "# header comment\n\nposet x  # name\n  class a kind=initial\n\t\n   #\n    members a b#c\n"
-        assert list(read_lines(text)) == [
-            (3, 0, ["poset", "x"]),
-            (4, 2, ["class", "a", "kind=initial"]),
-            (7, 4, ["members", "a", "b"]),
-        ]
+        for text, expected in self.CASES:
+            assert list(read_lines(text)) == expected, text
 
 
 class TestRoundTrip:
@@ -108,6 +118,64 @@ class TestRoundTrip:
     def test_pairs(self, data, pairs):
         text, _ = data.draw(noisy(format_pairs(pairs)))
         assert _parse_pairs(text) == pairs
+
+
+HEAD = "poset x\nrank 1\n"
+ELEMS = "elem bot 0\nelem top 1\n"
+
+# (text, line, message): one row or more per ``PosetParseError`` message
+PARSE_ERRORS = [
+    ("poset\nrank 1\n" + ELEMS, 1, "expected: poset <name>"),
+    ("poset x y\nrank 1\n" + ELEMS, 1, "expected: poset <name>"),
+    ("poset x\nrank\n" + ELEMS, 2, "expected: rank <integer>"),
+    ("poset x\nrank one\n" + ELEMS, 2, "expected: rank <integer>"),
+    ("poset x\nrank 1 2\n" + ELEMS, 2, "expected: rank <integer>"),
+    ("poset x\nrank +1\n" + ELEMS, 2, "expected: rank <integer>"),
+    (HEAD + "elem bot\nelem top 1\n", 3, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0 1\nelem top 1\n", 3, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot zero\nelem top 1\n", 3, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem top -\n", 4, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem top +1\n", 4, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem top 1_0\n", 4, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem bot 1\nelem top 1\n", 4, "duplicate element 'bot'"),
+    (HEAD + ELEMS + "cover bot\n", 5, "expected: cover <lower> <upper>"),
+    (HEAD + ELEMS + "cover bot top top\n", 5, "expected: cover <lower> <upper>"),
+    (HEAD + ELEMS + "cover bot a\n", 5, "cover references undeclared element"),
+    (HEAD + "cover bot top\n" + ELEMS, 3, "cover references undeclared element"),
+    (HEAD + ELEMS + "cover top bot\n", 5, "cover top bot does not go up in rank"),
+    (HEAD + ELEMS + "cover bot bot\n", 5, "cover bot bot does not go up in rank"),
+    (HEAD + ELEMS + "wat is this\n", 5, "unknown directive 'wat'"),
+    ("", 1, "missing poset header"),
+    ("rank 1\n" + ELEMS, 1, "missing poset header"),
+    (HEAD + "elem top 1\n", 1, "missing elem bot with rank 0"),
+    (HEAD + "elem bot 1\nelem top 2\n", 1, "missing elem bot with rank 0"),
+    (HEAD + "elem bot 0\n", 1, "missing elem top at the declared rank"),
+    ("poset x\nrank 2\n" + ELEMS, 1, "missing elem top at the declared rank"),
+    # the first malformed line wins, before the checks at the end of the file
+    ("rank 1\nelem bot 0\nbogus\nelem bot 0\n", 3, "unknown directive 'bogus'"),
+    (HEAD + "elem bot 0\nelem bot 0\ncover bot top\n", 4, "duplicate element 'bot'"),
+]
+
+# rank fields that pass a sign-stripped ``isdigit`` test but are no integer in ASCII digits
+RANK_FIELD_ERRORS = [
+    ("poset x\nrank --1\n" + ELEMS, 2, "expected: rank <integer>"),
+    ("poset x\nrank ²\n" + ELEMS, 2, "expected: rank <integer>"),
+    (HEAD + "elem bot 0\nelem top --1\n", 4, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem top ²\n", 4, "expected: elem <id> <rank>"),
+    (HEAD + "elem bot 0\nelem top ١\n", 4, "expected: elem <id> <rank>"),
+]
+
+
+class TestPosetParseErrors:
+    @pytest.mark.parametrize("text,line,message", PARSE_ERRORS + RANK_FIELD_ERRORS)
+    def test_message_and_line(self, text, line, message):
+        with pytest.raises(PosetParseError) as exc:
+            parse_poset(text)
+        assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+
+    def test_negative_and_signed_zero_ranks_parse(self):
+        p = parse_poset("poset x\nrank 1\nelem bot 0\nelem low -2\nelem zero -0\nelem top 1\ncover bot top\n")
+        assert p.ranks() == {"bot": 0, "low": -2, "zero": 0, "top": 1}
 
 
 class TestMalformedLineNumber:
