@@ -1,14 +1,19 @@
 """Bounded graded posets given by ranks and cover relations.
 
-A poset is immutable after construction.  The constructor numbers the
-elements 0..n-1 in (rank, name) order and computes, once, every order
-relation as Python-int bitsets over those numbers (bit i is element i):
-the upper and lower cover masks, the down- and up-closure masks and one
-mask per rank level.  Every query and derived construction reads these
-masks; element names are used only to name inputs and results, and names
-come out in (rank, name) order.  ``covers()`` sorts the cover pairs by name
-on demand.  Derived posets (capped sub-posets, semisuspensions) renumber the
-parent's masks and never go through the name constructor.
+A poset is immutable after construction.  Its elements are numbered
+0..n-1 in (rank, name) order, and every order relation is computed once as
+Python-int bitsets over those numbers (bit i is element i): the upper and
+lower cover masks, the down- and up-closure masks and one mask per rank
+level.  Every query and derived construction reads these masks; element
+names are used only to name inputs and results, and names come out in
+(rank, name) order.  ``covers()`` sorts the cover pairs by name on demand.
+
+One step, ``_numbered``, numbers named elements and ORs their cover masks.
+The name constructor calls it after checking the covers, and
+``parse_poset`` calls it after checking each line, so a parsed poset is not
+built by name.  Derived posets (capped sub-posets, semisuspensions)
+renumber the parent's masks.  Every poset is then filled in from its cover
+masks by ``_fill``.
 
 Derived values (Eulerian verdicts, semisuspensions, flag counts,
 certificate sub-posets) are ``memoized`` on the poset object they come from.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -104,6 +110,23 @@ def _run(walk):
     return value
 
 
+def _numbered(rank: dict[str, int], covers: list[tuple[str, str]]) -> tuple[tuple[str, ...], list[int], list[int]]:
+    """The elements in (rank, name) order and the upper and lower cover masks over their numbers.
+
+    Every cover must join two elements of rank.  The masks are OR-ed, so a
+    repeated cover changes nothing.
+    """
+    elems = tuple(sorted(sorted(rank), key=rank.__getitem__))  # by name, then stably by rank
+    index = dict(zip(elems, range(len(elems))))
+    up = [0] * len(elems)
+    down = [0] * len(elems)
+    for lo, hi in covers:
+        i, j = index[lo], index[hi]
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    return elems, up, down
+
+
 def memoized(fn):
     """Compute ``fn(p, ...)`` once per poset p and arguments, kept in ``p._cache`` and gone with p.
 
@@ -126,20 +149,13 @@ class GradedPoset:
     """Finite bounded graded poset with explicit ranks and covers."""
 
     def __init__(self, name: str, ranks: Mapping[str, int], covers: Iterable[tuple[str, str]]):
-        rank = dict(ranks)
-        elems = tuple(sorted(rank, key=lambda x: (rank[x], x)))
-        index = {x: i for i, x in enumerate(elems)}
-        up = [0] * len(elems)
-        down = [0] * len(elems)
+        rank, covers = dict(ranks), list(covers)
         for lo, hi in covers:
-            i, j = index.get(lo), index.get(hi)
-            if i is None or j is None:
-                raise PosetError(f"cover references unknown element {lo if i is None else hi!r}")
+            if lo not in rank or hi not in rank:
+                raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
             if rank[hi] <= rank[lo]:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-        self._fill(name, rank, elems, up, down)
+        self._fill(name, rank, *_numbered(rank, covers))
 
     @classmethod
     def _from_bits(cls, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> GradedPoset:
@@ -602,13 +618,16 @@ def read_lines(text: str) -> Iterator[tuple[int, int, list[str]]]:
     ``#`` starts a comment that runs to the end of the line, and lines left
     blank are skipped.  ``lineno`` counts from 1 over every line of ``text``,
     ``indent`` is the number of leading spaces and ``fields`` are the
-    whitespace-separated words (never empty).
+    whitespace-separated words (never empty).  The poset, certificate and
+    pairs parsers all read their files through it.  It numbers the lines
+    only: ``parse_poset`` numbers a poset's elements.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0]
-        fields = line.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] if "#" in line else line for line in lines]
+    for lineno, line, fields in zip(itertools.count(1), lines, map(str.split, lines)):
         if fields:
-            yield lineno, len(line) - len(line.lstrip(" ")), fields
+            yield lineno, len(line) - len(line.lstrip(" ")) if line[0] == " " else 0, fields
 
 
 def _integer(field: str) -> int | None:
@@ -618,21 +637,30 @@ def _integer(field: str) -> int | None:
 
 
 def parse_poset(text: str) -> GradedPoset:
-    """Parse the line-oriented poset file format (``#`` starts a comment)."""
+    """Parse the line-oriented poset file format (``#`` starts a comment).
+
+    Each line is checked as it is read, and an error names its line.  The
+    elements are then numbered once, in (rank, name) order, and the cover
+    masks over those numbers go straight to the bitset core: no poset is
+    built from names.
+    """
     name: str | None = None
     declared_rank: int | None = None
     ranks: dict[str, int] = {}
     covers: list[tuple[str, str]] = []
     for lineno, _, fields in read_lines(text):
         kind = fields[0]
-        if kind == "poset":
-            if len(fields) != 2:
-                raise PosetParseError("expected: poset <name>", lineno)
-            name = fields[1]
-        elif kind == "rank":
-            declared_rank = _integer(fields[1]) if len(fields) == 2 else None
-            if declared_rank is None:
-                raise PosetParseError("expected: rank <integer>", lineno)
+        if kind == "cover":
+            if len(fields) != 3:
+                raise PosetParseError("expected: cover <lower> <upper>", lineno)
+            _, lo, hi = fields
+            try:
+                rises = ranks[hi] > ranks[lo]
+            except KeyError:
+                raise PosetParseError("cover references undeclared element", lineno) from None
+            if not rises:
+                raise PosetParseError(f"cover {lo} {hi} does not go up in rank", lineno)
+            covers.append((lo, hi))
         elif kind == "elem":
             r = _integer(fields[2]) if len(fields) == 3 else None
             if r is None:
@@ -640,14 +668,14 @@ def parse_poset(text: str) -> GradedPoset:
             if fields[1] in ranks:
                 raise PosetParseError(f"duplicate element {fields[1]!r}", lineno)
             ranks[fields[1]] = r
-        elif kind == "cover":
-            if len(fields) != 3:
-                raise PosetParseError("expected: cover <lower> <upper>", lineno)
-            if fields[1] not in ranks or fields[2] not in ranks:
-                raise PosetParseError(f"cover references undeclared element", lineno)
-            if ranks[fields[2]] <= ranks[fields[1]]:
-                raise PosetParseError(f"cover {fields[1]} {fields[2]} does not go up in rank", lineno)
-            covers.append((fields[1], fields[2]))
+        elif kind == "rank":
+            declared_rank = _integer(fields[1]) if len(fields) == 2 else None
+            if declared_rank is None:
+                raise PosetParseError("expected: rank <integer>", lineno)
+        elif kind == "poset":
+            if len(fields) != 2:
+                raise PosetParseError("expected: poset <name>", lineno)
+            name = fields[1]
         else:
             raise PosetParseError(f"unknown directive {kind!r}", lineno)
     if name is None:
@@ -656,7 +684,7 @@ def parse_poset(text: str) -> GradedPoset:
         raise PosetParseError("missing elem bot with rank 0", 1)
     if TOP not in ranks or (declared_rank is not None and ranks[TOP] != declared_rank):
         raise PosetParseError("missing elem top at the declared rank", 1)
-    return GradedPoset(name, ranks, covers)
+    return GradedPoset._from_bits(name, ranks, *_numbered(ranks, covers))
 
 
 def format_poset(p: GradedPoset, provenance: str | None = None) -> str:
