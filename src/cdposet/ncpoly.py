@@ -81,6 +81,14 @@ class NcPolynomial:
         raise AttributeError("NcPolynomial is immutable")
 
     @classmethod
+    def _of(cls, alphabet: str, terms: dict[str, int]) -> "NcPolynomial":
+        """The polynomial with these terms, which must be clean: words of the alphabet, nonzero coefficients."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "alphabet", alphabet)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    @classmethod
     def zero(cls, alphabet: str) -> "NcPolynomial":
         return cls(alphabet)
 
@@ -128,8 +136,12 @@ class NcPolynomial:
             raise AlphabetMismatch(f"{self.alphabet} + {other.alphabet}")
         terms = dict(self._terms)
         for w, c in other._terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return NcPolynomial(self.alphabet, terms)
+            c += terms.get(w, 0)
+            if c:
+                terms[w] = c
+            else:
+                del terms[w]
+        return NcPolynomial._of(self.alphabet, terms)
 
     def __neg__(self) -> "NcPolynomial":
         return NcPolynomial(self.alphabet, {w: -c for w, c in self._terms.items()})
@@ -161,7 +173,7 @@ class NcPolynomial:
         _check_word(letter, self.alphabet)
         if len(letter) != 1:
             raise ValueError("expected a single letter")
-        return NcPolynomial(self.alphabet, {w + letter: c for w, c in self._terms.items()})
+        return NcPolynomial._of(self.alphabet, {w + letter: c for w, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,9 +11,12 @@ single subclass.  Every walk is written once over the view both share.
 The derived sub-posets (capped initial boundary, gamma, its boundary and
 semisuspension) and their Eulerian verdicts are memoized on the poset they
 come from, so parsing, verifying, totalling and searching one certificate
-build each of them once.  Searching, verifying, totalling, parsing and
-formatting walk the levels of a certificate as generators that yield each
-sub-level to ``poset._run``, so depth costs no Python frames.
+build each of them once.  Each is capped from a bitset of its parent, with
+no element names in between.  The class-map and gamma rules are decided on
+one mask per class; names are formatted only into violation text.
+Searching, verifying, totalling, parsing and formatting walk the levels of
+a certificate as generators that yield each sub-level to ``poset._run``,
+so depth costs no Python frames.
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
@@ -36,16 +39,14 @@ from .flags import cd_index
 from .ncpoly import CD, NcPolynomial
 from .poset import (
     BOT,
-    TOP,
     GradedPoset,
     PosetError,
     Violation,
     _bits,
+    _boundary,
     _run,
     _union,
-    boundary_set,
     cap,
-    closure,
     is_eulerian,
     is_semi_eulerian,
     memoized,
@@ -223,9 +224,8 @@ def tau_name(sigma: str, j: int | None = None) -> str:
 @memoized
 def initial_boundary_poset(p: GradedPoset, sigma1: str) -> GradedPoset:
     """The capped open closure of the initial coatom, a rank-d poset."""
-    d = p.rank_top - 1
-    members = closure(p, [sigma1]) - {sigma1}
-    return cap(p, members, d, name=f"bnd({p.name}@{sigma1})")
+    coatom = p._mask([sigma1])  # PosetError on an unknown name
+    return cap(p, _union(p._downset, coatom) ^ coatom, p.rank_top - 1, name=f"bnd({p.name}@{sigma1})")
 
 
 def gamma_poset(p: GradedPoset, sigma: str, members: set[str] | frozenset[str]) -> GradedPoset:
@@ -236,13 +236,13 @@ def gamma_poset(p: GradedPoset, sigma: str, members: set[str] | frozenset[str]) 
 @memoized
 def _gamma(p: GradedPoset, sigma: str, closed: int) -> GradedPoset:
     """gamma_poset on the bitset of a down-closed set."""
-    return cap(p, p._names(closed), p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
+    return cap(p, closed, p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
 
 
 @memoized
 def boundary_poset(gamma: GradedPoset) -> GradedPoset:
     """The boundary of a capped near-Eulerian poset, capped one rank lower."""
-    return cap(gamma, boundary_set(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
+    return cap(gamma, _boundary(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
 
 
 def _suspended(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset:
@@ -261,12 +261,13 @@ def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], 
     suspended = near_eulerian_suspension(gamma, tau_name(sigma, j))
     if suspended is None:
         return FailureReport(sigma, "gamma-not-near-eulerian", gamma.name)
-    bdry = boundary_set(gamma)
-    if set(rest) & bdry:
-        return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(set(rest) & bdry)}")
-    if set(rest) | bdry != set(gamma.elements()) - {TOP}:
-        missing = (set(gamma.elements()) - {TOP}) - (set(rest) | bdry)
-        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
+    members, bdry = gamma._mask(rest), _boundary(gamma)
+    if members & bdry:
+        return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(gamma._names(members & bdry))}")
+    below_top = (1 << len(gamma) - 1) - 1  # the fresh top comes last
+    if members | bdry != below_top:
+        missing = below_top & ~(members | bdry)
+        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {sorted(gamma._names(missing))}")
     return suspended
 
 
@@ -276,7 +277,7 @@ def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], 
 def _check_partition(
     cert: SPartitionCert | SEPartitionCert, path: str, out: list[Violation]
 ) -> bool:
-    """Shared class-map checks; returns False when deeper checks are hopeless."""
+    """Shared class-map checks, decided on one mask per class; False when deeper checks are hopeless."""
     p = cert.poset
     coatoms = set(p.coatoms())
     if set(cert.classes) != coatoms:
@@ -288,33 +289,42 @@ def _check_partition(
             )
         )
         return False
-    ground = set(p.elements()) - {p.top()}
-    owner: dict[str, str] = {}
-    for sigma in sorted(cert.classes):
-        for m in sorted(cert.classes[sigma]):
-            if m in owner:
-                out.append(
-                    Violation("overlapping-classes", f"{path}/class[{sigma}]", f"{m} already in class[{owner[m]}]")
-                )
-            owner[m] = sigma
-    missing = ground - set(owner)
-    stray = set(owner) - ground
-    if missing:
-        out.append(Violation("not-covering", path, f"unassigned elements {sorted(missing)}"))
-    if stray:
-        out.append(Violation("foreign-members", path, f"{sorted(stray)}"))
-    for sigma in sorted(cert.classes):
-        members = cert.classes[sigma]
-        if sigma not in members:
+    order = sorted(cert.classes)
+    foreign: dict[str, int] = {}  # member names outside p, numbered after its elements
+    masks = []
+    for sigma in order:
+        mask = 0
+        for m in cert.classes[sigma]:
+            i = p._index.get(m)
+            mask |= 1 << (foreign.setdefault(m, len(p) + len(foreign)) if i is None else i)
+        masks.append(mask)
+    names = p._elements + tuple(foreign)
+
+    def named(mask: int) -> list[str]:
+        return sorted(names[i] for i in _bits(mask))
+
+    owned = 0
+    for k, (sigma, mask) in enumerate(zip(order, masks)):
+        for i in sorted(_bits(mask & owned), key=names.__getitem__):
+            owner = next(order[o] for o in reversed(range(k)) if masks[o] >> i & 1)  # the last one before
+            out.append(Violation("overlapping-classes", f"{path}/class[{sigma}]", f"{names[i]} already in class[{owner}]"))
+        owned |= mask
+    ground = (1 << len(p)) - 1 ^ 1 << p._index[p.top()]
+    if ground & ~owned:
+        out.append(Violation("not-covering", path, f"unassigned elements {named(ground & ~owned)}"))
+    if owned & ~ground:
+        out.append(Violation("foreign-members", path, f"{named(owned & ~ground)}"))
+    for sigma, mask in zip(order, masks):
+        i = p._index[sigma]
+        if not mask >> i & 1:
             out.append(Violation("coatom-not-in-class", f"{path}/class[{sigma}]", sigma))
-        allowed = closure(p, [sigma])
-        if not set(members) <= allowed:
-            bad = sorted(set(members) - allowed)
-            out.append(Violation("class-not-in-closure", f"{path}/class[{sigma}]", f"{bad}"))
+        if mask & ~p._downset[i]:
+            out.append(Violation("class-not-in-closure", f"{path}/class[{sigma}]", f"{named(mask & ~p._downset[i])}"))
     if cert.initial not in coatoms:
         out.append(Violation("initial-missing", path, f"{cert.initial!r}"))
         return False
-    if cert.classes[cert.initial] != frozenset(closure(p, [cert.initial])):
+    i = p._index[cert.initial]
+    if masks[order.index(cert.initial)] != p._downset[i]:
         out.append(Violation("initial-not-closure", f"{path}/class[{cert.initial}]", "must be the full closure"))
     return not out
 

@@ -11,12 +11,15 @@ names are used only to name inputs and results, and names come out in
 One step, ``_numbered``, numbers named elements and ORs their cover masks.
 The name constructor calls it after checking the covers, and
 ``parse_poset`` calls it after checking each line, so a parsed poset is not
-built by name.  Derived posets (capped sub-posets, semisuspensions)
-renumber the parent's masks.  Every poset is then filled in from its cover
-masks by ``_fill``.
+built by name.  Derived posets are built bitset to bitset: ``cap`` takes its
+down-closed set as names or as a bitset over the parent's numbers and
+renumbers the parent's cover masks, and ``semisuspension`` shifts them to
+make room for tau.  Every poset is then filled in from its cover masks by
+``_fill``, the one routine that computes closures and levels.
 
-Derived values (Eulerian verdicts, semisuspensions, flag counts,
-certificate sub-posets) are ``memoized`` on the poset object they come from.
+Derived values (validation verdicts, Eulerian verdicts, semisuspensions,
+flag counts, certificate sub-posets) are ``memoized`` on the poset object
+they come from.
 
 The reserved names ``bot`` and ``top`` denote the minimum and maximum.
 Synthetic elements created by derived constructions follow a fixed scheme:
@@ -127,6 +130,9 @@ def _numbered(rank: dict[str, int], covers: list[tuple[str, str]]) -> tuple[tupl
     return elems, up, down
 
 
+_MISSING = object()  # no memoized value yet
+
+
 def memoized(fn):
     """Compute ``fn(p, ...)`` once per poset p and arguments, kept in ``p._cache`` and gone with p.
 
@@ -137,10 +143,11 @@ def memoized(fn):
 
     @functools.wraps(fn)
     def wrapper(p: GradedPoset, *args, **kwargs):
-        key = (name, args, *kwargs.items())
-        if key not in p._cache:
-            p._cache[key] = fn(p, *args, **kwargs)
-        return p._cache[key]
+        key = (name, args, *kwargs.items()) if kwargs else (name, args)
+        value = p._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = p._cache[key] = fn(p, *args, **kwargs)
+        return value
 
     return wrapper
 
@@ -165,21 +172,38 @@ class GradedPoset:
         return p
 
     def _fill(self, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> None:
-        """Set the name, the cover masks and everything computed from them."""
+        """Set the name, the cover masks and everything computed from them: the one closure routine."""
         self.name, self._rank, self._elements, self._up, self._down = name, rank, elems, up, down
-        self._index = dict(zip(elems, range(len(elems))))
-        self.rank_top = rank[elems[-1]] if elems else 0
+        n = len(elems)
+        self._index = dict(zip(elems, range(n)))
         # closures include the element itself; every lower cover has a smaller number
-        self._downset = [0] * len(elems)
-        for j in range(len(elems)):
-            self._downset[j] = _union(self._downset, down[j]) | 1 << j
-        self._upset = [0] * len(elems)
-        for i in reversed(range(len(elems))):
-            self._upset[i] = _union(self._upset, up[i]) | 1 << i
+        downset = [0] * n
+        for j, m in enumerate(down):
+            acc = 1 << j
+            while m:
+                low = m & -m
+                acc |= downset[low.bit_length() - 1]
+                m ^= low
+            downset[j] = acc
+        upset = [0] * n
+        for i in range(n - 1, -1, -1):
+            m, acc = up[i], 1 << i
+            while m:
+                low = m & -m
+                acc |= upset[low.bit_length() - 1]
+                m ^= low
+            upset[i] = acc
+        self._downset, self._upset = downset, upset
+        # the elements are in rank order, so each level is one run of numbers
+        ranks = list(map(rank.__getitem__, elems))
         levels: dict[int, int] = {}
-        for i, x in enumerate(elems):
-            levels[rank[x]] = levels.get(rank[x], 0) | 1 << i
+        start = 0
+        while start < n:
+            end = bisect.bisect_right(ranks, ranks[start], start)
+            levels[ranks[start]] = (1 << end) - (1 << start)
+            start = end
         self._levels = levels
+        self.rank_top = rank[elems[-1]] if elems else 0
         self._cache: dict = {}  # the values of ``memoized`` functions of this poset
 
     def _mask(self, names: Iterable[str]) -> int:
@@ -247,14 +271,14 @@ class GradedPoset:
         return self._first_of_rank(self.rank_top)
 
     def _first_of_rank(self, r: int) -> str:
-        level = self.elements_of_rank(r)
+        level = self._levels.get(r, 0)
         if not level:
             raise PosetError(f"{self.name} has no element of rank {r}")
-        return level[0]
+        return self._elements[(level & -level).bit_length() - 1]
 
     def coatoms(self) -> list[str]:
         """The lower covers of top; PosetError on the empty poset."""
-        return list(self.lower_covers(self.top()))
+        return list(self._names(self._down[self._index[self.top()]]))
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -273,7 +297,13 @@ class GradedPoset:
 
 
 def validate(p: GradedPoset) -> list[Violation]:
-    """All GradedPoset invariant failures, empty iff the poset is well formed."""
+    """All GradedPoset invariant failures, empty iff the poset is well formed; a fresh list per call."""
+    return list(_violations(p))
+
+
+@memoized
+def _violations(p: GradedPoset) -> tuple[Violation, ...]:
+    """The verdict of ``validate``, computed once per poset."""
     out: list[Violation] = []
     bots = p.elements_of_rank(0)
     tops = p.elements_of_rank(p.rank_top)
@@ -286,20 +316,20 @@ def validate(p: GradedPoset) -> list[Violation]:
     elif tops[0] != TOP:
         out.append(Violation("top-name", p.name, f"maximum is {tops[0]!r}, expected {TOP!r}"))
     jumps = []
-    for i, x in enumerate(p.elements()):
-        r = p.rank(x)
-        if r < 0 or r > p.rank_top:
-            out.append(Violation("rank-range", x, f"rank {r} outside 0..{p.rank_top}"))
-        if r > 0 and not p._down[i]:
+    rank_top, levels = p.rank_top, p._levels
+    for x, r, above, below in zip(p._elements, map(p._rank.__getitem__, p._elements), p._up, p._down):
+        if r < 0 or r > rank_top:
+            out.append(Violation("rank-range", x, f"rank {r} outside 0..{rank_top}"))
+        if r > 0 and not below:
             out.append(Violation("not-bounded-below", x, "covers nothing"))
-        if r < p.rank_top and not p._up[i]:
+        if r < rank_top and not above:
             out.append(Violation("not-bounded-above", x, "covered by nothing"))
-        jump = p._up[i] & ~p._levels.get(r + 1, 0)
+        jump = above & ~levels.get(r + 1, 0)
         if jump:
             jumps.extend((x, y) for y in p._names(jump))
     for lo, hi in sorted(jumps):
         out.append(Violation("not-graded", f"{lo}<{hi}", f"rank jump {p.rank(lo)}->{p.rank(hi)}"))
-    return out
+    return tuple(out)
 
 
 # -- Möbius function and Eulerian tests -----------------------------------------
@@ -383,34 +413,47 @@ def closure(p: GradedPoset, members: Iterable[str]) -> set[str]:
     return set(p._names(_union(p._downset, p._mask(members))))
 
 
-def cap(p: GradedPoset, members: Iterable[str], rank_top: int, name: str | None = None) -> GradedPoset:
+def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str | None = None) -> GradedPoset:
     """Poset on a down-closed set with a fresh ``top`` adjoined at rank_top.
 
-    The members keep their (rank, name) order and the fresh top comes last, so
-    the parent's cover masks are renumbered by the kept bits.
+    members names the set, or is its bitset over p's numbers.  The members
+    keep their (rank, name) order and the fresh top comes last, so the
+    parent's cover masks are renumbered by the kept bits.
     """
-    mask = p._mask(members)
-    if BOT not in p or not mask >> p._index[BOT] & 1 or _union(p._downset, mask) != mask:
-        raise PosetError("cap expects a down-closed set containing bot")
+    mask = members if isinstance(members, int) else p._mask(members)
     kept = _bits(mask)
+    n = len(kept)
+    new = dict(zip(kept, range(n)))
+    p_down = p._down
+    up, down = [0] * (n + 1), [0] * (n + 1)
+    closed = BOT in p._index and mask >> p._index[BOT] & 1
+    try:
+        for k, i in enumerate(kept):
+            m, below, bit = p_down[i], 0, 1 << k
+            while m:
+                low = m & -m
+                j = new[low.bit_length() - 1]
+                below |= 1 << j
+                up[j] |= bit
+                m ^= low
+            down[k] = below
+    except KeyError:  # a lower cover of a member is not a member
+        closed = False
+    if not closed:
+        raise PosetError("cap expects a down-closed set containing bot")
     elems = tuple(map(p._elements.__getitem__, kept))
     if p._rank[elems[-1]] >= rank_top:
         raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(x for x in elems if p._rank[x] >= rank_top)}")
-    if TOP in p and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
+    if TOP in p._index and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
-    n = len(kept)
-    new = dict(zip(kept, range(n)))
-    up, down = [0] * (n + 1), [0] * (n + 1)
-    for k, i in enumerate(kept):
-        for j in _bits(p._down[i]):
-            down[k] |= 1 << new[j]
-            up[new[j]] |= 1 << k
+    fresh = 1 << n
     for k in range(n):
         if not up[k]:
-            up[k] = 1 << n
+            up[k] = fresh
             down[n] |= 1 << k
-    ranks = {x: p._rank[x] for x in elems} | {TOP: rank_top}
+    ranks = dict(zip(elems, map(p._rank.__getitem__, elems)))
+    ranks[TOP] = rank_top
     return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", ranks, elems + (TOP,), up, down)
 
 
@@ -424,9 +467,14 @@ def _qualifying(p: GradedPoset) -> int:
     return out
 
 
+def _boundary(p: GradedPoset) -> int:
+    """Bitset of the closure of all y with [y, top] a three-element chain (may be empty)."""
+    return _union(p._downset, _qualifying(p))
+
+
 def boundary_set(p: GradedPoset) -> set[str]:
     """Closure of all y with [y, top] a three-element chain (may be empty)."""
-    return set(p._names(_union(p._downset, _qualifying(p))))
+    return set(p._names(_boundary(p)))
 
 
 @memoized
@@ -441,11 +489,14 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     if tau_name in p:
         raise PosetError(f"name {tau_name!r} already present")
     r = p.rank_top - 1
-    at = bisect.bisect_left(p._elements, (r, tau_name), key=lambda x: (p._rank[x], x))
+    # the rank-r elements are one run that ends where the top rank begins
+    top_level = p._levels[p.rank_top]
+    end = (top_level & -top_level).bit_length() - 1
+    at = bisect.bisect_left(p._elements, tau_name, end - p._levels.get(r, 0).bit_count(), end)
     low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
     up = [m & low | (m & ~low) << 1 for m in p._up]
     down = [m & low | (m & ~low) << 1 for m in p._down]
-    top, qualifying = p._index[p.top()] + 1, _qualifying(p)  # qualifying ranks are below r
+    top, qualifying = end + 1, _qualifying(p)  # the first top moves up too; qualifying ranks are below r
     up.insert(at, 1 << top)
     down.insert(at, qualifying)
     down[top] |= 1 << at

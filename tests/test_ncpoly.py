@@ -48,6 +48,34 @@ def cd_polys(max_degree=5, max_coeff=6):
     return st.composite(build)()
 
 
+class TestResultsFromCheckedTerms:
+    """``+``, ``sum`` and ``times_letter`` skip the word check on terms built from checked words;
+    their results equal the same terms passed through the checked constructor."""
+
+    @given(p=cd_polys(), q=cd_polys(), r=cd_polys())
+    def test_sums(self, p, q, r):
+        assert p + q == cd([*p.items(), *q.items()])
+        assert sum([p, q, r], NcPolynomial.zero(CD)) == cd([*p.items(), *q.items(), *r.items()])
+        assert p + (q - p) == q  # every word of p cancels
+        for total in (p + q, p + (q - p), p + (-p)):
+            assert 0 not in total.to_dict().values()
+        assert (p + (-p)).to_dict() == {}
+
+    @given(p=cd_polys(), letter=st.sampled_from(CD))
+    def test_times_letter(self, p, letter):
+        product = p.times_letter(letter)
+        assert product == cd({word + letter: coeff for word, coeff in p.items()})
+        assert 0 not in product.to_dict().values() and len(product.to_dict()) == len(p.to_dict())
+
+    def test_foreign_letters_still_raise(self):
+        with pytest.raises(AlphabetMismatch):
+            cd({"cx": 1})
+        with pytest.raises(AlphabetMismatch):
+            cd({"c": 1}).times_letter("x")
+        with pytest.raises(AlphabetMismatch):
+            cd({"c": 1}) + ab({"a": 1})
+
+
 class TestArithmetic:
     def test_add_disjoint_supports(self):
         assert cd({"cc": 1}) + cd({"d": 2}) == cd({"cc": 1, "d": 2})

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import traceback
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -550,6 +551,7 @@ class TestCertificateIO:
     NEVER_WRITTEN = {
         "subclass-misnumbered": ("torus6_cert", "    subclass 2\n", "    subclass 9\n", 0, "expected: subclass 2"),
         "subclass-unnumbered": ("torus6_cert", "    subclass 1\n", "    subclass\n", 0, "expected: subclass 1"),
+        "unknown-initial": ("q_cert", "  class s1 kind=initial\n", "  class zz kind=initial\n", 0, "unknown element 'zz'"),
         "terminal-sub": (
             "q_cert", "  class s7 kind=terminal\n    members s7\n", "  class s7 kind=terminal\n    members s7\n    sub\n",
             2, "terminal class 's7' takes no sub block",
@@ -870,14 +872,16 @@ class TestWalk:
             contributions_s(cert, check=True)
         assert [str(v) for v in err.value.violations] == expected
 
-    def test_checked_totals_build_no_more_subposets(self, monkeypatch, torus12_cert):
+    def test_checked_totals_build_no_more_subposets(self, monkeypatch):
+        cert = zoo.fixture_certificate("torus-fig12")  # a fresh poset: no other test warmed its memo
         caps = []
         real = partition.cap
         monkeypatch.setattr(partition, "cap", lambda *a, **k: caps.append(1) or real(*a, **k))
-        unchecked = contributions_se(torus12_cert, check=False)
+        unchecked = contributions_se(cert, check=False)
         n_unchecked = len(caps)
-        checked = contributions_se(torus12_cert, check=True)
+        checked = contributions_se(cert, check=True)
         assert checked == unchecked
+        assert n_unchecked >= 1  # the counter sees the sub-posets this pass builds
         assert len(caps) - n_unchecked <= n_unchecked
 
     def test_search_checks_each_class_once(self, monkeypatch):
@@ -909,6 +913,15 @@ class TestSharedSubposets:
     def parsed_torus12():
         cert = zoo.fixture_certificate("torus-fig12")
         return parse_certificate(format_certificate(cert), parse_poset(format_poset(cert.poset)))
+
+    def test_parse_from_scratch_caps_through_partition_cap(self, monkeypatch):
+        """The positive control of the counts here: building the sub-posets anew is seen."""
+        cert = zoo.fixture_certificate("torus-fig12")
+        text, poset_text = format_certificate(cert), format_poset(cert.poset)
+        capped = self.record_caps(monkeypatch)
+        parse_certificate(text, parse_poset(poset_text))
+        # by the name of the capped poset: the top level, capped boundaries, semisuspensions
+        assert Counter(name.split("(")[0] for name in capped) == {"torus-fig12": 10, "bnd": 17, "ssusp": 25}
 
     def test_verify_after_parse_builds_no_subposet(self, monkeypatch):
         cert = self.parsed_torus12()

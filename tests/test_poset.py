@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from cdposet.poset import (
     PosetError,
     PosetParseError,
     RankTooLow,
+    Violation,
     boundary_set,
     cap,
     closure,
@@ -517,6 +519,31 @@ class TestMemo:
         counts[frozenset({1})] = -1
         assert flag_f(q).counts[frozenset({1})] == len(q.elements_of_rank(1))
 
+    def test_validate_returns_a_fresh_list_per_call(self):
+        p = self.fresh()
+        first = validate(p)
+        first.append(Violation("junk", p.name, ""))
+        second = validate(p)
+        assert second == [] and second is not first and validate(p) is not second
+
+    def test_an_invalid_poset_lists_every_violation_after_a_memo_hit(self):
+        ranks = {"a": 0, BOT: 0, "x": 1, "z": 1, "y": 2, TOP: 3, "t2": 3}
+        p = GradedPoset("bad", ranks, [(BOT, "x"), ("x", TOP), ("a", "y"), ("y", TOP), (BOT, "t2")])
+        expected = [
+            "VIOLATION bot-count bad rank-0 elements: ['a', 'bot']",
+            "VIOLATION top-count bad rank-3 elements: ['t2', 'top']",
+            "VIOLATION not-bounded-below z covers nothing",
+            "VIOLATION not-bounded-above z covered by nothing",
+            "VIOLATION not-graded a<y rank jump 0->2",
+            "VIOLATION not-graded bot<t2 rank jump 0->3",
+            "VIOLATION not-graded x<top rank jump 1->3",
+        ]
+        assert [str(v) for v in validate(p)] == expected
+        memo = dict(p._cache)
+        assert memo  # the verdict is kept
+        validate(p).clear()
+        assert [str(v) for v in validate(p)] == expected and p._cache == memo
+
     def test_a_poset_with_a_memo_pickles(self):
         p = self.fresh()
         assert is_eulerian(p) and p._cache
@@ -566,6 +593,59 @@ def memo_tree(p):
     return out
 
 
+# the certificates of the benchmark, read only: file stem -> family and parameters of the poset
+BENCH_CERT_DIR = Path(__file__).resolve().parent.parent / "bench_cdposet" / "certs"
+BENCH_CERTS = {
+    "q-polytope": ("q-polytope", ()),
+    "torus-fig6": ("torus-fig6", ()),
+    "torus-fig12": ("torus-fig12", ()),
+    "polygon-100": ("polygon", (100,)),
+    "cube-4": ("cube", (4,)),
+    "sphere2cells-8": ("sphere2cells", (8,)),
+    "connected-sum-4": ("connected-sum", (4,)),
+    "torus-7vertex": ("torus-7vertex", ()),
+    "product-4-5": ("product", (4, 5)),
+    "icosahedron": ("icosahedron", ()),
+}
+
+
+def level_posets(cert):
+    """The poset of every sub-certificate below cert."""
+    out, stack = [], [cert]
+    while stack:
+        level = stack.pop()
+        for sub in (level.subcert_initial, *level.subcerts.values()):
+            if sub is not None:
+                out.append(sub.poset)
+                stack.append(sub)
+    return out
+
+
+class TestCertificateSubposets:
+    """Every sub-poset of a certificate, capped or suspended bitset to bitset, equals its name-built twin."""
+
+    @staticmethod
+    def assert_twins(cert):
+        assert verify_partition(cert) == []
+        contributions(cert, check=True)
+        derived = memo_tree(cert.poset)
+        levels = level_posets(cert)
+        assert levels and {id(q) for q in levels} <= {id(q) for q in derived}
+        for q in derived:
+            assert_name_built_twin(q)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_CERTS))
+    def test_benchmark_certificates(self, name):
+        p = parse_poset(format_poset(zoo.gen(*BENCH_CERTS[name])))
+        self.assert_twins(parse_certificate((BENCH_CERT_DIR / f"{name}.cert").read_text(encoding="utf-8"), p))
+
+    @pytest.mark.parametrize(
+        "family, params, search", [("cube", (4,), search_s_certificate), ("product", (4, 5), search_se_certificate)]
+    )
+    def test_searched_certificates(self, family, params, search):
+        self.assert_twins(search(parse_poset(format_poset(zoo.gen(family, params)))))
+
+
 class TestDerivedEdgeCases:
     """Derived constructions on edge and invalid inputs, pinned before the bitset rewrite."""
 
@@ -579,6 +659,23 @@ class TestDerivedEdgeCases:
         with pytest.raises(PosetError) as err:
             cap(p, p.elements(), 3)
         assert type(err.value) is PosetError and str(err.value) == "cover top x does not go up in rank"
+
+    @pytest.mark.parametrize(
+        "members, rank_top, error",
+        [
+            ({BOT, "s1"}, 4, "PosetError: cap expects a down-closed set containing bot"),
+            ({"A", "B", "AB"}, 3, "PosetError: cap expects a down-closed set containing bot"),
+            (set(), 3, "PosetError: cap expects a down-closed set containing bot"),
+            ({BOT, "A", "B", "AB"}, 2, "RankTooLow: rank-2 cap over elements ['AB']"),
+            (None, 5, "PosetError: cover top top does not go up in rank"),
+        ],
+    )
+    def test_cap_by_bitset_raises_as_cap_by_names(self, q_poset, members, rank_top, error):
+        members = q_poset.elements() if members is None else members
+        for form in (members, q_poset._mask(members)):
+            with pytest.raises(PosetError) as err:
+                cap(q_poset, form, rank_top)
+            assert f"{type(err.value).__name__}: {err.value}" == error
 
     @pytest.mark.parametrize("tau", ["AA", "C0", "CS", "ZZ", "tau"])
     def test_semisuspension_places_tau_among_the_coatoms(self, q_poset, tau):
