@@ -307,7 +307,8 @@ def _check_partition(
     for k, (sigma, mask) in enumerate(zip(order, masks)):
         for i in sorted(_bits(mask & owned), key=names.__getitem__):
             owner = next(order[o] for o in reversed(range(k)) if masks[o] >> i & 1)  # the last one before
-            out.append(Violation("overlapping-classes", f"{path}/class[{sigma}]", f"{names[i]} already in class[{owner}]"))
+            detail = f"{names[i]} already in class[{owner}]"
+            out.append(Violation("overlapping-classes", f"{path}/class[{sigma}]", detail))
         owned |= mask
     ground = (1 << len(p)) - 1 ^ 1 << p._index[p.top()]
     if ground & ~owned:

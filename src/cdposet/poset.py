@@ -421,6 +421,8 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
     parent's cover masks are renumbered by the kept bits.
     """
     mask = members if isinstance(members, int) else p._mask(members)
+    if mask < 0 or mask >> len(p):
+        raise PosetError(f"bitset {mask} is not a set of elements of {p.name}")
     kept = _bits(mask)
     n = len(kept)
     new = dict(zip(kept, range(n)))

@@ -677,6 +677,11 @@ class TestDerivedEdgeCases:
                 cap(q_poset, form, rank_top)
             assert f"{type(err.value).__name__}: {err.value}" == error
 
+    @pytest.mark.parametrize("mask", [-1, -6, 1 << 40])
+    def test_cap_rejects_a_bitset_outside_the_poset(self, q_poset, mask):
+        with pytest.raises(PosetError, match=f"bitset {mask} is not a set of elements of q-polytope"):
+            cap(q_poset, mask, 3)
+
     @pytest.mark.parametrize("tau", ["AA", "C0", "CS", "ZZ", "tau"])
     def test_semisuspension_places_tau_among_the_coatoms(self, q_poset, tau):
         gamma = cap(q_poset, closure(q_poset, ["BC", "CR", "QR"]), 3)
