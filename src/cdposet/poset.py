@@ -8,14 +8,16 @@ level.  Every query and derived construction reads these masks; element
 names are used only to name inputs and results, and names come out in
 (rank, name) order.  ``covers()`` sorts the cover pairs by name on demand.
 
-One step, ``_numbered``, numbers named elements and ORs their cover masks.
-The name constructor calls it after checking the covers, and
-``parse_poset`` calls it after checking each line, so a parsed poset is not
-built by name.  Derived posets are built bitset to bitset: ``cap`` takes its
-down-closed set as names or as a bitset over the parent's numbers and
-renumbers the parent's cover masks, and ``semisuspension`` shifts them to
-make room for tau.  Every poset is then filled in from its cover masks by
-``_fill``, the one routine that computes closures and levels.
+Every constructor hands the core one input: the elements in (rank, name)
+order, their ranks by number and their lower-cover masks.  One step,
+``_numbered``, numbers named elements and ORs their lower-cover masks.  The
+name constructor calls it after checking the covers, and ``parse_poset``
+calls it after checking each line, so a parsed poset is not built by name.
+Derived posets are built bitset to bitset: ``cap`` takes its down-closed
+set as names or as a bitset over the parent's numbers and renumbers the
+parent's lower-cover masks, and ``semisuspension`` shifts them to make room
+for tau.  ``_fill`` then derives the rest, the one routine that computes
+upper covers, closures and levels.
 
 Derived values (validation verdicts, Eulerian verdicts, semisuspensions,
 flag counts, certificate sub-posets) are ``memoized`` on the poset object
@@ -113,21 +115,20 @@ def _run(walk):
     return value
 
 
-def _numbered(rank: dict[str, int], covers: list[tuple[str, str]]) -> tuple[tuple[str, ...], list[int], list[int]]:
-    """The elements in (rank, name) order and the upper and lower cover masks over their numbers.
+def _numbered(
+    rank: dict[str, int], covers: list[tuple[str, str]]
+) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
+    """The elements in (rank, name) order, their ranks and the lower-cover masks over their numbers.
 
     Every cover must join two elements of rank.  The masks are OR-ed, so a
     repeated cover changes nothing.
     """
     elems = tuple(sorted(sorted(rank), key=rank.__getitem__))  # by name, then stably by rank
     index = dict(zip(elems, range(len(elems))))
-    up = [0] * len(elems)
     down = [0] * len(elems)
     for lo, hi in covers:
-        i, j = index[lo], index[hi]
-        up[i] |= 1 << j
-        down[j] |= 1 << i
-    return elems, up, down
+        down[index[hi]] |= 1 << index[lo]
+    return elems, tuple(map(rank.__getitem__, elems)), down
 
 
 _MISSING = object()  # no memoized value yet
@@ -162,29 +163,32 @@ class GradedPoset:
                 raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
             if rank[hi] <= rank[lo]:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
-        self._fill(name, rank, *_numbered(rank, covers))
+        self._fill(name, *_numbered(rank, covers))
 
     @classmethod
-    def _from_bits(cls, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> GradedPoset:
-        """The poset with these cover masks over elems, which must be in (rank, name) order."""
+    def _from_bits(cls, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int]) -> GradedPoset:
+        """The poset with these ranks and lower-cover masks over elems, which must be in (rank, name) order."""
         p = cls.__new__(cls)
-        p._fill(name, rank, elems, up, down)
+        p._fill(name, elems, ranks, down)
         return p
 
-    def _fill(self, name: str, rank: dict[str, int], elems: tuple[str, ...], up: list[int], down: list[int]) -> None:
-        """Set the name, the cover masks and everything computed from them: the one closure routine."""
-        self.name, self._rank, self._elements, self._up, self._down = name, rank, elems, up, down
+    def _fill(self, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int]) -> None:
+        """Set the name, ranks and lower covers and derive the rest: the one routine for covers and closures."""
+        self.name, self._elements, self._ranks, self._down = name, elems, ranks, down
         n = len(elems)
         self._index = dict(zip(elems, range(n)))
         # closures include the element itself; every lower cover has a smaller number
-        downset = [0] * n
+        downset, up = [0] * n, [0] * n
         for j, m in enumerate(down):
-            acc = 1 << j
+            acc = bit = 1 << j
             while m:
                 low = m & -m
-                acc |= downset[low.bit_length() - 1]
+                i = low.bit_length() - 1
+                acc |= downset[i]
+                up[i] |= bit
                 m ^= low
             downset[j] = acc
+        self._up = up
         upset = [0] * n
         for i in range(n - 1, -1, -1):
             m, acc = up[i], 1 << i
@@ -195,7 +199,6 @@ class GradedPoset:
             upset[i] = acc
         self._downset, self._upset = downset, upset
         # the elements are in rank order, so each level is one run of numbers
-        ranks = list(map(rank.__getitem__, elems))
         levels: dict[int, int] = {}
         start = 0
         while start < n:
@@ -203,7 +206,7 @@ class GradedPoset:
             levels[ranks[start]] = (1 << end) - (1 << start)
             start = end
         self._levels = levels
-        self.rank_top = rank[elems[-1]] if elems else 0
+        self.rank_top = ranks[-1] if elems else 0
         self._cache: dict = {}  # the values of ``memoized`` functions of this poset
 
     def _mask(self, names: Iterable[str]) -> int:
@@ -229,13 +232,14 @@ class GradedPoset:
         return len(self._elements)
 
     def __contains__(self, x: str) -> bool:
-        return x in self._rank
+        return x in self._index
 
     def rank(self, x: str) -> int:
-        return self._rank[x]
+        return self._ranks[self._index[x]]
 
     def ranks(self) -> dict[str, int]:
-        return dict(self._rank)
+        """Every element's rank, in (rank, name) order."""
+        return dict(zip(self._elements, self._ranks))
 
     def covers(self) -> list[tuple[str, str]]:
         return sorted((x, y) for x, above in zip(self._elements, self._up) for y in self._names(above))
@@ -250,8 +254,8 @@ class GradedPoset:
         return self.leq(x, y) and x != y
 
     def leq(self, x: str, y: str) -> bool:
-        # an unknown y gets the number n, which no bitset holds
-        return x == y or self._upset[self._index[x]] >> self._index.get(y, len(self._elements)) & 1 == 1
+        # an up-closure holds its own element; an unknown y gets the number n, which no bitset holds
+        return self._upset[self._index[x]] >> self._index.get(y, len(self._elements)) & 1 == 1
 
     def above(self, x: str) -> frozenset[str]:
         """Elements strictly above x."""
@@ -283,8 +287,9 @@ class GradedPoset:
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, GradedPoset)
-            and self._rank == other._rank
-            and self._up == other._up  # the same ranks give the same numbering
+            and self._elements == other._elements
+            and self._ranks == other._ranks
+            and self._down == other._down
         )
 
     __hash__ = None  # mutable caches inside; structural equality only
@@ -317,7 +322,7 @@ def _violations(p: GradedPoset) -> tuple[Violation, ...]:
         out.append(Violation("top-name", p.name, f"maximum is {tops[0]!r}, expected {TOP!r}"))
     jumps = []
     rank_top, levels = p.rank_top, p._levels
-    for x, r, above, below in zip(p._elements, map(p._rank.__getitem__, p._elements), p._up, p._down):
+    for x, r, above, below in zip(p._elements, p._ranks, p._up, p._down):
         if r < 0 or r > rank_top:
             out.append(Violation("rank-range", x, f"rank {r} outside 0..{rank_top}"))
         if r > 0 and not below:
@@ -426,37 +431,30 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
     kept = _bits(mask)
     n = len(kept)
     new = dict(zip(kept, range(n)))
-    p_down = p._down
-    up, down = [0] * (n + 1), [0] * (n + 1)
+    p_down, down, covered = p._down, [], 0
     closed = BOT in p._index and mask >> p._index[BOT] & 1
     try:
-        for k, i in enumerate(kept):
-            m, below, bit = p_down[i], 0, 1 << k
+        for i in kept:
+            m, below = p_down[i], 0
             while m:
                 low = m & -m
-                j = new[low.bit_length() - 1]
-                below |= 1 << j
-                up[j] |= bit
+                below |= 1 << new[low.bit_length() - 1]
                 m ^= low
-            down[k] = below
+            down.append(below)
+            covered |= below
     except KeyError:  # a lower cover of a member is not a member
         closed = False
     if not closed:
         raise PosetError("cap expects a down-closed set containing bot")
     elems = tuple(map(p._elements.__getitem__, kept))
-    if p._rank[elems[-1]] >= rank_top:
-        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(x for x in elems if p._rank[x] >= rank_top)}")
+    ranks = tuple(map(p._ranks.__getitem__, kept))
+    if ranks[-1] >= rank_top:
+        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(elems[bisect.bisect_left(ranks, rank_top):])}")
     if TOP in p._index and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
-    fresh = 1 << n
-    for k in range(n):
-        if not up[k]:
-            up[k] = fresh
-            down[n] |= 1 << k
-    ranks = dict(zip(elems, map(p._rank.__getitem__, elems)))
-    ranks[TOP] = rank_top
-    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", ranks, elems + (TOP,), up, down)
+    down.append((1 << n) - 1 & ~covered)  # the fresh top covers every member that no member covers
+    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems + (TOP,), ranks + (rank_top,), down)
 
 
 def _qualifying(p: GradedPoset) -> int:
@@ -496,16 +494,12 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     end = (top_level & -top_level).bit_length() - 1
     at = bisect.bisect_left(p._elements, tau_name, end - p._levels.get(r, 0).bit_count(), end)
     low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
-    up = [m & low | (m & ~low) << 1 for m in p._up]
     down = [m & low | (m & ~low) << 1 for m in p._down]
-    top, qualifying = end + 1, _qualifying(p)  # the first top moves up too; qualifying ranks are below r
-    up.insert(at, 1 << top)
-    down.insert(at, qualifying)
-    down[top] |= 1 << at
-    for i in _bits(qualifying):
-        up[i] |= 1 << at
+    down.insert(at, _qualifying(p))  # qualifying ranks are below r, so their numbers stay
+    down[end + 1] |= 1 << at  # the first top moves up too
     elems = p._elements[:at] + (tau_name,) + p._elements[at:]
-    return GradedPoset._from_bits(f"ssusp({p.name})", {**p._rank, tau_name: r}, elems, up, down), tau_name
+    ranks = p._ranks[:at] + (r,) + p._ranks[at:]
+    return GradedPoset._from_bits(f"ssusp({p.name})", elems, ranks, down), tau_name
 
 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:
@@ -583,7 +577,7 @@ def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
         return None
     order = []  # p-numbers, each after its lower covers
     waiting = [down.bit_count() for down in p._down]  # lower covers not yet in order
-    ready = [(-p.rank(x), i) for i, x in enumerate(p._elements) if not waiting[i]]
+    ready = [(-r, i) for i, r in enumerate(p._ranks) if not waiting[i]]
     heapq.heapify(ready)
     while ready:
         i = heapq.heappop(ready)[1]
@@ -591,7 +585,7 @@ def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
         for k in _bits(p._up[i]):
             waiting[k] -= 1
             if not waiting[k]:
-                heapq.heappush(ready, (-p.rank(p._elements[k]), k))
+                heapq.heappush(ready, (-p._ranks[k], k))
     image = [0] * len(p)  # the q-number of each mapped p-number
 
     def extend(n: int, used: int):
@@ -600,7 +594,7 @@ def find_isomorphism(p: GradedPoset, q: GradedPoset) -> dict[str, str] | None:
             return {x: q._elements[j] for x, j in zip(p._elements, image)}
         i = order[n]
         lower = sum(1 << image[k] for k in _bits(p._down[i]))  # lower covers are mapped already
-        pool = q._levels.get(p.rank(p._elements[i]), 0) & ~used
+        pool = q._levels.get(p._ranks[i], 0) & ~used
         for k in _bits(lower):
             pool &= q._up[k]
         n_up = p._up[i].bit_count()
@@ -659,7 +653,7 @@ def connected_sum(
             ranks[q_side(y)] = q.rank(y)
     covers = {(lo, hi) for lo, hi in p.covers() if fp not in (lo, hi)}
     covers.update((q_side(lo), q_side(hi)) for lo, hi in q.covers() if fq not in (lo, hi))
-    return GradedPoset(name or f"{p.name}#{q.name}", ranks, covers)
+    return GradedPoset(name or f"sum({p.name},{q.name})", ranks, covers)
 
 
 # -- file format ------------------------------------------------------------------
@@ -737,7 +731,7 @@ def parse_poset(text: str) -> GradedPoset:
         raise PosetParseError("missing elem bot with rank 0", 1)
     if TOP not in ranks or (declared_rank is not None and ranks[TOP] != declared_rank):
         raise PosetParseError("missing elem top at the declared rank", 1)
-    return GradedPoset._from_bits(name, ranks, *_numbered(ranks, covers))
+    return GradedPoset._from_bits(name, *_numbered(ranks, covers))
 
 
 def format_poset(p: GradedPoset, provenance: str | None = None) -> str:

@@ -397,10 +397,10 @@ _PIECES: dict[int, list[Callable[[random.Random], GradedPoset]]] = {
 
 def random_eulerian_small(seed: int, max_rank: int = 4) -> GradedPoset:
     """Deterministic small Eulerian poset composed from Eulerian-preserving pieces."""
-    if max_rank > 5:
-        raise BadParams("max_rank must be at most 5")
+    if not 2 <= max_rank <= 5:
+        raise BadParams(f"max_rank must be from 2 to 5, got {max_rank}")
     rng = random.Random(seed)
-    pieces = _PIECES[rng.randint(2, max(2, max_rank))]
+    pieces = _PIECES[rng.randint(2, max_rank)]
     return (rng.choice(pieces) if len(pieces) > 1 else pieces[0])(rng)
 
 

@@ -24,18 +24,39 @@ def imported_packages(path: Path) -> set[str]:
     return out
 
 
-def cache_touches(path: Path) -> list[tuple[str, int]]:
-    """(enclosing class and function names, line) of every ``._cache`` attribute in a module."""
+def scoped_nodes(path: Path) -> list[tuple[str, ast.AST]]:
+    """(enclosing class and function names, node) for every node of a module."""
     out = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "_cache":
-                out.append((".".join(scope), child.lineno))
+            out.append((".".join(scope), child))
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, scope + (child.name,) if named else scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def cache_touches(path: Path) -> list[tuple[str, int]]:
+    """(enclosing class and function names, line) of every ``._cache`` attribute in a module."""
+    return [
+        (scope, node.lineno)
+        for scope, node in scoped_nodes(path)
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    ]
+
+
+def attribute_stores(path: Path, attrs: set[str]) -> list[tuple[str, str, int]]:
+    """(scope, attribute, line) of every assignment to one of attrs, or to an item of one, in a module."""
+    out = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            node = node.value  # p._up[i] = ... changes p._up
+        elif not isinstance(getattr(node, "ctx", None), ast.Store):
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            out.append((scope, node.attr, node.lineno))
     return out
 
 
@@ -45,6 +66,22 @@ def test_only_the_memo_helper_touches_the_poset_memo():
     touches = [(path.name, scope, line) for path in SOURCES for scope, line in cache_touches(path)]
     assert touches
     assert [t for t in touches if t[:2] not in allowed] == []
+
+
+def test_only_fill_sets_the_poset_core():
+    """Constructors hand ``_fill`` elements, ranks and lower covers; it alone derives and sets the rest."""
+    core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top"}
+    stores = [(path.name, *store) for path in SOURCES for store in attribute_stores(path, core)]
+    assert {attr for _, _, attr, _ in stores} == core
+    assert [s for s in stores if s[:2] != ("poset.py", "GradedPoset._fill")] == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    """pyproject.toml declares Python 3.10 as the oldest supported version, so no file may use newer syntax."""
+    paths = [path for top in ("src", "tests", "scripts") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_no_runtime_dependencies_declared():

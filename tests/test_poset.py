@@ -271,6 +271,26 @@ class TestMissingRanks:
             p.bot()
 
 
+class TestUnknownNames:
+    """A query about a name outside the poset raises KeyError, except for the upper end of leq and less."""
+
+    @pytest.mark.parametrize("query", [
+        lambda p: p.leq("zz", "zz"),
+        lambda p: p.leq("zz", TOP),
+        lambda p: p.less("zz", "zz"),
+        lambda p: p.rank("zz"),
+        lambda p: p.above("zz"),
+        lambda p: p.upper_covers("zz"),
+    ])
+    def test_an_unknown_element_raises(self, query):
+        with pytest.raises(KeyError):
+            query(diamond())
+
+    def test_nothing_is_below_an_unknown_element(self):
+        p = diamond()
+        assert not p.leq(BOT, "zz") and not p.less(BOT, "zz") and "zz" not in p
+
+
 class TestFindIsomorphism:
     def test_large_polygon_needs_no_recursion(self):
         p = zoo.gen("polygon", (600,))
@@ -362,7 +382,18 @@ class TestConnectedSum:
 
 class TestFileFormat:
     def test_round_trip(self, torus6):
-        assert parse_poset(format_poset(torus6, "generator")) == torus6
+        back = parse_poset(format_poset(torus6, "generator"))
+        assert back == torus6 and back.name == torus6.name
+
+    def test_default_named_connected_sum_round_trips(self):
+        p = zoo.gen("simplex-boundary", (3,))
+        fp = p.coatoms()[0]
+        s = connected_sum(p, p, fp, fp, {x: x for x in closure(p, [fp]) - {fp}})
+        assert s.name == "sum(simplex-boundary3,simplex-boundary3)"
+        back = parse_poset(format_poset(s))
+        assert back == s and back.name == s.name
+        text = format_certificate(search_s_certificate(s))
+        assert format_certificate(parse_certificate(text, back)) == text
 
     def test_parse_error_carries_line(self):
         with pytest.raises(PosetParseError) as err:
@@ -568,7 +599,7 @@ class TestMemo:
 
 
 # every field that the bitset core sets, besides the name and the memo
-CORE_FIELDS = ("_elements", "_index", "_rank", "_up", "_down", "_downset", "_upset", "_levels", "rank_top")
+CORE_FIELDS = ("_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top")
 
 
 def assert_name_built_twin(q):
@@ -788,6 +819,27 @@ class TestBitsetCore:
         expected += [(x, TOP) for x in members if not set(p.upper_covers(x)) & members]
         assert sub.covers() == sorted(expected) and sub.rank(TOP) == top_rank
         assert_name_built_twin(sub)
+
+    def test_ranks_are_the_ranks_given_by_name(self):
+        given = {TOP: 2, "b": 1, BOT: 0, "a": 1}
+        p = GradedPoset("diamond", given, [(BOT, "a"), (BOT, "b"), ("a", TOP), ("b", TOP)])
+        assert p.ranks() == given and list(p.ranks()) == [BOT, "a", "b", TOP]
+        assert parse_poset(format_poset(p)).ranks() == given
+        text = format_poset(zoo.gen("torus-fig6"))
+        declared = {f[1]: int(f[2]) for f in map(str.split, text.splitlines()) if f[0] == "elem"}
+        assert parse_poset(text).ranks() == declared
+
+    @pytest.mark.parametrize("build", [
+        lambda: zoo.gen("q-polytope"),
+        lambda: parse_poset(format_poset(zoo.gen("cube", (3,)))),
+        lambda: cap(zoo.gen("q-polytope"), closure(zoo.gen("q-polytope"), ["s1"]) - {"s1"}, 3),
+        lambda: semisuspension(zoo.gen("torus-fig6"))[0],
+    ])
+    def test_a_pickled_poset_is_equal_and_keeps_its_name(self, build):
+        p = build()
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.name == p.name
+        assert_name_built_twin(back)
 
     def test_search_builds_no_poset_from_names(self, count_inits):
         p = zoo.gen("cube", (4,))

@@ -143,6 +143,16 @@ class TestRandomEulerian:
         with pytest.raises(zoo.BadParams):
             zoo.random_eulerian_small(0, max_rank=6)
 
+    @pytest.mark.parametrize("max_rank", [-1, 0, 1, 6])
+    def test_max_rank_outside_2_to_5_rejected(self, max_rank):
+        with pytest.raises(zoo.BadParams, match=f"got {max_rank}"):
+            zoo.random_eulerian_small(0, max_rank=max_rank)
+
+    def test_max_rank_bounds_accepted(self):
+        for seed in range(10):
+            assert zoo.random_eulerian_small(seed, max_rank=2).rank_top == 2
+            assert 2 <= zoo.random_eulerian_small(seed, max_rank=5).rank_top <= 5
+
 
 class TestShellingRestrictions:
     def test_first_restriction_empty_last_full(self):
