@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 
 from .ncpoly import AB, NcPolynomial, NotInImage, _cd_from_masks, ab_word
@@ -32,7 +31,7 @@ from .poset import GradedPoset, RankTooLow, _bits, is_semi_eulerian, memoized
 
 @dataclass(frozen=True)
 class FlagVector:
-    """Chain counts f_K by rank set K, including f_emptyset = 1."""
+    """Counts by rank set K in [d]: chain counts f_K with f_emptyset = 1, or their h-transform."""
 
     d: int
     counts: dict[frozenset[int], int]
@@ -42,36 +41,10 @@ class FlagVector:
 
 
 @dataclass(frozen=True)
-class FlagHVector:
-    """Alternating-sum transform h_K of a flag vector."""
+class ModifiedFlagVector(FlagVector):
+    """Flag vector whose top-rank count f_{d} already includes ``correction``, chi(S^{d-1}) - chi(poset)."""
 
-    d: int
-    counts: dict[frozenset[int], int]
-
-    def get(self, ranks) -> int:
-        return self.counts[frozenset(ranks)]
-
-
-@dataclass(frozen=True)
-class ModifiedFlagVector:
-    """Flag vector with the top-rank count shifted by chi(sphere) - chi(poset)."""
-
-    base: FlagVector
     correction: int
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @cached_property
-    def counts(self) -> dict[frozenset[int], int]:
-        out = dict(self.base.counts)
-        if self.d >= 1:
-            out[frozenset({self.d})] += self.correction
-        return out
-
-    def get(self, ranks) -> int:
-        return self.counts[frozenset(ranks)]
 
 
 @dataclass(frozen=True)
@@ -107,7 +80,7 @@ def _by_rank_set(values: list[int] | tuple[int, ...]) -> dict[frozenset[int], in
     return dict(zip(_rank_sets(len(values).bit_length() - 1), values))
 
 
-def _by_mask(f: FlagVector | ModifiedFlagVector | FlagHVector) -> list[int]:
+def _by_mask(f: FlagVector) -> list[int]:
     """The counts of a flag vector as a mask-indexed list."""
     values = [0] * (1 << f.d)
     for K, c in f.counts.items():
@@ -184,25 +157,23 @@ def flag_f(p: GradedPoset) -> FlagVector:
     return FlagVector(p.rank_top - 1, _by_rank_set(_chain_counts(p)))
 
 
-def flag_h(f: FlagVector | ModifiedFlagVector) -> FlagHVector:
+def flag_h(f: FlagVector) -> FlagVector:
     """h_K = sum over T in K of (-1)^{|K - T|} f_T (subset Möbius transform)."""
-    return FlagHVector(f.d, _by_rank_set(_subset_transform(_by_mask(f), -1)))
+    return FlagVector(f.d, _by_rank_set(_subset_transform(_by_mask(f), -1)))
 
 
-def flag_f_from_h(h: FlagHVector) -> FlagVector:
+def flag_f_from_h(h: FlagVector) -> FlagVector:
     """Inverse transform f_K = sum over T in K of h_T (subset zeta transform)."""
     return FlagVector(h.d, _by_rank_set(_subset_transform(_by_mask(h), 1)))
 
 
-def ab_polynomial(h: FlagHVector) -> NcPolynomial:
+def ab_polynomial(h: FlagVector) -> NcPolynomial:
     """The ab-polynomial: sum of h_K u_K with u_i = b exactly when i is in K."""
     return NcPolynomial(AB, {ab_word(_set_to_mask(K), h.d): c for K, c in h.counts.items()})
 
 
-def chain_polynomial(f: FlagVector | ModifiedFlagVector) -> NcPolynomial:
-    """The chain polynomial: sum of f_K u_K; relates to the ab-polynomial by a -> a-b."""
-    d = f.d
-    return NcPolynomial(AB, {ab_word(_set_to_mask(K), d): c for K, c in f.counts.items()})
+# the chain polynomial is the same sum over f, sum of f_K u_K; a -> a-b turns it into the ab-polynomial
+chain_polynomial = ab_polynomial
 
 
 def euler_characteristic(p: GradedPoset) -> int:
@@ -216,7 +187,7 @@ def sphere_euler_characteristic(dim: int) -> int:
     return 1 + (-1) ** dim
 
 
-def check_dehn_sommerville(f: FlagVector | ModifiedFlagVector) -> list[DsViolation]:
+def check_dehn_sommerville(f: FlagVector) -> list[DsViolation]:
     """Violated generalized Dehn-Sommerville equations, empty iff all hold.
 
     For each K in [d] and each pair i < k consecutive in K + {0, d+1} with
@@ -273,13 +244,23 @@ def _correction(p: GradedPoset) -> int:
     return sphere_euler_characteristic(d - 1) - euler_characteristic(p) if d >= 1 else 0
 
 
+def _modified_counts(p: GradedPoset) -> tuple[list[int], int]:
+    """Chain counts by mask with the correction added at mask 2^(d-1), the rank set {d}; and the correction."""
+    counts = list(_chain_counts(p))
+    correction = _correction(p)
+    if correction:  # never at rank 1, where there is no rank set {d}
+        counts[1 << (p.rank_top - 2)] += correction
+    return counts, correction
+
+
 def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
     """Flag vector with f_{d} shifted by chi(S^{d-1}) - chi(p).
 
     Meaningful for semi-Eulerian posets; computed (with a warning) otherwise.
     Raises RankTooLow below rank 1, like ``flag_f``.
     """
-    modified = ModifiedFlagVector(flag_f(p), _correction(p))
+    counts, correction = _modified_counts(p)
+    modified = ModifiedFlagVector(p.rank_top - 1, _by_rank_set(counts), correction)
     if not is_semi_eulerian(p):
         warnings.warn(f"{p.name}: modified flag vector of a non-semi-Eulerian poset", stacklevel=2)
     return modified
@@ -288,17 +269,12 @@ def modified_flag_f(p: GradedPoset) -> ModifiedFlagVector:
 def semi_cd_index(p: GradedPoset) -> NcPolynomial:
     """cd-index of the modified flag vector; equals cd_index on Eulerian input.
 
-    The correction is added to the count at mask 2^(d-1), the rank set {d}.
     Raises like ``cd_index``.
     """
-    counts = list(_chain_counts(p))
-    d = p.rank_top - 1
-    if d >= 1:
-        counts[1 << (d - 1)] += _correction(p)
-    return _extract_cd(counts)
+    return _extract_cd(_modified_counts(p)[0])
 
 
-def format_flag_vector(f: FlagVector | ModifiedFlagVector) -> str:
+def format_flag_vector(f: FlagVector) -> str:
     """Lines ``K={1,3}: 36`` in subset-size then lexicographic order."""
     lines = []
     for K in sorted(f.counts, key=lambda s: (len(s), sorted(s))):

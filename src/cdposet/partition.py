@@ -111,8 +111,8 @@ class Budget:
             return budget
         return cls() if budget is None else cls(budget)
 
-    def spend(self, n: int = 1) -> None:
-        self.used += n
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExhausted(f"search budget of {self.limit} nodes exhausted")
 
@@ -335,6 +335,8 @@ def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, t
     if sub is None:
         code = "missing-initial-subcert" if tau is None else "missing-subcert"
         out.append(Violation(code, cpath, "no sub-certificate"))
+    elif not isinstance(sub, SPartitionCert):  # the data model and the file format hold only S here
+        out.append(Violation("subcert-not-spart", f"{cpath}/sub", f"{sub.header} certificate, expected spart"))
     elif sub.poset != expected:
         what = "capped boundary" if tau is None else "semisuspension"
         out.append(Violation("subposet-mismatch", f"{cpath}/sub", f"{what} differs"))

@@ -131,6 +131,12 @@ def _numbered(
     return elems, tuple(map(rank.__getitem__, elems)), down
 
 
+def _check_name(name: str) -> None:
+    """Raise PosetError unless the file formats can carry name: one field of ``str.split``, no ``#``."""
+    if name.split() != [name] or "#" in name:
+        raise PosetError(f"name {name!r} cannot be written to a file: it must be non-empty, without whitespace or '#'")
+
+
 _MISSING = object()  # no memoized value yet
 
 
@@ -158,6 +164,8 @@ class GradedPoset:
 
     def __init__(self, name: str, ranks: Mapping[str, int], covers: Iterable[tuple[str, str]]):
         rank, covers = dict(ranks), list(covers)
+        for x in (name, *rank):
+            _check_name(x)
         for lo, hi in covers:
             if lo not in rank or hi not in rank:
                 raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
@@ -425,6 +433,8 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
     keep their (rank, name) order and the fresh top comes last, so the
     parent's cover masks are renumbered by the kept bits.
     """
+    if name is not None:
+        _check_name(name)
     mask = members if isinstance(members, int) else p._mask(members)
     if mask < 0 or mask >> len(p):
         raise PosetError(f"bitset {mask} is not a set of elements of {p.name}")
@@ -486,6 +496,7 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     """
     if p.rank_top < 2:
         raise PosetError("semisuspension needs rank at least 2")
+    _check_name(tau_name)
     if tau_name in p:
         raise PosetError(f"name {tau_name!r} already present")
     r = p.rank_top - 1

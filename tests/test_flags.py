@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,36 @@ class TestModified:
     def test_warns_on_non_semi_eulerian(self):
         with pytest.warns(UserWarning):
             modified_flag_f(zoo.gen("fig13-nonsemi"))
+
+
+class TestOneRecord:
+    """f-, h- and modified flag vectors are all ``FlagVector``s; the chi correction is added in one place."""
+
+    def test_only_modified_counts_calls_correction(self):
+        tree = ast.parse(Path(flags.__file__).read_text(encoding="utf-8"))
+        callers = {
+            fn.name: {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        assert [name for name, called in callers.items() if "_correction" in called] == ["_modified_counts"]
+        assert "_modified_counts" in callers["modified_flag_f"] and "_modified_counts" in callers["semi_cd_index"]
+
+    def test_transforms_return_flag_vectors(self, q_poset):
+        h = flag_h(flag_f(q_poset))
+        assert type(h) is FlagVector
+        assert type(flag_f_from_h(h)) is FlagVector
+
+    @pytest.mark.parametrize("family,params", [("torus-fig6", ()), ("product", (3, 3)), ("q-polytope", ())])
+    def test_modified_differs_only_at_the_top_rank(self, family, params):
+        p = zoo.gen(family, params)
+        f, mf = flag_f(p), modified_flag_f(p)
+        assert isinstance(mf, FlagVector)
+        assert mf.d == f.d == 3
+        assert {S: c - f.counts[S] for S, c in mf.counts.items() if c != f.counts[S]} == (
+            {K(3): mf.correction} if mf.correction else {}
+        )
+        assert mf.correction == (0 if family == "q-polytope" else 2)
 
 
 class TestSemiCdIndex:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cdposet import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "cdposet").glob("*.py"))
@@ -88,6 +91,16 @@ def test_no_runtime_dependencies_declared():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     assert re.search(r"^dependencies\s*=\s*\[\s*\]\s*$", project, re.M), "dependencies must stay []"
+
+
+def test_console_script_is_cli_main():
+    """The README's ``cdposet ...`` commands run this entry point; the CI runs the tests uninstalled."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    target = re.search(r'^cdposet\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target, "[project.scripts] must declare cdposet"
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_every_import_is_stdlib_or_cdposet():

@@ -604,6 +604,11 @@ def _decomp(c, **parts):
     return {**c.subclass_decomp, **parts}
 
 
+def _se_initial_sub(c):
+    """An SE-certificate of c's capped initial boundary: valid on its own, but of the wrong kind there."""
+    return search_se_certificate(partition.initial_boundary_poset(c.poset, c.initial))
+
+
 # name -> (fixture, single-field mutation, exact violation list).  Together
 # the cases reach every violation code that a well-formed class map can
 # produce; gamma-unbuildable cannot occur once the class-map checks pass.
@@ -676,6 +681,13 @@ _MUTATIONS = {
         c, subcerts={**c.subcerts, "s3": replace(c.subcerts["s3"], initial="PR", terminal="tau@s3")}), [
         "VIOLATION initial-not-tau spart/class[s3]/sub initial is 'PR', expected 'tau@s3'",
     ]),
+    "s-initial-subcert-se": ("q_cert", lambda c: replace(c, subcert_initial=_se_initial_sub(c)), [
+        "VIOLATION subcert-not-spart spart/class[s1]/sub separt certificate, expected spart",
+    ]),
+    "s-nested-subcert-se": ("q_cert", lambda c: replace(
+        c, subcerts={**c.subcerts, "s2": replace(c.subcerts["s2"], subcert_initial=_se_initial_sub(c.subcerts["s2"]))}), [
+        "VIOLATION subcert-not-spart spart/class[s2]/sub/class[tau@s2]/sub separt certificate, expected spart",
+    ]),
     "s-nested-path": ("q_cert", lambda c: replace(
         c, subcerts={**c.subcerts, "s5": replace(c.subcerts["s5"], subcert_initial=None)}), [
         "VIOLATION missing-initial-subcert spart/class[s5]/sub/class[tau@s5] no sub-certificate",
@@ -729,6 +741,9 @@ _MUTATIONS = {
     "se-missing-initial-subcert": ("torus6_cert", lambda c: replace(c, subcert_initial=None), [
         "VIOLATION missing-initial-subcert separt/class[F02] no sub-certificate",
     ]),
+    "se-initial-subcert-se": ("torus6_cert", lambda c: replace(c, subcert_initial=_se_initial_sub(c)), [
+        "VIOLATION subcert-not-spart separt/class[F02]/sub separt certificate, expected spart",
+    ]),
     "se-missing-subcert": ("torus6_cert", lambda c: replace(c, subcerts=_without(c.subcerts, ("F00", 2))), [
         "VIOLATION missing-subcert separt/class[F00]/subclass[2] no sub-certificate",
     ]),
@@ -746,6 +761,15 @@ class TestViolationLists:
         cert = mutate(request.getfixturevalue(fixture))
         verify = verify_s_partition if isinstance(cert, SPartitionCert) else verify_se_partition
         assert [str(v) for v in verify(cert)] == expected
+
+
+class TestSubcertKind:
+    """A sub-certificate must be an S-certificate (``TestViolationLists`` and ``TestWalk`` take the cases)."""
+
+    def test_the_wrong_kind_verifies_on_its_own(self, q_cert, torus6_cert):
+        for cert in (q_cert, q_cert.subcerts["s2"], torus6_cert):
+            sub = _se_initial_sub(cert)
+            assert isinstance(sub, SEPartitionCert) and verify_se_partition(sub) == []
 
 
 class TestSearchedRoundTrip:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 import time
 from pathlib import Path
 
@@ -405,6 +406,39 @@ class TestFileFormat:
             parse_poset("poset x\ncover bot top\nelem bot 0\nelem top 1\n")
 
 
+class TestWritableNames:
+    """Names the file formats cannot carry (empty, split by whitespace, or holding '#') are refused when given."""
+
+    @staticmethod
+    def refused(name):
+        return pytest.raises(PosetError, match=re.escape(f"name {name!r} cannot be written"))
+
+    @pytest.mark.parametrize("name", ["a b", "", "a#b", "a\tb", " a", "a\n"])
+    def test_poset_name(self, name):
+        with self.refused(name):
+            GradedPoset(name, {BOT: 0, TOP: 1}, [(BOT, TOP)])
+
+    @pytest.mark.parametrize("name", ["x y", "x#y", "x\ty", ""])
+    def test_element_name(self, name):
+        with self.refused(name):
+            GradedPoset("p", {BOT: 0, name: 1, TOP: 2}, [(BOT, name), (name, TOP)])
+
+    def test_cap_name(self, q_poset):
+        with self.refused("c d"):
+            cap(q_poset, closure(q_poset, ["s1"]), 4, "c d")
+
+    def test_semisuspension_tau_name(self, q_poset):
+        with self.refused("t u"):
+            semisuspension(q_poset, "t u")
+
+    def test_every_zoo_family_round_trips(self):
+        assert {family for family, _ in SMALL_ZOO + DEEPER_ZOO} == set(zoo.families())
+        for family, params in SMALL_ZOO + DEEPER_ZOO:
+            p = zoo.gen(family, params)
+            back = parse_poset(format_poset(p))
+            assert back == p and back.name == p.name, family
+
+
 class TestEulerianProperty:
     def test_mobius_pattern_exhaustive(self):
         for name, params in [("polygon", (6,)), ("cube", (3,)), ("simplex-boundary", (3,))]:
@@ -466,7 +500,7 @@ def mutations(p, seed):
     rng = random.Random(seed)
     covers = p.covers()
     dropped = rng.choice(covers)
-    yield GradedPoset(f"{p.name}-{dropped}", p.ranks(), [c for c in covers if c != dropped])
+    yield GradedPoset(f"{p.name}-{dropped[0]}<{dropped[1]}", p.ranks(), [c for c in covers if c != dropped])
     jumps = [
         (x, y)
         for x in p.elements()
@@ -475,7 +509,7 @@ def mutations(p, seed):
     ]
     if jumps:
         added = rng.choice(jumps)
-        yield GradedPoset(f"{p.name}+{added}", p.ranks(), covers + [added])
+        yield GradedPoset(f"{p.name}+{added[0]}<{added[1]}", p.ranks(), covers + [added])
 
 
 class TestParityAgainstMobius:
