@@ -568,6 +568,40 @@ class TestCertificateIO:
             "q_cert", "        members bot B Q tau@s2\n        sub\n", "        members bot B Q tau@s2\n        sub\n        sub\n",
             2, "second 'sub' line in initial class 'tau@s2'",
         ),
+        "header-without-name": ("q_cert", "spart q-polytope\n", "spart\n", 0, "expected header: spart|separt <poset-name>"),
+        "indented-two-levels": (
+            "q_cert", "  class s7 kind=terminal\n    members s7\n", "  class s7 kind=terminal\n      members s7\n",
+            1, "unexpected indentation",
+        ),
+        "unknown-field": (
+            "q_cert", "  class s7 kind=terminal\n    members s7\n", "  class s7 kind=terminal\n    members s7\n    note s7\n",
+            2, "unexpected 'note'",
+        ),
+        "unknown-member": (
+            "q_cert", "  class s7 kind=terminal\n    members s7\n", "  class s7 kind=terminal\n    members s7 zz\n",
+            0, "unknown members ['zz']",
+        ),
+        "rank-1-with-class": (
+            "q_cert", "            members bot A\n            sub\n",
+            "            members bot A\n            sub\n              class A kind=initial\n",
+            2, "rank-1 certificate must have no classes",
+        ),
+        "class-without-kind": ("q_cert", "  class s7 kind=terminal\n", "  class s7 terminal\n", 0,
+                               "expected: class <coatom> kind=<kind>"),
+        "kind-of-other-format": ("q_cert", "  class s7 kind=terminal\n", "  class s7 kind=singleton\n", 0,
+                                 "unknown kind 'singleton'"),
+        "duplicate-class": ("q_cert", "  class s7 kind=terminal\n", "  class s6 kind=terminal\n", 0,
+                            "duplicate class 's6'"),
+        "ordinary-without-subclasses": (
+            "torus6_cert", "  class F02 kind=initial\n", "  class F11 kind=ordinary\n  class F02 kind=initial\n",
+            0, "ordinary class 'F11' has no subclasses",
+        ),
+        "second-initial": ("q_cert", "  class s7 kind=terminal\n", "  class s7 kind=initial\n", 0, "two initial classes"),
+        "second-terminal": (
+            "q_cert", "  class s7 kind=terminal\n    members s7\n",
+            "  class s7 kind=terminal\n    members s7\n  class s8 kind=terminal\n    members s7\n",
+            2, "two terminal classes",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(NEVER_WRITTEN))
@@ -579,6 +613,23 @@ class TestCertificateIO:
         with pytest.raises(CertificateParseError) as err:
             parse_certificate(text.replace(old, new, 1), cert.poset)
         assert str(err.value) == f"line {lineno}: {message}"
+
+    # (fixture, class line whose whole block is dropped, message): the error names the header line
+    MISSING_CLASS = {
+        "no-initial": ("torus6_cert", "  class F02 kind=initial", "certificate needs an initial class"),
+        "no-terminal": ("q_cert", "  class s7 kind=terminal", "certificate needs an initial and a terminal class"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MISSING_CLASS))
+    def test_level_without_a_required_class_is_rejected(self, request, name):
+        fixture, head, message = self.MISSING_CLASS[name]
+        cert = request.getfixturevalue(fixture)
+        lines = format_certificate(cert).splitlines(keepends=True)
+        start = lines.index(head + "\n")
+        end = next((k for k in range(start + 1, len(lines)) if not lines[k].startswith("    ")), len(lines))
+        with pytest.raises(CertificateParseError) as err:
+            parse_certificate("".join(lines[:start] + lines[end:]), cert.poset)
+        assert str(err.value) == f"line 1: {message}"
 
 
 # -- pinned violation lists and searched round trips -----------------------------
