@@ -18,7 +18,7 @@ peel directly through ``_cd_from_masks``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import product
+from itertools import groupby, product
 
 AB = "ab"
 CD = "cd"
@@ -196,18 +196,8 @@ class NcPolynomial:
 
 def _compress_word(word: str) -> str:
     """Exponent-compress maximal runs of a repeated letter (c^3 for ccc)."""
-    if not word:
-        return "1"
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        out.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
-    return "".join(out)
+    runs = ((letter, len(list(run))) for letter, run in groupby(word))
+    return "".join(letter if n == 1 else f"{letter}^{n}" for letter, n in runs) or "1"
 
 
 def format_polynomial(p: NcPolynomial) -> str:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .flags import cd_index
 from .ncpoly import CD, NcPolynomial
@@ -41,7 +41,9 @@ from .poset import (
     BOT,
     GradedPoset,
     PosetError,
+    PosetParseError,
     Violation,
+    _all_simplices,
     _bits,
     _boundary,
     _run,
@@ -91,10 +93,8 @@ class CrossCheckError(PosetError):
     """Direct and recursive boundary cd-indices disagreed (data corruption)."""
 
 
-class CertificateParseError(PosetError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class CertificateParseError(PosetParseError):
+    """A certificate or pairs file line that cannot be read; the message names the line."""
 
 
 @dataclass
@@ -148,10 +148,10 @@ class SPartitionCert(_Certificate):
 
     poset: GradedPoset
     classes: dict[str, frozenset[str]]
-    initial: str | None
-    terminal: str | None
-    subcert_initial: "SPartitionCert | None"
-    subcerts: dict[str, "SPartitionCert"]
+    initial: str | None = None
+    terminal: str | None = None
+    subcert_initial: "SPartitionCert | None" = None
+    subcerts: dict[str, "SPartitionCert"] = field(default_factory=dict)
 
     header = "spart"
     zero_kind = "terminal"
@@ -169,11 +169,11 @@ class SEPartitionCert(_Certificate):
 
     poset: GradedPoset
     classes: dict[str, frozenset[str]]
-    initial: str | None
-    singletons: frozenset[str]
-    subclass_decomp: dict[str, tuple[frozenset[str], ...]]
-    subcert_initial: "SPartitionCert | None"
-    subcerts: dict[tuple[str, int], SPartitionCert]
+    initial: str | None = None
+    singletons: frozenset[str] = frozenset()
+    subclass_decomp: dict[str, tuple[frozenset[str], ...]] = field(default_factory=dict)
+    subcert_initial: "SPartitionCert | None" = None
+    subcerts: dict[tuple[str, int], SPartitionCert] = field(default_factory=dict)
 
     header = "separt"
     zero_kind = "singleton"
@@ -184,13 +184,6 @@ class SEPartitionCert(_Certificate):
     def _subclasses(self, sigma: str) -> list[tuple[int | None, frozenset[str], Hashable]]:
         parts = self.subclass_decomp[sigma]
         return [(j, frozenset(part), (sigma, j)) for j, part in enumerate(parts, start=1)]
-
-
-def _base_cert(p: GradedPoset, cls: type) -> SPartitionCert | SEPartitionCert:
-    """The empty certificate of a rank-1 poset."""
-    if cls is SPartitionCert:
-        return SPartitionCert(p, {}, None, None, None, {})
-    return SEPartitionCert(p, {}, None, frozenset(), {}, None, {})
 
 
 @dataclass
@@ -547,9 +540,9 @@ def _certificate(
     """
     zero = sorted(s for s in classes if s != initial and classes[s] == {s})
     if cls is SPartitionCert:
-        cert = SPartitionCert(p, dict(classes), initial, zero[0] if zero else None, None, {})
+        cert = SPartitionCert(p, dict(classes), initial, zero[0] if zero else None)
     else:
-        cert = SEPartitionCert(p, dict(classes), initial, frozenset(zero), {}, None, {})
+        cert = SEPartitionCert(p, dict(classes), initial, frozenset(zero))
         cert.subclass_decomp = {s: tuple(_components(p, p._mask(classes[s] - {s}))) for s in cert.ordinary()}
     boundary = initial_boundary_poset(p, initial)
     # a rank-1 boundary is the two-element chain and needs no test
@@ -587,7 +580,7 @@ def se_certificate_from_classes(
     if not is_semi_eulerian(p):
         return FailureReport(None, "not-semi-eulerian", p.name)
     zero = frozenset(s for s in classes if s != initial and classes[s] == {s})
-    draft = SEPartitionCert(p, dict(classes), initial, zero, {}, None, {})
+    draft = SEPartitionCert(p, dict(classes), initial, zero)
     out: list[Violation] = []
     if _check_partition(draft, draft.header, out):
         _check_singletons(draft, draft.header, out)
@@ -631,7 +624,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
     semisuspension, with a coatom covering nothing, fails validation.
     """
     if p.rank_top == 1:
-        return _base_cert(p, cls)
+        return cls(p, {})
     s_rules = cls is SPartitionCert
     facets = p._levels[p.rank_top - 1]
     ridges = p._levels.get(p.rank_top - 2, 0)
@@ -739,20 +732,6 @@ def order_to_s_certificate(
     return _run(_certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget)))
 
 
-def _all_simplices(p: GradedPoset, faces: int) -> bool:
-    """Whether every face in the mask has a boolean lower interval: r atoms and 2^r elements at rank r."""
-    atoms = p._levels.get(1, 0)
-    return all(
-        (p._downset[x] & atoms).bit_count() == r and p._downset[x].bit_count() == 1 << r
-        for r, level in p._levels.items()
-        for x in _bits(faces & level)
-    )
-
-
-def _is_simplicial(p: GradedPoset) -> bool:
-    return _all_simplices(p, ~p._mask([p.top()]))
-
-
 def simplicial_partition_to_s_certificate(
     p: GradedPoset,
     pairs: list[tuple[str, str]],
@@ -767,7 +746,7 @@ def simplicial_partition_to_s_certificate(
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
-    if not _is_simplicial(p):
+    if not _all_simplices(p, ~p._mask([p.top()])):
         raise NotSimplicial(f"{p.name}: a lower interval is not boolean")
     coatoms = sorted(p.coatoms())
     if sorted(facet for _, facet in pairs) != coatoms:
@@ -971,16 +950,11 @@ def _parse_sub(blocks: list, lineno: int, build, *args):
 def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
     """The class blocks of one certificate level; SE ordinary classes hold subclass blocks."""
     split = cls is SEPartitionCert
+    cert = cls(poset, {})
     if poset.rank_top - 1 == 0:
         if blocks:
             raise CertificateParseError("rank-1 certificate must have no classes", blocks[0][0].lineno)
-        return _base_cert(poset, cls)
-    classes: dict[str, frozenset[str]] = {}
-    initial = None
-    zero: list[str] = []
-    decomp: dict[str, tuple[frozenset[str], ...]] = {}
-    subcert_initial = None
-    subcerts: dict = {}
+        return cert
     for line, nested in blocks:
         if line.fields[0] != "class" or len(line.fields) != 3 or not line.fields[2].startswith("kind="):
             raise CertificateParseError("expected: class <coatom> kind=<kind>", line.lineno)
@@ -988,7 +962,7 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
         kind = line.fields[2].removeprefix("kind=")
         if kind not in ("initial", "ordinary", cls.zero_kind):
             raise CertificateParseError(f"unknown kind {kind!r}", line.lineno)
-        if sigma in classes:
+        if sigma in cert.classes:
             raise CertificateParseError(f"duplicate class {sigma!r}", line.lineno)
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
@@ -997,32 +971,33 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
                     raise CertificateParseError(f"expected: subclass {j}", inner.lineno)
                 part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
                 parts.append(part)
-                subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
+                cert.subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
-            decomp[sigma] = tuple(parts)
-            classes[sigma] = frozenset({sigma}).union(*parts)
+            cert.subclass_decomp[sigma] = tuple(parts)
+            cert.classes[sigma] = frozenset({sigma}).union(*parts)
             continue
         members, sub_blocks = _read_block(nested, poset, f"{kind} class {sigma!r}", line.lineno, kind != cls.zero_kind)
-        classes[sigma] = members
+        cert.classes[sigma] = members
         if kind == "initial":
-            if initial is not None:
+            if cert.initial is not None:
                 raise CertificateParseError("two initial classes", line.lineno)
-            initial = sigma
-            subcert_initial = yield _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
+            cert.initial = sigma
+            cert.subcert_initial = yield _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
-            subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
-        elif zero and not split:
+            cert.subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
+        elif split:
+            cert.singletons |= {sigma}
+        elif cert.terminal is not None:
             raise CertificateParseError("two terminal classes", line.lineno)
         else:
-            zero.append(sigma)
+            cert.terminal = sigma
     if split:
-        if initial is None:
+        if cert.initial is None:
             raise CertificateParseError("certificate needs an initial class", lineno)
-        return SEPartitionCert(poset, classes, initial, frozenset(zero), decomp, subcert_initial, subcerts)
-    if initial is None or not zero:
+    elif cert.initial is None or cert.terminal is None:
         raise CertificateParseError("certificate needs an initial and a terminal class", lineno)
-    return SPartitionCert(poset, classes, initial, zero[0], subcert_initial, subcerts)
+    return cert
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:

@@ -418,6 +418,16 @@ def is_semi_eulerian(p: GradedPoset) -> bool:
     return _parity_holds(p, (p.bot(), p.top()))
 
 
+def _all_simplices(p: GradedPoset, faces: int) -> bool:
+    """Whether every face in the mask has a boolean lower interval: r atoms and 2^r elements at rank r."""
+    atoms = p._levels.get(1, 0)
+    return all(
+        (p._downset[x] & atoms).bit_count() == r and p._downset[x].bit_count() == 1 << r
+        for r, level in p._levels.items()
+        for x in _bits(faces & level)
+    )
+
+
 # -- closures, capping, boundary, semisuspension --------------------------------
 
 
@@ -555,11 +565,9 @@ def product(p: GradedPoset, q: GradedPoset, name: str | None = None) -> GradedPo
     covers: list[tuple[str, str]] = []
     for x in p_cells:
         for y in q_cells:
-            ranks[pair_name(x, y)] = p.rank(x) + q.rank(y) - 1
-    for x in p_cells:
-        for y in q_cells:
             cell = pair_name(x, y)
-            if p.rank(x) + q.rank(y) == 2:
+            ranks[cell] = p.rank(x) + q.rank(y) - 1
+            if ranks[cell] == 1:
                 covers.append((BOT, cell))
             if p.rank(x) == p.rank_top - 1 and q.rank(y) == q.rank_top - 1:
                 covers.append((cell, TOP))

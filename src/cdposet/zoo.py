@@ -32,7 +32,6 @@ from .partition import (
     NotSimplicial,
     SEPartitionCert,
     SPartitionCert,
-    _all_simplices,
     order_to_s_certificate,
     se_certificate_from_classes,
 )
@@ -41,6 +40,7 @@ from .poset import (
     TOP,
     GradedPoset,
     PosetError,
+    _all_simplices,
     _bits,
     _union,
     closure,
@@ -464,22 +464,22 @@ def _se_from_table(
     return se_certificate_from_classes(p, next(iter(table)), classes)
 
 
-# family -> (builder, converter, what the converter reads besides the poset)
+# family -> (converter, what the converter reads besides the poset)
 _CERTIFICATES: dict[str, tuple] = {
-    "q-polytope": (q_polytope, order_to_s_certificate, [f"s{i}" for i in range(1, 8)]),
-    "torus-fig6": (torus_fig6, _se_from_table, _TORUS6_CLASSES),
-    "torus-fig12": (torus_fig12, _se_from_table, _TORUS12_CLASSES),
+    "q-polytope": (order_to_s_certificate, [f"s{i}" for i in range(1, 8)]),
+    "torus-fig6": (_se_from_table, _TORUS6_CLASSES),
+    "torus-fig12": (_se_from_table, _TORUS12_CLASSES),
 }
 
 
 def fixture_certificate(
     family: str, params: tuple[int, ...] | list[int] = ()
 ) -> SPartitionCert | SEPartitionCert:
-    """Transcribed partition certificate for fixtures that publish one."""
+    """Transcribed partition certificate for fixtures that publish one; BadParams as ``gen``."""
     if family not in _CERTIFICATES:
         raise NoPublishedCertificate(f"no transcribed certificate for family {family!r}")
-    build, convert, data = _CERTIFICATES[family]
-    cert = convert(build(), data)
+    convert, data = _CERTIFICATES[family]
+    cert = convert(gen(family, params), data)
     assert not isinstance(cert, FailureReport), cert
     return cert
 

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from cdposet import zoo
 from cdposet.cli import main
 from cdposet.partition import format_certificate
-from cdposet.poset import format_poset
+from cdposet.poset import format_poset, product
 
 
 @pytest.fixture()
@@ -46,8 +47,6 @@ def torus_files(tmp_path, run):
 @pytest.fixture()
 def simplex_files(tmp_path, run):
     """simplex-boundary(3) and the boolean-interval pairs of its name-order shelling."""
-    from cdposet import zoo
-
     poset = tmp_path / "s.poset"
     assert run("gen", "simplex-boundary", "3", "--out", str(poset))[0] == 0
     p = zoo.gen("simplex-boundary", (3,))
@@ -128,6 +127,19 @@ class TestCertificates:
         code, out, _ = run("reverse-check", *q_files)
         assert code == 0 and "reverse-partitionable: yes" in out
 
+    @pytest.mark.parametrize("verb", ["contributions", "cd-recursive", "reverse-check"])
+    def test_invalid_certificate_prints_violations(self, run, tmp_path, q_files, verb):
+        poset_path, cert_path = q_files
+        text = open(cert_path).read()
+        assert "    members PR s3\n" in text
+        bad = tmp_path / "overlap.spart"  # AC, s4's, also in s3, below which it does not lie
+        bad.write_text(text.replace("    members PR s3\n", "    members PR AC s3\n"))
+        code, out, _ = run(verb, poset_path, str(bad))
+        assert code == 1 and out.splitlines() == [
+            "VIOLATION overlapping-classes spart/class[s4] AC already in class[s3]",
+            "VIOLATION class-not-in-closure spart/class[s3] ['AC']",
+        ]
+
 
 class TestSearchAndConvert:
     def test_search_spart(self, run, q_files, tmp_path):
@@ -156,6 +168,21 @@ class TestSearchAndConvert:
             run(verb, q_files[0], "--budget", "-3", *extra.get(verb, []))
         assert exc.value.code == 2
         assert "node limit must be nonnegative, got -3" in capsys.readouterr().err
+
+    def test_budget_not_a_number_is_input_error(self, run, capsys, q_files):
+        with pytest.raises(SystemExit) as exc:
+            run("search-spart", q_files[0], "--budget", "abc")
+        assert exc.value.code == 2
+        assert "invalid node limit 'abc'" in capsys.readouterr().err
+
+    def test_search_family_exhausted(self, run, tmp_path):
+        """On S^1 x S^2 both facet-order searches run out of candidates."""
+        poset = tmp_path / "s1xs2.poset"
+        poset.write_text(format_poset(product(zoo.gen("polygon", (3,)), zoo.gen("sphere2cells", (2,)))))
+        code, out, _ = run("search-spart", str(poset))
+        assert code == 1 and out == "exhausted: no certificate in the search family\n"
+        code, out, _ = run("--json", "search-separt", str(poset))
+        assert code == 1 and json.loads(out)["result"] == {"found": False}
 
     def test_search_separt_deeper_than_the_recursion_limit(self, run, tmp_path):
         poset = tmp_path / "d.poset"

@@ -79,6 +79,20 @@ def test_only_fill_sets_the_poset_core():
     assert [s for s in stores if s[:2] != ("poset.py", "GradedPoset._fill")] == []
 
 
+def test_private_names_come_only_from_the_core():
+    """A module imports another's private (``_``) names only from the poset and polynomial core."""
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imports
+    assert [i for i in imports if i[1] not in ("poset", "ncpoly")] == []
+
+
 def test_every_python_file_parses_as_python_3_10():
     """pyproject.toml declares Python 3.10 as the oldest supported version, so no file may use newer syntax."""
     paths = [path for top in ("src", "tests", "scripts") for path in sorted((ROOT / top).rglob("*.py"))]

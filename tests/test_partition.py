@@ -49,7 +49,7 @@ from cdposet.partition import (
     verify_s_partition,
     verify_se_partition,
 )
-from cdposet.poset import BOT, GradedPoset, PosetError, boundary_set, closure, format_poset, parse_poset
+from cdposet.poset import BOT, GradedPoset, PosetError, boundary_set, closure, format_poset, parse_poset, product
 
 
 def poly(terms):
@@ -324,6 +324,18 @@ class TestSearch:
     def test_not_eulerian_precondition(self, torus6):
         with pytest.raises(PosetError):
             search_s_certificate(torus6)
+
+    def test_both_families_exhausted_on_s1_x_s2(self):
+        """The CW product S^1 x S^2 is Eulerian with a nonnegative cd-index, but no facet order certifies it."""
+        p = product(zoo.gen("polygon", (3,)), zoo.gen("sphere2cells", (2,)))
+        assert len(p) == 38 and p.rank_top == 5
+        assert cd_index(p) == poly({"cccc": 1, "ccd": 4, "cdc": 6, "dcc": 4, "dd": 4})
+        budget = Budget()
+        assert search_s_certificate(p, budget) is None and budget.used == 60
+        with pytest.raises(BudgetExhausted):
+            search_s_certificate(p, 59)
+        budget = Budget()
+        assert search_se_certificate(p, budget) is None and budget.used == 324
 
     def test_se_torus(self, torus6):
         cert = search_se_certificate(torus6)

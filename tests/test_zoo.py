@@ -115,6 +115,12 @@ class TestTranscribedFixtures:
         with pytest.raises(zoo.NoPublishedCertificate):
             zoo.fixture_certificate("polygon", (4,))
 
+    def test_certificate_params_checked_as_gen(self):
+        with pytest.raises(zoo.BadParams):
+            zoo.gen("q-polytope", (3,))
+        with pytest.raises(zoo.BadParams):
+            zoo.fixture_certificate("q-polytope", (3,))
+
     def test_fixture_spec_provenance(self):
         spec = zoo.fixture_spec("torus-fig6")
         assert spec.family == "torus-fig6" and "transcribed" in spec.provenance
