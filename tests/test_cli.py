@@ -132,7 +132,7 @@ class TestCertificates:
         poset_path, cert_path = q_files
         text = open(cert_path).read()
         assert "    members PR s3\n" in text
-        bad = tmp_path / "overlap.spart"  # AC, s4's, also in s3, below which it does not lie
+        bad = tmp_path / "overlap.spart"  # AC belongs to s4 and is not below s3
         bad.write_text(text.replace("    members PR s3\n", "    members PR AC s3\n"))
         code, out, _ = run(verb, poset_path, str(bad))
         assert code == 1 and out.splitlines() == [
