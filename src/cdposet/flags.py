@@ -11,8 +11,10 @@ element holds one packed integer whose fixed-width fields count the chains
 ending there, one field per rank set, and the packed integers of an
 element's down-set are summed in C.  The field width bounds every chain
 count, so no field carries into its neighbour (see ``_flag_masks``).  The
-counts are memoized on the poset.  The f <-> h transforms are subset
-zeta/Möbius transforms over mask-indexed lists, O(d 2^d).
+counts and the cd-index read no element names, so they are memoized once
+per numbered structure of the poset's family (see ``poset.memoized``).
+The f <-> h transforms are subset zeta/Möbius transforms over mask-indexed
+lists, O(d 2^d).
 ``cd_index`` and ``semi_cd_index`` stay in masks from the chain counts to
 the cd-index: they transform the count list and hand it to the first-letter
 peel of ``ncpoly``.  The staged API (``flag_f``, ``flag_h``,
@@ -100,7 +102,7 @@ def _subset_transform(values: list[int] | tuple[int, ...], sign: int) -> list[in
 _SELECT = bytes.maketrans(b"01", b"\0\1")  # a reversed bin() string -> one selector byte per element
 
 
-@memoized
+@memoized(shared=True)
 def _flag_masks(p: GradedPoset) -> tuple[int, ...]:
     """Chain counts indexed by rank-set bitmask, from one packed integer per element.
 
@@ -223,6 +225,7 @@ def _extract_cd(counts: list[int] | tuple[int, ...]) -> NcPolynomial:
         raise
 
 
+@memoized(shared=True)
 def cd_index(p: GradedPoset) -> NcPolynomial:
     """The cd-index of the flag vector, by exact extraction.
 

@@ -80,6 +80,10 @@ class NcPolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NcPolynomial is immutable")
 
+    def __reduce__(self):
+        """Pickle and copy through the checked constructor: the slot state cannot be set back past the guard."""
+        return NcPolynomial, (self.alphabet, self._terms)
+
     @classmethod
     def _of(cls, alphabet: str, terms: dict[str, int]) -> "NcPolynomial":
         """The polynomial with these terms, which must be clean: words of the alphabet, nonzero coefficients."""

@@ -9,11 +9,15 @@ its one zero class is the terminal singleton and each ordinary class is a
 single subclass.  Every walk is written once over the view both share.
 
 The derived sub-posets (capped initial boundary, gamma, its boundary and
-semisuspension) and their Eulerian verdicts are memoized on the poset they
-come from, so parsing, verifying, totalling and searching one certificate
-build each of them once.  Each is capped from a bitset of its parent, with
-no element names in between.  The class-map and gamma rules are decided on
-one mask per class; names are formatted only into violation text.
+semisuspension) carry names, so they are memoized on the poset they come
+from, and parsing, verifying, totalling and searching one certificate build
+each of them once.  Each is capped from a bitset of its parent, with no
+element names in between.  Their Eulerian verdicts, boundaries and
+boundary cd-indices read no names: they are memoized once per numbered
+structure in the family's structure table (see ``poset.memoized``), so
+the sub-posets of one shape derive their closures and compute those values
+once.  The class-map and gamma rules are decided on one mask per class;
+names are formatted only into violation text.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
@@ -1005,7 +1009,7 @@ def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEParti
     kinds = {cls.header: cls for cls in (SPartitionCert, SEPartitionCert)}
     lines = _scan_lines(text)
     if not lines or lines[0].fields[0] not in kinds or len(lines[0].fields) != 2:
-        raise CertificateParseError("expected header: spart|separt <poset-name>", 1)
+        raise CertificateParseError("expected header: spart|separt <poset-name>", lines[0].lineno if lines else 1)
     header = lines[0]
     if header.fields[1] != poset.name:
         raise CertificateParseError(

@@ -19,9 +19,20 @@ parent's lower-cover masks, and ``semisuspension`` shifts them to make room
 for tau.  ``_fill`` then derives the rest, the one routine that computes
 upper covers, closures and levels.
 
-Derived values (validation verdicts, Eulerian verdicts, semisuspensions,
-flag counts, certificate sub-posets) are ``memoized`` on the poset object
-they come from.
+Every poset built by a constructor, ``parse_poset``, ``product``,
+``connected_sum`` or ``zoo`` is a root with a fresh structure table, and
+every poset ``cap`` or ``semisuspension`` derives from it shares that
+table.  The table is keyed by the numbered structure, the pair (ranks,
+lower-cover masks) by number.  ``_fill`` derives the closures and levels of
+a structure once per table and hands every later poset of that structure
+the same tuples.  The table lives as long as the posets of its family and
+is never shared between two roots, even isomorphic ones.
+
+Derived values are ``memoized``.  Those that read the numbered structure
+only (Eulerian verdicts, chain counts, cd-indices, boundaries) are kept in
+the structure's table entry, shared by every poset of that structure in the
+family.  Those that read names (validation verdicts, semisuspensions,
+certificate sub-posets) are kept on the poset object they come from.
 
 The reserved names ``bot`` and ``top`` denote the minimum and maximum.
 Synthetic elements created by derived constructions follow a fixed scheme:
@@ -140,20 +151,27 @@ def _check_name(name: str) -> None:
 _MISSING = object()  # no memoized value yet
 
 
-def memoized(fn):
+def memoized(fn=None, *, shared: bool = False):
     """Compute ``fn(p, ...)`` once per poset p and arguments, kept in ``p._cache`` and gone with p.
 
-    A poset never changes after it is built; the values must not change either.
-    Keys name fn by string, so a poset with a memo still pickles.
+    ``@memoized(shared=True)`` is for functions that read p's numbered
+    structure only, never its element names: the value is kept in
+    ``p._shared``, the memo of p's structure-table entry, so every poset of
+    p's family with the same structure reads it.  A poset never changes after
+    it is built; the values must not change either.  Keys name fn by string,
+    so a poset with a memo still pickles.
     """
+    if fn is None:
+        return functools.partial(memoized, shared=shared)
     name = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
     def wrapper(p: GradedPoset, *args, **kwargs):
         key = (name, args, *kwargs.items()) if kwargs else (name, args)
-        value = p._cache.get(key, _MISSING)
+        store = p._shared if shared else p._cache
+        value = store.get(key, _MISSING)
         if value is _MISSING:
-            value = p._cache[key] = fn(p, *args, **kwargs)
+            value = store[key] = fn(p, *args, **kwargs)
         return value
 
     return wrapper
@@ -171,51 +189,64 @@ class GradedPoset:
                 raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
             if rank[hi] <= rank[lo]:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
-        self._fill(name, *_numbered(rank, covers))
+        self._fill(name, *_numbered(rank, covers), {})
 
     @classmethod
-    def _from_bits(cls, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int]) -> GradedPoset:
-        """The poset with these ranks and lower-cover masks over elems, which must be in (rank, name) order."""
+    def _from_bits(
+        cls, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int], table: dict
+    ) -> GradedPoset:
+        """The poset with these ranks and lower-cover masks over elems, which must be in (rank, name) order.
+
+        table is the structure table of the poset's family: a fresh dict for a root.
+        """
         p = cls.__new__(cls)
-        p._fill(name, elems, ranks, down)
+        p._fill(name, elems, ranks, down, table)
         return p
 
-    def _fill(self, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int]) -> None:
-        """Set the name, ranks and lower covers and derive the rest: the one routine for covers and closures."""
-        self.name, self._elements, self._ranks, self._down = name, elems, ranks, down
-        n = len(elems)
-        self._index = dict(zip(elems, range(n)))
-        # closures include the element itself; every lower cover has a smaller number
-        downset, up = [0] * n, [0] * n
-        for j, m in enumerate(down):
-            acc = bit = 1 << j
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                acc |= downset[i]
-                up[i] |= bit
-                m ^= low
-            downset[j] = acc
-        self._up = up
-        upset = [0] * n
-        for i in range(n - 1, -1, -1):
-            m, acc = up[i], 1 << i
-            while m:
-                low = m & -m
-                acc |= upset[low.bit_length() - 1]
-                m ^= low
-            upset[i] = acc
-        self._downset, self._upset = downset, upset
-        # the elements are in rank order, so each level is one run of numbers
-        levels: dict[int, int] = {}
-        start = 0
-        while start < n:
-            end = bisect.bisect_right(ranks, ranks[start], start)
-            levels[ranks[start]] = (1 << end) - (1 << start)
-            start = end
-        self._levels = levels
-        self.rank_top = ranks[-1] if elems else 0
-        self._cache: dict = {}  # the values of ``memoized`` functions of this poset
+    def _fill(self, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int], table: dict) -> None:
+        """Set the name and elements, and the name-free rest from table's entry for (ranks, down).
+
+        The one routine for covers and closures: it derives them on the first
+        poset of a structure in the table and shares them, as tuples, with
+        every later one.  The entry keeps its key, so those posets share their
+        ranks and lower covers too.  ``_levels`` is a dict that nothing writes.
+        """
+        key = ranks, tuple(down)
+        entry = table.get(key) if table else None  # an empty table (a root's) holds nothing: skip hashing the key
+        if entry is None:
+            n = len(ranks)
+            # closures include the element itself; every lower cover has a smaller number
+            downset, up = [0] * n, [0] * n
+            for j, m in enumerate(down):
+                acc = bit = 1 << j
+                while m:
+                    low = m & -m
+                    i = low.bit_length() - 1
+                    acc |= downset[i]
+                    up[i] |= bit
+                    m ^= low
+                downset[j] = acc
+            upset = [0] * n
+            for i in range(n - 1, -1, -1):
+                m, acc = up[i], 1 << i
+                while m:
+                    low = m & -m
+                    acc |= upset[low.bit_length() - 1]
+                    m ^= low
+                upset[i] = acc
+            # the elements are in rank order, so each level is one run of numbers
+            levels: dict[int, int] = {}
+            start = 0
+            while start < n:
+                end = bisect.bisect_right(ranks, ranks[start], start)
+                levels[ranks[start]] = (1 << end) - (1 << start)
+                start = end
+            # the memo of ``memoized(shared=True)`` functions comes last
+            entry = table[key] = (key, tuple(up), tuple(downset), tuple(upset), levels, ranks[-1] if n else 0, {})
+        (self._ranks, self._down), self._up, self._downset, self._upset, self._levels, self.rank_top, self._shared = entry
+        self.name, self._elements, self._table = name, elems, table
+        self._index = dict(zip(elems, range(len(elems))))
+        self._cache: dict = {}  # the values of ``memoized`` functions that read this poset's names
 
     def _mask(self, names: Iterable[str]) -> int:
         """The bitset of the named elements; PosetError on an unknown name."""
@@ -300,7 +331,7 @@ class GradedPoset:
             and self._down == other._down
         )
 
-    __hash__ = None  # mutable caches inside; structural equality only
+    __hash__ = None  # mutable memos inside; structural equality only
 
     def __repr__(self) -> str:
         return f"GradedPoset({self.name!r}, {len(self)} elements, rank {self.rank_top})"
@@ -400,7 +431,7 @@ def _parity_holds(p: GradedPoset, skip: tuple[str, str] | None = None) -> bool:
     return True
 
 
-@memoized
+@memoized(shared=True)
 def is_eulerian(p: GradedPoset) -> bool:
     """Every interval has Möbius value (-1)^(rank difference).
 
@@ -412,7 +443,7 @@ def is_eulerian(p: GradedPoset) -> bool:
     return _parity_holds(p)
 
 
-@memoized
+@memoized(shared=True)
 def is_semi_eulerian(p: GradedPoset) -> bool:
     """Every proper interval (all but [bot, top]) passes the Möbius test; PosetError without a bot."""
     return _parity_holds(p, (p.bot(), p.top()))
@@ -474,9 +505,10 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
     down.append((1 << n) - 1 & ~covered)  # the fresh top covers every member that no member covers
-    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems + (TOP,), ranks + (rank_top,), down)
+    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems + (TOP,), ranks + (rank_top,), down, p._table)
 
 
+@memoized(shared=True)
 def _qualifying(p: GradedPoset) -> int:
     """Bitset of the elements y whose upper interval [y, top] is a three-element chain."""
     not_top = ~(1 << p._index[p.top()])
@@ -487,6 +519,7 @@ def _qualifying(p: GradedPoset) -> int:
     return out
 
 
+@memoized(shared=True)
 def _boundary(p: GradedPoset) -> int:
     """Bitset of the closure of all y with [y, top] a three-element chain (may be empty)."""
     return _union(p._downset, _qualifying(p))
@@ -520,7 +553,7 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     down[end + 1] |= 1 << at  # the first top moves up too
     elems = p._elements[:at] + (tau_name,) + p._elements[at:]
     ranks = p._ranks[:at] + (r,) + p._ranks[at:]
-    return GradedPoset._from_bits(f"ssusp({p.name})", elems, ranks, down), tau_name
+    return GradedPoset._from_bits(f"ssusp({p.name})", elems, ranks, down, p._table), tau_name
 
 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:
@@ -750,7 +783,7 @@ def parse_poset(text: str) -> GradedPoset:
         raise PosetParseError("missing elem bot with rank 0", 1)
     if TOP not in ranks or (declared_rank is not None and ranks[TOP] != declared_rank):
         raise PosetParseError("missing elem top at the declared rank", 1)
-    return GradedPoset._from_bits(name, *_numbered(ranks, covers))
+    return GradedPoset._from_bits(name, *_numbered(ranks, covers), {})
 
 
 def format_poset(p: GradedPoset, provenance: str | None = None) -> str:

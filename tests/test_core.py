@@ -137,8 +137,10 @@ def assert_same_order(p, ref):
 
 
 def assert_same_fields(q, twin):
-    """Two posets with the same name and every field the core sets, besides the memo."""
-    assert {k: v for k, v in vars(q).items() if k != "_cache"} == {k: v for k, v in vars(twin).items() if k != "_cache"}
+    """Two posets with the same name and every field the core sets, besides the memos, and one structure-table entry."""
+    memos = ("_cache", "_table", "_shared")
+    assert {k: v for k, v in vars(q).items() if k not in memos} == {k: v for k, v in vars(twin).items() if k not in memos}
+    assert q._table is twin._table and q._shared is twin._shared
 
 
 def assert_same_derived(p, ref):

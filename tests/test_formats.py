@@ -204,6 +204,22 @@ class TestMalformedLineNumber:
             parse_certificate(text, cert.poset)
         assert exc.value.line == where[bad] and str(exc.value) == f"line {where[bad]}: odd indentation"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# c\n\nspart\n", 3),
+            ("\n  # indented comment\n\nseparti q-polytope\n", 4),
+            ("   \n\nspart q-polytope extra\n", 3),
+            ("", 1),
+            ("# only a comment\n\n", 1),
+        ],
+    )
+    def test_certificate_header(self, text, line):
+        """A malformed header names the line it stands on; a text without any line names line 1."""
+        with pytest.raises(CertificateParseError) as exc:
+            parse_certificate(text, zoo.gen("q-polytope"))
+        assert exc.value.line == line and str(exc.value) == f"line {line}: expected header: spart|separt <poset-name>"
+
     @given(data=st.data(), pairs=PAIRS.filter(bool))
     @settings(deadline=None, max_examples=40)
     def test_pairs(self, data, pairs):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdposet import zoo
+from cdposet.flags import cd_index
 from cdposet.ncpoly import (
     AB,
     CD,
@@ -74,6 +78,22 @@ class TestResultsFromCheckedTerms:
             cd({"c": 1}).times_letter("x")
         with pytest.raises(AlphabetMismatch):
             cd({"c": 1}) + ab({"a": 1})
+
+
+class TestPickleAndCopy:
+    """A polynomial round-trips through pickle and copy by its checked constructor, and stays immutable."""
+
+    @given(p=cd_polys())
+    def test_round_trips(self, p):
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert back == p and back.alphabet == p.alphabet and back.items() == p.items()
+            with pytest.raises(AttributeError, match="NcPolynomial is immutable"):
+                back.alphabet = AB
+
+    def test_the_cd_index_of_the_cube(self):
+        phi = cd_index(zoo.gen("cube", (3,)))
+        assert pickle.loads(pickle.dumps(phi)) == phi == copy.deepcopy(phi)
+        assert ab({"ab": 2, "ba": -1}) == pickle.loads(pickle.dumps(ab({"ab": 2, "ba": -1})))
 
 
 class TestArithmetic:

@@ -41,12 +41,12 @@ def scoped_nodes(path: Path) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def cache_touches(path: Path) -> list[tuple[str, int]]:
-    """(enclosing class and function names, line) of every ``._cache`` attribute in a module."""
+def attribute_touches(path: Path, attrs: set[str]) -> list[tuple[str, str, int]]:
+    """(enclosing class and function names, attribute, line) of every use of one of attrs in a module."""
     return [
-        (scope, node.lineno)
+        (scope, node.attr, node.lineno)
         for scope, node in scoped_nodes(path)
-        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+        if isinstance(node, ast.Attribute) and node.attr in attrs
     ]
 
 
@@ -64,16 +64,24 @@ def attribute_stores(path: Path, attrs: set[str]) -> list[tuple[str, str, int]]:
 
 
 def test_only_the_memo_helper_touches_the_poset_memo():
-    """Every memo lives on a poset object and goes through ``poset.memoized``."""
+    """Every memo, per poset or per structure-table entry, is set up by ``_fill`` and read through ``poset.memoized``."""
     allowed = {("poset.py", "memoized.wrapper"), ("poset.py", "GradedPoset._fill")}
-    touches = [(path.name, scope, line) for path in SOURCES for scope, line in cache_touches(path)]
-    assert touches
+    memos = {"_cache", "_shared"}
+    touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, memos)]
+    assert {attr for _, _, attr, _ in touches} == memos
     assert [t for t in touches if t[:2] not in allowed] == []
+
+
+def test_only_derived_constructions_pass_the_structure_table_on():
+    """A poset shares its structure table only with the posets ``cap`` and ``semisuspension`` derive from it."""
+    allowed = {("poset.py", "GradedPoset._fill"), ("poset.py", "cap"), ("poset.py", "semisuspension")}
+    touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, {"_table"})]
+    assert {t[:2] for t in touches} == allowed
 
 
 def test_only_fill_sets_the_poset_core():
     """Constructors hand ``_fill`` elements, ranks and lower covers; it alone derives and sets the rest."""
-    core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top"}
+    core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top", "_table", "_shared"}
     stores = [(path.name, *store) for path in SOURCES for store in attribute_stores(path, core)]
     assert {attr for _, _, attr, _ in stores} == core
     assert [s for s in stores if s[:2] != ("poset.py", "GradedPoset._fill")] == []

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -149,6 +151,12 @@ class TestContributionsS:
                              q_cert.subcert_initial, q_cert.subcerts)
         with pytest.raises(CertificateInvalid):
             contributions_s(bad)
+
+    def test_the_map_pickles_and_copies(self, q_cert):
+        cm = contributions_s(q_cert)
+        for back in (pickle.loads(pickle.dumps(cm)), copy.deepcopy(cm)):
+            assert back == cm and back.total == cd_index(q_cert.poset)
+            assert all(type(v) is NcPolynomial for v in back.per_coatom.values())
 
     def test_boundary_subcertificates_verify(self, q_cert):
         # the capped boundary of every ordinary class is itself certified

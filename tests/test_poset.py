@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 import re
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdposet import zoo
-from cdposet.flags import flag_f
+from cdposet import poset as poset_module, zoo
+from cdposet.flags import cd_index, flag_f
+from cdposet.ncpoly import NcPolynomial
 from cdposet.partition import (
+    Budget,
     boundary_poset,
     contributions,
     format_certificate,
@@ -540,7 +543,8 @@ class TestParityAgainstMobius:
 
 
 class TestMemo:
-    """Derived values are memoized on the poset object they come from, never shared mutably."""
+    """Derived values are memoized on the poset object they come from, or on its structure-table
+    entry when they read no names, and never shared mutably."""
 
     @staticmethod
     def fresh(family="q-polytope", params=()):
@@ -569,9 +573,10 @@ class TestMemo:
     def test_a_reparsed_poset_starts_with_an_empty_memo(self):
         p = self.fresh()
         gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
-        assert validate(p) == [] and is_eulerian(p) and p._cache
+        assert validate(p) == [] and is_eulerian(p) and p._cache and p._shared and len(p._table) > 1
         q = parse_poset(format_poset(p))
-        assert q == p and q._cache == {}
+        assert q == p and q._cache == {} and q._shared == {}
+        assert q._table is not p._table and list(q._table) == [(q._ranks, q._down)]  # only its own structure
         assert gamma_poset(q, "s2", {"BC", "CR", "QR"}) is not gamma
 
     def test_returned_values_are_not_shared_mutably(self):
@@ -611,25 +616,101 @@ class TestMemo:
 
     def test_a_poset_with_a_memo_pickles(self):
         p = self.fresh()
-        assert is_eulerian(p) and p._cache
-        back = pickle.loads(pickle.dumps(p))
-        assert back == p and is_eulerian(back)
+        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
+        phi = cd_index(p)
+        assert is_eulerian(p) and p._cache and phi in p._shared.values()  # both memos hold values
+        for back, back_gamma in (pickle.loads(pickle.dumps((p, gamma))), copy.deepcopy((p, gamma))):
+            assert back == p and back_gamma == gamma and is_eulerian(back)
+            assert back._shared == p._shared and cd_index(back) == phi
+            assert back_gamma._table is back._table  # the family still shares one table
+            assert gamma_poset(back, "s2", {"BC", "CR", "QR"}) is back_gamma  # read from the copied memo
 
     def test_every_memoized_value_is_immutable(self):
         p = self.fresh("torus-fig6")
         contributions(search_se_certificate(p), check=True)
-        seen, stack = set(), [p]
+        seen, stack, kinds = set(), [p], set()
         while stack:
             q = stack.pop()
             if id(q) in seen:
                 continue
             seen.add(id(q))
-            for value in q._cache.values():
-                for item in value if isinstance(value, tuple) else (value,):
-                    assert isinstance(item, (bool, int, str, GradedPoset))
-                    if isinstance(item, GradedPoset):
-                        stack.append(item)
-        assert len(seen) > 50
+            # the closures a structure-table entry shares
+            assert {type(getattr(q, f)) for f in ("_ranks", "_down", "_up", "_downset", "_upset")} == {tuple}
+            for store in (q._cache, q._shared):
+                for value in store.values():
+                    for item in value if isinstance(value, tuple) else (value,):
+                        assert isinstance(item, (bool, int, str, NcPolynomial, GradedPoset))
+                        kinds.add(type(item))
+                        if isinstance(item, GradedPoset):
+                            assert store is q._cache  # a poset has names, so it is never shared by structure
+                            stack.append(item)
+        assert len(seen) > 50 and NcPolynomial in kinds
+
+
+class TestStructureTable:
+    """The posets of one family share the closures and name-free memo of each numbered structure."""
+
+    @staticmethod
+    def fresh(family, params=()):
+        return parse_poset(format_poset(zoo.gen(family, params)))
+
+    def test_equal_structures_of_one_family_share_closures_and_verdicts(self):
+        p = self.fresh("polygon", (6,))
+        a, b = initial_boundary_poset(p, "e1"), initial_boundary_poset(p, "e2")
+        assert a.elements() != b.elements() and (a._ranks, a._down) == (b._ranks, b._down)
+        for field in ("_ranks", "_down", "_up", "_downset", "_upset", "_levels", "_shared"):
+            assert getattr(a, field) is getattr(b, field), field
+        assert a._cache is not b._cache and a._index is not b._index
+        assert is_eulerian(a) and flag_f(a).counts == {frozenset(): 1, frozenset({1}): 2}
+        assert set(b._shared) == {("cdposet.poset.is_eulerian", ()), ("cdposet.flags._flag_masks", ())}
+        assert is_eulerian(b) is is_eulerian(a) and flag_f(b) == flag_f(a) and cd_index(b) is cd_index(a)
+
+    def test_names_stay_on_the_object(self):
+        p = self.fresh("polygon", (6,))
+        a, b = initial_boundary_poset(p, "e1"), initial_boundary_poset(p, "e2")
+        assert a._shared is b._shared and a.name != b.name
+        assert validate(a) == validate(b) == [] and a._cache and b._cache  # each holds its own verdict
+        assert semisuspension(a, "t")[0].elements() != semisuspension(b, "t")[0].elements()
+
+    def test_isomorphic_posets_of_two_parses_share_nothing(self):
+        p, q = self.fresh("cube", (3,)), self.fresh("cube", (3,))
+        assert p == q and p._table is not q._table and p._up is not q._up and p._shared is not q._shared
+        assert is_eulerian(p) and p._shared and q._shared == {}
+        gp, gq = initial_boundary_poset(p, p.coatoms()[0]), initial_boundary_poset(q, q.coatoms()[0])
+        assert gp == gq and gp._table is p._table and gq._table is q._table and gp._downset is not gq._downset
+
+    # family, params, search; then (builds, structures) after the search and after the checked totals,
+    # the parity tests of both, the search's Budget.used, and (builds, structures) of the parsed,
+    # verified and totalled benchmark certificate
+    SHARING = [
+        ("polygon", (100,), search_s_certificate, (296, 4), (394, 4), 2, 298, (394, 4)),
+        ("cube", (4,), search_s_certificate, (214, 23), (270, 23), 13, 239, (256, 17)),
+        ("product", (4, 5), search_se_certificate, (137, 12), (175, 12), 6, 158, (175, 12)),
+    ]
+
+    @pytest.mark.parametrize("family, params, search, searched, totalled, parities, nodes, parsed", SHARING)
+    def test_builds_and_derivations(
+        self, monkeypatch, family, params, search, searched, totalled, parities, nodes, parsed
+    ):
+        """Search, parse and checked totals build many posets of few structures: each structure is derived
+        and tested once (its table entry), however many posets of it are built."""
+        p = self.fresh(family, params)
+        filled, tested = [], []
+        real_fill, real_parity = GradedPoset._fill, poset_module._parity_holds
+        monkeypatch.setattr(GradedPoset, "_fill", lambda q, *a: filled.append(1) or real_fill(q, *a))
+        monkeypatch.setattr(poset_module, "_parity_holds", lambda *a: tested.append(1) or real_parity(*a))
+        budget = Budget()
+        cert = search(p, budget)
+        assert (len(filled), len(p._table)) == searched and budget.used == nodes
+        contributions(cert, check=True)
+        assert (len(filled), len(p._table)) == totalled and len(tested) == parities
+        q = self.fresh(family, params)
+        filled.clear()
+        text = (BENCH_CERT_DIR / f"{family}-{'-'.join(map(str, params))}.cert").read_text(encoding="utf-8")
+        cert = parse_certificate(text, q)
+        assert verify_partition(cert) == []
+        contributions(cert, check=True)
+        assert (len(filled), len(q._table)) == parsed
 
 
 # every field that the bitset core sets, besides the name and the memo
