@@ -16,23 +16,35 @@ calls it after checking each line, so a parsed poset is not built by name.
 Derived posets are built bitset to bitset: ``cap`` takes its down-closed
 set as names or as a bitset over the parent's numbers and renumbers the
 parent's lower-cover masks, and ``semisuspension`` shifts them to make room
-for tau.  ``_fill`` then derives the rest, the one routine that computes
-upper covers, closures and levels.
+for tau.  ``_structure`` then derives the rest, the one routine that
+computes upper covers, closures and levels, and ``_fill``, the one routine
+that sets them on a poset, adds the names.
 
 Every poset built by a constructor, ``parse_poset``, ``product``,
 ``connected_sum`` or ``zoo`` is a root with a fresh structure table, and
 every poset ``cap`` or ``semisuspension`` derives from it shares that
 table.  The table is keyed by the numbered structure, the pair (ranks,
-lower-cover masks) by number.  ``_fill`` derives the closures and levels of
-a structure once per table and hands every later poset of that structure
-the same tuples.  The table lives as long as the posets of its family and
-is never shared between two roots, even isomorphic ones.
+lower-cover masks) by number.  ``_structure`` derives the closures and
+levels of a structure once per table, and ``_fill`` hands every poset of
+that structure the same tuples.  The table lives as long as the posets of
+its family and is never shared between two roots, even isomorphic ones.
+
+A structure's entry also keeps, in ``_derived``, what ``cap`` and
+``semisuspension`` derived from it, by number: for a cap, the kept numbers
+and the entry of the result, by (bitset, rank, number of bot, number of
+top); for a semisuspension, the entry of the result, by tau's number.  A
+repeated derivation from any poset of that structure then checks its names
+and builds only the element tuple and the index.  A derivation that raises
+keeps nothing.
 
 Derived values are ``memoized``.  Those that read the numbered structure
-only (Eulerian verdicts, chain counts, cd-indices, boundaries) are kept in
-the structure's table entry, shared by every poset of that structure in the
-family.  Those that read names (validation verdicts, semisuspensions,
-certificate sub-posets) are kept on the poset object they come from.
+only (Eulerian verdicts, chain counts, cd-indices, boundaries, and whether
+the structure passes every check of ``validate`` but the names of bot and
+top) are kept in the structure's table entry, shared by every poset of that
+structure in the family.  Those that read names (validation verdicts,
+semisuspensions, certificate sub-posets) are kept on the poset object they
+come from; a poset of a well-formed structure checks only the names of its
+first and last element.
 
 The reserved names ``bot`` and ``top`` denote the minimum and maximum.
 Synthetic elements created by derived constructions follow a fixed scheme:
@@ -148,6 +160,48 @@ def _check_name(name: str) -> None:
         raise PosetError(f"name {name!r} cannot be written to a file: it must be non-empty, without whitespace or '#'")
 
 
+def _structure(table: dict, ranks: tuple[int, ...], down: list[int]) -> tuple:
+    """table's entry for the numbered structure (ranks, down), derived on its first use.
+
+    The one routine for covers and closures: it derives upper covers,
+    closures and levels once per structure in the table and keeps them, as
+    tuples, in the entry, which also keeps its key, an empty ``_shared`` memo
+    and an empty ``_derived`` dict (see ``GradedPoset._fill``).
+    """
+    key = ranks, tuple(down)
+    entry = table.get(key) if table else None  # an empty table (a root's) holds nothing: skip hashing the key
+    if entry is None:
+        n = len(ranks)
+        # closures include the element itself; every lower cover has a smaller number
+        downset, up = [0] * n, [0] * n
+        for j, m in enumerate(down):
+            acc = bit = 1 << j
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                acc |= downset[i]
+                up[i] |= bit
+                m ^= low
+            downset[j] = acc
+        upset = [0] * n
+        for i in range(n - 1, -1, -1):
+            m, acc = up[i], 1 << i
+            while m:
+                low = m & -m
+                acc |= upset[low.bit_length() - 1]
+                m ^= low
+            upset[i] = acc
+        # the elements are in rank order, so each level is one run of numbers
+        levels: dict[int, int] = {}
+        start = 0
+        while start < n:
+            end = bisect.bisect_right(ranks, ranks[start], start)
+            levels[ranks[start]] = (1 << end) - (1 << start)
+            start = end
+        entry = table[key] = (key, tuple(up), tuple(downset), tuple(upset), levels, ranks[-1] if n else 0, {}, {})
+    return entry
+
+
 _MISSING = object()  # no memoized value yet
 
 
@@ -158,8 +212,10 @@ def memoized(fn=None, *, shared: bool = False):
     structure only, never its element names: the value is kept in
     ``p._shared``, the memo of p's structure-table entry, so every poset of
     p's family with the same structure reads it.  A poset never changes after
-    it is built; the values must not change either.  Keys name fn by string,
-    so a poset with a memo still pickles.
+    it is built; the values must not change either, and a shared value holds
+    no poset.  The derived table entries of ``cap`` and ``semisuspension``
+    sit beside this memo, in ``p._derived``.  Keys name fn by string, so a
+    poset with a memo still pickles.
     """
     if fn is None:
         return functools.partial(memoized, shared=shared)
@@ -189,61 +245,36 @@ class GradedPoset:
                 raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
             if rank[hi] <= rank[lo]:
                 raise PosetError(f"cover {lo} {hi} does not go up in rank")
-        self._fill(name, *_numbered(rank, covers), {})
+        elems, ranks, down = _numbered(rank, covers)
+        table: dict = {}
+        self._fill(name, elems, _structure(table, ranks, down), table)
 
     @classmethod
-    def _from_bits(
-        cls, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int], table: dict
-    ) -> GradedPoset:
-        """The poset with these ranks and lower-cover masks over elems, which must be in (rank, name) order.
+    def _from_bits(cls, name: str, elems: tuple[str, ...], entry: tuple, table: dict) -> GradedPoset:
+        """The poset of structure-table entry entry over elems, which must be in (rank, name) order.
 
-        table is the structure table of the poset's family: a fresh dict for a root.
+        table is the structure table of the poset's family (a fresh dict for a
+        root) and entry its entry for the poset's numbered structure (see
+        ``_structure``).
         """
         p = cls.__new__(cls)
-        p._fill(name, elems, ranks, down, table)
+        p._fill(name, elems, entry, table)
         return p
 
-    def _fill(self, name: str, elems: tuple[str, ...], ranks: tuple[int, ...], down: list[int], table: dict) -> None:
-        """Set the name and elements, and the name-free rest from table's entry for (ranks, down).
+    def _fill(self, name: str, elems: tuple[str, ...], entry: tuple, table: dict) -> None:
+        """Set the name, elements and table, and the name-free rest from the structure's table entry.
 
-        The one routine for covers and closures: it derives them on the first
-        poset of a structure in the table and shares them, as tuples, with
-        every later one.  The entry keeps its key, so those posets share their
-        ranks and lower covers too.  ``_levels`` is a dict that nothing writes.
+        The one routine that sets the poset core.  Every poset of a structure
+        shares the entry: its tuples (ranks, lower and upper covers,
+        closures), ``_levels`` (which nothing writes), ``_shared`` (the memo
+        of ``memoized(shared=True)``) and ``_derived`` (what ``cap`` and
+        ``semisuspension`` derived from the structure).  Names stay on the
+        object: ``_index`` is built here, and ``_cache`` starts empty.
         """
-        key = ranks, tuple(down)
-        entry = table.get(key) if table else None  # an empty table (a root's) holds nothing: skip hashing the key
-        if entry is None:
-            n = len(ranks)
-            # closures include the element itself; every lower cover has a smaller number
-            downset, up = [0] * n, [0] * n
-            for j, m in enumerate(down):
-                acc = bit = 1 << j
-                while m:
-                    low = m & -m
-                    i = low.bit_length() - 1
-                    acc |= downset[i]
-                    up[i] |= bit
-                    m ^= low
-                downset[j] = acc
-            upset = [0] * n
-            for i in range(n - 1, -1, -1):
-                m, acc = up[i], 1 << i
-                while m:
-                    low = m & -m
-                    acc |= upset[low.bit_length() - 1]
-                    m ^= low
-                upset[i] = acc
-            # the elements are in rank order, so each level is one run of numbers
-            levels: dict[int, int] = {}
-            start = 0
-            while start < n:
-                end = bisect.bisect_right(ranks, ranks[start], start)
-                levels[ranks[start]] = (1 << end) - (1 << start)
-                start = end
-            # the memo of ``memoized(shared=True)`` functions comes last
-            entry = table[key] = (key, tuple(up), tuple(downset), tuple(upset), levels, ranks[-1] if n else 0, {})
-        (self._ranks, self._down), self._up, self._downset, self._upset, self._levels, self.rank_top, self._shared = entry
+        (
+            (self._ranks, self._down), self._up, self._downset, self._upset, self._levels, self.rank_top,
+            self._shared, self._derived,
+        ) = entry
         self.name, self._elements, self._table = name, elems, table
         self._index = dict(zip(elems, range(len(elems))))
         self._cache: dict = {}  # the values of ``memoized`` functions that read this poset's names
@@ -345,12 +376,35 @@ def validate(p: GradedPoset) -> list[Violation]:
     return list(_violations(p))
 
 
+@memoized(shared=True)
+def _well_formed(p: GradedPoset) -> bool:
+    """Whether p's numbered structure passes every check of ``validate`` but the names of bot and top.
+
+    Then p has one rank-0 element, numbered first, and one top-rank element, numbered last.  A negative
+    rank fails too: the lowest element has no lower cover.
+    """
+    levels, rank_top = p._levels, p.rank_top
+    if levels.get(0, 0).bit_count() != 1 or levels[rank_top].bit_count() != 1:
+        return False
+    return not any(
+        (r and not below) or (r < rank_top and not above) or above & ~levels.get(r + 1, 0)
+        for r, above, below in zip(p._ranks, p._up, p._down)
+    )
+
+
 @memoized
 def _violations(p: GradedPoset) -> tuple[Violation, ...]:
-    """The verdict of ``validate``, computed once per poset."""
+    """The verdict of ``validate``, computed once per poset.
+
+    A poset of a well-formed structure (``_well_formed``, kept per structure)
+    can only misname bot or top; any other poset is checked in full.
+    """
     out: list[Violation] = []
-    bots = p.elements_of_rank(0)
-    tops = p.elements_of_rank(p.rank_top)
+    well_formed = _well_formed(p)
+    if well_formed:
+        bots, tops = p._elements[:1], p._elements[-1:]
+    else:
+        bots, tops = p.elements_of_rank(0), p.elements_of_rank(p.rank_top)
     if len(bots) != 1:
         out.append(Violation("bot-count", p.name, f"rank-0 elements: {bots}"))
     elif bots[0] != BOT:
@@ -359,6 +413,8 @@ def _violations(p: GradedPoset) -> tuple[Violation, ...]:
         out.append(Violation("top-count", p.name, f"rank-{p.rank_top} elements: {tops}"))
     elif tops[0] != TOP:
         out.append(Violation("top-name", p.name, f"maximum is {tops[0]!r}, expected {TOP!r}"))
+    if well_formed:
+        return tuple(out)
     jumps = []
     rank_top, levels = p.rank_top, p._levels
     for x, r, above, below in zip(p._elements, p._ranks, p._up, p._down):
@@ -472,13 +528,28 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
 
     members names the set, or is its bitset over p's numbers.  The members
     keep their (rank, name) order and the fresh top comes last, so the
-    parent's cover masks are renumbered by the kept bits.
+    parent's cover masks are renumbered by the kept bits.  That renumbering
+    reads no names but those of bot and top, so the kept numbers and the
+    result's table entry are kept in p's ``_derived`` by the bitset, the rank
+    and the numbers of bot and top; a cap that raises keeps nothing.
     """
     if name is not None:
         _check_name(name)
     mask = members if isinstance(members, int) else p._mask(members)
     if mask < 0 or mask >> len(p):
         raise PosetError(f"bitset {mask} is not a set of elements of {p.name}")
+    key = mask, rank_top, p._index.get(BOT), p._index.get(TOP)
+    known = p._derived.get(key)
+    if known is None:
+        kept, ranks, down = _capped(p, mask, rank_top)
+        known = p._derived[key] = kept, _structure(p._table, ranks, down)
+    kept, entry = known
+    elems = (*map(p._elements.__getitem__, kept), TOP)
+    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems, entry, p._table)
+
+
+def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """The numbers ``cap`` keeps of p, and the ranks and lower-cover masks of its result; the errors of ``cap``."""
     kept = _bits(mask)
     n = len(kept)
     new = dict(zip(kept, range(n)))
@@ -497,15 +568,15 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
         closed = False
     if not closed:
         raise PosetError("cap expects a down-closed set containing bot")
-    elems = tuple(map(p._elements.__getitem__, kept))
     ranks = tuple(map(p._ranks.__getitem__, kept))
     if ranks[-1] >= rank_top:
-        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(elems[bisect.bisect_left(ranks, rank_top):])}")
+        low = kept[bisect.bisect_left(ranks, rank_top):]
+        raise RankTooLow(f"rank-{rank_top} cap over elements {sorted(map(p._elements.__getitem__, low))}")
     if TOP in p._index and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
     down.append((1 << n) - 1 & ~covered)  # the fresh top covers every member that no member covers
-    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems + (TOP,), ranks + (rank_top,), down, p._table)
+    return tuple(kept), ranks + (rank_top,), down
 
 
 @memoized(shared=True)
@@ -547,13 +618,16 @@ def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, 
     top_level = p._levels[p.rank_top]
     end = (top_level & -top_level).bit_length() - 1
     at = bisect.bisect_left(p._elements, tau_name, end - p._levels.get(r, 0).bit_count(), end)
-    low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
-    down = [m & low | (m & ~low) << 1 for m in p._down]
-    down.insert(at, _qualifying(p))  # qualifying ranks are below r, so their numbers stay
-    down[end + 1] |= 1 << at  # the first top moves up too
+    entry = p._derived.get(at)  # keyed by tau's number; cap's keys are tuples, so the two never meet
+    if entry is None:
+        low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
+        down = [m & low | (m & ~low) << 1 for m in p._down]
+        down.insert(at, _qualifying(p))  # qualifying ranks are below r, so their numbers stay
+        down[end + 1] |= 1 << at  # the first top moves up too
+        ranks = p._ranks[:at] + (r,) + p._ranks[at:]
+        entry = p._derived[at] = _structure(p._table, ranks, down)
     elems = p._elements[:at] + (tau_name,) + p._elements[at:]
-    ranks = p._ranks[:at] + (r,) + p._ranks[at:]
-    return GradedPoset._from_bits(f"ssusp({p.name})", elems, ranks, down, p._table), tau_name
+    return GradedPoset._from_bits(f"ssusp({p.name})", elems, entry, p._table), tau_name
 
 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:
@@ -587,7 +661,9 @@ def product(p: GradedPoset, q: GradedPoset, name: str | None = None) -> GradedPo
 
     rank(x,y) = r(x)+r(y)-1 and the result has rank p.rank_top+q.rank_top-2,
     with a fresh bot and a fresh top above all coatom pairs.  polygon(3) x
-    polygon(3) has 9, 18, 9 elements in ranks 1, 2, 3.
+    polygon(3) has 9, 18, 9 elements in ranks 1, 2, 3.  Names may hold
+    ``,``, so two pairs can get one name (``a,b`` x ``c`` and ``a`` x ``b,c``);
+    that is a PosetError.
     """
     name = name or f"{p.name}x{q.name}"
     p_cells = [x for x in p.elements() if 0 < p.rank(x) < p.rank_top]
@@ -599,6 +675,8 @@ def product(p: GradedPoset, q: GradedPoset, name: str | None = None) -> GradedPo
     for x in p_cells:
         for y in q_cells:
             cell = pair_name(x, y)
+            if cell in ranks:
+                raise PosetError(f"product cell {cell!r} of {x!r} and {y!r} has the name of another cell")
             ranks[cell] = p.rank(x) + q.rank(y) - 1
             if ranks[cell] == 1:
                 covers.append((BOT, cell))
@@ -672,7 +750,8 @@ def connected_sum(
     """Glue [bot, fp) to [bot, fq) along iso and delete both facets.
 
     iso must be a rank- and cover-preserving bijection between the two open
-    facet closures; surviving q-side elements are renamed ``q.<name>``.
+    facet closures; surviving q-side elements are renamed ``q.<name>``, and
+    a renamed element that p already has is a PosetError.
     """
     if fp not in p.coatoms() or fq not in q.coatoms():
         raise PosetError("connected_sum expects coatoms of the respective posets")
@@ -700,6 +779,9 @@ def connected_sum(
         return f"q.{y}"
 
     ranks = {x: p.rank(x) for x in p.elements() if x != fp}
+    clash = sorted({f"q.{y}" for y in q.elements() if y not in (BOT, TOP, fq) and y not in cod} & set(ranks))
+    if clash:
+        raise PosetError(f"renamed element {clash[0]!r} of {q.name} is already an element of {p.name}")
     for y in q.elements():
         if y != fq:
             ranks[q_side(y)] = q.rank(y)
@@ -783,7 +865,9 @@ def parse_poset(text: str) -> GradedPoset:
         raise PosetParseError("missing elem bot with rank 0", 1)
     if TOP not in ranks or (declared_rank is not None and ranks[TOP] != declared_rank):
         raise PosetParseError("missing elem top at the declared rank", 1)
-    return GradedPoset._from_bits(name, *_numbered(ranks, covers), {})
+    elems, by_number, down = _numbered(ranks, covers)
+    table: dict = {}
+    return GradedPoset._from_bits(name, elems, _structure(table, by_number, down), table)
 
 
 def format_poset(p: GradedPoset, provenance: str | None = None) -> str:

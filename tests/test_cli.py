@@ -101,7 +101,7 @@ class TestCertificates:
 
     def test_tampered_certificate(self, run, tmp_path, q_files):
         poset_path, cert_path = q_files
-        text = open(cert_path).read()
+        text = Path(cert_path).read_text(encoding="utf-8")
         assert "members C R BC CR QR s2" in text
         bad = tmp_path / "bad.spart"
         bad.write_text(text.replace("members C R BC CR QR s2", "members R BC CR QR s2"))
@@ -130,7 +130,7 @@ class TestCertificates:
     @pytest.mark.parametrize("verb", ["contributions", "cd-recursive", "reverse-check"])
     def test_invalid_certificate_prints_violations(self, run, tmp_path, q_files, verb):
         poset_path, cert_path = q_files
-        text = open(cert_path).read()
+        text = Path(cert_path).read_text(encoding="utf-8")
         assert "    members PR s3\n" in text
         bad = tmp_path / "overlap.spart"  # AC belongs to s4 and is not below s3
         bad.write_text(text.replace("    members PR s3\n", "    members PR AC s3\n"))
@@ -321,7 +321,7 @@ class TestParserBuiltOnce:
 class TestInputErrors:
     def test_unknown_restriction_in_pairs(self, run, tmp_path, simplex_files):
         poset, pairs = simplex_files
-        text = open(pairs).read()
+        text = Path(pairs).read_text(encoding="utf-8")
         assert text.startswith("pair bot abc\n")
         bad = tmp_path / "unknown.pairs"
         bad.write_text(text.replace("pair bot abc", "pair nosuch abc"))

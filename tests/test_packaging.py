@@ -73,14 +73,16 @@ def test_only_the_memo_helper_touches_the_poset_memo():
 
 
 def test_only_derived_constructions_pass_the_structure_table_on():
-    """A poset shares its structure table only with the posets ``cap`` and ``semisuspension`` derive from it."""
+    """A poset shares its structure table only with the posets ``cap`` and ``semisuspension`` derive from it,
+    and only they keep name-free results in its entry's ``_derived``."""
     allowed = {("poset.py", "GradedPoset._fill"), ("poset.py", "cap"), ("poset.py", "semisuspension")}
-    touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, {"_table"})]
-    assert {t[:2] for t in touches} == allowed
+    for attr in ("_table", "_derived"):
+        touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, {attr})]
+        assert {t[:2] for t in touches} == allowed, attr
 
 
 def test_only_fill_sets_the_poset_core():
-    """Constructors hand ``_fill`` elements, ranks and lower covers; it alone derives and sets the rest."""
+    """Constructors hand ``_fill`` the elements and their structure's table entry; it alone sets the core."""
     core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top", "_table", "_shared"}
     stores = [(path.name, *store) for path in SOURCES for store in attribute_stores(path, core)]
     assert {attr for _, _, attr, _ in stores} == core

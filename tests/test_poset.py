@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import copy
 import pickle
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdposet import poset as poset_module, zoo
+from cdposet import partition as partition_module, poset as poset_module, zoo
 from cdposet.flags import cd_index, flag_f
 from cdposet.ncpoly import NcPolynomial
 from cdposet.partition import (
@@ -349,6 +350,16 @@ class TestProduct:
         chain = GradedPoset("chain", {BOT: 0, TOP: 1}, [(BOT, TOP)])
         assert len(product(q_poset, chain)) == 2
 
+    def test_pair_names_that_collide_are_refused(self):
+        # a,b x c and a x b,c are both named a,b,c; merged, the product had 5 elements instead of 6
+        p = GradedPoset("p", {BOT: 0, "a,b": 1, "a": 1, TOP: 2}, [(BOT, "a,b"), (BOT, "a"), ("a,b", TOP), ("a", TOP)])
+        q = GradedPoset("q", {BOT: 0, "c": 1, "b,c": 1, TOP: 2}, [(BOT, "c"), (BOT, "b,c"), ("c", TOP), ("b,c", TOP)])
+        with pytest.raises(PosetError) as err:
+            product(p, q)
+        assert type(err.value) is PosetError
+        assert str(err.value) == "product cell 'a,b,c' of 'a,b' and 'c' has the name of another cell"
+        assert len(product(p, p)) == 6  # names with commas that do not collide stay apart
+
     def test_products_of_eulerian_are_semi_eulerian(self):
         factors = [diamond(), zoo.gen("polygon", (3,)), zoo.gen("polygon", (4,))]
         for a in factors:
@@ -382,6 +393,26 @@ class TestConnectedSum:
         bogus = dict(zip(dom, (cod * 2)[: len(dom)]))
         with pytest.raises(NotAnIsomorphism):
             connected_sum(q_poset, zoo.gen("q-polytope"), "s1", "s5", bogus)
+
+
+    @staticmethod
+    def triangle(name, vertices):
+        x, y, z = vertices
+        edges = {f"e{x}{y}": (x, y), f"e{x}{z}": (x, z), f"e{y}{z}": (y, z)}
+        ranks = {BOT: 0, **dict.fromkeys(vertices, 1), **dict.fromkeys(edges, 2), TOP: 3}
+        covers = [(BOT, v) for v in vertices] + [(v, e) for e, ends in edges.items() for v in ends]
+        return GradedPoset(name, ranks, covers + [(e, TOP) for e in edges])
+
+    def test_a_renamed_element_that_p_has_is_refused(self):
+        # q's vertex z becomes q.z, which p has; merged, the sum had 9 elements instead of 10 and validated
+        p, q = self.triangle("p", ("x", "y", "q.z")), self.triangle("q", ("x", "y", "z"))
+        iso = {BOT: BOT, "x": "x", "y": "y"}
+        with pytest.raises(PosetError) as err:
+            connected_sum(p, q, "exy", "exy", iso)
+        assert type(err.value) is PosetError
+        assert str(err.value) == "renamed element 'q.z' of q is already an element of p"
+        s = connected_sum(p, self.triangle("q", ("x", "y", "w")), "exy", "exy", iso)
+        assert len(s) == 10 and validate(s) == [] and {"q.z", "q.w"} <= set(s.elements())
 
 
 class TestFileFormat:
@@ -711,6 +742,153 @@ class TestStructureTable:
         assert verify_partition(cert) == []
         contributions(cert, check=True)
         assert (len(filled), len(q._table)) == parsed
+
+
+class TestDerivedEntries:
+    """``cap`` and ``semisuspension`` keep their name-free results in the parent's table entry, and
+    ``validate`` keeps a structural verdict there; a repeated derivation only attaches names."""
+
+    @staticmethod
+    def recorded_hits(monkeypatch, p, search):
+        """(function, parent, args, kwargs, result) of every cap and semisuspension of search and checked totals
+        on p that its parent's ``_derived`` already held."""
+        hits = []
+
+        def recording(fn, key):
+            def wrapped(parent, *args, **kwargs):
+                known = key(parent, *args) in parent._derived
+                result = fn(parent, *args, **kwargs)
+                if known:
+                    hits.append((fn, parent, args, kwargs, result))
+                return result
+
+            return wrapped
+
+        def cap_key(parent, mask, rank_top):
+            return mask, rank_top, parent._index.get(BOT), parent._index.get(TOP)
+
+        def ssusp_key(parent, tau="tau"):
+            end = len(parent) - parent._levels[parent.rank_top].bit_count()
+            start = end - parent._levels.get(parent.rank_top - 1, 0).bit_count()
+            return bisect.bisect_left(parent._elements, tau, start, end)
+
+        monkeypatch.setattr(partition_module, "cap", recording(cap, cap_key))
+        monkeypatch.setattr(partition_module, "semisuspension", recording(semisuspension, ssusp_key))
+        contributions(search(p), check=True)
+        return hits
+
+    @pytest.mark.parametrize(
+        "family, params, search",
+        [("cube", (4,), search_s_certificate), ("torus-fig12", (), search_se_certificate),
+         ("product", (4, 5), search_se_certificate)],
+    )
+    def test_warm_hits_equal_their_name_built_twins_and_cold_calls(self, monkeypatch, family, params, search):
+        p = parse_poset(format_poset(zoo.gen(family, params)))
+        hits = self.recorded_hits(monkeypatch, p, search)
+        assert {fn for fn, *_ in hits} == {cap, semisuspension} and len(hits) > 20
+        for fn, parent, args, kwargs, result in hits:
+            q = result[0] if fn is semisuspension else result
+            assert_name_built_twin(q)
+            cold_parent = GradedPoset(parent.name, parent.ranks(), parent.covers())  # a fresh table
+            cold = fn(cold_parent, *args, **kwargs)
+            cold_q = cold[0] if fn is semisuspension else cold
+            assert cold_q == q and cold_q.name == q.name and q._table is p._table
+            for field in CORE_FIELDS:
+                assert getattr(q, field) == getattr(cold_q, field), (q.name, field)
+
+    @pytest.mark.parametrize(
+        "members, rank_top",
+        [({BOT, "s1"}, 4), ({"A", "B", "AB"}, 3), (set(), 3), ({BOT, "A", "B", "AB"}, 2), (None, 5)],
+    )
+    def test_errors_on_a_warm_table_are_those_of_a_cold_one(self, members, rank_top):
+        warm = parse_poset(format_poset(zoo.gen("q-polytope")))
+        contributions(search_s_certificate(warm), check=True)
+        cold = zoo.gen("q-polytope")
+        members = warm.elements() if members is None else members
+        messages = []
+        for p in (cold, warm, warm):  # the second warm call meets whatever the first one kept
+            derived = dict(p._derived)
+            with pytest.raises(PosetError) as err:
+                cap(p, p._mask(members), rank_top)
+            messages.append(f"{type(err.value).__name__}: {err.value}")
+            assert p._derived == derived  # an error keeps nothing
+        assert len(set(messages)) == 1
+
+    def test_semisuspension_errors_on_a_warm_table_are_those_of_a_cold_one(self):
+        warm = parse_poset(format_poset(zoo.gen("q-polytope")))
+        contributions(search_s_certificate(warm), check=True)
+        gamma = gamma_poset(warm, "s2", {"BC", "CR", "QR"})
+        cold_gamma = gamma_poset(zoo.gen("q-polytope"), "s2", {"BC", "CR", "QR"})
+        semisuspension(gamma, "t1")
+        for tau, error in (("BC", "name 'BC' already present"), ("a b", "name 'a b' cannot be written")):
+            for p in (cold_gamma, gamma, gamma):
+                with pytest.raises(PosetError, match=re.escape(error)):
+                    semisuspension(p, tau)
+
+    @staticmethod
+    def renamed(p, name, elems):
+        """A poset of p's structure and family with other element names, which must keep the (rank, name) order."""
+        assert sorted(elems, key=lambda x: (p._ranks[elems.index(x)], x)) == list(elems)
+        return GradedPoset._from_bits(name, tuple(elems), p._table[p._ranks, p._down], p._table)
+
+    def test_bot_and_top_numbers_key_a_cap(self):
+        p = GradedPoset("diamond", {BOT: 0, "a": 1, "b": 1, TOP: 2}, [(BOT, "a"), (BOT, "b"), ("a", TOP), ("b", TOP)])
+        low_top = self.renamed(p, "low-top", (BOT, "a", TOP, "zz"))  # a rank-1 element named top
+        no_bot = self.renamed(p, "no-bot", ("b0", "a", "b", TOP))
+        assert cap(p, 0b0111, 3).elements() == (BOT, "a", "b", TOP)
+        with pytest.raises(PosetError, match="^cover top top does not go up in rank$"):
+            cap(low_top, 0b0111, 3)
+        with pytest.raises(PosetError, match="^cap expects a down-closed set containing bot$"):
+            cap(no_bot, 0b0111, 3)
+        assert cap(p, 0b0111, 3)._downset is cap(p, 0b0111, 3)._downset
+
+    def test_misnamed_posets_of_one_structure_get_their_own_violations(self):
+        p = GradedPoset("diamond", {BOT: 0, "a": 1, "b": 1, TOP: 2}, [(BOT, "a"), (BOT, "b"), ("a", TOP), ("b", TOP)])
+        assert validate(p) == []
+        posets = [
+            self.renamed(p, "low", ("b0", "a", "b", TOP)),
+            self.renamed(p, "high", (BOT, "a", "b", "t")),
+            self.renamed(p, "both", ("b0", "a", "b", "t")),
+            self.renamed(p, "fine", (BOT, "x", "y", TOP)),
+        ]
+        assert {id(q._shared) for q in posets} == {id(p._shared)}
+        assert [[str(v) for v in validate(q)] for q in posets] == [
+            ["VIOLATION bot-name low rank-0 element is 'b0', expected 'bot'"],
+            ["VIOLATION top-name high maximum is 't', expected 'top'"],
+            ["VIOLATION bot-name both rank-0 element is 'b0', expected 'bot'",
+             "VIOLATION top-name both maximum is 't', expected 'top'"],
+            [],
+        ]
+        assert ("cdposet.poset._well_formed", ()) in p._shared
+
+    @staticmethod
+    def per_object(q, monkeypatch):
+        """validate(q) with every check run on the poset itself, on a fresh twin."""
+        with monkeypatch.context() as m:
+            m.setattr(poset_module, "_well_formed", lambda p: False)
+            return validate(GradedPoset(q.name, q.ranks(), q.covers()))
+
+    @staticmethod
+    def misshapen(p):
+        """p with a second rank-0 element, with a second top-rank element, with an element below bot,
+        and without bot; each keeps the covers of the element it copies."""
+        ranks, covers = p.ranks(), p.covers()
+        yield GradedPoset(f"{p.name}+b", {**ranks, "bot.2": 0}, covers + [("bot.2", y) for y in p.upper_covers(BOT)])
+        top2 = [(x, "top.2") for x in p.lower_covers(TOP)]
+        yield GradedPoset(f"{p.name}+t", {**ranks, "top.2": p.rank_top}, covers + top2)
+        yield GradedPoset(f"{p.name}+m", {**ranks, "bot.-1": -1}, covers + [("bot.-1", BOT)])
+        del ranks[BOT]
+        yield GradedPoset(f"{p.name}-b", ranks, [c for c in covers if BOT not in c])
+
+    @pytest.mark.parametrize("family,params", SMALL_ZOO + DEEPER_ZOO)
+    def test_validate_agrees_with_the_per_object_checks(self, monkeypatch, family, params):
+        base = zoo.gen(family, params)
+        posets = [base, *self.misshapen(base)] + [q for seed in range(20) for q in mutations(base, seed)]
+        if base.rank_top >= 2:
+            posets.append(semisuspension(base)[0])
+        assert any(validate(q) for q in posets[1:])
+        for q in posets:
+            assert validate(q) == self.per_object(q, monkeypatch), q.name
 
 
 # every field that the bitset core sets, besides the name and the memo
