@@ -16,15 +16,19 @@ element names in between.  Their Eulerian verdicts, boundaries and
 boundary cd-indices read no names: they are memoized once per numbered
 structure in the family's structure table (see ``poset.memoized``), so
 the sub-posets of one shape derive their closures and compute those values
-once.  The class-map and gamma rules are decided on one mask per class;
-names are formatted only into violation text.
+once.  Inside the walks a class stays one bitset, from the facet order or
+the certificate's names to the class-map and gamma rules and the
+certificate record; names are formed only for that record, violation text
+and file output.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
-certificate exists.
+certificate exists.  Within one public call, an S sub-search of a numbered
+structure (and tau number) already searched replays the recorded node
+count and facet order instead of searching again (see ``_search``).
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -115,10 +119,12 @@ class Budget:
             return budget
         return cls() if budget is None else cls(budget)
 
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
+    def spend(self, nodes: int = 1) -> None:
+        """Spend nodes at once: raise, and leave ``used``, exactly as spending them one at a time would."""
+        if self.used + nodes > self.limit:
+            self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(f"search budget of {self.limit} nodes exhausted")
+        self.used += nodes
 
 
 class _Certificate:
@@ -242,23 +248,32 @@ def boundary_poset(gamma: GradedPoset) -> GradedPoset:
     return cap(gamma, _boundary(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
 
 
-def _suspended(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset:
-    """The semisuspension of the gamma of subclass j (None: the whole class) at its tau, unchecked."""
-    return semisuspension(gamma_poset(p, sigma, rest), tau_name(sigma, j))[0]
+def _suspended(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset:
+    """The semisuspension of the gamma of subclass j (None: the whole class) at its tau, unchecked.
+
+    rest is the bitset of the (sub)class's members besides sigma.
+    """
+    return semisuspension(_gamma(p, sigma, _union(p._downset, rest)), tau_name(sigma, j))[0]
 
 
-def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], j: int | None) -> GradedPoset | FailureReport:
+def _gamma_checked(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset | FailureReport:
     """``_suspended`` after the full check of an ordinary (sub)class, or the failure."""
     if not rest:
         return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
+    closed = _union(p._downset, rest)
     try:
-        gamma = gamma_poset(p, sigma, rest)
+        gamma = _gamma(p, sigma, closed)
     except PosetError as exc:
         return FailureReport(sigma, "gamma-unbuildable", str(exc))
-    suspended = near_eulerian_suspension(gamma, tau_name(sigma, j))
+    tau = tau_name(sigma, j)
+    if tau in gamma:  # only a poset with an element named like a tau gets here
+        return FailureReport(sigma, "tau-name-taken", f"{tau} is already an element of {gamma.name}")
+    suspended = near_eulerian_suspension(gamma, tau)
     if suspended is None:
         return FailureReport(sigma, "gamma-not-near-eulerian", gamma.name)
-    members, bdry = gamma._mask(rest), _boundary(gamma)
+    # gamma numbers the elements of closed in order, so a member's number there is the count of closed below it
+    members = sum(1 << (closed & (1 << i) - 1).bit_count() for i in _bits(rest))
+    bdry = _boundary(gamma)
     if members & bdry:
         return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(gamma._names(members & bdry))}")
     below_top = (1 << len(gamma) - 1) - 1  # the fresh top comes last
@@ -273,19 +288,25 @@ def _gamma_checked(p: GradedPoset, sigma: str, rest: set[str] | frozenset[str], 
 
 def _check_partition(
     cert: SPartitionCert | SEPartitionCert, path: str, out: list[Violation]
-) -> bool:
-    """Shared class-map checks, decided on one mask per class; False when deeper checks are hopeless."""
+) -> dict[str, int] | None:
+    """Shared class-map checks, decided on one mask per class: the masks by coatom, or None on any violation.
+
+    The poset must be valid, so its top is numbered last and covers exactly the coatoms.
+    """
     p = cert.poset
-    coatoms = set(p.coatoms())
-    if set(cert.classes) != coatoms:
+    coatoms = p._down[-1]
+    keys = 0
+    for sigma in cert.classes:
+        keys |= 1 << p._index.get(sigma, len(p))  # a name outside p gets a number no coatom has
+    if keys != coatoms:
         out.append(
             Violation(
                 "class-keys",
                 path,
-                f"classes for {sorted(cert.classes)} but coatoms are {sorted(coatoms)}",
+                f"classes for {sorted(cert.classes)} but coatoms are {sorted(p._names(coatoms))}",
             )
         )
-        return False
+        return None
     order = sorted(cert.classes)
     foreign: dict[str, int] = {}  # member names outside p, numbered after its elements
     masks = []
@@ -302,12 +323,12 @@ def _check_partition(
 
     owned = 0
     for k, (sigma, mask) in enumerate(zip(order, masks)):
-        for i in sorted(_bits(mask & owned), key=names.__getitem__):
+        for i in sorted(_bits(mask & owned), key=names.__getitem__) if mask & owned else ():
             owner = next(order[o] for o in reversed(range(k)) if masks[o] >> i & 1)  # the last one before
             detail = f"{names[i]} already in class[{owner}]"
             out.append(Violation("overlapping-classes", f"{path}/class[{sigma}]", detail))
         owned |= mask
-    ground = (1 << len(p)) - 1 ^ 1 << p._index[p.top()]
+    ground = (1 << len(p) - 1) - 1  # all but the top
     if ground & ~owned:
         out.append(Violation("not-covering", path, f"unassigned elements {named(ground & ~owned)}"))
     if owned & ~ground:
@@ -318,13 +339,14 @@ def _check_partition(
             out.append(Violation("coatom-not-in-class", f"{path}/class[{sigma}]", sigma))
         if mask & ~p._downset[i]:
             out.append(Violation("class-not-in-closure", f"{path}/class[{sigma}]", f"{named(mask & ~p._downset[i])}"))
-    if cert.initial not in coatoms:
+    i = p._index.get(cert.initial, len(p))
+    if not coatoms >> i & 1:
         out.append(Violation("initial-missing", path, f"{cert.initial!r}"))
-        return False
-    i = p._index[cert.initial]
-    if masks[order.index(cert.initial)] != p._downset[i]:
+        return None
+    by_coatom = dict(zip(order, masks))
+    if by_coatom[cert.initial] != p._downset[i]:
         out.append(Violation("initial-not-closure", f"{path}/class[{cert.initial}]", "must be the full closure"))
-    return not out
+    return None if out else by_coatom
 
 
 def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]):
@@ -343,31 +365,34 @@ def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, t
         out.extend((yield _verify(sub, f"{cpath}/sub")))
 
 
-def _check_terminal(cert: SPartitionCert, path: str, out: list[Violation]) -> bool:
+def _check_terminal(cert: SPartitionCert, masks: dict[str, int], path: str, out: list[Violation]) -> bool:
     """S zero-class rules: one terminal singleton, distinct from the initial coatom."""
-    if cert.terminal not in cert.poset.coatoms():
+    p = cert.poset
+    i = p._index.get(cert.terminal, len(p))
+    if not p._down[-1] >> i & 1:  # the coatoms of the valid p
         out.append(Violation("terminal-missing", path, f"{cert.terminal!r}"))
         return False
     if cert.terminal == cert.initial:
         out.append(Violation("initial-terminal-clash", path, cert.initial))
         return False
-    if cert.classes[cert.terminal] != frozenset({cert.terminal}):
+    if masks[cert.terminal] != 1 << i:
         out.append(Violation("terminal-not-singleton", f"{path}/class[{cert.terminal}]", "must be a one-element class"))
     return True
 
 
-def _check_singletons(cert: SEPartitionCert, path: str, out: list[Violation]) -> bool:
+def _check_singletons(cert: SEPartitionCert, masks: dict[str, int], path: str, out: list[Violation]) -> bool:
     """SE zero-class rules: exactly the one-element classes besides the initial one are declared.
 
     Always True: unlike the S rules, none of these stops the deeper checks.
     """
+    index = cert.poset._index
     for sigma in sorted(cert.singletons):
         if sigma == cert.initial:
             out.append(Violation("initial-singleton-clash", path, sigma))
-        elif cert.classes.get(sigma) != frozenset({sigma}):
+        elif sigma not in masks or masks[sigma] != 1 << index[sigma]:
             out.append(Violation("singleton-not-singleton", f"{path}/class[{sigma}]", "declared singleton has extra members"))
     for sigma in sorted(cert.classes):
-        if sigma != cert.initial and sigma not in cert.singletons and cert.classes[sigma] == frozenset({sigma}):
+        if sigma != cert.initial and sigma not in cert.singletons and masks[sigma] == 1 << index[sigma]:
             out.append(Violation("undeclared-singleton", f"{path}/class[{sigma}]", "one-element class not declared singleton"))
     return True
 
@@ -415,23 +440,27 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
     if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
         return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
     out: list[Violation] = []
-    if not _check_partition(cert, path, out):
+    masks = _check_partition(cert, path, out)
+    if masks is None:
         return out
-    if not (_check_terminal if eulerian else _check_singletons)(cert, path, out):
+    if not (_check_terminal if eulerian else _check_singletons)(cert, masks, path, out):
         return out
     boundary = initial_boundary_poset(p, cert.initial)
     yield from _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
     keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
-    if set(keyed) != set(cert.ordinary()):
-        out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {cert.ordinary()}"))
+    ordinary = cert.ordinary()
+    if set(keyed) != set(ordinary):
+        out.append(Violation(code, path, f"{sorted(keyed)} vs ordinary {ordinary}"))
         return out
-    for sigma in cert.ordinary():
+    for sigma in ordinary:
         cpath = f"{path}/class[{sigma}]"
         if not eulerian and not _check_decomposition(cert, sigma, cpath, out):
             continue
         for j, part, key in cert._subclasses(sigma):
             spath = cpath if j is None else f"{cpath}/subclass[{j}]"
-            suspended = _gamma_checked(p, sigma, part, j)
+            # a checked decomposition holds only members of the class
+            rest = masks[sigma] & ~(1 << p._index[sigma]) if j is None else p._mask(part)
+            suspended = _gamma_checked(p, sigma, rest, j)
             if isinstance(suspended, FailureReport):
                 out.append(Violation(suspended.code, spath, suspended.detail))
                 continue
@@ -514,57 +543,77 @@ def cd_word_multiset(cm: ContributionMap) -> dict[str, Counter]:
 # -- certificate assembly (shared by searches and converters) ------------------------
 
 
-def _components(p: GradedPoset, members: int) -> list[frozenset[str]]:
-    """Connected components of the comparability graph restricted to a bitset, by least name."""
+def _components(p: GradedPoset, members: int) -> list[int]:
+    """Connected components of the comparability graph restricted to a bitset, as bitsets, by least name."""
     comps = []
     while members:
         comp = frontier = members & -members
         while frontier:
             frontier = (_union(p._upset, frontier) | _union(p._downset, frontier)) & members & ~comp
             comp |= frontier
-        comps.append(frozenset(p._names(comp)))
+        comps.append(comp)
         members &= ~comp
-    return sorted(comps, key=min)
+    return sorted(comps, key=lambda comp: min(p._names(comp)))
 
 
 def _certificate(
     p: GradedPoset,
     cls: type,
-    initial: str,
-    classes: dict[str, frozenset[str]],
+    initial: int,
+    classes: dict[int, int],
     budget: Budget,
+    replay: dict | None,
     checked: bool = False,
 ):
     """The certificate with these classes and its searched sub-certificates, or the first class failure.
 
-    The zero classes are the one-element classes besides the initial one: the
-    S terminal (every caller leaves exactly one) or the SE singletons.  SE
-    ordinary classes split into their connected components.  ``checked``:
-    the caller already ran the class checks.
+    classes holds the member bitset of each coatom's class by the coatom's
+    number, and initial is a number.  The coatoms are one rank level, so
+    their numbers sort as their names.  The zero classes are the one-element
+    classes besides the initial one: the S terminal (every caller leaves
+    exactly one) or the SE singletons.  SE ordinary classes split into their
+    connected components.  ``checked``: the caller already ran the class
+    checks.  Names are formed only for the certificate record.
     """
-    zero = sorted(s for s in classes if s != initial and classes[s] == {s})
+    names = p._elements
+    zero = [i for i in sorted(classes) if i != initial and classes[i] == 1 << i]
+    record = {names[i]: frozenset(p._names(members)) for i, members in classes.items()}
     if cls is SPartitionCert:
-        cert = SPartitionCert(p, dict(classes), initial, zero[0] if zero else None)
+        zero = zero[:1]
+        cert = SPartitionCert(p, record, names[initial], names[zero[0]] if zero else None)
     else:
-        cert = SEPartitionCert(p, dict(classes), initial, frozenset(zero))
-        cert.subclass_decomp = {s: tuple(_components(p, p._mask(classes[s] - {s}))) for s in cert.ordinary()}
-    boundary = initial_boundary_poset(p, initial)
+        cert = SEPartitionCert(p, record, names[initial], frozenset(map(names.__getitem__, zero)))
+    blocks = {}  # (j, members besides the coatom) per subclass of each ordinary class
+    for i in sorted(classes):
+        if i != initial and i not in zero:
+            rest = classes[i] & ~(1 << i)
+            blocks[i] = [(None, rest)] if cls is SPartitionCert else list(enumerate(_components(p, rest), start=1))
+    if cls is SEPartitionCert:
+        cert.subclass_decomp = {names[i]: tuple(frozenset(p._names(m)) for _, m in parts) for i, parts in blocks.items()}
+    boundary = initial_boundary_poset(p, names[initial])
     # a rank-1 boundary is the two-element chain and needs no test
     if boundary.rank_top == 1 or is_eulerian(boundary):
-        cert.subcert_initial = yield _search(boundary, budget, SPartitionCert)
+        cert.subcert_initial = yield _search(boundary, budget, SPartitionCert, replay=replay)
     if cert.subcert_initial is None:
-        return FailureReport(initial, "initial-subcert", "capped boundary admits no certificate")
-    for sigma in cert.ordinary():
-        for j, part, key in cert._subclasses(sigma):
-            suspended = (_suspended if checked else _gamma_checked)(p, sigma, part, j)
+        return FailureReport(names[initial], "initial-subcert", "capped boundary admits no certificate")
+    for i, parts in blocks.items():
+        sigma = names[i]
+        for j, rest in parts:
+            suspended = (_suspended if checked else _gamma_checked)(p, sigma, rest, j)
             if isinstance(suspended, FailureReport):
                 return suspended
+            key = sigma if j is None else (sigma, j)
             # the class check found the semisuspension Eulerian
-            cert.subcerts[key] = yield _search(suspended, budget, SPartitionCert, first=tau_name(sigma, j))
+            cert.subcerts[key] = yield _search(suspended, budget, SPartitionCert, tau_name(sigma, j), replay)
             if cert.subcerts[key] is None:
                 where = "" if j is None else f"subclass {j} "
                 return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
     return cert
+
+
+def _replay_table(p: GradedPoset) -> dict | None:
+    """The replay table of one public call on p: empty, or None (no replay) when an element of p is named like a tau."""
+    return None if any(x.startswith("tau@") for x in p._elements) else {}
 
 
 def se_certificate_from_classes(
@@ -586,27 +635,29 @@ def se_certificate_from_classes(
     zero = frozenset(s for s in classes if s != initial and classes[s] == {s})
     draft = SEPartitionCert(p, dict(classes), initial, zero)
     out: list[Violation] = []
-    if _check_partition(draft, draft.header, out):
-        _check_singletons(draft, draft.header, out)
+    masks = _check_partition(draft, draft.header, out)
+    if masks is not None:
+        _check_singletons(draft, masks, draft.header, out)
     if out:
         return FailureReport(None, out[0].code, f"{out[0].path}: {out[0].detail}")
-    return _run(_certificate(p, SEPartitionCert, initial, classes, Budget.of(budget)))
+    numbered = {p._index[sigma]: members for sigma, members in masks.items()}
+    return _run(_certificate(p, SEPartitionCert, p._index[initial], numbered, Budget.of(budget), _replay_table(p)))
 
 
 # -- search ---------------------------------------------------------------------------
 
 
-def _classes_from_order(p: GradedPoset, order: list[str]) -> dict[str, frozenset[str]]:
+def _class_masks(p: GradedPoset, order: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """The class of each facet of a facet order: its closure minus what the facets before it cover."""
     covered = 0
-    classes: dict[str, frozenset[str]] = {}
-    for sigma in order:
-        cl = p._downset[p._index[sigma]]
-        classes[sigma] = frozenset(p._names(cl & ~covered))
-        covered |= cl
+    classes = {}
+    for i in order:
+        classes[i] = p._downset[i] & ~covered
+        covered |= p._downset[i]
     return classes
 
 
-def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None):
+def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None, replay: dict | None = None):
     """Depth-first search over facet orders: the first order whose certificate assembles, or None.
 
     Facets are placed one at a time, in name order among the candidates, and
@@ -626,10 +677,35 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
     gamma caps the whole open interval below it.  Every rank-2 interval of
     an Eulerian poset is a diamond, so gamma has an empty boundary and its
     semisuspension, with a coatom covering nothing, fails validation.
+
+    An S search records its node count and facet order (None when the
+    orders ran out) in ``replay``, the table of one public call, by p's
+    numbered structure and the number of ``first``.  A search with a
+    recorded key charges that count at once, raising BudgetExhausted exactly
+    when the search would, and rebuilds the certificate from the order.  The
+    caller's budget has paid for the nested searches of the rebuild, so they
+    charge a budget of their own.  A search that raises records nothing.
+    The key fixes the outcome: the walk reads numbers, and the one name it
+    depends on is where a semisuspension puts its tau among the elements of
+    its rank.  But a tau is the forced first facet of the one search that
+    sees it, and no poset derived from that search keeps it, so its place
+    changes nothing else.  A root with an element named like a tau gets no
+    table (``_replay_table``), since there a tau name can be taken.
     """
     if p.rank_top == 1:
         return cls(p, {})
     s_rules = cls is SPartitionCert
+    key = None
+    if s_rules and replay is not None:
+        key = p._ranks, p._down, None if first is None else p._index[first]
+        known = replay.get(key)
+        if known is not None:
+            nodes, order = known
+            budget.spend(nodes)
+            if order is None:
+                return None
+            return (yield _certificate(p, cls, order[0], _class_masks(p, order), Budget(nodes), replay, checked=True))
+        start = budget.used
     facets = p._levels[p.rank_top - 1]
     ridges = p._levels.get(p.rank_top - 2, 0)
     n = facets.bit_count()
@@ -643,7 +719,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
         elif last == bool(rest):
             return False
         else:
-            parts = [(None, frozenset(p._names(rest)))] if rest else []
+            parts = [(None, rest)] if rest else []
         return not any(isinstance(_gamma_checked(p, sigma, part, j), FailureReport) for j, part in parts)
 
     order = [0] * n  # the facet number placed in each slot
@@ -665,13 +741,15 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None)
             if slot + 1 < n:
                 cert = yield place(slot + 1, placed | 1 << i, covered | p._downset[i])
             else:
-                names = [p._elements[k] for k in order]
-                cert = yield _certificate(p, cls, names[0], _classes_from_order(p, names), budget, checked=True)
+                cert = yield _certificate(p, cls, order[0], _class_masks(p, order), budget, replay, checked=True)
             if isinstance(cert, _Certificate):
                 return cert
         return None
 
-    return (yield place(0, 0, 0))
+    cert = yield place(0, 0, 0)
+    if key is not None:
+        replay[key] = budget.used - start, None if cert is None else tuple(order)
+    return cert
 
 
 def _search_checked(
@@ -685,7 +763,7 @@ def _search_checked(
         raise PosetError(f"{p.name} is not Eulerian")
     if cls is SEPartitionCert and not is_semi_eulerian(p):
         raise PosetError(f"{p.name} is not semi-Eulerian")
-    return _run(_search(p, Budget.of(budget), cls))
+    return _run(_search(p, Budget.of(budget), cls, replay=_replay_table(p)))
 
 
 def search_s_certificate(p: GradedPoset, budget: Budget | int | None = None) -> SPartitionCert | None:
@@ -726,14 +804,14 @@ def order_to_s_certificate(
         return FailureReport(None, "bad-order", "order must enumerate all coatoms exactly once")
     if len(facet_order) < 2:
         return FailureReport(None, "bad-order", "need at least two facets")
-    classes = _classes_from_order(p, facet_order)
-    terminal = facet_order[-1]
-    if classes[terminal] != frozenset({terminal}):
-        return FailureReport(terminal, "terminal-not-singleton", "last facet class has extra members")
-    for sigma in facet_order[1:-1]:
-        if classes[sigma] == frozenset({sigma}):
+    order = [p._index[sigma] for sigma in facet_order]
+    classes = _class_masks(p, order)
+    if classes[order[-1]] != 1 << order[-1]:
+        return FailureReport(facet_order[-1], "terminal-not-singleton", "last facet class has extra members")
+    for sigma, i in zip(facet_order[1:-1], order[1:-1]):
+        if classes[i] == 1 << i:
             return FailureReport(sigma, "ordinary-singleton", "intermediate facet already covered")
-    return _run(_certificate(p, SPartitionCert, facet_order[0], classes, Budget.of(budget)))
+    return _run(_certificate(p, SPartitionCert, order[0], classes, Budget.of(budget), _replay_table(p)))
 
 
 def simplicial_partition_to_s_certificate(
@@ -764,17 +842,18 @@ def simplicial_partition_to_s_certificate(
         raise NotAPartition(f"expected exactly one empty restriction, got {len(initials)}")
     if len(terminals) != 1:
         raise NotAPartition(f"expected exactly one full restriction, got {len(terminals)}")
-    classes: dict[str, frozenset[str]] = {}
+    classes: dict[int, int] = {}
+    covered = overlap = 0
     for restriction, facet in pairs:
-        interval = p._upset[p._index[restriction]] & p._downset[p._index[facet]]
-        classes[facet] = frozenset(p._names(interval))
-    ground = set(p.elements()) - {p.top()}
-    total = [m for members in classes.values() for m in members]
-    if len(total) != len(set(total)) or set(total) != ground:
+        i = p._index[facet]
+        classes[i] = p._upset[p._index[restriction]] & p._downset[i]
+        overlap |= covered & classes[i]
+        covered |= classes[i]
+    if overlap or covered != (1 << len(p)) - 1 ^ 1 << p._index[p.top()]:
         raise NotAPartition("boolean intervals do not partition the poset")
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
-    return _run(_certificate(p, SPartitionCert, initials[0], classes, Budget.of(budget)))
+    return _run(_certificate(p, SPartitionCert, p._index[initials[0]], classes, Budget.of(budget), _replay_table(p)))
 
 
 def product_se_partition(
@@ -796,7 +875,7 @@ def product_se_partition(
         if violations:
             raise CertificateInvalid(violations)
     prod = poset_product(p, q)
-    classes: dict[str, frozenset[str]] = {}
+    classes: dict[int, int] = {}
     for s in sorted(cp.classes):
         for t in sorted(cq.classes):
             members = {
@@ -804,10 +883,10 @@ def product_se_partition(
                 for x in cp.classes[s] - {BOT}
                 for y in cq.classes[t] - {BOT}
             }
-            classes[pair_name(s, t)] = frozenset(members)
-    initial = pair_name(cp.initial, cq.initial)
-    classes[initial] = classes[initial] | {BOT}
-    cert = _run(_certificate(prod, SEPartitionCert, initial, classes, Budget.of(budget)))
+            classes[prod._index[pair_name(s, t)]] = prod._mask(members)
+    initial = prod._index[pair_name(cp.initial, cq.initial)]
+    classes[initial] |= 1 << prod._index[BOT]
+    cert = _run(_certificate(prod, SEPartitionCert, initial, classes, Budget.of(budget), _replay_table(prod)))
     if isinstance(cert, FailureReport):
         raise PosetError(f"product classes failed: {cert}")
     return cert
@@ -975,7 +1054,8 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
                     raise CertificateParseError(f"expected: subclass {j}", inner.lineno)
                 part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
                 parts.append(part)
-                cert.subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, part, j)
+                rest = poset._mask(part)
+                cert.subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, rest, j)
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
             cert.subclass_decomp[sigma] = tuple(parts)
@@ -989,7 +1069,8 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
             cert.initial = sigma
             cert.subcert_initial = yield _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
-            cert.subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, members - {sigma}, None)
+            rest = poset._mask(members - {sigma})
+            cert.subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, rest, None)
         elif split:
             cert.singletons |= {sigma}
         elif cert.terminal is not None:

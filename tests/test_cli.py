@@ -202,6 +202,14 @@ class TestSearchAndConvert:
         code, out, _ = run("convert-shelling", q_files[0], "--order", "s7,s1,s2,s3,s4,s5,s6")
         assert code == 1 and "FAILURE" in out
 
+    def test_convert_shelling_taken_tau_name(self, run, tmp_path):
+        """polygon(4) with v2 renamed tau@e1, the tau name of e1's class: a failure, not an input error."""
+        text = format_poset(zoo.gen("polygon", (4,)))
+        poset = tmp_path / "renamed.poset"
+        poset.write_text("\n".join(line.replace(" v2", " tau@e1") for line in text.splitlines()), encoding="utf-8")
+        code, out, _ = run("convert-shelling", str(poset), "--order", "e0,e1,e2,e3")
+        assert code == 1 and out.startswith("FAILURE tau-name-taken e1 tau@e1 is already an element of gamma(")
+
     def test_convert_simplicial(self, run, simplex_files):
         code, out, _ = run("convert-simplicial-partition", simplex_files[0], "--pairs", simplex_files[1])
         assert code == 0 and out.startswith("OK total")

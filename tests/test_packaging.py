@@ -81,6 +81,26 @@ def test_only_derived_constructions_pass_the_structure_table_on():
         assert {t[:2] for t in touches} == allowed, attr
 
 
+def test_only_the_search_reads_or_writes_the_replay_table():
+    """The S-search replay table lives for one call: ``_replay_table`` makes it, the walks pass it on as ``replay``,
+    and only ``_search`` looks in it or records in it.  It is kept on no poset: no memo gains a writer."""
+    uses = []
+    for path in SOURCES:
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                operands = node.comparators
+            elif isinstance(node, (ast.Subscript, ast.Attribute)):
+                operands = [node.value]
+            else:
+                continue
+            if any(isinstance(x, ast.Name) and x.id == "replay" for x in operands):
+                stored = isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                uses.append((path.name, scope, "write" if stored else "read"))
+    assert set(uses) == {("partition.py", "_search", "read"), ("partition.py", "_search", "write")}
+    writers = {(path.name, store[0]) for path in SOURCES for store in attribute_stores(path, {"_cache", "_shared", "_derived"})}
+    assert writers == {("poset.py", "GradedPoset._fill"), ("poset.py", "cap"), ("poset.py", "semisuspension")}
+
+
 def test_only_fill_sets_the_poset_core():
     """Constructors hand ``_fill`` the elements and their structure's table entry; it alone sets the core."""
     core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top", "_table", "_shared"}

@@ -51,7 +51,19 @@ from cdposet.partition import (
     verify_s_partition,
     verify_se_partition,
 )
-from cdposet.poset import BOT, GradedPoset, PosetError, boundary_set, closure, format_poset, parse_poset, product
+from cdposet.poset import (
+    BOT,
+    GradedPoset,
+    PosetError,
+    boundary_set,
+    closure,
+    format_poset,
+    is_eulerian,
+    is_semi_eulerian,
+    parse_poset,
+    product,
+    validate,
+)
 
 
 def poly(terms):
@@ -984,7 +996,7 @@ class TestWalk:
         real = partition._gamma_checked
 
         def recorded(p, sigma, rest, *args):
-            calls.append((p, sigma, frozenset(rest)))  # holds p, so its id stays unique
+            calls.append((p, sigma, rest))  # holds p, so its id stays unique; rest is a bitset
             return real(p, sigma, rest, *args)
 
         monkeypatch.setattr(partition, "_gamma_checked", recorded)
@@ -1036,3 +1048,163 @@ class TestSharedSubposets:
         assert verify_s_partition(cert) == []
         contributions_s(cert, check=False)
         assert len(capped) == 60 and all(name.startswith("gamma(") for name in capped)
+
+
+def _renamed_polygon4():
+    """polygon(4) with its vertex v2 renamed tau@e1, the tau name of the class of e1 (valid and Eulerian)."""
+    text = format_poset(zoo.gen("polygon", (4,)))
+    return parse_poset("\n".join(line.replace(" v2", " tau@e1") for line in text.splitlines()))
+
+
+class TestTakenTauName:
+    """A class whose tau name is already an element of its gamma fails with tau-name-taken."""
+
+    def test_the_poset_is_valid_and_eulerian(self):
+        q = _renamed_polygon4()
+        assert validate(q) == [] and is_eulerian(q) and "tau@e1" in q and "v2" not in q
+
+    def test_search_finds_a_certificate_that_verifies(self):
+        q = _renamed_polygon4()
+        assert partition._replay_table(q) is None  # a tau name can be taken here: no replay
+        cert = search_s_certificate(q)
+        assert verify_s_partition(cert) == [] and cert.terminal == "e1"
+        assert contributions_s(cert, check=True).total == cd_index(q)
+
+    def test_the_converter_returns_the_failure(self):
+        report = order_to_s_certificate(_renamed_polygon4(), ["e0", "e1", "e2", "e3"])
+        assert report == FailureReport("e1", "tau-name-taken", "tau@e1 is already an element of gamma(polygon4@e1)")
+
+    def test_verify_reports_the_class(self):
+        good = order_to_s_certificate(zoo.gen("polygon", (4,)), ["e0", "e1", "e2", "e3"])
+        q = _renamed_polygon4()
+        classes = {s: frozenset("tau@e1" if m == "v2" else m for m in members) for s, members in good.classes.items()}
+        cert = replace(good, poset=q, classes=classes)
+        assert [str(v) for v in verify_s_partition(cert)] == [
+            "VIOLATION tau-name-taken spart/class[e1] tau@e1 is already an element of gamma(polygon4@e1)"
+        ]
+
+
+class TestReplay:
+    """Within one call, an S search of a (numbered structure, first) already searched replays the recorded node
+    count and facet order; every replay gives the certificate text and ``Budget.used`` of a fresh search."""
+
+    @staticmethod
+    def replayed(monkeypatch, run):
+        """(outcome of run(), (poset, first, certificate, nodes) per replayed S search inside it)."""
+        real = partition._search
+        hits = []
+
+        def recorded(p, budget, cls, first=None, replay=None):
+            key = p._ranks, p._down, None if first is None else p._index[first]
+            known = replay is not None and cls is SPartitionCert and key in replay
+            before = budget.used
+            cert = yield real(p, budget, cls, first, replay)
+            if known:
+                hits.append((p, first, cert, budget.used - before))
+            return cert
+
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_search", recorded)
+            return run(), hits
+
+    @staticmethod
+    def outcome(cert_or_report, budget):
+        if isinstance(cert_or_report, (SPartitionCert, SEPartitionCert)):
+            return format_certificate(cert_or_report), budget.used
+        return cert_or_report, budget.used
+
+    def assert_exact(self, monkeypatch, call):
+        """call(budget) replays exactly: each replay equals a fresh search, the whole call equals one without replay."""
+        budget = Budget()
+        result, hits = self.replayed(monkeypatch, lambda: call(budget))
+        with_replay = self.outcome(result, budget)
+        for q, first, cert, nodes in hits:
+            fresh = Budget()
+            again = partition._run(partition._search(q, fresh, SPartitionCert, first))
+            assert (again is None) == (cert is None), q.name
+            assert fresh.used == nodes, q.name
+            assert cert is None or format_certificate(again) == format_certificate(cert), q.name
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_replay_table", lambda root: None)
+            budget = Budget()
+            assert self.outcome(call(budget), budget) == with_replay
+        return hits
+
+    SEARCHED = [
+        ("polygon", (25,), search_s_certificate),
+        ("cube", (3,), search_s_certificate),
+        ("cube", (4,), search_s_certificate),
+        ("connected-sum", (3,), search_s_certificate),
+        ("simplex-boundary", (5,), search_s_certificate),
+        ("cross-polytope", (4,), search_s_certificate),
+        ("sphere2cells", (8,), search_s_certificate),
+        ("q-polytope", (), search_s_certificate),
+        ("torus-fig6", (), search_se_certificate),
+        ("torus-fig12", (), search_se_certificate),
+        ("torus-7vertex", (), search_se_certificate),
+        ("octahedron", (), search_se_certificate),
+        ("icosahedron", (), search_se_certificate),
+        ("product", (3, 4), search_se_certificate),
+        ("product", (4, 5), search_se_certificate),
+    ]
+
+    @pytest.mark.parametrize("family, params, search", SEARCHED)
+    def test_searched_families(self, monkeypatch, family, params, search):
+        p = parse_poset(format_poset(zoo.gen(family, params)))
+        self.assert_exact(monkeypatch, lambda budget: search(p, budget))
+
+    @pytest.mark.parametrize("family, params, replays", [("cube", (4,), 77), ("simplex-boundary", (5,), 96), ("sphere2cells", (8,), 0)])
+    def test_replays_counted(self, monkeypatch, family, params, replays):
+        """cube(4) and simplex-boundary(5) repeat many sub-searches; every level of sphere2cells(8) has its own structure."""
+        p = zoo.gen(family, params)
+        assert len(self.assert_exact(monkeypatch, lambda budget: search_s_certificate(p, budget))) == replays
+
+    def test_s1_x_s2_exhausted(self, monkeypatch):
+        p = product(zoo.gen("polygon", (3,)), zoo.gen("sphere2cells", (2,)))
+        for search in (search_s_certificate, search_se_certificate):
+            self.assert_exact(monkeypatch, lambda budget: search(p, budget))
+
+    def test_converters(self, monkeypatch):
+        q = zoo.gen("q-polytope")
+        order = [f"s{i}" for i in range(1, 8)]
+        assert self.assert_exact(monkeypatch, lambda budget: order_to_s_certificate(q, order, budget))
+        cp, cq = (search_s_certificate(zoo.gen("polygon", (k,))) for k in (3, 4))
+        assert self.assert_exact(monkeypatch, lambda budget: product_se_partition(cp, cq, budget))
+
+    def test_random_eulerian_small(self, monkeypatch):
+        replays = 0
+        for seed in range(200):
+            p = zoo.random_eulerian_small(seed, 5)
+            for search, passes in ((search_s_certificate, is_eulerian), (search_se_certificate, is_semi_eulerian)):
+                if p.rank_top >= 2 and validate(p) == [] and passes(p):
+                    replays += len(self.assert_exact(monkeypatch, lambda budget: search(p, budget)))
+        assert replays > 3000  # 3,218 replays, each compared with a fresh search
+
+    def test_no_replay_where_a_tau_name_can_be_taken(self, monkeypatch):
+        q = _renamed_polygon4()
+        for search in (search_s_certificate, search_se_certificate):
+            assert self.assert_exact(monkeypatch, lambda budget: search(q, budget)) == []
+
+    def test_budget_at_the_pinned_cube4_count(self):
+        """The pinned cube(4) search spends 239 nodes, some charged at once by replays: 238 raise, 239 suffice."""
+        p = zoo.gen("cube", (4,))
+        budget = Budget(238)
+        with pytest.raises(BudgetExhausted):
+            search_s_certificate(p, budget)
+        assert budget.used == 239
+        cert = search_s_certificate(p, Budget(239))
+        digest = hashlib.sha256(format_certificate(cert).encode("utf-8")).hexdigest()
+        assert digest == "501af56b9d469a2faec155ba9b6d5f83da68cb1e49ee345407a049266da06461"
+
+    @pytest.mark.parametrize("used, limit, nodes", [(0, 5, 3), (0, 5, 5), (0, 5, 6), (2, 5, 9), (5, 5, 1), (6, 5, 1)])
+    def test_spending_at_once_is_spending_one_at_a_time(self, used, limit, nodes):
+        one_by_one, at_once = Budget(limit, used), Budget(limit, used)
+        try:
+            for _ in range(nodes):
+                one_by_one.spend()
+        except BudgetExhausted:
+            with pytest.raises(BudgetExhausted):
+                at_once.spend(nodes)
+        else:
+            at_once.spend(nodes)
+        assert at_once.used == one_by_one.used

@@ -715,7 +715,7 @@ class TestStructureTable:
     # verified and totalled benchmark certificate
     SHARING = [
         ("polygon", (100,), search_s_certificate, (296, 4), (394, 4), 2, 298, (394, 4)),
-        ("cube", (4,), search_s_certificate, (214, 23), (270, 23), 13, 239, (256, 17)),
+        ("cube", (4,), search_s_certificate, (210, 23), (266, 23), 13, 239, (256, 17)),
         ("product", (4, 5), search_se_certificate, (137, 12), (175, 12), 6, 158, (175, 12)),
     ]
 
