@@ -663,6 +663,41 @@ class TestCertificateIO:
             parse_certificate("".join(lines[:start] + lines[end:]), cert.poset)
         assert str(err.value) == f"line 1: {message}"
 
+    # name -> (winning error, losing error), each as (line number in the q-polytope
+    # fixture text, the line that replaces it or, with insert, goes before it,
+    # insert, error): with several errors in one text, indentation is checked
+    # on every line first, then the header, then the block structure, then the
+    # classes in file order, each block's own lines before its sub block
+    SEVERAL_ERRORS = {
+        "odd-indent-before-header": (
+            (31, "   class s2 kind=ordinary", False, "line 31: odd indentation"),
+            (1, "spart other-poset", False, "line 1: certificate is for 'other-poset', poset is 'q-polytope'"),
+        ),
+        "structure-before-members": (
+            (41, "                sub", False, "line 41: unexpected indentation"),
+            (3, "    members bot A B P Q AB AP BQ PQ s1 zz", False, "line 2: unknown members ['zz']"),
+        ),
+        "own-line-before-sub-block": (
+            (60, "    note x", True, "line 60: unexpected 'note'"),
+            (34, "      klass BC kind=ordinary", False, "line 34: expected: class <coatom> kind=<kind>"),
+        ),
+    }
+
+    @staticmethod
+    def _edited(cert, *edits):
+        lines = format_certificate(cert).splitlines()
+        for lineno, line, insert, _ in sorted(edits, reverse=True):
+            lines[lineno - 1 : lineno - 1 + (not insert)] = [line]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(SEVERAL_ERRORS))
+    def test_first_error_wins(self, q_cert, name):
+        winner, loser = self.SEVERAL_ERRORS[name]
+        for edits, expected in (((winner,), winner), ((loser,), loser), ((winner, loser), winner)):
+            with pytest.raises(CertificateParseError) as err:
+                parse_certificate(self._edited(q_cert, *edits), q_cert.poset)
+            assert str(err.value) == expected[-1], edits
+
 
 # -- pinned violation lists and searched round trips -----------------------------
 
