@@ -263,7 +263,7 @@ def _cmd_gen(args, rep: Report) -> int:
     p = zoo.gen(args.family, params)
     rep.result["name"] = p.name
     rep.result["elements"] = len(p)
-    cert = zoo.fixture_certificate(args.family, params) if args.emit_cert else None  # before writing any file
+    cert = zoo.published_certificate(args.family, p) if args.emit_cert else None  # before writing any file
     text = format_poset(p, provenance=zoo.fixture_spec(args.family, params).provenance)
     if args.out:
         _write(args.out, text)

@@ -23,6 +23,12 @@ and file output.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
+The reader keeps a certificate file as one list of the rows ``poset.read_lines``
+yields, and its block tree as index ranges over that list: ``ends[i]`` is
+the row after row i's block, which is also where row i's next sibling
+starts, so a level is a range of rows and no row holds a list of its own.
+Every row's indentation, then the header, then the tree's shape are
+checked before the walk reads any class.
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
@@ -933,6 +939,7 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[dict[str, str], int] 
 def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]):
     pad = "  " * depth
     zero = cert.zero_classes()
+    index = cert.poset._index
     for sigma in sorted(cert.classes):
         # (subclass number, members, sub-certificate) per block; only SE subclasses are numbered
         if sigma == cert.initial:
@@ -951,7 +958,11 @@ def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: lis
             if j is not None:
                 lines.append(f"{pad}  subclass {j}")
                 inner += 1
-            lines.append(f"{'  ' * inner}members {' '.join(cert.poset._names(cert.poset._mask(members)))}")
+            try:
+                names = " ".join(sorted(members, key=index.__getitem__))  # in (rank, name) order
+            except KeyError:
+                raise PosetError(f"unknown element {min(set(members) - index.keys(), key=str)!r}") from None
+            lines.append(f"{'  ' * inner}members {names}")
             if sub is not None:
                 lines.append(f"{'  ' * inner}sub")
                 yield _emit_classes(sub, inner + 1, lines)
@@ -963,120 +974,140 @@ def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Line:
-    indent: int
-    fields: list[str]
-    lineno: int
+def _block_tree(text: str) -> tuple[list, list[int], CertificateParseError | None]:
+    """The rows of a certificate text, the end of each row's block, and the first misplaced row.
 
-
-def _scan_lines(text: str) -> list[_Line]:
-    out = []
-    for lineno, spaces, fields in read_lines(text):
+    The rows are the ``(lineno, line, fields)`` triples of ``read_lines``.  A
+    row's level is half its leading spaces, and the block of row i is the rows
+    nested in it: rows i + 1 to ``ends[i] - 1``, so ``ends[i]`` is also where
+    its next sibling starts.  The first row is the header, whose block is the
+    rest.  An odd indentation raises at once; the first row below the header
+    at level 0 or more than one level deeper than the row before it is
+    returned as the error to raise once the header has been checked.
+    """
+    rows = list(read_lines(text))
+    ends = [len(rows)] * len(rows)
+    open_rows: list[int] = []  # the rows whose blocks are open, at levels 1, 2, ...
+    misplaced = None
+    for i, (lineno, line, _) in enumerate(rows):
+        spaces = len(line) - len(line.lstrip(" ")) if line[0] == " " else 0
         if spaces % 2:
             raise CertificateParseError("odd indentation", lineno)
-        out.append(_Line(spaces // 2, fields, lineno))
-    return out
-
-
-def _parse_block(lines: list[_Line]) -> list[tuple[_Line, list]]:
-    """The tree of the lines below the header: each line with the block of lines nested in it."""
-    open_blocks: list[list] = [[]]  # open_blocks[k] collects the lines at indentation level k + 1
-    for line in lines[1:]:
-        if line.indent == 0:
-            raise CertificateParseError("trailing content", line.lineno)
-        if line.indent > len(open_blocks):
-            raise CertificateParseError("unexpected indentation", line.lineno)
-        del open_blocks[line.indent :]
-        nested: list[tuple[_Line, list]] = []
-        open_blocks[-1].append((line, nested))
-        open_blocks.append(nested)
-    return open_blocks[0]
+        if misplaced is not None or not i:
+            continue
+        level = spaces // 2
+        if level == 0:
+            misplaced = CertificateParseError("trailing content", lineno)
+        elif level > len(open_rows) + 1:
+            misplaced = CertificateParseError("unexpected indentation", lineno)
+        else:
+            for k in open_rows[level - 1 :]:
+                ends[k] = i
+            del open_rows[level - 1 :]
+            open_rows.append(i)
+    return rows, ends, misplaced
 
 
 def _read_block(
-    nested: list, poset: GradedPoset, what: str, lineno: int, sub: bool = True
-) -> tuple[frozenset[str], list]:
-    """The members and the ``sub`` block (none unless ``sub``) of a class or subclass block."""
-    members: frozenset[str] | None = None
-    sub_blocks: list = []
+    tree: tuple[list, list[int]], i: int, poset: GradedPoset, what: str, sub: bool = True
+) -> tuple[frozenset[str], tuple[int, int]]:
+    """The members and the ``sub`` block (empty unless ``sub``) of the class or subclass block of row i."""
+    rows, ends = tree
+    members: list[str] | None = None
+    sub_block = (0, 0)
     seen: set[str] = set()
-    for inner, inner_nested in nested:
-        if inner.fields[0] in seen:
-            raise CertificateParseError(f"second {inner.fields[0]!r} line in {what}", inner.lineno)
-        seen.add(inner.fields[0])
-        if inner.fields[0] == "members":
-            members = frozenset(inner.fields[1:])
-        elif inner.fields == ["sub"] and not sub:
-            raise CertificateParseError(f"{what} takes no sub block", inner.lineno)
-        elif inner.fields == ["sub"]:
-            sub_blocks = inner_nested
+    k = i + 1
+    while k < ends[i]:
+        lineno, _, fields = rows[k]
+        if fields[0] in seen:
+            raise CertificateParseError(f"second {fields[0]!r} line in {what}", lineno)
+        seen.add(fields[0])
+        if fields[0] == "members":
+            members = fields[1:]
+        elif fields == ["sub"] and not sub:
+            raise CertificateParseError(f"{what} takes no sub block", lineno)
+        elif fields == ["sub"]:
+            sub_block = (k + 1, ends[k])
         else:
-            raise CertificateParseError(f"unexpected {inner.fields[0]!r}", inner.lineno)
+            raise CertificateParseError(f"unexpected {fields[0]!r}", lineno)
+        k = ends[k]
     if members is None:
-        raise CertificateParseError(f"{what} has no members line", lineno)
-    unknown = sorted(m for m in members if m not in poset)
-    if unknown:
-        raise CertificateParseError(f"unknown members {unknown}", lineno)
-    return members, sub_blocks
+        raise CertificateParseError(f"{what} has no members line", rows[i][0])
+    if not all(map(poset._index.__contains__, members)):
+        raise CertificateParseError(f"unknown members {sorted(set(members) - poset._index.keys())}", rows[i][0])
+    return frozenset(members), sub_block
 
 
-def _parse_sub(blocks: list, lineno: int, build, *args):
+def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, build, *args):
     """Build the poset a sub-certificate certifies; the walk that parses its ``sub`` block."""
     try:
         sub_poset = build(*args)
     except PosetError as exc:
         raise CertificateParseError(str(exc), lineno)
-    return _parse_classes(blocks, sub_poset, lineno, SPartitionCert)
+    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert)
 
 
-def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
-    """The class blocks of one certificate level; SE ordinary classes hold subclass blocks."""
+def _parse_classes(tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type):
+    """The class blocks of one certificate level, rows ``block[0]`` to ``block[1] - 1``.
+
+    SE ordinary classes hold subclass blocks.  lineno is the line of the
+    level's header or ``sub`` row, named by the errors of the whole level.
+    """
+    rows, ends = tree
+    i, stop = block
     split = cls is SEPartitionCert
     cert = cls(poset, {})
     if poset.rank_top - 1 == 0:
-        if blocks:
-            raise CertificateParseError("rank-1 certificate must have no classes", blocks[0][0].lineno)
+        if i < stop:
+            raise CertificateParseError("rank-1 certificate must have no classes", rows[i][0])
         return cert
-    for line, nested in blocks:
-        if line.fields[0] != "class" or len(line.fields) != 3 or not line.fields[2].startswith("kind="):
-            raise CertificateParseError("expected: class <coatom> kind=<kind>", line.lineno)
-        sigma = line.fields[1]
-        kind = line.fields[2].removeprefix("kind=")
+    while i < stop:
+        line_no, _, fields = rows[i]
+        if fields[0] != "class" or len(fields) != 3 or not fields[2].startswith("kind="):
+            raise CertificateParseError("expected: class <coatom> kind=<kind>", line_no)
+        sigma = fields[1]
+        kind = fields[2].removeprefix("kind=")
         if kind not in ("initial", "ordinary", cls.zero_kind):
-            raise CertificateParseError(f"unknown kind {kind!r}", line.lineno)
+            raise CertificateParseError(f"unknown kind {kind!r}", line_no)
         if sigma in cert.classes:
-            raise CertificateParseError(f"duplicate class {sigma!r}", line.lineno)
+            raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
-            for j, (inner, inner_nested) in enumerate(nested, start=1):
-                if inner.fields != ["subclass", str(j)]:
-                    raise CertificateParseError(f"expected: subclass {j}", inner.lineno)
-                part, sub_blocks = _read_block(inner_nested, poset, f"subclass {j} of {sigma!r}", inner.lineno)
+            k = i + 1
+            while k < ends[i]:
+                j = len(parts) + 1
+                inner_no, _, inner = rows[k]
+                if inner != ["subclass", str(j)]:
+                    raise CertificateParseError(f"expected: subclass {j}", inner_no)
+                part, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
                 parts.append(part)
                 rest = poset._mask(part)
-                cert.subcerts[(sigma, j)] = yield _parse_sub(sub_blocks, inner.lineno, _suspended, poset, sigma, rest, j)
+                sub = _parse_sub(tree, sub_block, inner_no, _suspended, poset, sigma, rest, j)
+                cert.subcerts[(sigma, j)] = yield sub
+                k = ends[k]
             if not parts:
-                raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line.lineno)
+                raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line_no)
             cert.subclass_decomp[sigma] = tuple(parts)
             cert.classes[sigma] = frozenset({sigma}).union(*parts)
+            i = ends[i]
             continue
-        members, sub_blocks = _read_block(nested, poset, f"{kind} class {sigma!r}", line.lineno, kind != cls.zero_kind)
+        members, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
         cert.classes[sigma] = members
         if kind == "initial":
             if cert.initial is not None:
-                raise CertificateParseError("two initial classes", line.lineno)
+                raise CertificateParseError("two initial classes", line_no)
             cert.initial = sigma
-            cert.subcert_initial = yield _parse_sub(sub_blocks, line.lineno, initial_boundary_poset, poset, sigma)
+            cert.subcert_initial = yield _parse_sub(tree, sub_block, line_no, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
             rest = poset._mask(members - {sigma})
-            cert.subcerts[sigma] = yield _parse_sub(sub_blocks, line.lineno, _suspended, poset, sigma, rest, None)
+            cert.subcerts[sigma] = yield _parse_sub(tree, sub_block, line_no, _suspended, poset, sigma, rest, None)
         elif split:
             cert.singletons |= {sigma}
         elif cert.terminal is not None:
-            raise CertificateParseError("two terminal classes", line.lineno)
+            raise CertificateParseError("two terminal classes", line_no)
         else:
             cert.terminal = sigma
+        i = ends[i]
     if split:
         if cert.initial is None:
             raise CertificateParseError("certificate needs an initial class", lineno)
@@ -1088,12 +1119,12 @@ def _parse_classes(blocks: list, poset: GradedPoset, lineno: int, cls: type):
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:
     """Parse the indentation-nested certificate format against a loaded poset."""
     kinds = {cls.header: cls for cls in (SPartitionCert, SEPartitionCert)}
-    lines = _scan_lines(text)
-    if not lines or lines[0].fields[0] not in kinds or len(lines[0].fields) != 2:
-        raise CertificateParseError("expected header: spart|separt <poset-name>", lines[0].lineno if lines else 1)
-    header = lines[0]
-    if header.fields[1] != poset.name:
-        raise CertificateParseError(
-            f"certificate is for {header.fields[1]!r}, poset is {poset.name!r}", header.lineno
-        )
-    return _run(_parse_classes(_parse_block(lines), poset, header.lineno, kinds[header.fields[0]]))
+    rows, ends, misplaced = _block_tree(text)
+    if not rows or rows[0][2][0] not in kinds or len(rows[0][2]) != 2:
+        raise CertificateParseError("expected header: spart|separt <poset-name>", rows[0][0] if rows else 1)
+    lineno, _, (header, name) = rows[0]
+    if name != poset.name:
+        raise CertificateParseError(f"certificate is for {name!r}, poset is {poset.name!r}", lineno)
+    if misplaced is not None:
+        raise misplaced
+    return _run(_parse_classes((rows, ends), (1, len(rows)), poset, lineno, kinds[header]))

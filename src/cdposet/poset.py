@@ -59,6 +59,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 BOT = "bot"
@@ -240,6 +241,9 @@ class GradedPoset:
         rank, covers = dict(ranks), list(covers)
         for x in (name, *rank):
             _check_name(x)
+        if not set(map(type, rank.values())) <= {int}:  # a bool or a float would not round-trip
+            x = next(x for x, r in rank.items() if type(r) is not int)
+            raise PosetError(f"rank {rank[x]!r} of {x!r} is not an integer")
         for lo, hi in covers:
             if lo not in rank or hi not in rank:
                 raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
@@ -793,22 +797,23 @@ def connected_sum(
 # -- file format ------------------------------------------------------------------
 
 
-def read_lines(text: str) -> Iterator[tuple[int, int, list[str]]]:
-    """The lines of a poset, certificate or pairs file as ``(lineno, indent, fields)``.
+def read_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """The lines of a poset, certificate or pairs file as ``(lineno, line, fields)``.
 
     ``#`` starts a comment that runs to the end of the line, and lines left
     blank are skipped.  ``lineno`` counts from 1 over every line of ``text``,
-    ``indent`` is the number of leading spaces and ``fields`` are the
+    ``line`` is the text of the line with its comment removed (the
+    certificate reader measures indentation from it) and ``fields`` are its
     whitespace-separated words (never empty).  The poset, certificate and
     pairs parsers all read their files through it.  It numbers the lines
-    only: ``parse_poset`` numbers a poset's elements.
+    only: ``parse_poset`` numbers a poset's elements.  The iterator it
+    returns is built from ``zip``, ``map`` and ``filter`` alone, so no Python
+    frame runs per line.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] if "#" in line else line for line in lines]
-    for lineno, line, fields in zip(itertools.count(1), lines, map(str.split, lines)):
-        if fields:
-            yield lineno, len(line) - len(line.lstrip(" ")) if line[0] == " " else 0, fields
+    return filter(itemgetter(2), zip(itertools.count(1), lines, map(str.split, lines)))
 
 
 def _integer(field: str) -> int | None:

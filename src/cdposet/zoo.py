@@ -478,9 +478,21 @@ def fixture_certificate(
     """Transcribed partition certificate for fixtures that publish one; BadParams as ``gen``."""
     if family not in _CERTIFICATES:
         raise NoPublishedCertificate(f"no transcribed certificate for family {family!r}")
+    return published_certificate(family, gen(family, params))
+
+
+def published_certificate(family: str, p: GradedPoset) -> SPartitionCert | SEPartitionCert:
+    """The transcribed certificate of a fixture family on p, the poset ``gen`` built for it.
+
+    NoPublishedCertificate for a family that publishes none; PosetError when
+    the certificate does not fit p.
+    """
+    if family not in _CERTIFICATES:
+        raise NoPublishedCertificate(f"no transcribed certificate for family {family!r}")
     convert, data = _CERTIFICATES[family]
-    cert = convert(gen(family, params), data)
-    assert not isinstance(cert, FailureReport), cert
+    cert = convert(p, data)
+    if isinstance(cert, FailureReport):
+        raise PosetError(f"the published certificate of {family} does not fit {p.name}: {cert}")
     return cert
 
 

@@ -344,6 +344,24 @@ class TestInputErrors:
         assert err == "error: no transcribed certificate for family 'polygon'\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_gen_builds_the_fixture_once(self, run, tmp_path, monkeypatch):
+        built = []
+        gen = zoo.gen
+        monkeypatch.setattr(zoo, "gen", lambda *args: built.append(args) or gen(*args))
+        poset, cert = tmp_path / "t6.poset", tmp_path / "t6.separt"
+        code, out, _ = run("gen", "torus-fig6", "--out", str(poset), "--emit-cert", str(cert))
+        assert code == 0 and built == [("torus-fig6", ())]
+        assert out == f"poset written to {poset}\ncertificate written to {cert}\n"
+        provenance = zoo.fixture_spec("torus-fig6").provenance
+        assert poset.read_text() == format_poset(gen("torus-fig6"), provenance=provenance)
+        assert cert.read_text() == format_certificate(zoo.fixture_certificate("torus-fig6"))
+
+    def test_gen_bad_params_before_missing_certificate(self, run, tmp_path):
+        code, out, err = run("gen", "polygon", "--emit-cert", str(tmp_path / "p.spart"))
+        assert code == 2 and out == ""
+        assert err == "error: polygon takes 1 parameter(s), got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_file_not_utf8(self, run, tmp_path):
         path = tmp_path / "latin1.poset"
         path.write_bytes(b"poset caf\xe9\n")

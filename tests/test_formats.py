@@ -73,14 +73,16 @@ def format_pairs(pairs: list[tuple[str, str]]) -> str:
 class TestReadLines:
     CASES = [
         ("# header comment\n\nposet x  # name\n  class a kind=initial\n\t\n   #\n    members a b#c\n",
-         [(3, 0, ["poset", "x"]), (4, 2, ["class", "a", "kind=initial"]), (7, 4, ["members", "a", "b"])]),
-        # a tab is not indentation, and a tab-led line keeps its fields
-        ("\tpair a b\n \t  sub\n\t# x\n", [(1, 0, ["pair", "a", "b"]), (2, 1, ["sub"])]),
+         [(3, "poset x  ", ["poset", "x"]), (4, "  class a kind=initial", ["class", "a", "kind=initial"]),
+          (7, "    members a b", ["members", "a", "b"])]),
+        # a tab-led line keeps its tab and its fields
+        ("\tpair a b\n \t  sub\n\t# x\n", [(1, "\tpair a b", ["pair", "a", "b"]), (2, " \t  sub", ["sub"])]),
         # CRLF and a lone CR end lines as LF does
         ("poset x\r\n  rank 1\r\n\r\nelem a 0 # c\relem b 1\r\n",
-         [(1, 0, ["poset", "x"]), (2, 2, ["rank", "1"]), (4, 0, ["elem", "a", "0"]), (5, 0, ["elem", "b", "1"])]),
+         [(1, "poset x", ["poset", "x"]), (2, "  rank 1", ["rank", "1"]), (4, "elem a 0 ", ["elem", "a", "0"]),
+          (5, "elem b 1", ["elem", "b", "1"])]),
         # lines that hold only a comment count but yield nothing
-        ("#\n# poset x\n   # indented\n\t#tab\nposet y\n#", [(5, 0, ["poset", "y"])]),
+        ("#\n# poset x\n   # indented\n\t#tab\nposet y\n#", [(5, "poset y", ["poset", "y"])]),
         ("# only comments\n  #\n", []),
         ("", []),
     ]
@@ -88,6 +90,10 @@ class TestReadLines:
     def test_fields_indent_and_line_numbers(self):
         for text, expected in self.CASES:
             assert list(read_lines(text)) == expected, text
+
+    def test_no_python_frame_runs_per_line(self):
+        assert type(read_lines("poset x # name\n")) is filter
+        assert type(read_lines("poset x\n")) is filter
 
 
 class TestRoundTrip:

@@ -109,6 +109,12 @@ def test_only_fill_sets_the_poset_core():
     assert [s for s in stores if s[:2] != ("poset.py", "GradedPoset._fill")] == []
 
 
+def test_only_read_lines_splits_a_text_into_lines():
+    """The poset, certificate and pairs files are read through one line reader, ``poset.read_lines``."""
+    touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, {"splitlines"})]
+    assert [t[:2] for t in touches] == [("poset.py", "read_lines")]
+
+
 def test_private_names_come_only_from_the_core():
     """A module imports another's private (``_``) names only from the poset and polynomial core."""
     imports = [

@@ -663,6 +663,13 @@ class TestCertificateIO:
             parse_certificate("".join(lines[:start] + lines[end:]), cert.poset)
         assert str(err.value) == f"line 1: {message}"
 
+    def test_writer_names_the_least_unknown_member(self, q_cert):
+        # not the first one met, which hangs on the order of the members (for a frozenset, on the hash seed)
+        for members in (q_cert.classes["s7"] | {"zz", "yy", "xx", "ww"}, ("s7", "zz", "yy", "ww", "xx")):
+            with pytest.raises(PosetError) as err:
+                format_certificate(replace(q_cert, classes={**q_cert.classes, "s7": members}))
+            assert type(err.value) is PosetError and str(err.value) == "unknown element 'ww'"
+
     # name -> (winning error, losing error), each as (line number in the q-polytope
     # fixture text, the line that replaces it or, with insert, goes before it,
     # insert, error): with several errors in one text, indentation is checked
@@ -672,6 +679,10 @@ class TestCertificateIO:
         "odd-indent-before-header": (
             (31, "   class s2 kind=ordinary", False, "line 31: odd indentation"),
             (1, "spart other-poset", False, "line 1: certificate is for 'other-poset', poset is 'q-polytope'"),
+        ),
+        "header-before-structure": (
+            (1, "spart other-poset", False, "line 1: certificate is for 'other-poset', poset is 'q-polytope'"),
+            (41, "                sub", False, "line 41: unexpected indentation"),
         ),
         "structure-before-members": (
             (41, "                sub", False, "line 41: unexpected indentation"),

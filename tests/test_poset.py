@@ -473,6 +473,26 @@ class TestWritableNames:
             assert back == p and back.name == p.name, family
 
 
+class TestIntegerRanks:
+    """The name constructor takes only int ranks: a float or a bool rank built a poset that validated but did
+    not round-trip (``elem bot 0.0`` fails to parse), and a str rank raised a bare TypeError."""
+
+    @pytest.mark.parametrize("rank", [0.0, False, "0", None])
+    def test_bot_rank(self, rank):
+        with pytest.raises(PosetError) as err:
+            GradedPoset("p", {BOT: rank, TOP: 1}, [(BOT, TOP)])
+        assert type(err.value) is PosetError and str(err.value) == f"rank {rank!r} of 'bot' is not an integer"
+
+    @pytest.mark.parametrize("rank", [1.0, True, "1"])
+    def test_middle_rank(self, rank):
+        with pytest.raises(PosetError, match=re.escape(f"rank {rank!r} of 'a' is not an integer")):
+            GradedPoset("p", {BOT: 0, "a": rank, TOP: 2}, [(BOT, "a"), ("a", TOP)])
+
+    def test_int_ranks_round_trip(self):
+        p = GradedPoset("p", {BOT: 0, "a": 1, TOP: 2}, [(BOT, "a"), ("a", TOP)])
+        assert validate(p) == [] and parse_poset(format_poset(p)) == p
+
+
 class TestEulerianProperty:
     def test_mobius_pattern_exhaustive(self):
         for name, params in [("polygon", (6,)), ("cube", (3,)), ("simplex-boundary", (3,))]:

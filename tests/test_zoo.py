@@ -121,6 +121,13 @@ class TestTranscribedFixtures:
         with pytest.raises(zoo.BadParams):
             zoo.fixture_certificate("q-polytope", (3,))
 
+    def test_published_certificate_of_a_built_poset(self, torus6, torus6_cert):
+        assert zoo.published_certificate("torus-fig6", torus6) == torus6_cert
+        with pytest.raises(zoo.NoPublishedCertificate):
+            zoo.published_certificate("polygon", zoo.gen("polygon", (4,)))
+        with pytest.raises(PosetError, match="^the published certificate of q-polytope does not fit torus-fig6: "):
+            zoo.published_certificate("q-polytope", torus6)
+
     def test_fixture_spec_provenance(self):
         spec = zoo.fixture_spec("torus-fig6")
         assert spec.family == "torus-fig6" and "transcribed" in spec.provenance
