@@ -8,7 +8,7 @@ certified semisuspensions.  An S-certificate is the Eulerian special case:
 its one zero class is the terminal singleton and each ordinary class is a
 single subclass.  Every walk is written once over the view both share.
 
-The derived sub-posets (capped initial boundary, gamma, its boundary and
+The derived sub-posets (capped initial boundary, gamma and its
 semisuspension) carry names, so they are memoized on the poset they come
 from, and parsing, verifying, totalling and searching one certificate build
 each of them once.  Each is capped from a bitset of its parent, with no
@@ -39,8 +39,10 @@ count and facet order instead of searching again (see ``_search``).
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
 plus the ordinary contributions of the semisuspension times c; zero classes
-contribute zero.  The boundary cd-indices come from the direct flag
-pipeline and are cross-checked against the recursive totals at every level.
+contribute zero.  Each level makes one cross-check: its initial boundary's
+cd-index, from the direct flag pipeline, must equal its initial
+sub-certificate's recursive total.  An ordinary block's boundary is the
+capped closure of tau in its sub-certificate, so the block reads that index.
 """
 
 from __future__ import annotations
@@ -246,12 +248,6 @@ def gamma_poset(p: GradedPoset, sigma: str, members: set[str] | frozenset[str]) 
 def _gamma(p: GradedPoset, sigma: str, closed: int) -> GradedPoset:
     """gamma_poset on the bitset of a down-closed set."""
     return cap(p, closed, p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
-
-
-@memoized
-def boundary_poset(gamma: GradedPoset) -> GradedPoset:
-    """The boundary of a capped near-Eulerian poset, capped one rank lower."""
-    return cap(gamma, _boundary(gamma), gamma.rank_top - 1, name=f"bnd({gamma.name})")
 
 
 def _suspended(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset:
@@ -483,9 +479,11 @@ verify_s_partition = verify_se_partition = verify_partition
 def _contributions(cert: SPartitionCert | SEPartitionCert):
     """The walk of the contribution map, one certificate level per sub-walk.
 
-    Each boundary cd-index, direct through the flag vector, must equal its
-    sub-certificate's recursive total, or for an ordinary block that
-    sub-certificate's initial block (else CrossCheckError).
+    The one cross-check of a level: the initial boundary's cd-index, direct
+    through the flag vector, must equal the initial sub-certificate's
+    recursive total (else CrossCheckError).  An ordinary block reads its
+    boundary cd-index as its sub-certificate's initial boundary index, which
+    that sub-walk has just checked.
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
@@ -499,16 +497,10 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
         per[sigma] = NcPolynomial.zero(CD)
     for sigma in cert.ordinary():
         acc = NcPolynomial.zero(CD)
-        for _, part, key in cert._subclasses(sigma):
+        for _, _, key in cert._subclasses(sigma):
             sub = cert.subcerts[key]
-            phi_bdry = cd_index(boundary_poset(gamma_poset(p, sigma, part)))
             rec = yield _contributions(sub)
-            if sub.subcert_initial is None:
-                direct, recursive = phi_bdry, NcPolynomial.unit(CD)
-            else:
-                direct, recursive = phi_bdry.times_letter("c"), rec.per_coatom[sub.initial]
-            if direct != recursive:
-                raise CrossCheckError(f"boundary cd-index mismatch at {sigma}: {direct} vs {recursive}")
+            phi_bdry = cd_index(initial_boundary_poset(sub.poset, sub.initial))
             ordinary = (rec.per_coatom[omega].times_letter("c") for omega in sub.ordinary())
             acc = acc + sum(ordinary, phi_bdry.times_letter("d"))
         per[sigma] = acc
@@ -519,10 +511,10 @@ def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) ->
     """Per-coatom contributions of a certificate; the total is the (semi-)cd-index.
 
     ``check`` verifies first, raising all violations as CertificateInvalid
-    before any cd-index.  The totals read the same memoized boundaries and
-    gammas as verification, so checking builds no sub-poset twice.  Each
-    boundary cd-index, from the direct flag pipeline, must equal its
-    sub-certificate's recursive total (else CrossCheckError).
+    before any cd-index.  The totals read the same memoized sub-posets as
+    verification, so they build none after it.  At every level the initial
+    boundary's cd-index, from the direct flag pipeline, must equal the
+    initial sub-certificate's recursive total (else CrossCheckError).
     """
     violations = verify_partition(cert) if check else []
     if violations:

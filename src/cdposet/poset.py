@@ -156,9 +156,15 @@ def _numbered(
 
 
 def _check_name(name: str) -> None:
-    """Raise PosetError unless the file formats can carry name: one field of ``str.split``, no ``#``."""
+    """Raise PosetError unless the file formats can carry name: a str, one field of ``str.split``, no ``#``."""
+    if not isinstance(name, str):
+        raise PosetError(f"name {name!r} is not a string")
     if name.split() != [name] or "#" in name:
         raise PosetError(f"name {name!r} cannot be written to a file: it must be non-empty, without whitespace or '#'")
+
+
+def _is_name_pair(cover) -> bool:
+    return type(cover) in (tuple, list) and len(cover) == 2 and all(isinstance(x, str) for x in cover)
 
 
 def _structure(table: dict, ranks: tuple[int, ...], down: list[int]) -> tuple:
@@ -244,11 +250,17 @@ class GradedPoset:
         if not set(map(type, rank.values())) <= {int}:  # a bool or a float would not round-trip
             x = next(x for x, r in rank.items() if type(r) is not int)
             raise PosetError(f"rank {rank[x]!r} of {x!r} is not an integer")
-        for lo, hi in covers:
-            if lo not in rank or hi not in rank:
-                raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
-            if rank[hi] <= rank[lo]:
-                raise PosetError(f"cover {lo} {hi} does not go up in rank")
+        try:
+            if not set(map(type, covers)) <= {tuple, list}:  # a str such as "ab" would unpack as the cover a < b
+                raise TypeError
+            for lo, hi in covers:  # ValueError on a cover of another length, TypeError on an unhashable name
+                if lo not in rank or hi not in rank:
+                    raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
+                if rank[hi] <= rank[lo]:
+                    raise PosetError(f"cover {lo} {hi} does not go up in rank")
+        except (TypeError, ValueError):
+            bad = next(c for c in covers if not _is_name_pair(c))  # every cover before the one that raised is a pair
+            raise PosetError(f"cover {bad!r} is not a pair of element names") from None
         elems, ranks, down = _numbered(rank, covers)
         table: dict = {}
         self._fill(name, elems, _structure(table, ranks, down), table)

@@ -137,6 +137,49 @@ class TestArithmetic:
         assert p.times_letter("c").degree() == p.degree() + 1
 
 
+class TestProducts:
+    """``*`` with a polynomial or an int scalar, ``coeff``, ``__hash__`` and ``__repr__``."""
+
+    @settings(max_examples=50)
+    @given(p=cd_polys(max_degree=3), q=cd_polys(max_degree=3))
+    def test_expansion_is_multiplicative(self, p, q):
+        assert expand_cd_to_ab(p * q) == expand_cd_to_ab(p) * expand_cd_to_ab(q)
+
+    def test_word_concatenation(self):
+        assert cd({"c": 1, "d": 2}) * cd({"c": 3}) == cd({"cc": 3, "dc": 6})
+        assert cd({"c": 1}) * NcPolynomial.unit(CD) == cd({"c": 1})
+        assert (cd({"c": 1}) * NcPolynomial.zero(CD)).is_zero()
+
+    @given(p=cd_polys(), k=st.integers(-5, 5))
+    def test_int_scalars_on_both_sides(self, p, k):
+        scaled = cd({word: k * coeff for word, coeff in p.items()})
+        assert k * p == p * k == scaled
+        assert (0 * p).is_zero() and 1 * p == p
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatch, match="cd \\* ab"):
+            cd({"c": 1}) * ab({"a": 1})
+
+    @pytest.mark.parametrize("product", [lambda p: p * "c", lambda p: "c" * p, lambda p: p * 1.0])
+    def test_other_operands(self, product):
+        with pytest.raises(TypeError):
+            product(cd({"c": 1}))
+
+    def test_coeff(self):
+        p = cd({"cc": 1, "d": -2})
+        assert (p.coeff("cc"), p.coeff("d"), p.coeff("dc"), p.coeff("")) == (1, -2, 0, 0)
+        assert NcPolynomial.unit(CD).coeff("") == 1
+
+    def test_equal_polynomials_built_in_another_order_hash_alike(self):
+        p, q = cd([("cc", 1), ("d", 2), ("cd", -1)]), cd([("cd", -1), ("d", 2), ("cc", 1)])
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+
+    def test_repr(self):
+        assert repr(cd({"cc": 1, "d": 2})) == "NcPolynomial('cd', c^2 + 2d)"
+        assert repr(ab({"ab": -1})) == "NcPolynomial('ab', -ab)"
+        assert repr(NcPolynomial.zero(CD)) == "NcPolynomial('cd', 0)"
+
+
 class TestSubstitutions:
     def test_expand_generators(self):
         assert expand_cd_to_ab(cd({"c": 1})) == ab({"a": 1, "b": 1})
