@@ -164,18 +164,9 @@ def flag_h(f: FlagVector) -> FlagVector:
     return FlagVector(f.d, _by_rank_set(_subset_transform(_by_mask(f), -1)))
 
 
-def flag_f_from_h(h: FlagVector) -> FlagVector:
-    """Inverse transform f_K = sum over T in K of h_T (subset zeta transform)."""
-    return FlagVector(h.d, _by_rank_set(_subset_transform(_by_mask(h), 1)))
-
-
 def ab_polynomial(h: FlagVector) -> NcPolynomial:
     """The ab-polynomial: sum of h_K u_K with u_i = b exactly when i is in K."""
     return NcPolynomial(AB, {ab_word(_set_to_mask(K), h.d): c for K, c in h.counts.items()})
-
-
-# the chain polynomial is the same sum over f, sum of f_K u_K; a -> a-b turns it into the ab-polynomial
-chain_polynomial = ab_polynomial
 
 
 def euler_characteristic(p: GradedPoset) -> int:

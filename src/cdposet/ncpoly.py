@@ -228,11 +228,6 @@ def format_polynomial(p: NcPolynomial) -> str:
 # -- word enumeration ----------------------------------------------------------
 
 
-def ab_words(degree: int) -> list[str]:
-    """All 2^degree ab-words of the given degree, in lexicographic order."""
-    return ["".join(w) for w in product("ab", repeat=degree)]
-
-
 def cd_words(degree: int) -> list[str]:
     """All cd-words of the given degree, in lexicographic order.
 

@@ -36,6 +36,17 @@ certificate exists.  Within one public call, an S sub-search of a numbered
 structure (and tau number) already searched replays the recorded node
 count and facet order instead of searching again (see ``_search``).
 
+Certificate records are frozen dataclasses with read-only mappings, so a
+record never changes once built.  ``parse_certificate`` and ``_certificate``
+(the searches and converters) build each level once, after its
+sub-certificates, and give it a level token: an object interned in the
+structure-table entry of the level's poset and keyed by numbers only (see
+``_level``).  A full walk of a level that finds no violation marks its
+token verified, and a later walk of any level with that token returns at
+once, so each distinct numbered level is verified once per poset family.
+A record built by hand, with the constructor or ``dataclasses.replace``,
+has no token and is verified in full.
+
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
 plus the ordinary contributions of the semisuspension times c; zero classes
@@ -47,9 +58,12 @@ capped closure of tau in its sub-certificate, so the block reads that index.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
-from collections.abc import Hashable
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Mapping
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from types import MappingProxyType
 
 from .flags import cd_index
 from .ncpoly import CD, NcPolynomial
@@ -135,15 +149,78 @@ class Budget:
         self.used += nodes
 
 
+class _Level:
+    """The token of a numbered certificate level: one object per key in its structure's table entry (``_level``).
+
+    A token holds nothing and is compared by identity.  Once a full walk of a
+    record with this token has found no violation, the token is in
+    ``_VERIFIED``; its key fixes that outcome, so a later walk of any record
+    with this token returns at once.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+# The marks of ``_verify``.  They stay out of the structure table, whose memo holds only values that never
+# change, and the set is weak, so a family's tokens and marks go with its posets.
+_VERIFIED: "weakref.WeakSet[_Level]" = weakref.WeakSet()
+_NO_ITEMS = MappingProxyType({})
+
+
 class _Certificate:
     """The view of a certificate that every walk reads.
 
-    ``header`` is the file-format word and the default violation path;
-    ``zero_kind`` names the kind of class that contributes zero.
+    Records are frozen dataclasses with read-only mappings, so a record
+    never changes after it is built.  ``header`` is the file-format
+    word and the default violation path; ``zero_kind`` names the kind of
+    class that contributes zero.  A record that ``parse_certificate`` or
+    ``_certificate`` built gets its level ``token`` when it is first asked
+    for (``_derive_tokens``); a record built by hand (the constructor,
+    ``dataclasses.replace``, a copy) has none.
     """
 
     header = ""
     zero_kind = ""
+    _mappings: tuple[str, ...] = ()
+    _token_due = False  # the library built this record, and ``_derive_tokens`` has not yet derived its token
+    _token: _Level | None = None
+
+    def __post_init__(self) -> None:
+        """Keep a read-only copy of each mapping, so that the caller's dicts cannot change the record."""
+        for name in self._mappings:
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @classmethod
+    def _built(cls, token_due: bool, **fields):
+        """``cls(**fields)`` as the library's builders make it, marked for a level token when ``token_due``.
+
+        fields are every field, or only the poset of a rank-1 record, whose
+        mappings are empty and whose other fields keep their defaults.  The
+        builders' mappings are fresh dicts that nothing else holds, so they
+        are wrapped read-only as they are: the constructor's copies and
+        field-by-field writes would only cost time.
+        """
+        cert = object.__new__(cls)
+        state = cert.__dict__
+        state.update(fields)
+        if len(fields) == 1:
+            state.update(cls._rank1)
+        else:
+            for name in cls._mappings:
+                state[name] = MappingProxyType(state[name])
+        state["_token_due"] = token_due
+        return cert
+
+    @property
+    def token(self) -> _Level | None:
+        """The level token of a record the library built (see ``_level``); None on a record built by hand."""
+        _derive_tokens(self)
+        return self._token
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor: the copy is a hand-built record."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
     def zero_classes(self) -> frozenset[str]:
         raise NotImplementedError
@@ -160,19 +237,20 @@ class _Certificate:
         return sorted(s for s in self.classes if s != self.initial and s not in zero)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SPartitionCert(_Certificate):
     """Witness of S-partitionability; sub-certificates are nested certs."""
 
     poset: GradedPoset
-    classes: dict[str, frozenset[str]]
+    classes: Mapping[str, frozenset[str]]
     initial: str | None = None
     terminal: str | None = None
     subcert_initial: "SPartitionCert | None" = None
-    subcerts: dict[str, "SPartitionCert"] = field(default_factory=dict)
+    subcerts: Mapping[str, "SPartitionCert"] = field(default_factory=dict)
 
     header = "spart"
     zero_kind = "terminal"
+    _mappings = ("classes", "subcerts")
 
     def zero_classes(self) -> frozenset[str]:
         return frozenset() if self.terminal is None else frozenset({self.terminal})
@@ -181,20 +259,21 @@ class SPartitionCert(_Certificate):
         return [(None, self.classes[sigma] - {sigma}, sigma)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SEPartitionCert(_Certificate):
     """Witness of SE-partitionability with per-coatom subclass decompositions."""
 
     poset: GradedPoset
-    classes: dict[str, frozenset[str]]
+    classes: Mapping[str, frozenset[str]]
     initial: str | None = None
     singletons: frozenset[str] = frozenset()
-    subclass_decomp: dict[str, tuple[frozenset[str], ...]] = field(default_factory=dict)
+    subclass_decomp: Mapping[str, tuple[frozenset[str], ...]] = field(default_factory=dict)
     subcert_initial: "SPartitionCert | None" = None
-    subcerts: dict[tuple[str, int], SPartitionCert] = field(default_factory=dict)
+    subcerts: Mapping[tuple[str, int], SPartitionCert] = field(default_factory=dict)
 
     header = "separt"
     zero_kind = "singleton"
+    _mappings = ("classes", "subclass_decomp", "subcerts")
 
     def zero_classes(self) -> frozenset[str]:
         return self.singletons
@@ -202,6 +281,10 @@ class SEPartitionCert(_Certificate):
     def _subclasses(self, sigma: str) -> list[tuple[int | None, frozenset[str], Hashable]]:
         parts = self.subclass_decomp[sigma]
         return [(j, frozenset(part), (sigma, j)) for j, part in enumerate(parts, start=1)]
+
+
+for _kind in (SPartitionCert, SEPartitionCert):  # the fields of a rank-1 record besides its poset
+    _kind._rank1 = {f.name: _NO_ITEMS if f.name in _kind._mappings else f.default for f in fields(_kind)[1:]}
 
 
 @dataclass
@@ -430,6 +513,11 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
 
 
 def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
+    """The walk of ``verify_partition`` at one level; a level whose token is verified passes at once."""
+    if cert._token_due:
+        _derive_tokens(cert)
+    if cert._token in _VERIFIED:
+        return []
     eulerian = isinstance(cert, SPartitionCert)
     p = cert.poset
     bad = validate(p)
@@ -438,7 +526,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
     if p.rank_top - 1 == 0:
         if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
             return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
-        return []
+        return _passed(cert, [])
     if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
         return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
     out: list[Violation] = []
@@ -467,6 +555,13 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
                 out.append(Violation(suspended.code, spath, suspended.detail))
                 continue
             yield from _verify_sub(cert.subcerts.get(key), suspended, spath, tau_name(sigma, j), out)
+    return _passed(cert, out)
+
+
+def _passed(cert: SPartitionCert | SEPartitionCert, out: list[Violation]) -> list[Violation]:
+    """out, the violations of a full walk of cert's level; its token is marked verified when there are none."""
+    if cert._token is not None and not out:
+        _VERIFIED.add(cert._token)
     return out
 
 
@@ -554,6 +649,68 @@ def _components(p: GradedPoset, members: int) -> list[int]:
     return sorted(comps, key=lambda comp: min(p._names(comp)))
 
 
+@memoized(shared=True)
+def _level(p: GradedPoset, key: tuple) -> _Level:
+    """The token of the numbered certificate level key on p's structure, interned in its table entry.
+
+    key is the record's kind, the bitset of its zero classes, (coatom number,
+    member bitset) per class, and (coatom number, subclass number, subclass
+    bitset, sub-certificate token) per block, the initial block first; an S
+    block and the initial one are not numbered and have the bitset 0, since
+    their members are their class's.  Tokens are compared and hashed by
+    identity, so a key holds its sub-levels at the cost of one object each
+    (hash-consing).
+
+    The key fixes whether a record verifies.  The walk reads numbers, and
+    the names it reads give the same answer on every record that gets a
+    token (see ``_reads_numbers``): the poset's bot and top are named right,
+    no class can find its tau name taken, every sub-certificate certifies the
+    sub-poset ``_verify`` derives (it is that object), and every ordinary
+    sub-certificate starts at its tau.
+    """
+    return _Level()
+
+
+def _derive_tokens(cert: SPartitionCert | SEPartitionCert) -> None:
+    """Derive the level tokens that cert and the sub-certificates below it are due, sub-certificates first."""
+    due, stack = [], [cert]
+    while stack:
+        level = stack.pop()
+        if level._token_due:
+            vars(level)["_token_due"] = False
+            due.append(level)
+            if level.subcert_initial is not None:
+                stack.append(level.subcert_initial)
+            stack.extend(level.subcerts.values())
+    for level in reversed(due):  # each after the levels below it
+        vars(level)["_token"] = _token_of(level)
+
+
+def _token_of(cert: SPartitionCert | SEPartitionCert) -> _Level | None:
+    """cert's level token, from its sub-certificates' tokens.
+
+    None when a sub-certificate has none, a class's coatom is not an
+    element, or an ordinary sub-certificate does not start at its tau
+    (verification fails there).  The library gives a record a
+    sub-certificate exactly for its initial class and for each block of its
+    ordinary classes.
+    """
+    p, classes = cert.poset, cert.classes
+    if not classes:  # a rank-1 record
+        return _level(p, (cert.header, 0, (), ()))
+    index = p._index
+    if not all(map(index.__contains__, classes)) or cert.subcert_initial._token is None:
+        return None
+    subs = [(index[cert.initial], None, 0, cert.subcert_initial._token)]
+    for key, sub in cert.subcerts.items():
+        sigma, j = key if type(key) is tuple else (key, None)
+        if sub._token is None or sub.initial != tau_name(sigma, j):
+            return None
+        subs.append((index[sigma], j, 0 if j is None else p._mask(cert.subclass_decomp[sigma][j - 1]), sub._token))
+    numbered = tuple((index[sigma], p._mask(members)) for sigma, members in classes.items())
+    return _level(p, (cert.header, p._mask(cert.zero_classes()), numbered, tuple(subs)))
+
+
 def _certificate(
     p: GradedPoset,
     cls: type,
@@ -571,47 +728,72 @@ def _certificate(
     classes besides the initial one: the S terminal (every caller leaves
     exactly one) or the SE singletons.  SE ordinary classes split into their
     connected components.  ``checked``: the caller already ran the class
-    checks.  Names are formed only for the certificate record.
+    checks.  The record is built once, after its sub-certificates, and names
+    are formed only for it; it is marked for a level token unless ``replay``
+    is None.
     """
     names = p._elements
     zero = [i for i in sorted(classes) if i != initial and classes[i] == 1 << i]
-    record = {names[i]: frozenset(p._names(members)) for i, members in classes.items()}
     if cls is SPartitionCert:
         zero = zero[:1]
-        cert = SPartitionCert(p, record, names[initial], names[zero[0]] if zero else None)
-    else:
-        cert = SEPartitionCert(p, record, names[initial], frozenset(map(names.__getitem__, zero)))
     blocks = {}  # (j, members besides the coatom) per subclass of each ordinary class
     for i in sorted(classes):
         if i != initial and i not in zero:
             rest = classes[i] & ~(1 << i)
             blocks[i] = [(None, rest)] if cls is SPartitionCert else list(enumerate(_components(p, rest), start=1))
-    if cls is SEPartitionCert:
-        cert.subclass_decomp = {names[i]: tuple(frozenset(p._names(m)) for _, m in parts) for i, parts in blocks.items()}
     boundary = initial_boundary_poset(p, names[initial])
+    sub_initial = None
     # a rank-1 boundary is the two-element chain and needs no test
     if boundary.rank_top == 1 or is_eulerian(boundary):
-        cert.subcert_initial = yield _search(boundary, budget, SPartitionCert, replay=replay)
-    if cert.subcert_initial is None:
+        sub_initial = yield _search(boundary, budget, SPartitionCert, replay=replay)
+    if sub_initial is None:
         return FailureReport(names[initial], "initial-subcert", "capped boundary admits no certificate")
+    subcerts = {}
     for i, parts in blocks.items():
         sigma = names[i]
         for j, rest in parts:
             suspended = (_suspended if checked else _gamma_checked)(p, sigma, rest, j)
             if isinstance(suspended, FailureReport):
                 return suspended
-            key = sigma if j is None else (sigma, j)
             # the class check found the semisuspension Eulerian
-            cert.subcerts[key] = yield _search(suspended, budget, SPartitionCert, tau_name(sigma, j), replay)
-            if cert.subcerts[key] is None:
+            sub = yield _search(suspended, budget, SPartitionCert, tau_name(sigma, j), replay)
+            if sub is None:
                 where = "" if j is None else f"subclass {j} "
                 return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
-    return cert
+            subcerts[sigma if j is None else (sigma, j)] = sub
+    record = {names[i]: frozenset(p._names(members)) for i, members in classes.items()}
+    token_due = replay is not None
+    if cls is SPartitionCert:
+        terminal = names[zero[0]] if zero else None
+        return SPartitionCert._built(
+            token_due, poset=p, classes=record, initial=names[initial], terminal=terminal,
+            subcert_initial=sub_initial, subcerts=subcerts,
+        )
+    decomp = {names[i]: tuple(frozenset(p._names(m)) for _, m in parts) for i, parts in blocks.items()}
+    singletons = frozenset(map(names.__getitem__, zero))
+    return SEPartitionCert._built(
+        token_due, poset=p, classes=record, initial=names[initial], singletons=singletons, subclass_decomp=decomp,
+        subcert_initial=sub_initial, subcerts=subcerts,
+    )
+
+
+def _reads_numbers(p: GradedPoset) -> bool:
+    """Whether p is valid and no element of p is named like a tau: then certificate outcomes below p read numbers only.
+
+    Every poset that ``cap`` and ``semisuspension`` derive from a valid poset
+    has one bot and one top, named right, so ``validate`` reads only its
+    numbered structure.  Without a tau-like name in p, each derived poset
+    holds at most one, its own tau, a coatom, so no class can fail
+    ``tau-name-taken``.  Searches of p replay (``_replay_table``), and the
+    records that ``_certificate`` and ``parse_certificate`` build on p get
+    level tokens (``_level``).
+    """
+    return not validate(p) and not any(map(str.startswith, p._elements, repeat("tau@")))
 
 
 def _replay_table(p: GradedPoset) -> dict | None:
-    """The replay table of one public call on p: empty, or None (no replay) when an element of p is named like a tau."""
-    return None if any(x.startswith("tau@") for x in p._elements) else {}
+    """The replay table of one public call on p: empty, or None (no replay, no level tokens) unless ``_reads_numbers``."""
+    return {} if _reads_numbers(p) else None
 
 
 def se_certificate_from_classes(
@@ -691,7 +873,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
     table (``_replay_table``), since there a tau name can be taken.
     """
     if p.rank_top == 1:
-        return cls(p, {})
+        return cls._built(replay is not None, poset=p)
     s_rules = cls is SPartitionCert
     key = None
     if s_rules and replay is not None:
@@ -1030,29 +1212,37 @@ def _read_block(
     return frozenset(members), sub_block
 
 
-def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, build, *args):
+def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, tokens: bool, build, *args):
     """Build the poset a sub-certificate certifies; the walk that parses its ``sub`` block."""
     try:
         sub_poset = build(*args)
     except PosetError as exc:
         raise CertificateParseError(str(exc), lineno)
-    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert)
+    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert, tokens)
 
 
-def _parse_classes(tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type):
+def _parse_classes(
+    tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type, tokens: bool
+):
     """The class blocks of one certificate level, rows ``block[0]`` to ``block[1] - 1``.
 
     SE ordinary classes hold subclass blocks.  lineno is the line of the
     level's header or ``sub`` row, named by the errors of the whole level.
+    The record is built once, after its sub-certificates; with ``tokens`` it
+    is marked for a level token (``_derive_tokens``).
     """
     rows, ends = tree
     i, stop = block
     split = cls is SEPartitionCert
-    cert = cls(poset, {})
     if poset.rank_top - 1 == 0:
         if i < stop:
             raise CertificateParseError("rank-1 certificate must have no classes", rows[i][0])
-        return cert
+        return cls._built(tokens, poset=poset)
+    classes: dict[str, frozenset[str]] = {}
+    decomp: dict[str, tuple[frozenset[str], ...]] = {}
+    subcerts: dict = {}
+    zero: list[str] = []
+    initial = sub_initial = None
     while i < stop:
         line_no, _, fields = rows[i]
         if fields[0] != "class" or len(fields) != 3 or not fields[2].startswith("kind="):
@@ -1061,7 +1251,7 @@ def _parse_classes(tree: tuple[list, list[int]], block: tuple[int, int], poset: 
         kind = fields[2].removeprefix("kind=")
         if kind not in ("initial", "ordinary", cls.zero_kind):
             raise CertificateParseError(f"unknown kind {kind!r}", line_no)
-        if sigma in cert.classes:
+        if sigma in classes:
             raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
@@ -1074,38 +1264,43 @@ def _parse_classes(tree: tuple[list, list[int]], block: tuple[int, int], poset: 
                 part, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
                 parts.append(part)
                 rest = poset._mask(part)
-                sub = _parse_sub(tree, sub_block, inner_no, _suspended, poset, sigma, rest, j)
-                cert.subcerts[(sigma, j)] = yield sub
+                sub = _parse_sub(tree, sub_block, inner_no, tokens, _suspended, poset, sigma, rest, j)
+                subcerts[sigma, j] = yield sub
                 k = ends[k]
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line_no)
-            cert.subclass_decomp[sigma] = tuple(parts)
-            cert.classes[sigma] = frozenset({sigma}).union(*parts)
+            decomp[sigma] = tuple(parts)
+            classes[sigma] = frozenset({sigma}).union(*parts)
             i = ends[i]
             continue
         members, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
-        cert.classes[sigma] = members
+        classes[sigma] = members
         if kind == "initial":
-            if cert.initial is not None:
+            if initial is not None:
                 raise CertificateParseError("two initial classes", line_no)
-            cert.initial = sigma
-            cert.subcert_initial = yield _parse_sub(tree, sub_block, line_no, initial_boundary_poset, poset, sigma)
+            initial = sigma
+            sub_initial = yield _parse_sub(tree, sub_block, line_no, tokens, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
             rest = poset._mask(members - {sigma})
-            cert.subcerts[sigma] = yield _parse_sub(tree, sub_block, line_no, _suspended, poset, sigma, rest, None)
-        elif split:
-            cert.singletons |= {sigma}
-        elif cert.terminal is not None:
-            raise CertificateParseError("two terminal classes", line_no)
+            subcerts[sigma] = yield _parse_sub(tree, sub_block, line_no, tokens, _suspended, poset, sigma, rest, None)
+        elif split or not zero:
+            zero.append(sigma)
         else:
-            cert.terminal = sigma
+            raise CertificateParseError("two terminal classes", line_no)
         i = ends[i]
     if split:
-        if cert.initial is None:
+        if initial is None:
             raise CertificateParseError("certificate needs an initial class", lineno)
-    elif cert.initial is None or cert.terminal is None:
+        return SEPartitionCert._built(
+            tokens, poset=poset, classes=classes, initial=initial, singletons=frozenset(zero), subclass_decomp=decomp,
+            subcert_initial=sub_initial, subcerts=subcerts,
+        )
+    if initial is None or not zero:
         raise CertificateParseError("certificate needs an initial and a terminal class", lineno)
-    return cert
+    return SPartitionCert._built(
+        tokens, poset=poset, classes=classes, initial=initial, terminal=zero[0], subcert_initial=sub_initial,
+        subcerts=subcerts,
+    )
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:
@@ -1119,4 +1314,4 @@ def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEParti
         raise CertificateParseError(f"certificate is for {name!r}, poset is {poset.name!r}", lineno)
     if misplaced is not None:
         raise misplaced
-    return _run(_parse_classes((rows, ends), (1, len(rows)), poset, lineno, kinds[header]))
+    return _run(_parse_classes((rows, ends), (1, len(rows)), poset, lineno, kinds[header], _reads_numbers(poset)))

@@ -222,7 +222,9 @@ def memoized(fn=None, *, shared: bool = False):
     it is built; the values must not change either, and a shared value holds
     no poset.  The derived table entries of ``cap`` and ``semisuspension``
     sit beside this memo, in ``p._derived``.  Keys name fn by string, so a
-    poset with a memo still pickles.
+    poset with a memo still pickles.  A call with an argument that does not
+    hash, such as a list, is not memoized: fn runs, and its own checks raise
+    the ``PosetError`` that names the argument.
     """
     if fn is None:
         return functools.partial(memoized, shared=shared)
@@ -232,7 +234,10 @@ def memoized(fn=None, *, shared: bool = False):
     def wrapper(p: GradedPoset, *args, **kwargs):
         key = (name, args, *kwargs.items()) if kwargs else (name, args)
         store = p._shared if shared else p._cache
-        value = store.get(key, _MISSING)
+        try:
+            value = store.get(key, _MISSING)
+        except TypeError:  # an argument does not hash
+            return fn(p, *args, **kwargs)
         if value is _MISSING:
             value = store[key] = fn(p, *args, **kwargs)
         return value
@@ -296,13 +301,18 @@ class GradedPoset:
         self._cache: dict = {}  # the values of ``memoized`` functions that read this poset's names
 
     def _mask(self, names: Iterable[str]) -> int:
-        """The bitset of the named elements; PosetError on an unknown name."""
+        """The bitset of the named elements; PosetError on an unknown name, and when names is not iterable."""
         mask = 0
-        for x in names:
-            i = self._index.get(x)
-            if i is None:
-                raise PosetError(f"unknown element {x!r}")
-            mask |= 1 << i
+        x = names  # named by the error when names is not iterable
+        try:
+            for x in names:
+                i = self._index.get(x)
+                if i is None:
+                    raise PosetError(f"unknown element {x!r}")
+                mask |= 1 << i
+        except TypeError:  # names is not iterable, or x does not hash
+            what = f"{x!r} is not a collection of element names" if x is names else f"unknown element {x!r}"
+            raise PosetError(what) from None
         return mask
 
     def _names(self, mask: int) -> tuple[str, ...]:

@@ -17,11 +17,9 @@ from cdposet.flags import (
     FlagVector,
     ab_polynomial,
     cd_index,
-    chain_polynomial,
     check_dehn_sommerville,
     euler_characteristic,
     flag_f,
-    flag_f_from_h,
     flag_h,
     format_flag_vector,
     modified_flag_f,
@@ -29,6 +27,15 @@ from cdposet.flags import (
 )
 from cdposet.ncpoly import AB, CD, NcPolynomial, NotInImage, ab_to_cd, expand_cd_to_ab
 from cdposet.poset import BOT, TOP, GradedPoset, PosetError, RankTooLow, format_poset, validate
+
+
+def flag_f_from_h(h):
+    """The inverse of ``flag_h``: f_K = sum over T in K of h_T (subset zeta transform)."""
+    return FlagVector(h.d, flags._by_rank_set(flags._subset_transform(flags._by_mask(h), 1)))
+
+
+# the chain polynomial is the sum of f_K u_K, the ab-polynomial's sum over f; a -> a-b turns it into the ab-polynomial
+chain_polynomial = ab_polynomial
 
 
 def brute_flag_f(p):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from cdposet.ncpoly import (
     ab_mask,
     ab_to_cd,
     ab_word,
-    ab_words,
     cd_words,
     expand_cd_to_ab,
     format_polynomial,
@@ -30,6 +30,11 @@ from cdposet.ncpoly import (
     substitute_a_plus_b,
     word_degree,
 )
+
+
+def ab_words(degree):
+    """All 2^degree ab-words of the given degree, in lexicographic order."""
+    return ["".join(w) for w in itertools.product("ab", repeat=degree)]
 
 
 def cd(terms):

@@ -14,7 +14,7 @@ import sys
 import traceback
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -1280,3 +1280,148 @@ class TestReplay:
         else:
             at_once.spend(nodes)
         assert at_once.used == one_by_one.used
+
+
+class _Forgetful:
+    """A stand-in for ``partition._VERIFIED`` that keeps no token, so every verification walks every level."""
+
+    def add(self, token):
+        pass
+
+    def __contains__(self, token):
+        return False
+
+
+def _levels(cert):
+    """Every level of a certificate: the record and its sub-certificates, depth first."""
+    out, stack = [], [cert]
+    while stack:
+        level = stack.pop()
+        out.append(level)
+        stack.extend(sub for sub in (level.subcert_initial, *level.subcerts.values()) if sub is not None)
+    return out
+
+
+def _bench_cert(name, family, params=()):
+    """A benchmark certificate parsed against a freshly built poset, so no other test has walked its levels."""
+    text = (Path(__file__).resolve().parent.parent / "bench_cdposet" / "certs" / f"{name}.cert").read_text(encoding="utf-8")
+    return parse_certificate(text, parse_poset(format_poset(zoo.gen(family, params))))
+
+
+class TestVerificationMemo:
+    """A level whose token a full walk has verified passes at once; the memo changes no verification outcome."""
+
+    @staticmethod
+    def both_ways(monkeypatch, cert):
+        """The violations of cert with the memo on, twice (the second from the memo), and with it off."""
+        on = [str(v) for v in partition.verify_partition(cert)]
+        again = [str(v) for v in partition.verify_partition(cert)]
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_VERIFIED", _Forgetful())
+            off = [str(v) for v in partition.verify_partition(cert)]
+        assert on == again == off
+        return on
+
+    @pytest.mark.parametrize("family", ["q-polytope", "torus-fig6", "torus-fig12"])
+    def test_zoo_published_certificates(self, monkeypatch, family):
+        cert = zoo.fixture_certificate(family)
+        assert cert.token is not None and self.both_ways(monkeypatch, cert) == []
+
+    @pytest.mark.parametrize("family, params, search", TestReplay.SEARCHED)
+    def test_searched_certificates(self, monkeypatch, family, params, search):
+        cert = search(parse_poset(format_poset(zoo.gen(family, params))))
+        assert all(level.token is not None for level in _levels(cert))
+        assert self.both_ways(monkeypatch, cert) == []
+
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_mutations(self, request, monkeypatch, name):
+        fixture, mutate, expected = _MUTATIONS[name]
+        cert = mutate(request.getfixturevalue(fixture))
+        assert cert.token is None  # a replace result is verified in full
+        assert self.both_ways(monkeypatch, cert) == expected
+
+    def test_polygon100_walks_each_distinct_level_once(self, monkeypatch):
+        """199 levels of 3 numbered shapes: the poset, its rank-2 boundaries and semisuspensions, and rank 1."""
+        cert = _bench_cert("polygon-100", "polygon", (100,))
+        levels = _levels(cert)
+        tokens = {id(level.token) for level in levels}
+        assert len(levels) == 199 and len(tokens) == 3 and None not in {level.token for level in levels}
+        walked = []
+        real = partition.validate  # a full walk of a level validates its poset once; a memo hit does not
+        monkeypatch.setattr(partition, "validate", lambda p: walked.append(p) or real(p))
+        assert verify_s_partition(cert) == [] and len(walked) == 3
+        assert verify_s_partition(cert) == [] and len(walked) == 3
+        assert contributions_s(cert, check=True).total == cd_index(cert.poset) and len(walked) == 3
+
+    def test_levels_of_one_structure_share_a_token(self):
+        cert = _bench_cert("polygon-100", "polygon", (100,))
+        subs = list(cert.subcerts.values())
+        assert len(subs) == 98 and len({id(sub.token) for sub in subs}) == 1
+        assert len({sub.poset.name for sub in subs}) == 98  # 98 posets, named apart, of one numbered structure
+        assert subs[0].token is cert.subcert_initial.token  # the capped boundary of an edge has that shape too
+
+    def test_a_replace_result_has_no_token_and_is_walked_in_full(self, monkeypatch):
+        cert = _bench_cert("q-polytope", "q-polytope")
+        assert verify_s_partition(cert) == []
+        copy_ = replace(cert)
+        assert cert.token is not None and copy_.token is None and copy_ == cert
+        walked = []
+        real = partition.validate
+        monkeypatch.setattr(partition, "validate", lambda p: walked.append(p) or real(p))
+        assert verify_s_partition(cert) == [] and walked == []
+        assert verify_s_partition(copy_) == [] and walked == [cert.poset]  # its sub-certificates are the library's
+
+    def test_records_are_immutable(self, q_cert, torus6_cert):
+        for cert in (q_cert, torus6_cert, replace(q_cert)):
+            with pytest.raises(TypeError):
+                cert.classes["s1"] = frozenset()
+            with pytest.raises(TypeError):
+                cert.subcerts["s1"] = cert
+            with pytest.raises(FrozenInstanceError):
+                cert.initial = "s2"
+            with pytest.raises(FrozenInstanceError):
+                cert.token = None
+        with pytest.raises(TypeError):
+            torus6_cert.subclass_decomp["F00"] = ()
+
+    def test_a_hand_built_record_copies_its_mappings(self, q_cert):
+        classes = dict(q_cert.classes)
+        cert = SPartitionCert(q_cert.poset, classes, q_cert.initial, q_cert.terminal, q_cert.subcert_initial, q_cert.subcerts)
+        classes.pop("s1")
+        assert cert == q_cert and "s1" in cert.classes and cert.token is None
+
+    def test_a_record_pickles_and_copies_as_a_hand_built_one(self, q_cert):
+        for back in (pickle.loads(pickle.dumps(q_cert)), copy.deepcopy(q_cert), copy.copy(q_cert)):
+            assert back == q_cert and back.token is None
+            assert format_certificate(back) == format_certificate(q_cert) and verify_s_partition(back) == []
+
+    def test_a_sub_certificate_that_does_not_start_at_its_tau(self, monkeypatch, q_cert):
+        """It verifies on its own, so it has a token; the level above it fails and has none."""
+        text = format_certificate(q_cert)
+        tau_first = (
+            "          class P kind=terminal\n            members P\n"
+            "          class tau@AP kind=initial\n            members bot tau@AP\n            sub\n"
+        )
+        assert tau_first in text
+        p_first = (
+            "          class P kind=initial\n            members bot P\n            sub\n"
+            "          class tau@AP kind=terminal\n            members tau@AP\n"
+        )
+        cert = parse_certificate(text.replace(tau_first, p_first), parse_poset(format_poset(q_cert.poset)))
+        level = cert.subcert_initial
+        assert level.subcerts["AP"].token is not None and verify_s_partition(level.subcerts["AP"]) == []
+        assert level.token is None and cert.token is None
+        assert self.both_ways(monkeypatch, cert) == [
+            "VIOLATION initial-not-tau spart/class[s1]/sub/class[AP]/sub initial is 'P', expected 'tau@AP'"
+        ]
+
+    def test_no_token_where_a_tau_name_can_be_taken(self):
+        q = _renamed_polygon4()
+        cert = search_s_certificate(q)
+        parsed = parse_certificate(format_certificate(cert), q)
+        assert {level.token for level in _levels(cert) + _levels(parsed)} == {None}
+        assert verify_s_partition(parsed) == []
+
+    def test_no_token_on_an_invalid_poset(self):
+        p = parse_poset(_UNBOUNDED)
+        assert partition._reads_numbers(p) is False and partition._reads_numbers(zoo.gen("polygon", (4,))) is True

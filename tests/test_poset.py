@@ -510,6 +510,33 @@ class TestNameAndCoverTypes:
         assert GradedPoset("p", ranks, [[BOT, "a"], ["a", TOP]]) == GradedPoset("p", ranks, [(BOT, "a"), ("a", TOP)])
 
 
+class TestArgumentTypes:
+    """An argument that does not hash, or a set of names given as an int, is a PosetError naming it; these raised
+    a bare TypeError from the memo's key or from iterating the int."""
+
+    refused = staticmethod(TestNameAndCoverTypes.refused)
+
+    def test_semisuspension_tau_name_that_does_not_hash(self, q_poset):
+        with self.refused("name ['x'] is not a string"):
+            semisuspension(q_poset, ["x"])
+
+    def test_initial_coatom_that_does_not_hash(self, q_poset):
+        with self.refused("unknown element ['s1']"):
+            initial_boundary_poset(q_poset, ["s1"])
+
+    def test_gamma_members_given_as_an_int(self, q_poset):
+        with self.refused("5 is not a collection of element names"):
+            partition_module.gamma_poset(q_poset, "s2", 5)
+
+    def test_closure_members_given_as_an_int(self, q_poset):
+        with self.refused("5 is not a collection of element names"):
+            closure(q_poset, 5)
+
+    def test_the_memo_still_serves_hashable_arguments(self, q_poset):
+        assert initial_boundary_poset(q_poset, "s1") is initial_boundary_poset(q_poset, "s1")
+        assert semisuspension(q_poset, "t") is semisuspension(q_poset, "t")
+
+
 class TestIntegerRanks:
     """The name constructor takes only int ranks: a float or a bool rank built a poset that validated but did
     not round-trip (``elem bot 0.0`` fails to parse), and a str rank raised a bare TypeError."""
@@ -726,12 +753,14 @@ class TestMemo:
             for store in (q._cache, q._shared):
                 for value in store.values():
                     for item in value if isinstance(value, tuple) else (value,):
-                        assert isinstance(item, (bool, int, str, NcPolynomial, GradedPoset))
+                        # a certificate-level token holds no state: it is compared by identity
+                        assert isinstance(item, (bool, int, str, NcPolynomial, GradedPoset, partition_module._Level))
                         kinds.add(type(item))
                         if isinstance(item, GradedPoset):
                             assert store is q._cache  # a poset has names, so it is never shared by structure
                             stack.append(item)
-        assert len(seen) > 50 and NcPolynomial in kinds
+        assert len(seen) > 50 and NcPolynomial in kinds and partition_module._Level in kinds
+        assert partition_module._Level.__slots__ == ("__weakref__",)
 
 
 class TestStructureTable:

@@ -49,3 +49,10 @@ def test_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
 def test_gen_families_listed():
     listed = re.search(r"Available `gen` families: (.*?)\.\n", README, re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == zoo.families()
+
+
+def test_library_example_runs_as_written():
+    """The "Library example" block verifies a certificate and totals it; its asserts hold as written."""
+    block = README.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_partition(cert) == []" in block and "contributions(cert)" in block
+    exec(compile(block, "README.md", "exec"), {})
