@@ -1415,6 +1415,63 @@ class TestVerificationMemo:
             "VIOLATION initial-not-tau spart/class[s1]/sub/class[AP]/sub initial is 'P', expected 'tau@AP'"
         ]
 
+    @staticmethod
+    def mutated(text, names, rng):
+        """text with one random edit of its lines: a member moved or replaced, two kinds or two coatoms swapped."""
+        lines = text.splitlines()
+        members = [i for i, line in enumerate(lines) if line.lstrip().startswith("members ")]
+        classes = [i for i, line in enumerate(lines) if line.lstrip().startswith("class ")]
+        edit = rng.randrange(4)
+        if edit < 2:
+            i, k = rng.sample(members, 2)
+            fields = lines[i].split()
+            x = fields.pop(rng.randrange(1, len(fields)))
+            if edit == 0:  # moved to another class
+                lines[k] += f" {x}"
+            else:  # replaced by another element
+                fields.append(rng.choice(names))
+            lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(fields)
+        else:
+            i, k = rng.sample(classes, 2)
+            a, b = lines[i].split(), lines[k].split()
+            part = 2 if edit == 2 else 1  # the kinds, or the coatoms
+            a[part], b[part] = b[part], a[part]
+            lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(a)
+            lines[k] = lines[k][: len(lines[k]) - len(lines[k].lstrip())] + " ".join(b)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "family, params, search",
+        [
+            ("q-polytope", (), None),
+            ("torus-fig6", (), None),
+            ("polygon", (8,), search_s_certificate),
+            ("cube", (3,), search_s_certificate),
+            ("product", (3, 4), search_se_certificate),
+        ],
+    )
+    def test_mutated_texts_of_one_family(self, monkeypatch, family, params, search):
+        """Mutated texts parsed against one poset share its structure table, so their levels share tokens;
+        each verifies as it does without the memo, whatever the texts verified before it."""
+        p = zoo.gen(family, params)
+        text = format_certificate(zoo.fixture_certificate(family) if search is None else search(p))
+        q = parse_poset(format_poset(p))
+        assert verify_s_partition(parse_certificate(text, q)) == []  # marks the tokens of every level of text
+        rng = random.Random(1)
+        verdicts = Counter()
+        for _ in range(300):
+            mutated = self.mutated(text, q.elements(), rng)
+            try:
+                cert = parse_certificate(mutated, q)
+            except CertificateParseError:
+                continue
+            on = [str(v) for v in verify_s_partition(cert)]
+            with monkeypatch.context() as patched:
+                patched.setattr(partition, "_VERIFIED", _Forgetful())
+                assert [str(v) for v in verify_s_partition(parse_certificate(mutated, q))] == on
+            verdicts[on == []] += 1
+        assert verdicts[False] >= 20
+
     def test_no_token_where_a_tau_name_can_be_taken(self):
         q = _renamed_polygon4()
         cert = search_s_certificate(q)
