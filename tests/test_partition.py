@@ -1302,9 +1302,12 @@ def _levels(cert):
     return out
 
 
+_BENCH_CERTS = Path(__file__).resolve().parent.parent / "bench_cdposet" / "certs"
+
+
 def _bench_cert(name, family, params=()):
     """A benchmark certificate parsed against a freshly built poset, so no other test has walked its levels."""
-    text = (Path(__file__).resolve().parent.parent / "bench_cdposet" / "certs" / f"{name}.cert").read_text(encoding="utf-8")
+    text = (_BENCH_CERTS / f"{name}.cert").read_text(encoding="utf-8")
     return parse_certificate(text, parse_poset(format_poset(zoo.gen(family, params))))
 
 
@@ -1386,7 +1389,8 @@ class TestVerificationMemo:
 
     def test_a_hand_built_record_copies_its_mappings(self, q_cert):
         classes = dict(q_cert.classes)
-        cert = SPartitionCert(q_cert.poset, classes, q_cert.initial, q_cert.terminal, q_cert.subcert_initial, q_cert.subcerts)
+        c = q_cert
+        cert = SPartitionCert(c.poset, classes, c.initial, c.terminal, c.subcert_initial, c.subcerts)
         classes.pop("s1")
         assert cert == q_cert and "s1" in cert.classes and cert.token is None
 
@@ -1458,7 +1462,7 @@ class TestVerificationMemo:
         q = parse_poset(format_poset(p))
         assert verify_s_partition(parse_certificate(text, q)) == []  # marks the tokens of every level of text
         rng = random.Random(1)
-        verdicts = Counter()
+        failing = 0
         for _ in range(300):
             mutated = self.mutated(text, q.elements(), rng)
             try:
@@ -1469,8 +1473,8 @@ class TestVerificationMemo:
             with monkeypatch.context() as patched:
                 patched.setattr(partition, "_VERIFIED", _Forgetful())
                 assert [str(v) for v in verify_s_partition(parse_certificate(mutated, q))] == on
-            verdicts[on == []] += 1
-        assert verdicts[False] >= 20
+            failing += on != []
+        assert failing >= 20
 
     def test_no_token_where_a_tau_name_can_be_taken(self):
         q = _renamed_polygon4()
