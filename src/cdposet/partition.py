@@ -41,11 +41,12 @@ record never changes once built.  ``parse_certificate`` and ``_certificate``
 (the searches and converters) build each level once, after its
 sub-certificates, and give it a level token: an object interned in the
 structure-table entry of the level's poset and keyed by numbers only (see
-``_level``).  A full walk of a level that finds no violation marks its
-token verified, and a later walk of any level with that token returns at
-once, so each distinct numbered level is verified once per poset family.
-A record built by hand, with the constructor or ``dataclasses.replace``,
-has no token and is verified in full.
+``_level``), derived from the class and subclass bitsets the builder kept.
+A full walk of a level that finds no violation marks its token verified,
+and a later walk of any level with that token returns at once, so each
+distinct numbered level is verified once per poset family.  A record built
+by hand, with the constructor or ``dataclasses.replace``, has no token and
+is verified in full.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -53,7 +54,10 @@ plus the ordinary contributions of the semisuspension times c; zero classes
 contribute zero.  Each level makes one cross-check: its initial boundary's
 cd-index, from the direct flag pipeline, must equal its initial
 sub-certificate's recursive total.  An ordinary block's boundary is the
-capped closure of tau in its sub-certificate, so the block reads that index.
+capped closure of tau in its sub-certificate, so the block reads that index
+from the sub-certificate's totals.  Totals hold no names and are kept by
+level token, so each distinct numbered level is totalled and cross-checked
+once per poset family, and a record built by hand is walked in full.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .flags import cd_index
 from .ncpoly import CD, NcPolynomial
@@ -76,6 +81,7 @@ from .poset import (
     _all_simplices,
     _bits,
     _boundary,
+    _is_name_pair,
     _run,
     _union,
     cap,
@@ -129,10 +135,18 @@ class CertificateParseError(PosetParseError):
 
 @dataclass
 class Budget:
-    """Deterministic search-node counter shared across recursive searches."""
+    """Deterministic search-node counter shared across recursive searches.
+
+    The limit must be a nonnegative int (0 runs out at the first node); any
+    other value is a PosetError that names it.
+    """
 
     limit: int = 10**6
     used: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.limit) is not int or self.limit < 0:
+            raise PosetError(f"node limit must be a nonnegative int, got {self.limit!r}")
 
     @classmethod
     def of(cls, budget: "Budget | int | None") -> "Budget":
@@ -155,15 +169,27 @@ class _Level:
     A token holds nothing and is compared by identity.  Once a full walk of a
     record with this token has found no violation, the token is in
     ``_VERIFIED``; its key fixes that outcome, so a later walk of any record
-    with this token returns at once.
+    with this token returns at once.  Its key fixes the level's totals too,
+    which ``_TOTALS`` keeps once a walk of ``_contributions`` has made them.
     """
 
     __slots__ = ("__weakref__",)
 
 
-# The marks of ``_verify``.  They stay out of the structure table, whose memo holds only values that never
-# change, and the set is weak, so a family's tokens and marks go with its posets.
+class _Totals(NamedTuple):
+    """The contributions of one certificate level, with no names in them (see ``_contributions``)."""
+
+    per: dict[int, NcPolynomial]  # by coatom number: the initial coatom, the zero classes, the ordinary ones
+    total: NcPolynomial
+    phi: NcPolynomial | None  # the initial boundary's cd-index; None at rank 1
+    ordinary: NcPolynomial  # per[omega]·c summed over the ordinary coatoms omega
+
+
+# The marks of ``_verify`` and the totals of ``_contributions``, by level token.  They stay out of the
+# structure table, whose memo holds only immutable values that never change, and they are weak, so a
+# family's tokens, marks and totals go with its posets.
 _VERIFIED: "weakref.WeakSet[_Level]" = weakref.WeakSet()
+_TOTALS: "weakref.WeakKeyDictionary[_Level, _Totals]" = weakref.WeakKeyDictionary()
 _NO_ITEMS = MappingProxyType({})
 
 
@@ -175,8 +201,9 @@ class _Certificate:
     word and the default violation path; ``zero_kind`` names the kind of
     class that contributes zero.  A record that ``parse_certificate`` or
     ``_certificate`` built gets its level ``token`` when it is first asked
-    for (``_derive_tokens``); a record built by hand (the constructor,
-    ``dataclasses.replace``, a copy) has none.
+    for (``_derive_tokens``) from the numbers its builder kept on it; a
+    record built by hand (the constructor, ``dataclasses.replace``, a copy)
+    has none.
     """
 
     header = ""
@@ -184,6 +211,9 @@ class _Certificate:
     _mappings: tuple[str, ...] = ()
     _token_due = False  # the library built this record, and ``_derive_tokens`` has not yet derived its token
     _token: _Level | None = None
+    # the bitsets that the builder kept for the token (see ``_token_of``): the classes', an SE record's subclasses'
+    _masks: dict | None = None
+    _blocks: dict | None = None
 
     def __post_init__(self) -> None:
         """Keep a read-only copy of each mapping, so that the caller's dicts cannot change the record."""
@@ -194,11 +224,12 @@ class _Certificate:
     def _built(cls, token_due: bool, **fields):
         """``cls(**fields)`` as the library's builders make it, marked for a level token when ``token_due``.
 
-        fields are every field, or only the poset of a rank-1 record, whose
-        mappings are empty and whose other fields keep their defaults.  The
-        builders' mappings are fresh dicts that nothing else holds, so they
-        are wrapped read-only as they are: the constructor's copies and
-        field-by-field writes would only cost time.
+        fields are every field and ``_masks`` (and an SE record's
+        ``_blocks``), or only the poset of a rank-1 record, whose mappings
+        are empty and whose other fields keep their defaults.  The builders'
+        mappings are fresh dicts that nothing else holds, so they are wrapped
+        read-only as they are: the constructor's copies and field-by-field
+        writes would only cost time.
         """
         cert = object.__new__(cls)
         state = cert.__dict__
@@ -322,14 +353,9 @@ def initial_boundary_poset(p: GradedPoset, sigma1: str) -> GradedPoset:
     return cap(p, _union(p._downset, coatom) ^ coatom, p.rank_top - 1, name=f"bnd({p.name}@{sigma1})")
 
 
-def gamma_poset(p: GradedPoset, sigma: str, members: set[str] | frozenset[str]) -> GradedPoset:
-    """Capped closure of a class minus its coatom (or of an SE subclass)."""
-    return _gamma(p, sigma, _union(p._downset, p._mask(members)))
-
-
 @memoized
 def _gamma(p: GradedPoset, sigma: str, closed: int) -> GradedPoset:
-    """gamma_poset on the bitset of a down-closed set."""
+    """The capped closure of a class minus its coatom (or of an SE subclass), on the bitset of that closure."""
     return cap(p, closed, p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
 
 
@@ -571,50 +597,81 @@ verify_s_partition = verify_se_partition = verify_partition
 # -- contributions -----------------------------------------------------------------
 
 
-def _contributions(cert: SPartitionCert | SEPartitionCert):
-    """The walk of the contribution map, one certificate level per sub-walk.
+_RANK1_TOTALS = _Totals({}, NcPolynomial.unit(CD), None, NcPolynomial.zero(CD))
 
-    The one cross-check of a level: the initial boundary's cd-index, direct
-    through the flag vector, must equal the initial sub-certificate's
-    recursive total (else CrossCheckError).  An ordinary block reads its
-    boundary cd-index as its sub-certificate's initial boundary index, which
-    that sub-walk has just checked.
+
+def _known_totals(cert: SPartitionCert | SEPartitionCert) -> _Totals | None:
+    """The totals ``_TOTALS`` keeps for cert's level token, after deriving the token; None without them."""
+    if cert._token_due:
+        _derive_tokens(cert)
+    return None if cert._token is None else _TOTALS.get(cert._token)
+
+
+def _contributions(cert: SPartitionCert | SEPartitionCert):
+    """The walk of the contributions of one certificate level: its ``_Totals``, one sub-level per sub-walk.
+
+    The one cross-check of a level: the initial boundary's cd-index phi,
+    direct through the flag vector, must equal the initial sub-certificate's
+    recursive total (else CrossCheckError).  The initial coatom contributes
+    phi·c, and an ordinary block the phi·d plus the ordinary part of its
+    sub-certificate's totals.  A walked level with a token keeps its totals
+    in ``_TOTALS``, unless it raises, and a sub-level whose token has totals
+    there is read, not walked.
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
-        return ContributionMap({}, NcPolynomial.unit(CD))
+        return _RANK1_TOTALS
+    index = p._index
+    zero = NcPolynomial.zero(CD)
     phi = cd_index(initial_boundary_poset(p, cert.initial))
-    rec = yield _contributions(cert.subcert_initial)
+    sub = cert.subcert_initial
+    rec = _known_totals(sub)
+    if rec is None:
+        rec = yield _contributions(sub)
     if rec.total != phi:
         raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
-    per: dict[str, NcPolynomial] = {cert.initial: phi.times_letter("c")}
+    per = {index[cert.initial]: phi.times_letter("c")}
     for sigma in sorted(cert.zero_classes()):
-        per[sigma] = NcPolynomial.zero(CD)
+        per[index[sigma]] = zero
+    ordinary = zero
     for sigma in cert.ordinary():
-        acc = NcPolynomial.zero(CD)
+        acc = zero
         for _, _, key in cert._subclasses(sigma):
             sub = cert.subcerts[key]
-            rec = yield _contributions(sub)
-            phi_bdry = cd_index(initial_boundary_poset(sub.poset, sub.initial))
-            ordinary = (rec.per_coatom[omega].times_letter("c") for omega in sub.ordinary())
-            acc = acc + sum(ordinary, phi_bdry.times_letter("d"))
-        per[sigma] = acc
-    return ContributionMap(per, sum(per.values(), NcPolynomial.zero(CD)))
+            rec = _known_totals(sub)
+            if rec is None:
+                rec = yield _contributions(sub)
+            acc = acc + rec.phi.times_letter("d") + rec.ordinary
+        per[index[sigma]] = acc
+        ordinary = ordinary + acc
+    totals = _Totals(per, sum(per.values(), zero), phi, ordinary.times_letter("c"))
+    if cert._token is not None:
+        _TOTALS[cert._token] = totals
+    return totals
 
 
 def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) -> ContributionMap:
     """Per-coatom contributions of a certificate; the total is the (semi-)cd-index.
 
     ``check`` verifies first, raising all violations as CertificateInvalid
-    before any cd-index.  The totals read the same memoized sub-posets as
-    verification, so they build none after it.  At every level the initial
-    boundary's cd-index, from the direct flag pipeline, must equal the
-    initial sub-certificate's recursive total (else CrossCheckError).
+    before any cd-index; without it the certificate must be valid, and an
+    invalid one may raise any error or give a meaningless map.  The totals
+    read the same memoized sub-posets as verification, so they build none
+    after it.  At every level walked the initial boundary's cd-index, from
+    the direct flag pipeline, must equal the initial sub-certificate's
+    recursive total (else CrossCheckError).  Each distinct numbered level is
+    walked once per poset family, and a record built by hand is walked in
+    full.  The walk keeps no names: the map is named here, a fresh one on
+    every call.
     """
     violations = verify_partition(cert) if check else []
     if violations:
         raise CertificateInvalid(violations)
-    return _run(_contributions(cert))
+    totals = _known_totals(cert)
+    if totals is None:
+        totals = _run(_contributions(cert))
+    names = cert.poset._elements
+    return ContributionMap({names[i]: phi for i, phi in totals.per.items()}, totals.total)
 
 
 contributions_s = contributions_se = contributions
@@ -687,28 +744,33 @@ def _derive_tokens(cert: SPartitionCert | SEPartitionCert) -> None:
 
 
 def _token_of(cert: SPartitionCert | SEPartitionCert) -> _Level | None:
-    """cert's level token, from its sub-certificates' tokens.
+    """cert's level token, from its sub-certificates' tokens and the numbers its builder kept.
 
-    None when a sub-certificate has none, a class's coatom is not an
-    element, or an ordinary sub-certificate does not start at its tau
-    (verification fails there).  The library gives a record a
-    sub-certificate exactly for its initial class and for each block of its
-    ordinary classes.
+    The numbers are the member bitset of each class by coatom number, in
+    the order of ``classes``, and for an SE record the (j, member bitset) of
+    each subclass j by coatom number, the j-th in its list.  None when a
+    sub-certificate has no token, a class's coatom is not an element (the
+    parser's numbers are then not read), or an ordinary sub-certificate does
+    not start at its tau (verification fails there).  The library gives a
+    record a sub-certificate exactly for its initial class and for each block
+    of its ordinary classes.
     """
-    p, classes = cert.poset, cert.classes
-    if not classes:  # a rank-1 record
+    p = cert.poset
+    if not cert.classes:  # a rank-1 record
         return _level(p, (cert.header, 0, (), ()))
     index = p._index
-    if not all(map(index.__contains__, classes)) or cert.subcert_initial._token is None:
+    if not all(map(index.__contains__, cert.classes)) or cert.subcert_initial._token is None:
         return None
+    masks, blocks = cert._masks, cert._blocks
     subs = [(index[cert.initial], None, 0, cert.subcert_initial._token)]
     for key, sub in cert.subcerts.items():
         sigma, j = key if type(key) is tuple else (key, None)
         if sub._token is None or sub.initial != tau_name(sigma, j):
             return None
-        subs.append((index[sigma], j, 0 if j is None else p._mask(cert.subclass_decomp[sigma][j - 1]), sub._token))
-    numbered = tuple((index[sigma], p._mask(members)) for sigma, members in classes.items())
-    return _level(p, (cert.header, p._mask(cert.zero_classes()), numbered, tuple(subs)))
+        i = index[sigma]
+        subs.append((i, j, 0 if j is None else blocks[i][j - 1][1], sub._token))
+    zero = sum(1 << index[sigma] for sigma in cert.zero_classes())
+    return _level(p, (cert.header, zero, tuple(masks.items()), tuple(subs)))
 
 
 def _certificate(
@@ -767,13 +829,13 @@ def _certificate(
         terminal = names[zero[0]] if zero else None
         return SPartitionCert._built(
             token_due, poset=p, classes=record, initial=names[initial], terminal=terminal,
-            subcert_initial=sub_initial, subcerts=subcerts,
+            subcert_initial=sub_initial, subcerts=subcerts, _masks=classes,
         )
     decomp = {names[i]: tuple(frozenset(p._names(m)) for _, m in parts) for i, parts in blocks.items()}
     singletons = frozenset(map(names.__getitem__, zero))
     return SEPartitionCert._built(
         token_due, poset=p, classes=record, initial=names[initial], singletons=singletons, subclass_decomp=decomp,
-        subcert_initial=sub_initial, subcerts=subcerts,
+        subcert_initial=sub_initial, subcerts=subcerts, _masks=classes, _blocks=blocks,
     )
 
 
@@ -980,7 +1042,7 @@ def order_to_s_certificate(
         return FailureReport(None, "poset-invalid", str(bad[0]))
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
-    if sorted(facet_order) != sorted(p.coatoms()):
+    if not all(isinstance(sigma, str) for sigma in facet_order) or sorted(facet_order) != sorted(p.coatoms()):
         return FailureReport(None, "bad-order", "order must enumerate all coatoms exactly once")
     if len(facet_order) < 2:
         return FailureReport(None, "bad-order", "need at least two facets")
@@ -1002,14 +1064,18 @@ def simplicial_partition_to_s_certificate(
     """Certificate from a boolean-interval partition [R_i, facet_i] of a simplicial poset.
 
     Raises NotSimplicial when some lower interval is not boolean and
-    NotAPartition when the pairs do not form one partition class per facet
-    with a unique empty restriction and a unique full restriction.
+    NotAPartition when a pair is not two element names or the pairs do not
+    form one partition class per facet with a unique empty restriction and a
+    unique full restriction.
     """
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
     if not _all_simplices(p, ~p._mask([p.top()])):
         raise NotSimplicial(f"{p.name}: a lower interval is not boolean")
+    odd = next((pair for pair in pairs if not _is_name_pair(pair)), None)
+    if odd is not None:
+        raise NotAPartition(f"pair {odd!r} is not a pair of element names")
     coatoms = sorted(p.coatoms())
     if sorted(facet for _, facet in pairs) != coatoms:
         raise NotAPartition("pairs must name every facet exactly once")
@@ -1184,8 +1250,8 @@ def _block_tree(text: str) -> tuple[list, list[int], CertificateParseError | Non
 
 def _read_block(
     tree: tuple[list, list[int]], i: int, poset: GradedPoset, what: str, sub: bool = True
-) -> tuple[frozenset[str], tuple[int, int]]:
-    """The members and the ``sub`` block (empty unless ``sub``) of the class or subclass block of row i."""
+) -> tuple[frozenset[str], int, tuple[int, int]]:
+    """The members, their bitset and the ``sub`` block (empty unless ``sub``) of the (sub)class block of row i."""
     rows, ends = tree
     members: list[str] | None = None
     sub_block = (0, 0)
@@ -1207,9 +1273,13 @@ def _read_block(
         k = ends[k]
     if members is None:
         raise CertificateParseError(f"{what} has no members line", rows[i][0])
-    if not all(map(poset._index.__contains__, members)):
-        raise CertificateParseError(f"unknown members {sorted(set(members) - poset._index.keys())}", rows[i][0])
-    return frozenset(members), sub_block
+    index, mask = poset._index, 0
+    for name in members:
+        number = index.get(name)
+        if number is None:
+            raise CertificateParseError(f"unknown members {sorted(set(members) - index.keys())}", rows[i][0])
+        mask |= 1 << number
+    return frozenset(members), mask, sub_block
 
 
 def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, tokens: bool, build, *args):
@@ -1229,7 +1299,8 @@ def _parse_classes(
     SE ordinary classes hold subclass blocks.  lineno is the line of the
     level's header or ``sub`` row, named by the errors of the whole level.
     The record is built once, after its sub-certificates; with ``tokens`` it
-    is marked for a level token (``_derive_tokens``).
+    is marked for a level token (``_derive_tokens``), and it keeps the
+    bitsets read here by coatom number for that token (``_token_of``).
     """
     rows, ends = tree
     i, stop = block
@@ -1238,10 +1309,13 @@ def _parse_classes(
         if i < stop:
             raise CertificateParseError("rank-1 certificate must have no classes", rows[i][0])
         return cls._built(tokens, poset=poset)
+    index = poset._index
     classes: dict[str, frozenset[str]] = {}
     decomp: dict[str, tuple[frozenset[str], ...]] = {}
     subcerts: dict = {}
     zero: list[str] = []
+    masks: dict = {}  # the member bitset of each class, by coatom number (None: not an element)
+    blocks: dict = {}  # the (j, member bitset) of each SE subclass j, by coatom number; empty for S
     initial = sub_initial = None
     while i < stop:
         line_no, _, fields = rows[i]
@@ -1253,17 +1327,21 @@ def _parse_classes(
             raise CertificateParseError(f"unknown kind {kind!r}", line_no)
         if sigma in classes:
             raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
+        number = index.get(sigma)  # None when sigma is not an element: the record then gets no token
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
+            rests = blocks[number] = []
+            mask = 0 if number is None else 1 << number
             k = i + 1
             while k < ends[i]:
                 j = len(parts) + 1
                 inner_no, _, inner = rows[k]
                 if inner != ["subclass", str(j)]:
                     raise CertificateParseError(f"expected: subclass {j}", inner_no)
-                part, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
+                part, rest, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
                 parts.append(part)
-                rest = poset._mask(part)
+                rests.append((j, rest))
+                mask |= rest
                 sub = _parse_sub(tree, sub_block, inner_no, tokens, _suspended, poset, sigma, rest, j)
                 subcerts[sigma, j] = yield sub
                 k = ends[k]
@@ -1271,17 +1349,19 @@ def _parse_classes(
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line_no)
             decomp[sigma] = tuple(parts)
             classes[sigma] = frozenset({sigma}).union(*parts)
+            masks[number] = mask
             i = ends[i]
             continue
-        members, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
+        members, mask, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
         classes[sigma] = members
+        masks[number] = mask
         if kind == "initial":
             if initial is not None:
                 raise CertificateParseError("two initial classes", line_no)
             initial = sigma
             sub_initial = yield _parse_sub(tree, sub_block, line_no, tokens, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
-            rest = poset._mask(members - {sigma})
+            rest = mask if number is None else mask & ~(1 << number)
             subcerts[sigma] = yield _parse_sub(tree, sub_block, line_no, tokens, _suspended, poset, sigma, rest, None)
         elif split or not zero:
             zero.append(sigma)
@@ -1293,13 +1373,13 @@ def _parse_classes(
             raise CertificateParseError("certificate needs an initial class", lineno)
         return SEPartitionCert._built(
             tokens, poset=poset, classes=classes, initial=initial, singletons=frozenset(zero), subclass_decomp=decomp,
-            subcert_initial=sub_initial, subcerts=subcerts,
+            subcert_initial=sub_initial, subcerts=subcerts, _masks=masks, _blocks=blocks,
         )
     if initial is None or not zero:
         raise CertificateParseError("certificate needs an initial and a terminal class", lineno)
     return SPartitionCert._built(
         tokens, poset=poset, classes=classes, initial=initial, terminal=zero[0], subcert_initial=sub_initial,
-        subcerts=subcerts,
+        subcerts=subcerts, _masks=masks,
     )
 
 

@@ -40,6 +40,13 @@ def torus12_cert():
     return zoo.fixture_certificate("torus-fig12")
 
 
+@pytest.fixture()
+def fresh_cert():
+    """A factory of unwarmed fixture certificates: each call builds the family's poset and certificate anew,
+    so no memo that other tests warmed (verified marks, totals, sub-posets) is read."""
+    return zoo.fixture_certificate
+
+
 @pytest.fixture(scope="session")
 def polygon3_cert():
     return search_s_certificate(zoo.gen("polygon", (3,)))

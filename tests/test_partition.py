@@ -40,7 +40,6 @@ from cdposet.partition import (
     contributions_s,
     contributions_se,
     format_certificate,
-    gamma_poset,
     order_to_s_certificate,
     parse_certificate,
     product_se_partition,
@@ -64,6 +63,7 @@ from cdposet.poset import (
     product,
     validate,
 )
+from test_poset import gamma_poset
 
 
 def poly(terms):
@@ -251,6 +251,12 @@ class TestOrderConversion:
         report = order_to_s_certificate(torus6, sorted(torus6.coatoms()))
         assert isinstance(report, FailureReport) and report.code == "not-eulerian"
 
+    @pytest.mark.parametrize("order", [["s1", 1], [f"s{i}" for i in range(1, 7)] + [None]])
+    def test_an_order_of_other_than_names(self, q_poset, order):
+        """sorted raised a bare TypeError comparing an int or None with a name."""
+        report = order_to_s_certificate(q_poset, order)
+        assert report == FailureReport(None, "bad-order", "order must enumerate all coatoms exactly once")
+
     def test_connected_sum_glue_order(self):
         p = zoo.gen("connected-sum", (3,))
         m_side = sorted(c for c in p.coatoms() if not c.startswith("q."))
@@ -286,6 +292,15 @@ class TestSimplicialConversion:
         assert pairs[0] == (BOT, "abc")
         with pytest.raises(NotAPartition, match="'nosuch' not below facet 'abc'"):
             simplicial_partition_to_s_certificate(p, [("nosuch", "abc")] + pairs[1:])
+
+    @pytest.mark.parametrize("pair", [(BOT, "abc", "x"), (BOT, 1), [BOT], "ab", (BOT, None)])
+    def test_a_pair_that_is_not_two_names(self, pair):
+        """A triple raised a bare ValueError from unpacking, and (bot, 1) a TypeError from sorted."""
+        p = zoo.gen("simplex-boundary", (3,))
+        pairs = zoo.shelling_restrictions(p, sorted(p.coatoms()))
+        with pytest.raises(NotAPartition) as err:
+            simplicial_partition_to_s_certificate(p, pairs[1:] + [pair])
+        assert str(err.value) == f"pair {pair!r} is not a pair of element names"
 
     def test_non_simplicial_rejected(self, q_poset):
         with pytest.raises(NotSimplicial):
@@ -358,6 +373,15 @@ class TestSearch:
             search_s_certificate(q_poset, budget=0)
         with pytest.raises(BudgetExhausted):
             search_se_certificate(torus6, budget=0)
+
+    @pytest.mark.parametrize("limit", ["5", 1.5, True, -1])
+    def test_a_limit_that_is_not_a_nonnegative_int(self, q_poset, limit):
+        """"5" raised a bare TypeError, 1.5 and True were taken as limits, and -1 raised BudgetExhausted."""
+        for make in (lambda: search_s_certificate(q_poset, budget=limit), lambda: Budget(limit)):
+            with pytest.raises(PosetError) as err:
+                make()
+            assert type(err.value) is PosetError
+            assert str(err.value) == f"node limit must be a nonnegative int, got {limit!r}"
 
     def test_not_eulerian_precondition(self, torus6):
         with pytest.raises(PosetError):
@@ -1014,7 +1038,11 @@ class TestEulerianTestCalls:
 
 class TestCrossChecks:
     """A wrong direct boundary cd-index must be caught by the comparison with the recursion.  An ordinary
-    block's boundary is the capped closure of tau in its sub-certificate, so it is checked one level down."""
+    block's boundary is the capped closure of tau in its sub-certificate, so it is checked one level down.
+    Each certificate is the fresh counterpart of a session fixture: a level whose token already has totals
+    is not walked again, and other tests total the session fixtures."""
+
+    FAMILIES = {"q_cert": "q-polytope", "torus6_cert": "torus-fig6"}
 
     @pytest.mark.parametrize(
         "fixture, target, message",
@@ -1025,8 +1053,8 @@ class TestCrossChecks:
             ("torus6_cert", "bnd(ssusp(gamma(torus-fig6@F11))@tau@F11/1)", "initial boundary cd-index mismatch"),
         ],
     )
-    def test_perturbed_boundary_raises(self, request, monkeypatch, fixture, target, message):
-        cert = request.getfixturevalue(fixture)
+    def test_perturbed_boundary_raises(self, fresh_cert, monkeypatch, fixture, target, message):
+        cert = fresh_cert(self.FAMILIES[fixture])
         real = partition.cd_index
         hits = []
 
@@ -1486,3 +1514,127 @@ class TestVerificationMemo:
     def test_no_token_on_an_invalid_poset(self):
         p = parse_poset(_UNBOUNDED)
         assert partition._reads_numbers(p) is False and partition._reads_numbers(zoo.gen("polygon", (4,))) is True
+
+
+class _KeepsNothing:
+    """A stand-in for ``partition._TOTALS`` that keeps no totals, so every contribution walk walks every level."""
+
+    def get(self, token):
+        return None
+
+    def __setitem__(self, token, totals):
+        pass
+
+
+# the certificates of bench_cdposet/certs/, by file name: (poset family, params)
+_BENCH_FAMILIES = {
+    "q-polytope": ("q-polytope", ()),
+    "torus-fig6": ("torus-fig6", ()),
+    "torus-fig12": ("torus-fig12", ()),
+    "polygon-100": ("polygon", (100,)),
+    "cube-4": ("cube", (4,)),
+    "sphere2cells-8": ("sphere2cells", (8,)),
+    "connected-sum-4": ("connected-sum", (4,)),
+    "torus-7vertex": ("torus-7vertex", ()),
+    "product-4-5": ("product", (4, 5)),
+    "icosahedron": ("icosahedron", ()),
+}
+
+
+def _comparisons(monkeypatch, run):
+    """The cross-check comparisons that run() makes: each takes one direct cd-index in ``partition``."""
+    calls = []
+    real = partition.cd_index
+    with monkeypatch.context() as patched:
+        patched.setattr(partition, "cd_index", lambda q: calls.append(q) or real(q))
+        run()
+    return len(calls)
+
+
+class TestTotalsMemo:
+    """A level whose token already has totals is read, not walked: each distinct numbered level is totalled
+    and cross-checked once per family, and the memo changes no contribution map."""
+
+    @staticmethod
+    def both_ways(monkeypatch, cert):
+        """The checked contribution map of cert with the memo on, twice (the second from the memo), and off."""
+        on = partition.contributions(cert)
+        again = partition.contributions(cert)
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_TOTALS", _KeepsNothing())
+            off = partition.contributions(cert)
+        assert on == again == off and list(on.per_coatom) == list(off.per_coatom)
+        assert on.total == (cd_index if isinstance(cert, SPartitionCert) else semi_cd_index)(cert.poset)
+        return on
+
+    @pytest.mark.parametrize("family", ["q-polytope", "torus-fig6", "torus-fig12"])
+    def test_zoo_published_certificates(self, monkeypatch, fresh_cert, family):
+        self.both_ways(monkeypatch, fresh_cert(family))
+
+    @pytest.mark.parametrize("family, params, search", TestReplay.SEARCHED)
+    def test_searched_certificates(self, monkeypatch, family, params, search):
+        self.both_ways(monkeypatch, search(parse_poset(format_poset(zoo.gen(family, params)))))
+
+    @pytest.mark.parametrize("name", sorted(_BENCH_FAMILIES))
+    def test_benchmark_certificates(self, monkeypatch, name):
+        self.both_ways(monkeypatch, _bench_cert(name, *_BENCH_FAMILIES[name]))
+
+    def test_polygon100_cross_checks_each_distinct_level_once(self, monkeypatch):
+        """The poset and its rank-2 levels each compare once.  Walking every level compared 198 times: once per
+        level above rank 1, and once more per ordinary block, whose boundary index was taken again above it."""
+        cert = _bench_cert("polygon-100", "polygon", (100,))
+        assert verify_s_partition(cert) == []
+        assert _comparisons(monkeypatch, lambda: contributions_s(cert, check=True)) == 2
+        assert _comparisons(monkeypatch, lambda: contributions_s(cert, check=True)) == 0
+        hand_built = pickle.loads(pickle.dumps(cert))  # no level has a token, so every level is walked
+        assert _comparisons(monkeypatch, lambda: contributions_s(hand_built, check=True)) == 100
+        assert contributions_s(hand_built) == contributions_s(cert)
+
+    def test_the_benchmark_certificates_make_83_comparisons(self, monkeypatch):
+        """804 levels of 93 distinct numbered ones; walking every level compared 794 times."""
+        certs = [_bench_cert(name, *family) for name, family in _BENCH_FAMILIES.items()]
+        assert all(partition.verify_partition(cert) == [] for cert in certs)
+        made = _comparisons(monkeypatch, lambda: [partition.contributions(cert, check=True) for cert in certs])
+        assert made == 83
+
+    def test_a_changed_map_leaves_the_next_call_unchanged(self, fresh_cert):
+        cert = fresh_cert("q-polytope")
+        first = contributions_s(cert)
+        kept = copy.deepcopy(first)
+        first.per_coatom["s1"] = NcPolynomial.zero(CD)
+        del first.per_coatom["s2"]
+        first.total = NcPolynomial.zero(CD)
+        again = contributions_s(cert)
+        assert again == kept and again.per_coatom is not first.per_coatom
+
+    def test_a_level_that_raises_keeps_no_totals(self, monkeypatch, fresh_cert):
+        cert = fresh_cert("q-polytope")
+        real = partition.cd_index
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "cd_index", lambda q: real(q) * 2 if q.name == "bnd(q-polytope@s1)" else real(q))
+            with pytest.raises(CrossCheckError):
+                contributions_s(cert)
+        assert cert.token not in partition._TOTALS and cert.subcert_initial.token in partition._TOTALS
+        assert contributions_s(cert).total == cd_index(cert.poset)
+
+    def test_a_replace_result_is_walked_at_its_own_level(self, monkeypatch, fresh_cert):
+        cert = fresh_cert("q-polytope")
+        totals = contributions_s(cert)
+        copy_ = replace(cert)  # no token; its sub-certificates are the library's and have totals
+        assert _comparisons(monkeypatch, lambda: contributions_s(copy_)) == 1
+        assert contributions_s(copy_) == totals
+
+    def test_tokens_read_the_builders_numbers(self, monkeypatch):
+        """Deriving the tokens of a parsed or searched certificate names no class: ``_mask`` is not called."""
+        calls = []
+        real = GradedPoset._mask
+        monkeypatch.setattr(GradedPoset, "_mask", lambda p, names: calls.append(names) or real(p, names))
+        certs = [_bench_cert(name, *_BENCH_FAMILIES[name]) for name in ("q-polytope", "torus-fig6", "cube-4")]
+        assert calls  # parsing reads each class's members through _mask
+        certs += [
+            search_s_certificate(parse_poset(format_poset(zoo.gen("cube", (3,))))),
+            search_se_certificate(parse_poset(format_poset(zoo.gen("product", (3, 4))))),
+        ]
+        calls.clear()
+        assert all(level.token is not None for cert in certs for level in _levels(cert))
+        assert calls == []

@@ -21,7 +21,6 @@ from cdposet.partition import (
     Budget,
     contributions,
     format_certificate,
-    gamma_poset,
     initial_boundary_poset,
     parse_certificate,
     search_s_certificate,
@@ -58,6 +57,11 @@ from cdposet.poset import (
 
 def diamond():
     return zoo.gen("sphere2cells", (0,))
+
+
+def gamma_poset(p, sigma, members):
+    """The capped closure of a class minus its coatom sigma (or of an SE subclass), from the members' names."""
+    return partition_module._gamma(p, sigma, poset_module._union(p._downset, p._mask(members)))
 
 
 def brute_mobius(p, x, y):
@@ -526,7 +530,7 @@ class TestArgumentTypes:
 
     def test_gamma_members_given_as_an_int(self, q_poset):
         with self.refused("5 is not a collection of element names"):
-            partition_module.gamma_poset(q_poset, "s2", 5)
+            gamma_poset(q_poset, "s2", 5)
 
     def test_closure_members_given_as_an_int(self, q_poset):
         with self.refused("5 is not a collection of element names"):
