@@ -8,18 +8,23 @@ certified semisuspensions.  An S-certificate is the Eulerian special case:
 its one zero class is the terminal singleton and each ordinary class is a
 single subclass.  Every walk is written once over the view both share.
 
-The derived sub-posets (capped initial boundary, gamma and its
-semisuspension) carry names, so they are memoized on the poset they come
-from, and parsing, verifying, totalling and searching one certificate build
-each of them once.  Each is capped from a bitset of its parent, with no
-element names in between.  Their Eulerian verdicts, boundaries and
-boundary cd-indices read no names: they are memoized once per numbered
-structure in the family's structure table (see ``poset.memoized``), so
-the sub-posets of one shape derive their closures and compute those values
-once.  Inside the walks a class stays one bitset, from the facet order or
-the certificate's names to the class-map and gamma rules and the
-certificate record; names are formed only for that record, violation text
-and file output.
+Each certificate level below the root holds one named poset, its capped
+initial boundary or a semisuspension, memoized on its parent level's
+poset by coatom number (and class bitset), so parsing, verifying,
+totalling and searching one certificate name each of them once.  A class
+is decided on numbers (``_class_failure``): its gamma, the capped closure
+of the class minus its coatom, is a nameless view of the table entry that
+``poset._cap_entry`` derives from the parent's bitsets, and its
+semisuspension is decided at tau's number without being named.  The
+well-formedness, near-Eulerian verdict and boundary of a gamma, and the
+Eulerian verdicts and boundary cd-indices of the named sub-posets, read no
+names: they are memoized once per numbered structure in the family's
+structure table (see ``poset.memoized``), so the sub-posets of one shape
+derive their closures and compute those values once.  Inside the walks a
+class stays one bitset, from the facet order or the certificate's names to
+the class-map and gamma rules and the certificate record; names are formed
+only for the posets the levels hold, that record, violation and failure
+text and file output.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
@@ -62,9 +67,10 @@ once per poset family, and a record built by hand is walked in full.
 
 from __future__ import annotations
 
+import bisect
 import weakref
 from collections import Counter
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from types import MappingProxyType
@@ -74,6 +80,7 @@ from .flags import cd_index
 from .ncpoly import CD, NcPolynomial
 from .poset import (
     BOT,
+    TOP,
     GradedPoset,
     PosetError,
     PosetParseError,
@@ -81,18 +88,19 @@ from .poset import (
     _all_simplices,
     _bits,
     _boundary,
+    _cap_entry,
+    _derived_poset,
     _is_name_pair,
+    _near_eulerian_at,
     _run,
+    _suspension_entry,
     _union,
-    cap,
     is_eulerian,
     is_semi_eulerian,
     memoized,
-    near_eulerian_suspension,
     pair_name,
     product as poset_product,
     read_lines,
-    semisuspension,
     validate,
 )
 
@@ -346,17 +354,25 @@ def tau_name(sigma: str, j: int | None = None) -> str:
     return f"tau@{sigma}" if j is None else f"tau@{sigma}/{j}"
 
 
-@memoized
 def initial_boundary_poset(p: GradedPoset, sigma1: str) -> GradedPoset:
-    """The capped open closure of the initial coatom, a rank-d poset."""
-    coatom = p._mask([sigma1])  # PosetError on an unknown name
-    return cap(p, _union(p._downset, coatom) ^ coatom, p.rank_top - 1, name=f"bnd({p.name}@{sigma1})")
+    """The capped open closure of the initial coatom, a rank-d poset; PosetError on an unknown name."""
+    return _initial_boundary(p, p._mask([sigma1]).bit_length() - 1)
 
 
 @memoized
-def _gamma(p: GradedPoset, sigma: str, closed: int) -> GradedPoset:
-    """The capped closure of a class minus its coatom (or of an SE subclass), on the bitset of that closure."""
-    return cap(p, closed, p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
+def _initial_boundary(p: GradedPoset, i: int) -> GradedPoset:
+    """``initial_boundary_poset`` of the coatom numbered i, with the errors of ``cap``."""
+    kept, entry = _cap_entry(p, p._downset[i] ^ 1 << i, p.rank_top - 1)
+    elems = (*map(p._elements.__getitem__, kept), TOP)
+    return _derived_poset(p, entry, f"bnd({p.name}@{p._elements[i]})", elems)
+
+
+def _tau_number(p: GradedPoset, kept: tuple[int, ...], gamma: GradedPoset, tau: str) -> int:
+    """tau's number in the semisuspension of gamma, the cap of p that keeps kept: its place by name among the
+    coatoms of gamma, whose names are p's.  They are the last members; the fresh top follows them."""
+    end = len(kept)
+    start = end - gamma._levels.get(gamma.rank_top - 1, 0).bit_count()
+    return bisect.bisect_left(kept, tau, start, end, key=p._elements.__getitem__)
 
 
 def _suspended(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset:
@@ -364,34 +380,80 @@ def _suspended(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPo
 
     rest is the bitset of the (sub)class's members besides sigma.
     """
-    return semisuspension(_gamma(p, sigma, _union(p._downset, rest)), tau_name(sigma, j))[0]
+    return _suspension(p, sigma, _union(p._downset, rest), j)
 
 
-def _gamma_checked(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset | FailureReport:
-    """``_suspended`` after the full check of an ordinary (sub)class, or the failure."""
+@memoized
+def _suspension(p: GradedPoset, sigma: str, closed: int, j: int | None) -> GradedPoset:
+    """The named semisuspension of gamma(p@sigma), the cap of the bitset closed, at tau_name(sigma, j).
+
+    gamma is a view, never named; the errors are those of ``cap`` and
+    ``semisuspension`` on the named gamma.
+    """
+    kept, entry = _cap_entry(p, closed, p.rank_top - 1)
+    gamma = _derived_poset(p, entry)
+    if gamma.rank_top < 2:
+        raise PosetError("semisuspension needs rank at least 2")
+    tau = tau_name(sigma, j)
+    if closed >> p._index.get(tau, len(p)) & 1:
+        raise PosetError(f"name {tau!r} already present")
+    at = _tau_number(p, kept, gamma, tau)
+    names = tuple(map(p._elements.__getitem__, kept))
+    elems = (*names[:at], tau, *names[at:], TOP)
+    return _derived_poset(p, _suspension_entry(gamma, at), f"ssusp({_gamma_name(p, sigma)})", elems)
+
+
+def _class_failure(p: GradedPoset, sigma: str, rest: int, j: int | None) -> FailureReport | None:
+    """The first rule that an ordinary (sub)class breaks, or None: decided on numbers, naming no poset.
+
+    gamma is a view of the table entry that ``_cap_entry`` keeps.  With
+    its first element named bot (its top is the fresh one), it is valid and
+    near-Eulerian exactly when ``_near_eulerian_at`` holds at its tau's
+    number; that verdict and its boundary are memos of gamma's entry.
+    Names are formed for the failure text only, gamma's from p's.
+    """
     if not rest:
         return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
     closed = _union(p._downset, rest)
     try:
-        gamma = _gamma(p, sigma, closed)
+        kept, entry = _cap_entry(p, closed, p.rank_top - 1)
     except PosetError as exc:
         return FailureReport(sigma, "gamma-unbuildable", str(exc))
     tau = tau_name(sigma, j)
-    if tau in gamma:  # only a poset with an element named like a tau gets here
-        return FailureReport(sigma, "tau-name-taken", f"{tau} is already an element of {gamma.name}")
-    suspended = near_eulerian_suspension(gamma, tau)
-    if suspended is None:
-        return FailureReport(sigma, "gamma-not-near-eulerian", gamma.name)
+    if closed >> p._index.get(tau, len(p)) & 1:  # only a poset with an element named like a tau gets here
+        return FailureReport(sigma, "tau-name-taken", f"{tau} is already an element of {_gamma_name(p, sigma)}")
+    gamma = _derived_poset(p, entry)
+    if not (
+        gamma.rank_top >= 2
+        and p._elements[kept[0]] == BOT
+        and _near_eulerian_at(gamma, _tau_number(p, kept, gamma, tau))
+    ):
+        return FailureReport(sigma, "gamma-not-near-eulerian", _gamma_name(p, sigma))
     # gamma numbers the elements of closed in order, so a member's number there is the count of closed below it
     members = sum(1 << (closed & (1 << i) - 1).bit_count() for i in _bits(rest))
     bdry = _boundary(gamma)
     if members & bdry:
-        return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(gamma._names(members & bdry))}")
-    below_top = (1 << len(gamma) - 1) - 1  # the fresh top comes last
+        return FailureReport(sigma, "non-disjoint-boundary", f"{_kept_names(p, kept, members & bdry)}")
+    below_top = (1 << len(kept)) - 1  # the fresh top comes last
     if members | bdry != below_top:
         missing = below_top & ~(members | bdry)
-        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {sorted(gamma._names(missing))}")
-    return suspended
+        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {_kept_names(p, kept, missing)}")
+    return None
+
+
+def _gamma_name(p: GradedPoset, sigma: str) -> str:
+    return f"gamma({p.name}@{sigma})"
+
+
+def _kept_names(p: GradedPoset, kept: tuple[int, ...], mask: int) -> list[str]:
+    """The sorted names of a bitset over the numbers of a cap of p that keeps kept, its top excluded."""
+    return sorted(p._elements[kept[i]] for i in _bits(mask))
+
+
+def _gamma_checked(p: GradedPoset, sigma: str, rest: int, j: int | None) -> GradedPoset | FailureReport:
+    """``_suspended`` after the full check of an ordinary (sub)class (``_class_failure``), or the failure."""
+    failure = _class_failure(p, sigma, rest, j)
+    return failure if failure is not None else _suspended(p, sigma, rest, j)
 
 
 # -- verification ------------------------------------------------------------------
@@ -561,7 +623,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
         return out
     if not (_check_terminal if eulerian else _check_singletons)(cert, masks, path, out):
         return out
-    boundary = initial_boundary_poset(p, cert.initial)
+    boundary = _initial_boundary(p, p._index[cert.initial])
     yield from _verify_sub(cert.subcert_initial, boundary, f"{path}/class[{cert.initial}]", None, out)
     keyed, code = (cert.subcerts, "subcert-keys") if eulerian else (cert.subclass_decomp, "subclass-keys")
     ordinary = cert.ordinary()
@@ -803,7 +865,7 @@ def _certificate(
         if i != initial and i not in zero:
             rest = classes[i] & ~(1 << i)
             blocks[i] = [(None, rest)] if cls is SPartitionCert else list(enumerate(_components(p, rest), start=1))
-    boundary = initial_boundary_poset(p, names[initial])
+    boundary = _initial_boundary(p, initial)
     sub_initial = None
     # a rank-1 boundary is the two-element chain and needs no test
     if boundary.rank_top == 1 or is_eulerian(boundary):
@@ -962,7 +1024,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
             return False
         else:
             parts = [(None, rest)] if rest else []
-        return not any(isinstance(_gamma_checked(p, sigma, part, j), FailureReport) for j, part in parts)
+        return not any(_class_failure(p, sigma, part, j) for j, part in parts)
 
     order = [0] * n  # the facet number placed in each slot
 
@@ -1036,13 +1098,21 @@ def order_to_s_certificate(
     facet_order: list[str],
     budget: Budget | int | None = None,
 ) -> SPartitionCert | FailureReport:
-    """Certificate induced by a shelling-style facet order, or a failure report."""
+    """Certificate induced by a shelling-style facet order, or a failure report.
+
+    An order that is not an iterable of all the coatom names, each once, is
+    the ``bad-order`` report.
+    """
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
     if not is_eulerian(p):
         return FailureReport(None, "not-eulerian", p.name)
-    if not all(isinstance(sigma, str) for sigma in facet_order) or sorted(facet_order) != sorted(p.coatoms()):
+    if (
+        not isinstance(facet_order, Iterable)
+        or not all(isinstance(sigma, str) for sigma in facet_order)
+        or sorted(facet_order) != sorted(p.coatoms())
+    ):
         return FailureReport(None, "bad-order", "order must enumerate all coatoms exactly once")
     if len(facet_order) < 2:
         return FailureReport(None, "bad-order", "need at least two facets")
@@ -1064,15 +1134,17 @@ def simplicial_partition_to_s_certificate(
     """Certificate from a boolean-interval partition [R_i, facet_i] of a simplicial poset.
 
     Raises NotSimplicial when some lower interval is not boolean and
-    NotAPartition when a pair is not two element names or the pairs do not
-    form one partition class per facet with a unique empty restriction and a
-    unique full restriction.
+    NotAPartition when pairs is not iterable, a pair is not two element
+    names, or the pairs do not form one partition class per facet with a
+    unique empty restriction and a unique full restriction.
     """
     bad = validate(p)
     if bad:
         return FailureReport(None, "poset-invalid", str(bad[0]))
     if not _all_simplices(p, ~p._mask([p.top()])):
         raise NotSimplicial(f"{p.name}: a lower interval is not boolean")
+    if not isinstance(pairs, Iterable):
+        raise NotAPartition(f"{pairs!r} is not a collection of pairs")
     odd = next((pair for pair in pairs if not _is_name_pair(pair)), None)
     if odd is not None:
         raise NotAPartition(f"pair {odd!r} is not a pair of element names")

@@ -13,35 +13,40 @@ order, their ranks by number and their lower-cover masks.  One step,
 ``_numbered``, numbers named elements and ORs their lower-cover masks.  The
 name constructor calls it after checking the covers, and ``parse_poset``
 calls it after checking each line, so a parsed poset is not built by name.
-Derived posets are built bitset to bitset: ``cap`` takes its down-closed
-set as names or as a bitset over the parent's numbers and renumbers the
-parent's lower-cover masks, and ``semisuspension`` shifts them to make room
-for tau.  ``_structure`` then derives the rest, the one routine that
-computes upper covers, closures and levels, and ``_fill``, the one routine
-that sets them on a poset, adds the names.
+Derived posets are built bitset to bitset by the derivation core:
+``_cap_entry`` takes a down-closed bitset over the parent's numbers and
+renumbers the parent's lower-cover masks, and ``_suspension_entry`` shifts
+them to make room for tau.  ``_structure`` then derives the rest, the one
+routine that computes upper covers, closures and levels, and ``_fill``, the
+one routine that sets them on a poset, adds the names.  ``cap`` (which also
+takes names) and ``semisuspension`` are name wrappers over the core.
 
 Every poset built by a constructor, ``parse_poset``, ``product``,
 ``connected_sum`` or ``zoo`` is a root with a fresh structure table, and
-every poset ``cap`` or ``semisuspension`` derives from it shares that
-table.  The table is keyed by the numbered structure, the pair (ranks,
-lower-cover masks) by number.  ``_structure`` derives the closures and
-levels of a structure once per table, and ``_fill`` hands every poset of
-that structure the same tuples.  The table lives as long as the posets of
-its family and is never shared between two roots, even isomorphic ones.
+every poset derived from it shares that table.  The table is keyed by the
+numbered structure, the pair (ranks, lower-cover masks) by number.
+``_structure`` derives the closures and levels of a structure once per
+table, and ``_fill`` hands every poset of that structure the same tuples.
+The table lives as long as the posets of its family and is never shared
+between two roots, even isomorphic ones.
 
-A structure's entry also keeps, in ``_derived``, what ``cap`` and
-``semisuspension`` derived from it, by number: for a cap, the kept numbers
-and the entry of the result, by (bitset, rank, number of bot, number of
-top); for a semisuspension, the entry of the result, by tau's number.  A
-repeated derivation from any poset of that structure then checks its names
-and builds only the element tuple and the index.  A derivation that raises
-keeps nothing.
+A structure's entry also keeps, in ``_derived``, what the core derived from
+it, by number: for a cap, the kept numbers and the entry of the result, by
+(bitset, rank, number of bot, number of top); for a semisuspension, the
+entry of the result, by tau's number.  A repeated derivation from any poset
+of that structure then checks its names and builds only the element tuple
+and the index.  A derivation that raises keeps nothing.  A derived entry
+need not be named at all: ``_derived_poset`` gives a named poset of it, or
+a nameless view that only the name-free core reads.  The certificate
+classes of ``partition`` are decided on views (a class's gamma is never
+named), and only the posets a certificate keeps get names.
 
 Derived values are ``memoized``.  Those that read the numbered structure
-only (Eulerian verdicts, chain counts, cd-indices, boundaries, and whether
-the structure passes every check of ``validate`` but the names of bot and
-top) are kept in the structure's table entry, shared by every poset of that
-structure in the family.  Those that read names (validation verdicts,
+only (Eulerian verdicts, chain counts, cd-indices, boundaries, whether the
+structure passes every check of ``validate`` but the names of bot and top,
+and whether it is near-Eulerian at a tau number) are kept in the
+structure's table entry, shared by every poset and view of that structure
+in the family.  Those that read names (validation verdicts,
 semisuspensions, certificate sub-posets) are kept on the poset object they
 come from; a poset of a well-formed structure checks only the names of its
 first and last element.
@@ -282,23 +287,28 @@ class GradedPoset:
         p._fill(name, elems, entry, table)
         return p
 
-    def _fill(self, name: str, elems: tuple[str, ...], entry: tuple, table: dict) -> None:
+    def _fill(self, name: str | None, elems: tuple[str, ...], entry: tuple, table: dict) -> None:
         """Set the name, elements and table, and the name-free rest from the structure's table entry.
 
         The one routine that sets the poset core.  Every poset of a structure
         shares the entry: its tuples (ranks, lower and upper covers,
         closures), ``_levels`` (which nothing writes), ``_shared`` (the memo
-        of ``memoized(shared=True)``) and ``_derived`` (what ``cap`` and
-        ``semisuspension`` derived from the structure).  Names stay on the
-        object: ``_index`` is built here, and ``_cache`` starts empty.
+        of ``memoized(shared=True)``) and ``_derived`` (what the derivation
+        core, ``_cap_entry`` and ``_suspension_entry``, derived from the
+        structure).  Names stay on the object: ``_index`` is built here, and
+        ``_cache`` starts empty.  A view (see ``_derived_poset``) has the
+        name None and nothing else that names: no elements, index or
+        ``_cache``, so reading them fails.
         """
         (
             (self._ranks, self._down), self._up, self._downset, self._upset, self._levels, self.rank_top,
             self._shared, self._derived,
         ) = entry
-        self.name, self._elements, self._table = name, elems, table
-        self._index = dict(zip(elems, range(len(elems))))
-        self._cache: dict = {}  # the values of ``memoized`` functions that read this poset's names
+        self.name, self._table = name, table
+        if name is not None:
+            self._elements = elems
+            self._index = dict(zip(elems, range(len(elems))))
+            self._cache: dict = {}  # the values of ``memoized`` functions that read this poset's names
 
     def _mask(self, names: Iterable[str]) -> int:
         """The bitset of the named elements; PosetError on an unknown name, and when names is not iterable."""
@@ -325,7 +335,7 @@ class GradedPoset:
         return self._elements
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._ranks)
 
     def __contains__(self, x: str) -> bool:
         return x in self._index
@@ -549,29 +559,74 @@ def closure(p: GradedPoset, members: Iterable[str]) -> set[str]:
     return set(p._names(_union(p._downset, p._mask(members))))
 
 
+def _cap_entry(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], tuple]:
+    """The numbers of p that capping the bitset mask at rank_top keeps, and the result's table entry.
+
+    The members keep their (rank, name) order and the fresh top comes last,
+    so the parent's cover masks are renumbered by the kept bits.  That reads
+    no names but those of bot and top, so both values are kept in p's
+    ``_derived`` by the bitset, the rank and the numbers of bot and top; a
+    cap that raises (the errors of ``cap``) keeps nothing.  p has names.
+    """
+    key = mask, rank_top, p._index.get(BOT), p._index.get(TOP)
+    known = p._derived.get(key)
+    if known is None:
+        kept, ranks, down = _capped(p, mask, rank_top)
+        known = p._derived[key] = kept, _structure(p._table, ranks, down)
+    return known
+
+
+def _coatom_run(p: GradedPoset) -> tuple[int, int]:
+    """The numbers of p's elements of rank rank_top - 1, a run that ends where the top rank begins."""
+    top_level = p._levels[p.rank_top]
+    end = (top_level & -top_level).bit_length() - 1
+    return end - p._levels.get(p.rank_top - 1, 0).bit_count(), end
+
+
+def _suspension_entry(p: GradedPoset, at: int) -> tuple:
+    """The table entry of p's semisuspension with tau numbered at, kept in p's ``_derived`` by at.
+
+    tau covers every qualifying element and is covered by the first top;
+    the numbers from at on move up by one.  p may be a view.
+    """
+    entry = p._derived.get(at)  # cap's keys are tuples, so the two never meet
+    if entry is None:
+        end = _coatom_run(p)[1]
+        low = (1 << at) - 1
+        down = [m & low | (m & ~low) << 1 for m in p._down]
+        down.insert(at, _qualifying(p))  # qualifying ranks are below tau's, so their numbers stay
+        down[end + 1] |= 1 << at  # the first top moves up too
+        ranks = p._ranks[:at] + (p.rank_top - 1,) + p._ranks[at:]
+        entry = p._derived[at] = _structure(p._table, ranks, down)
+    return entry
+
+
+def _derived_poset(p: GradedPoset, entry: tuple, name: str | None = None, elems: tuple[str, ...] = ()) -> GradedPoset:
+    """A poset of the table entry entry in p's family, named name, with the elements elems in (rank, name) order.
+
+    Without a name it is a view: a poset with no element names, which only
+    the name-free core reads (``_well_formed``, ``_boundary``,
+    ``_near_eulerian_at``, ``is_eulerian``, ``_suspension_entry``), through
+    its entry's memo.  A view is built for one decision and kept nowhere.
+    """
+    return GradedPoset._from_bits(name, elems, entry, p._table)
+
+
 def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str | None = None) -> GradedPoset:
     """Poset on a down-closed set with a fresh ``top`` adjoined at rank_top.
 
     members names the set, or is its bitset over p's numbers.  The members
-    keep their (rank, name) order and the fresh top comes last, so the
-    parent's cover masks are renumbered by the kept bits.  That renumbering
-    reads no names but those of bot and top, so the kept numbers and the
-    result's table entry are kept in p's ``_derived`` by the bitset, the rank
-    and the numbers of bot and top; a cap that raises keeps nothing.
+    keep their (rank, name) order and the fresh top comes last; the numbers
+    and the table entry come from ``_cap_entry``.
     """
     if name is not None:
         _check_name(name)
     mask = members if isinstance(members, int) else p._mask(members)
     if mask < 0 or mask >> len(p):
         raise PosetError(f"bitset {mask} is not a set of elements of {p.name}")
-    key = mask, rank_top, p._index.get(BOT), p._index.get(TOP)
-    known = p._derived.get(key)
-    if known is None:
-        kept, ranks, down = _capped(p, mask, rank_top)
-        known = p._derived[key] = kept, _structure(p._table, ranks, down)
-    kept, entry = known
+    kept, entry = _cap_entry(p, mask, rank_top)
     elems = (*map(p._elements.__getitem__, kept), TOP)
-    return GradedPoset._from_bits(name or f"cap({p.name},{rank_top})", elems, entry, p._table)
+    return _derived_poset(p, entry, name or f"cap({p.name},{rank_top})", elems)
 
 
 def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
@@ -608,7 +663,10 @@ def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], 
 @memoized(shared=True)
 def _qualifying(p: GradedPoset) -> int:
     """Bitset of the elements y whose upper interval [y, top] is a three-element chain."""
-    not_top = ~(1 << p._index[p.top()])
+    top = p._levels.get(p.rank_top, 0)
+    if not top:
+        p.top()  # the empty poset: PosetError
+    not_top = ~(top & -top)  # the first element of the top rank, as ``top``
     out = 0
     for i in _bits(p._levels.get(p.rank_top - 2, 0)):
         if (p._upset[i] & not_top).bit_count() == 2:  # y and the one element between
@@ -631,29 +689,34 @@ def boundary_set(p: GradedPoset) -> set[str]:
 def semisuspension(p: GradedPoset, tau_name: str = "tau") -> tuple[GradedPoset, str]:
     """Adjoin a new coatom covering every qualifying y; returns (poset, tau id).
 
-    If no y qualifies the result has a coatom covering nothing, which
-    ``validate`` reports.
+    tau takes its place by name among the elements of rank rank_top - 1,
+    and the table entry comes from ``_suspension_entry``.  If no y
+    qualifies the result has a coatom covering nothing, which ``validate``
+    reports.
     """
     if p.rank_top < 2:
         raise PosetError("semisuspension needs rank at least 2")
     _check_name(tau_name)
     if tau_name in p:
         raise PosetError(f"name {tau_name!r} already present")
-    r = p.rank_top - 1
-    # the rank-r elements are one run that ends where the top rank begins
-    top_level = p._levels[p.rank_top]
-    end = (top_level & -top_level).bit_length() - 1
-    at = bisect.bisect_left(p._elements, tau_name, end - p._levels.get(r, 0).bit_count(), end)
-    entry = p._derived.get(at)  # keyed by tau's number; cap's keys are tuples, so the two never meet
-    if entry is None:
-        low = (1 << at) - 1  # tau takes number at; the numbers from at on move up by one
-        down = [m & low | (m & ~low) << 1 for m in p._down]
-        down.insert(at, _qualifying(p))  # qualifying ranks are below r, so their numbers stay
-        down[end + 1] |= 1 << at  # the first top moves up too
-        ranks = p._ranks[:at] + (r,) + p._ranks[at:]
-        entry = p._derived[at] = _structure(p._table, ranks, down)
+    at = bisect.bisect_left(p._elements, tau_name, *_coatom_run(p))
     elems = p._elements[:at] + (tau_name,) + p._elements[at:]
-    return GradedPoset._from_bits(f"ssusp({p.name})", elems, entry, p._table), tau_name
+    return _derived_poset(p, _suspension_entry(p, at), f"ssusp({p.name})", elems), tau_name
+
+
+@memoized(shared=True)
+def _near_eulerian_at(p: GradedPoset, at: int) -> bool:
+    """Whether p's structure, of rank 2 or more, is well formed and its semisuspension with tau numbered at
+    (``_suspension_entry``) is a well-formed Eulerian structure.
+
+    On a poset whose bot and top are named right (then so are its
+    semisuspension's), this is whether ``near_eulerian_suspension`` finds
+    it near-Eulerian, decided on numbers; p may be a view.
+    """
+    if p.rank_top < 2 or not _well_formed(p):
+        return False
+    suspended = _derived_poset(p, _suspension_entry(p, at))
+    return _well_formed(suspended) and is_eulerian(suspended)
 
 
 def near_eulerian_suspension(p: GradedPoset, tau_name: str = "tau") -> GradedPoset | None:

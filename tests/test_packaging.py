@@ -72,11 +72,18 @@ def test_only_the_memo_helper_touches_the_poset_memo():
     assert [t for t in touches if t[:2] not in allowed] == []
 
 
+# the derivation core of poset.py: the two functions that derive a table entry from a parent's and keep it in
+# the parent's ``_derived``, and the one that puts a poset of a derived entry in the parent's family
+DERIVING = {("poset.py", "_cap_entry"), ("poset.py", "_suspension_entry")}
+DERIVED_POSET = ("poset.py", "_derived_poset")
+
+
 def test_only_derived_constructions_pass_the_structure_table_on():
-    """A poset shares its structure table only with the posets ``cap`` and ``semisuspension`` derive from it,
-    and only they keep name-free results in its entry's ``_derived``."""
-    allowed = {("poset.py", "GradedPoset._fill"), ("poset.py", "cap"), ("poset.py", "semisuspension")}
-    for attr in ("_table", "_derived"):
+    """A poset shares its structure table only with the posets the derivation core derives from it (for
+    ``cap``, ``semisuspension`` and the certificate classes), and only the core keeps name-free results in its
+    entry's ``_derived``."""
+    fill = ("poset.py", "GradedPoset._fill")
+    for attr, allowed in (("_table", {fill, *DERIVING, DERIVED_POSET}), ("_derived", {fill, *DERIVING})):
         touches = [(path.name, *touch) for path in SOURCES for touch in attribute_touches(path, {attr})]
         assert {t[:2] for t in touches} == allowed, attr
 
@@ -98,7 +105,7 @@ def test_only_the_search_reads_or_writes_the_replay_table():
                 uses.append((path.name, scope, "write" if stored else "read"))
     assert set(uses) == {("partition.py", "_search", "read"), ("partition.py", "_search", "write")}
     writers = {(path.name, store[0]) for path in SOURCES for store in attribute_stores(path, {"_cache", "_shared", "_derived"})}
-    assert writers == {("poset.py", "GradedPoset._fill"), ("poset.py", "cap"), ("poset.py", "semisuspension")}
+    assert writers == {("poset.py", "GradedPoset._fill"), *DERIVING}
 
 
 def test_only_fill_sets_the_poset_core():

@@ -52,18 +52,21 @@ from cdposet.partition import (
 )
 from cdposet.poset import (
     BOT,
+    TOP,
     GradedPoset,
     PosetError,
     boundary_set,
+    cap,
     closure,
     format_poset,
     is_eulerian,
     is_semi_eulerian,
+    near_eulerian_suspension,
     parse_poset,
     product,
     validate,
 )
-from test_poset import gamma_poset
+from test_poset import SMALL_ZOO, gamma_poset, mutations
 
 
 def poly(terms):
@@ -1082,24 +1085,22 @@ class TestWalk:
 
     def test_checked_totals_build_no_more_subposets(self, monkeypatch):
         """Both passes read the sub-posets the fixture's conversion built; the counter's positive control is
-        ``TestSharedSubposets.test_parse_from_scratch_caps_through_partition_cap``."""
+        ``TestSharedSubposets.test_parse_from_scratch_builds_through_partition``."""
         cert = zoo.fixture_certificate("torus-fig12")  # a fresh poset: no other test warmed its memo
-        caps = []
-        real = partition.cap
-        monkeypatch.setattr(partition, "cap", lambda *a, **k: caps.append(1) or real(*a, **k))
+        built = TestSharedSubposets.record_builds(monkeypatch)
         unchecked = contributions_se(cert, check=False)
         checked = contributions_se(cert, check=True)
-        assert checked == unchecked and caps == []
+        assert checked == unchecked and TestSharedSubposets.named(built) == []
 
     def test_search_checks_each_class_once(self, monkeypatch):
         calls = []
-        real = partition._gamma_checked
+        real = partition._class_failure
 
         def recorded(p, sigma, rest, *args):
             calls.append((p, sigma, rest))  # holds p, so its id stays unique; rest is a bitset
             return real(p, sigma, rest, *args)
 
-        monkeypatch.setattr(partition, "_gamma_checked", recorded)
+        monkeypatch.setattr(partition, "_class_failure", recorded)
         assert search_s_certificate(zoo.gen("simplex-boundary", (6,))) is not None
         distinct = {(id(p), sigma, rest) for p, sigma, rest in calls}
         assert calls and len(calls) == len(distinct)
@@ -1110,44 +1111,57 @@ class TestSharedSubposets:
     they come from.  Every object here is built from text, so no session fixture warms a memo."""
 
     @staticmethod
-    def record_caps(monkeypatch) -> list:
-        capped = []
-        real = partition.cap
-        monkeypatch.setattr(partition, "cap", lambda p, *a, **k: capped.append(p.name) or real(p, *a, **k))
-        return capped
+    def record_builds(monkeypatch) -> list:
+        """(parent name, name) of every poset that ``partition`` derives from here on; a view has the name None."""
+        built = []
+        real = partition._derived_poset
+
+        def recorded(p, entry, name=None, elems=()):
+            built.append((p.name, name))
+            return real(p, entry, name, elems)
+
+        monkeypatch.setattr(partition, "_derived_poset", recorded)
+        return built
+
+    @staticmethod
+    def named(built) -> list:
+        return [name for _, name in built if name is not None]
 
     @staticmethod
     def parsed_torus12():
         cert = zoo.fixture_certificate("torus-fig12")
         return parse_certificate(format_certificate(cert), parse_poset(format_poset(cert.poset)))
 
-    def test_parse_from_scratch_caps_through_partition_cap(self, monkeypatch):
+    def test_parse_from_scratch_builds_through_partition(self, monkeypatch):
         """The positive control of the counts here: building the sub-posets anew is seen."""
         cert = zoo.fixture_certificate("torus-fig12")
         text, poset_text = format_certificate(cert), format_poset(cert.poset)
-        capped = self.record_caps(monkeypatch)
+        built = self.record_builds(monkeypatch)
         parse_certificate(text, parse_poset(poset_text))
-        # by the name of the capped poset: the top level, capped boundaries, semisuspensions
-        assert Counter(name.split("(")[0] for name in capped) == {"torus-fig12": 10, "bnd": 17, "ssusp": 25}
+        # one named poset per level below the root, by the name of the level it is derived from: the top
+        # level, capped boundaries, semisuspensions; and a view of the gamma of each semisuspension
+        assert Counter(parent.split("(")[0] for parent, name in built if name) == {"torus-fig12": 10, "bnd": 17, "ssusp": 25}
+        assert Counter(name.split("(")[0] for name in self.named(built)) == {"bnd": 32, "ssusp": 20}
+        assert len(built) - len(self.named(built)) == 20
 
     def test_verify_after_parse_builds_no_subposet(self, monkeypatch):
         cert = self.parsed_torus12()
-        capped = self.record_caps(monkeypatch)
+        built = self.record_builds(monkeypatch)
         assert verify_se_partition(cert) == []
-        assert capped == []
+        assert self.named(built) == []
 
     def test_checked_totals_after_parse_build_no_subposet(self, monkeypatch):
         cert = self.parsed_torus12()
-        capped = self.record_caps(monkeypatch)
+        built = self.record_builds(monkeypatch)
         contributions_se(cert, check=True)
-        assert capped == []
+        assert self.named(built) == []
 
     def test_verify_and_totals_after_search_build_no_subposet(self, monkeypatch):
         cert = search_s_certificate(parse_poset(format_poset(zoo.gen("simplex-boundary", (5,)))))
-        capped = self.record_caps(monkeypatch)
+        built = self.record_builds(monkeypatch)
         assert verify_s_partition(cert) == []
         contributions_s(cert, check=False)
-        assert capped == []
+        assert self.named(built) == []
 
 
 def _renamed_polygon4():
@@ -1308,6 +1322,126 @@ class TestReplay:
         else:
             at_once.spend(nodes)
         assert at_once.used == one_by_one.used
+
+
+def reference_gamma_checked(p, sigma, rest, j):
+    """The class check by names, as the library made it before it decided classes on numbers: gamma is a
+    named cap, validated with its semisuspension by ``near_eulerian_suspension``, its boundary a set of names."""
+    if not rest:
+        return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
+    members = set(p._names(rest))
+    try:
+        gamma = cap(p, closure(p, members), p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
+    except PosetError as exc:
+        return FailureReport(sigma, "gamma-unbuildable", str(exc))
+    tau = partition.tau_name(sigma, j)
+    if tau in gamma:
+        return FailureReport(sigma, "tau-name-taken", f"{tau} is already an element of {gamma.name}")
+    suspended = near_eulerian_suspension(gamma, tau)
+    if suspended is None:
+        return FailureReport(sigma, "gamma-not-near-eulerian", gamma.name)
+    bdry = boundary_set(gamma)
+    if members & bdry:
+        return FailureReport(sigma, "non-disjoint-boundary", f"{sorted(members & bdry)}")
+    missing = set(gamma.elements()) - {TOP} - members - bdry
+    if missing:
+        return FailureReport(sigma, "gamma-decomposition", f"uncovered closure part {sorted(missing)}")
+    return suspended
+
+
+class TestNumberedClassCheck:
+    """``_gamma_checked`` decides a class on numbers and nameless views; it gives the failure text, or a
+    semisuspension equal to and named as, the name-level reference's, and a failing check names no poset."""
+
+    @staticmethod
+    def compare(monkeypatch, checks) -> Counter:
+        """Compare every (p, sigma, rest, j) of checks with the reference; the outcome codes ("pass" for none)."""
+        codes = Counter()
+        built = TestSharedSubposets.record_builds(monkeypatch)
+        for p, sigma, rest, j in checks:
+            expected = reference_gamma_checked(p, sigma, rest, j)
+            built.clear()
+            failure = partition._class_failure(p, sigma, rest, j)
+            assert TestSharedSubposets.named(built) == []  # a check, failing or not, names nothing
+            got = partition._gamma_checked(p, sigma, rest, j)
+            if isinstance(expected, FailureReport):
+                assert got == failure == expected and str(got) == str(expected), (p.name, sigma, rest)
+                codes[expected.code] += 1
+            else:
+                assert failure is None and got == expected and got.name == expected.name, (p.name, sigma, rest)
+                codes["pass"] += 1
+        return codes
+
+    @staticmethod
+    def searched_checks(monkeypatch, run) -> list:
+        """The (p, sigma, rest, j) of every class check that run() makes."""
+        checks = []
+        real = partition._class_failure
+
+        def recorded(p, sigma, rest, j):
+            checks.append((p, sigma, rest, j))
+            return real(p, sigma, rest, j)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(partition, "_class_failure", recorded)
+            run()
+        return checks
+
+    @pytest.mark.parametrize("family", ["q-polytope", "torus-fig6", "torus-fig12"])
+    def test_zoo_published_certificates(self, monkeypatch, fresh_cert, family):
+        checks = [
+            (level.poset, sigma, level.poset._mask(part), j)
+            for level in _levels(fresh_cert(family))
+            for sigma in level.ordinary()
+            for j, part, _ in level._subclasses(sigma)
+        ]
+        assert self.compare(monkeypatch, checks) == {"pass": len(checks)} and checks
+
+    @pytest.mark.parametrize("family, params, search", TestReplay.SEARCHED)
+    def test_searched_families(self, monkeypatch, family, params, search):
+        p = parse_poset(format_poset(zoo.gen(family, params)))
+        checks = self.searched_checks(monkeypatch, lambda: search(p))
+        codes = self.compare(monkeypatch, checks)
+        # sphere2cells has two facets, the initial and the terminal one: no class to check
+        assert sum(codes.values()) == len(checks) and (codes["pass"] > 0) == (family != "sphere2cells")
+
+    def test_random_eulerian_small(self, monkeypatch):
+        codes = Counter()
+        for seed in range(200):
+            p = zoo.random_eulerian_small(seed, 5)
+            for search, passes in ((search_s_certificate, is_eulerian), (search_se_certificate, is_semi_eulerian)):
+                if p.rank_top >= 2 and validate(p) == [] and passes(p):
+                    codes += self.compare(monkeypatch, self.searched_checks(monkeypatch, lambda: search(p)))
+        assert codes == {"pass": 2184, "gamma-not-near-eulerian": 6}
+
+    def test_random_class_masks_reach_every_code(self, monkeypatch):
+        """Classes of random facets minus random down-closed covered parts, sometimes with an element of another
+        class, on zoo posets, their mutations (some invalid) and one with a taken tau name."""
+        rng = random.Random(29)
+        posets = [_renamed_polygon4()]
+        for family, params in SMALL_ZOO:
+            base = zoo.gen(family, params)
+            posets += [base, *mutations(base, 0)]
+        checks = []
+        for p in posets:
+            if p.rank_top < 2 or not p.elements_of_rank(p.rank_top):
+                continue
+            coatoms = [p._index[x] for x in p.coatoms()]
+            for _ in range(12):
+                i = rng.choice(coatoms) if coatoms else p._index[p.top()]
+                covered = 0
+                for k in rng.sample(coatoms, rng.randint(0, min(3, len(coatoms)))):
+                    covered |= p._downset[k] if k != i else 0
+                rest = p._downset[i] & ~covered & ~(1 << i)
+                if rng.random() < 0.2:
+                    rest |= 1 << rng.randrange(len(p) - 1)
+                j = rng.choice([None, 1, 2])
+                checks.append((p, p._elements[i], rest, j))
+        codes = self.compare(monkeypatch, checks)
+        assert set(codes) == {
+            "pass", "ordinary-singleton", "gamma-unbuildable", "tau-name-taken", "gamma-not-near-eulerian",
+            "non-disjoint-boundary", "gamma-decomposition",
+        }, codes
 
 
 class _Forgetful:
@@ -1630,7 +1764,8 @@ class TestTotalsMemo:
         real = GradedPoset._mask
         monkeypatch.setattr(GradedPoset, "_mask", lambda p, names: calls.append(names) or real(p, names))
         certs = [_bench_cert(name, *_BENCH_FAMILIES[name]) for name in ("q-polytope", "torus-fig6", "cube-4")]
-        assert calls  # parsing reads each class's members through _mask
+        # parsing reads members by number; it names the initial coatom of each level above rank 1, once
+        assert sorted(calls) == sorted([level.initial] for cert in certs for level in _levels(cert) if level.classes)
         certs += [
             search_s_certificate(parse_poset(format_poset(zoo.gen("cube", (3,))))),
             search_se_certificate(parse_poset(format_poset(zoo.gen("product", (3, 4))))),

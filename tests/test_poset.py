@@ -60,8 +60,10 @@ def diamond():
 
 
 def gamma_poset(p, sigma, members):
-    """The capped closure of a class minus its coatom sigma (or of an SE subclass), from the members' names."""
-    return partition_module._gamma(p, sigma, poset_module._union(p._downset, p._mask(members)))
+    """The capped closure of a class minus its coatom sigma (or of an SE subclass), from the members' names,
+    named as the certificate's failure texts name it.  The library never builds it: it decides a class on
+    numbers (``partition._class_failure``)."""
+    return cap(p, poset_module._union(p._downset, p._mask(members)), p.rank_top - 1, name=f"gamma({p.name}@{sigma})")
 
 
 def brute_mobius(p, x, y):
@@ -536,6 +538,15 @@ class TestArgumentTypes:
         with self.refused("5 is not a collection of element names"):
             closure(q_poset, 5)
 
+    def test_facet_order_given_as_an_int(self, q_poset):
+        report = partition_module.order_to_s_certificate(q_poset, 5)
+        assert report == partition_module.FailureReport(None, "bad-order", "order must enumerate all coatoms exactly once")
+
+    def test_simplicial_pairs_given_as_an_int(self):
+        p = zoo.gen("simplex-boundary", (3,))
+        with pytest.raises(partition_module.NotAPartition, match="^5 is not a collection of pairs$"):
+            partition_module.simplicial_partition_to_s_certificate(p, 5)
+
     def test_the_memo_still_serves_hashable_arguments(self, q_poset):
         assert initial_boundary_poset(q_poset, "s1") is initial_boundary_poset(q_poset, "s1")
         assert semisuspension(q_poset, "t") is semisuspension(q_poset, "t")
@@ -669,33 +680,50 @@ class TestMemo:
     def fresh(family="q-polytope", params=()):
         return parse_poset(format_poset(zoo.gen(family, params)))
 
+    @staticmethod
+    def suspended(p, sigma, members, j=None):
+        """The named semisuspension of the gamma of a class, memoized on p; gamma itself is never named."""
+        return partition_module._suspended(p, sigma, p._mask(members), j)
+
     def test_second_call_returns_the_same_object(self):
         p = self.fresh()
-        gamma = gamma_poset(p, "s2", {"C", "R", "BC", "CR", "QR"})
-        assert gamma_poset(p, "s2", frozenset({"C", "R", "BC", "CR", "QR"})) is gamma
-        assert gamma_poset(p, "s2", {"BC", "CR", "QR"}) is gamma  # the same closure
+        susp = self.suspended(p, "s2", {"C", "R", "BC", "CR", "QR"})
+        assert self.suspended(p, "s2", frozenset({"C", "R", "BC", "CR", "QR"})) is susp
+        assert self.suspended(p, "s2", {"BC", "CR", "QR"}) is susp  # the same closure
         assert initial_boundary_poset(p, "s1") is initial_boundary_poset(p, "s1")
+        gamma = gamma_poset(p, "s2", {"C", "R", "BC", "CR", "QR"})
         assert semisuspension(gamma, "tau@s2") is semisuspension(gamma, "tau@s2")
         assert semisuspension(gamma) is semisuspension(gamma)
+        assert semisuspension(gamma, "tau@s2")[0] == susp and susp.name == "ssusp(gamma(q-polytope@s2))"
         assert is_eulerian(p) is is_eulerian(p) is True
+
+    def test_a_cap_is_built_anew_on_its_parents_entry(self):
+        """``cap`` keeps its numbers in the parent's ``_derived``, not its result: each call names a new poset."""
+        p = self.fresh()
+        gamma = gamma_poset(p, "s2", {"C", "R", "BC", "CR", "QR"})
+        again = gamma_poset(p, "s2", {"BC", "CR", "QR"})  # the same closure
+        assert again is not gamma and again == gamma and again.name == gamma.name
+        assert again._downset is gamma._downset and again._shared is gamma._shared
 
     def test_different_arguments_give_different_objects(self):
         p = self.fresh()
-        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
-        assert gamma_poset(p, "s3", {"BC", "CR", "QR"}) is not gamma  # sigma names the result
-        assert gamma_poset(p, "s2", {"BC", "CR"}) is not gamma
+        susp = self.suspended(p, "s2", {"BC", "CR", "QR"})
+        assert self.suspended(p, "s3", {"BC", "CR", "QR"}) is not susp  # sigma names the result
+        assert self.suspended(p, "s2", {"BC", "CR", "QR"}, 1) is not susp  # and so does the subclass number
+        assert self.suspended(p, "s2", {"BC", "CR"}) is not susp
         assert initial_boundary_poset(p, "s1") is not initial_boundary_poset(p, "s2")
+        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
         assert semisuspension(gamma, "tau@a")[0] is not semisuspension(gamma, "tau@b")[0]
         assert semisuspension(gamma, "tau@a")[0].name == semisuspension(gamma, "tau@b")[0].name
 
     def test_a_reparsed_poset_starts_with_an_empty_memo(self):
         p = self.fresh()
-        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
+        susp = self.suspended(p, "s2", {"BC", "CR", "QR"})
         assert validate(p) == [] and is_eulerian(p) and p._cache and p._shared and len(p._table) > 1
         q = parse_poset(format_poset(p))
         assert q == p and q._cache == {} and q._shared == {}
         assert q._table is not p._table and list(q._table) == [(q._ranks, q._down)]  # only its own structure
-        assert gamma_poset(q, "s2", {"BC", "CR", "QR"}) is not gamma
+        assert self.suspended(q, "s2", {"BC", "CR", "QR"}) is not susp
 
     def test_returned_values_are_not_shared_mutably(self):
         p = GradedPoset("unbounded", {BOT: 0, "v0": 1, "v1": 1, TOP: 2}, [(BOT, "v0"), (BOT, "v1"), ("v0", TOP)])
@@ -734,14 +762,14 @@ class TestMemo:
 
     def test_a_poset_with_a_memo_pickles(self):
         p = self.fresh()
-        gamma = gamma_poset(p, "s2", {"BC", "CR", "QR"})
+        susp = self.suspended(p, "s2", {"BC", "CR", "QR"})
         phi = cd_index(p)
         assert is_eulerian(p) and p._cache and phi in p._shared.values()  # both memos hold values
-        for back, back_gamma in (pickle.loads(pickle.dumps((p, gamma))), copy.deepcopy((p, gamma))):
-            assert back == p and back_gamma == gamma and is_eulerian(back)
+        for back, back_susp in (pickle.loads(pickle.dumps((p, susp))), copy.deepcopy((p, susp))):
+            assert back == p and back_susp == susp and is_eulerian(back)
             assert back._shared == p._shared and cd_index(back) == phi
-            assert back_gamma._table is back._table  # the family still shares one table
-            assert gamma_poset(back, "s2", {"BC", "CR", "QR"}) is back_gamma  # read from the copied memo
+            assert back_susp._table is back._table  # the family still shares one table
+            assert self.suspended(back, "s2", {"BC", "CR", "QR"}) is back_susp  # read from the copied memo
 
     def test_every_memoized_value_is_immutable(self):
         p = self.fresh("torus-fig6")
@@ -799,56 +827,84 @@ class TestStructureTable:
         gp, gq = initial_boundary_poset(p, p.coatoms()[0]), initial_boundary_poset(q, q.coatoms()[0])
         assert gp == gq and gp._table is p._table and gq._table is q._table and gp._downset is not gq._downset
 
-    # family, params, search; then (builds, structures) after the search and after the checked totals,
-    # the parity tests of both, the search's Budget.used, and (builds, structures) of the parsed,
-    # verified and totalled benchmark certificate
+    # family, params, search; then (named posets, views, structures) after the search and after the checked
+    # totals, the parity tests of both, the search's Budget.used, and (named posets, views, structures) of the
+    # parsed, verified and totalled benchmark certificate
     SHARING = [
-        ("polygon", (100,), search_s_certificate, (296, 4), (296, 4), 2, 298, (296, 4)),
-        ("cube", (4,), search_s_certificate, (210, 23), (210, 23), 13, 239, (200, 17)),
-        ("product", (4, 5), search_se_certificate, (137, 12), (137, 12), 6, 158, (137, 12)),
+        ("polygon", (100,), search_s_certificate, (198, 197, 4), (198, 295, 4), 2, 298, (198, 197, 4)),
+        ("cube", (4,), search_s_certificate, (144, 96, 23), (144, 122, 23), 13, 239, (144, 88, 17)),
+        ("product", (4, 5), search_se_certificate, (99, 71, 12), (99, 98, 12), 6, 158, (99, 71, 12)),
     ]
+
+    @staticmethod
+    def count_fills(monkeypatch) -> tuple[list, list]:
+        """The lists that gain one entry per named poset and per nameless view that ``_fill`` sets up from here on."""
+        named, views = [], []
+        real_fill = GradedPoset._fill
+        monkeypatch.setattr(
+            GradedPoset, "_fill", lambda q, name, *a: (views if name is None else named).append(1) or real_fill(q, name, *a)
+        )
+        return named, views
 
     @pytest.mark.parametrize("family, params, search, searched, totalled, parities, nodes, parsed", SHARING)
     def test_builds_and_derivations(
         self, monkeypatch, family, params, search, searched, totalled, parities, nodes, parsed
     ):
         """Search, parse and checked totals build many posets of few structures: each structure is derived
-        and tested once (its table entry), however many posets of it are built."""
+        and tested once (its table entry), however many posets of it are built.  The class checks read
+        nameless views of the structures; only the posets the certificate keeps are named."""
         p = self.fresh(family, params)
-        filled, tested = [], []
-        real_fill, real_parity = GradedPoset._fill, poset_module._parity_holds
-        monkeypatch.setattr(GradedPoset, "_fill", lambda q, *a: filled.append(1) or real_fill(q, *a))
+        named, views = self.count_fills(monkeypatch)
+        tested = []
+        real_parity = poset_module._parity_holds
         monkeypatch.setattr(poset_module, "_parity_holds", lambda *a: tested.append(1) or real_parity(*a))
         budget = Budget()
         cert = search(p, budget)
-        assert (len(filled), len(p._table)) == searched and budget.used == nodes
+        assert (len(named), len(views), len(p._table)) == searched and budget.used == nodes
         contributions(cert, check=True)
-        assert (len(filled), len(p._table)) == totalled and len(tested) == parities
+        assert (len(named), len(views), len(p._table)) == totalled and len(tested) == parities
         q = self.fresh(family, params)
-        filled.clear()
+        named.clear()
+        views.clear()
         text = (BENCH_CERT_DIR / f"{family}-{'-'.join(map(str, params))}.cert").read_text(encoding="utf-8")
         cert = parse_certificate(text, q)
         assert verify_partition(cert) == []
         contributions(cert, check=True)
-        assert (len(filled), len(q._table)) == parsed
+        assert (len(named), len(views), len(q._table)) == parsed
+
+    @pytest.mark.parametrize("family, params, search", [(f, p, s) for f, p, s, *_ in SHARING])
+    def test_one_named_poset_per_level_below_the_root(self, monkeypatch, family, params, search):
+        """A search, and a parse, name exactly the poset of each certificate level below the root (its
+        semisuspension or its capped initial boundary); verification and totals after them name none."""
+        named, _ = self.count_fills(monkeypatch)
+        for build in (search, lambda q: parse_certificate(format_certificate(cert), q)):
+            q = self.fresh(family, params)
+            named.clear()
+            cert = build(q)
+            levels = level_posets(cert)
+            assert len(named) == len(levels) == len({id(level) for level in levels})
+            named.clear()
+            assert verify_partition(cert) == []
+            contributions(cert, check=True)
+            assert named == []
 
 
 class TestDerivedEntries:
-    """``cap`` and ``semisuspension`` keep their name-free results in the parent's table entry, and
-    ``validate`` keeps a structural verdict there; a repeated derivation only attaches names."""
+    """The derivation core (``_cap_entry``, ``_suspension_entry``) keeps its name-free results in the parent's
+    table entry, and ``validate`` keeps a structural verdict there; a repeated derivation only reads them."""
 
     @staticmethod
     def recorded_hits(monkeypatch, p, search):
-        """(function, parent, args, kwargs, result) of every cap and semisuspension of search and checked totals
-        on p that its parent's ``_derived`` already held."""
+        """(function, parent, args, result) of every derivation of search and checked totals on p that its
+        parent's ``_derived`` already held; a semisuspension's parent is a nameless view of a gamma."""
         hits = []
 
         def recording(fn, key):
-            def wrapped(parent, *args, **kwargs):
+            def wrapped(parent, *args):
                 known = key(parent, *args) in parent._derived
-                result = fn(parent, *args, **kwargs)
+                result = fn(parent, *args)
                 if known:
-                    hits.append((fn, parent, args, kwargs, result))
+                    hits.append((fn, parent, args, result))
                 return result
 
             return wrapped
@@ -856,15 +912,18 @@ class TestDerivedEntries:
         def cap_key(parent, mask, rank_top):
             return mask, rank_top, parent._index.get(BOT), parent._index.get(TOP)
 
-        def ssusp_key(parent, tau="tau"):
-            end = len(parent) - parent._levels[parent.rank_top].bit_count()
-            start = end - parent._levels.get(parent.rank_top - 1, 0).bit_count()
-            return bisect.bisect_left(parent._elements, tau, start, end)
-
-        monkeypatch.setattr(partition_module, "cap", recording(cap, cap_key))
-        monkeypatch.setattr(partition_module, "semisuspension", recording(semisuspension, ssusp_key))
+        for fn, key in ((poset_module._cap_entry, cap_key), (poset_module._suspension_entry, lambda parent, at: at)):
+            monkeypatch.setattr(partition_module, fn.__name__, recording(fn, key))
         contributions(search(p), check=True)
         return hits
+
+    @staticmethod
+    def cold(parent):
+        """parent's structure in a fresh table: a root of its own family, named as parent (a view has no names)."""
+        if parent.name is not None:
+            return GradedPoset(parent.name, parent.ranks(), parent.covers())
+        table = {}
+        return GradedPoset._from_bits(None, (), poset_module._structure(table, parent._ranks, list(parent._down)), table)
 
     @pytest.mark.parametrize(
         "family, params, search",
@@ -874,16 +933,19 @@ class TestDerivedEntries:
     def test_warm_hits_equal_their_name_built_twins_and_cold_calls(self, monkeypatch, family, params, search):
         p = parse_poset(format_poset(zoo.gen(family, params)))
         hits = self.recorded_hits(monkeypatch, p, search)
-        assert {fn for fn, *_ in hits} == {cap, semisuspension} and len(hits) > 20
-        for fn, parent, args, kwargs, result in hits:
-            q = result[0] if fn is semisuspension else result
-            assert_name_built_twin(q)
-            cold_parent = GradedPoset(parent.name, parent.ranks(), parent.covers())  # a fresh table
-            cold = fn(cold_parent, *args, **kwargs)
-            cold_q = cold[0] if fn is semisuspension else cold
-            assert cold_q == q and cold_q.name == q.name and q._table is p._table
-            for field in CORE_FIELDS:
-                assert getattr(q, field) == getattr(cold_q, field), (q.name, field)
+        derivations = {poset_module._cap_entry, poset_module._suspension_entry}
+        assert {fn for fn, *_ in hits} == derivations and len(hits) > 20
+        assert {parent.name is None for fn, parent, *_ in hits if fn is poset_module._suspension_entry} == {True}
+        for fn, parent, args, result in hits:
+            cold = fn(self.cold(parent), *args)
+            kept, entry = result if fn is poset_module._cap_entry else ((), result)
+            cold_kept, cold_entry = cold if fn is poset_module._cap_entry else ((), cold)
+            assert kept == cold_kept and p._table[entry[0]] is entry
+            assert entry[:6] == cold_entry[:6]  # key, upper covers, closures, levels, rank; not the memos
+            if parent.name is not None:  # the named cap of a warm entry equals its name-built twin
+                q = cap(parent, *args)
+                assert_name_built_twin(q)
+                assert q._downset is entry[2]
 
     @pytest.mark.parametrize(
         "members, rank_top",

@@ -99,7 +99,7 @@ def recursive_functions(graph: dict[str, set[str]]) -> set[str]:
 def test_the_graph_sees_the_package():
     graph = call_graph()
     assert "partition._search.fits" in graph and "poset._run" in graph
-    assert "partition._gamma_checked" in graph["partition._search.fits"]
+    assert "partition._class_failure" in graph["partition._search.fits"]
     # generator functions are sub-walks: starting one is not an edge
     assert "partition._search" not in graph["partition._search_checked"]
 
