@@ -9,22 +9,24 @@ its one zero class is the terminal singleton and each ordinary class is a
 single subclass.  Every walk is written once over the view both share.
 
 Each certificate level below the root holds one named poset, its capped
-initial boundary or a semisuspension, memoized on its parent level's
-poset by coatom number (and class bitset), so parsing, verifying,
-totalling and searching one certificate name each of them once.  A class
-is decided on numbers (``_class_failure``): its gamma, the capped closure
-of the class minus its coatom, is a nameless view of the table entry that
-``poset._cap_entry`` derives from the parent's bitsets, and its
+initial boundary or a semisuspension, memoized on its parent level's poset
+by coatom number (and class bitset), so parsing, verifying, totalling and
+searching one certificate name each of them once.  Only the root's poset is
+validated and tested (semi-)Eulerian: every proper interval of a
+semi-Eulerian poset, such as a capped initial boundary [bot, sigma1], is
+Eulerian, and each semisuspension is one the class checks found so.  A
+class is decided on numbers (``_class_failure``): its gamma, the capped
+closure of the class minus its coatom, is a nameless view of the table
+entry that ``poset._cap_entry`` derives from the parent's bitsets, and its
 semisuspension is decided at tau's number without being named.  The
 well-formedness, near-Eulerian verdict and boundary of a gamma, and the
-Eulerian verdicts and boundary cd-indices of the named sub-posets, read no
-names: they are memoized once per numbered structure in the family's
-structure table (see ``poset.memoized``), so the sub-posets of one shape
-derive their closures and compute those values once.  Inside the walks a
-class stays one bitset, from the facet order or the certificate's names to
-the class-map and gamma rules and the certificate record; names are formed
-only for the posets the levels hold, that record, violation and failure
-text and file output.
+boundary cd-indices of the named sub-posets, read no names: they are
+memoized once per numbered structure in the family's structure table (see
+``poset.memoized``), so the sub-posets of one shape derive their closures
+and compute those values once.  Inside the walks a class stays one bitset,
+from the facet order or the certificate's names to the class-map and gamma
+rules and the certificate record; names are formed only for the posets the
+levels hold, that record, violation and failure text and file output.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
@@ -595,8 +597,15 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
 
     An S-certificate needs an Eulerian poset and one terminal singleton; an
     SE-certificate a semi-Eulerian poset, declared singletons and a subclass
-    decomposition of every ordinary class.
+    decomposition of every ordinary class.  Only the root's poset is tested,
+    here; every level below holds an interval or a checked semisuspension.
     """
+    p, eulerian = cert.poset, isinstance(cert, SPartitionCert)
+    bad = validate(p)
+    if bad:
+        return [Violation("poset-invalid", cert.header, str(v)) for v in bad]
+    if p.rank_top > 1 and not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
+        return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", cert.header, p.name)]
     return _run(_verify(cert, cert.header))
 
 
@@ -606,17 +615,11 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
         _derive_tokens(cert)
     if cert._token in _VERIFIED:
         return []
-    eulerian = isinstance(cert, SPartitionCert)
-    p = cert.poset
-    bad = validate(p)
-    if bad:
-        return [Violation("poset-invalid", path, str(v)) for v in bad]
+    p, eulerian = cert.poset, isinstance(cert, SPartitionCert)
     if p.rank_top - 1 == 0:
         if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
             return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
         return _passed(cert, [])
-    if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
-        return [Violation("not-eulerian" if eulerian else "not-semi-eulerian", path, p.name)]
     out: list[Violation] = []
     masks = _check_partition(cert, path, out)
     if masks is None:
@@ -852,9 +855,10 @@ def _certificate(
     classes besides the initial one: the S terminal (every caller leaves
     exactly one) or the SE singletons.  SE ordinary classes split into their
     connected components.  ``checked``: the caller already ran the class
-    checks.  The record is built once, after its sub-certificates, and names
-    are formed only for it; it is marked for a level token unless ``replay``
-    is None.
+    checks.  p is (semi-)Eulerian, so its capped initial boundary, an
+    interval of p, is Eulerian and searched untested.  The record is built
+    once, after its sub-certificates, and names are formed only for it; it is
+    marked for a level token unless ``replay`` is None.
     """
     names = p._elements
     zero = [i for i in sorted(classes) if i != initial and classes[i] == 1 << i]
@@ -865,11 +869,7 @@ def _certificate(
         if i != initial and i not in zero:
             rest = classes[i] & ~(1 << i)
             blocks[i] = [(None, rest)] if cls is SPartitionCert else list(enumerate(_components(p, rest), start=1))
-    boundary = _initial_boundary(p, initial)
-    sub_initial = None
-    # a rank-1 boundary is the two-element chain and needs no test
-    if boundary.rank_top == 1 or is_eulerian(boundary):
-        sub_initial = yield _search(boundary, budget, SPartitionCert, replay=replay)
+    sub_initial = yield _search(_initial_boundary(p, initial), budget, SPartitionCert, replay=replay)
     if sub_initial is None:
         return FailureReport(names[initial], "initial-subcert", "capped boundary admits no certificate")
     subcerts = {}
@@ -879,7 +879,6 @@ def _certificate(
             suspended = (_suspended if checked else _gamma_checked)(p, sigma, rest, j)
             if isinstance(suspended, FailureReport):
                 return suspended
-            # the class check found the semisuspension Eulerian
             sub = yield _search(suspended, budget, SPartitionCert, tau_name(sigma, j), replay)
             if sub is None:
                 where = "" if j is None else f"subclass {j} "
@@ -973,8 +972,9 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
     and the ridge test come before a facet's search node is spent, the class
     checks after.  Each slot is one level of the walk, and the last slot
     yields ``_certificate``, which finds the semisuspensions the checks built
-    memoized on p.  p must be Eulerian (S, so it has two facets or more) or
-    semi-Eulerian (SE).
+    memoized on p.  p is Eulerian (S, so it has two facets or more) or
+    semi-Eulerian (SE): only a root is tested, and a sub-search's poset is an
+    interval of its parent or a semisuspension the class checks found so.
 
     The ridge test loses no S-certificate: a facet sharing no ridge with the
     covered region keeps all its ridges, so its rest is not empty and its
@@ -1063,10 +1063,9 @@ def _search_checked(
     bad = validate(p)
     if bad:
         raise PosetError(f"invalid poset: {bad[0]}")
-    if cls is SPartitionCert and not is_eulerian(p):
-        raise PosetError(f"{p.name} is not Eulerian")
-    if cls is SEPartitionCert and not is_semi_eulerian(p):
-        raise PosetError(f"{p.name} is not semi-Eulerian")
+    eulerian = cls is SPartitionCert
+    if not (is_eulerian(p) if eulerian else is_semi_eulerian(p)):
+        raise PosetError(f"{p.name} is not {'Eulerian' if eulerian else 'semi-Eulerian'}")
     return _run(_search(p, Budget.of(budget), cls, replay=_replay_table(p)))
 
 

@@ -108,6 +108,17 @@ def test_only_the_search_reads_or_writes_the_replay_table():
     assert writers == {("poset.py", "GradedPoset._fill"), *DERIVING}
 
 
+def test_only_the_entries_test_a_certificate_poset_eulerian():
+    """Only the root of a certificate is tested (semi-)Eulerian, by the entries that take it: every poset below
+    the root is an interval of an Eulerian or semi-Eulerian parent, or a semisuspension the class checks found
+    Eulerian (see the ``partition`` module docstring)."""
+    tests = {"is_eulerian", "is_semi_eulerian"}
+    nodes = scoped_nodes(ROOT / "src" / "cdposet" / "partition.py")
+    users = {scope for scope, node in nodes if isinstance(node, ast.Name) and node.id in tests}
+    converters = {"order_to_s_certificate", "simplicial_partition_to_s_certificate", "se_certificate_from_classes"}
+    assert users == {"verify_partition", "_search_checked", *converters}
+
+
 def test_only_fill_sets_the_poset_core():
     """Constructors hand ``_fill`` the elements and their structure's table entry; it alone sets the core."""
     core = {"_elements", "_index", "_ranks", "_up", "_down", "_downset", "_upset", "_levels", "rank_top", "_table", "_shared"}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cdposet import partition, zoo
+from cdposet import partition, poset as poset_module, zoo
 from cdposet.flags import cd_index, flag_f, semi_cd_index
 from cdposet.ncpoly import CD, NcPolynomial
 from cdposet.partition import (
@@ -1034,9 +1034,23 @@ class TestEulerianTestCalls:
         real = partition.is_eulerian
         monkeypatch.setattr(partition, "is_eulerian", lambda q: tested.append(q) or real(q))
         assert search_s_certificate(p) is not None
-        assert sum(q is p for q in tested) == 1
-        # the sub-searches test their sub-posets at the call sites
-        assert len(tested) > 1
+        # the sub-posets are intervals of p or semisuspensions the class checks found Eulerian: only p is tested
+        assert len(tested) == 1 and tested[0] is p
+
+    @pytest.mark.parametrize("d", [8, 120])
+    def test_search_and_verify_test_the_root_only(self, monkeypatch, shallow_stack, d):
+        """One parity test each on fresh posets, of the root, however deep the certificate (rank d + 2)."""
+        p = parse_poset(format_poset(zoo.gen("sphere2cells", (d,))))
+        tested = []
+        real = poset_module._parity_holds
+        monkeypatch.setattr(poset_module, "_parity_holds", lambda q, *a: tested.append(q) or real(q, *a))
+        cert = search_s_certificate(p)
+        assert len(tested) == 1 and tested[0] is p
+        q = parse_poset(format_poset(p))
+        parsed = parse_certificate(format_certificate(cert), q)
+        tested.clear()
+        assert partition.verify_partition(parsed) == []
+        assert len(tested) == 1 and tested[0] is q
 
 
 class TestCrossChecks:
@@ -1512,8 +1526,8 @@ class TestVerificationMemo:
         tokens = {id(level.token) for level in levels}
         assert len(levels) == 199 and len(tokens) == 3 and None not in {level.token for level in levels}
         walked = []
-        real = partition.validate  # a full walk of a level validates its poset once; a memo hit does not
-        monkeypatch.setattr(partition, "validate", lambda p: walked.append(p) or real(p))
+        real = partition._passed  # a full walk of a level ends here once; a memo hit does not
+        monkeypatch.setattr(partition, "_passed", lambda level, out: walked.append(level.poset) or real(level, out))
         assert verify_s_partition(cert) == [] and len(walked) == 3
         assert verify_s_partition(cert) == [] and len(walked) == 3
         assert contributions_s(cert, check=True).total == cd_index(cert.poset) and len(walked) == 3
@@ -1531,8 +1545,8 @@ class TestVerificationMemo:
         copy_ = replace(cert)
         assert cert.token is not None and copy_.token is None and copy_ == cert
         walked = []
-        real = partition.validate
-        monkeypatch.setattr(partition, "validate", lambda p: walked.append(p) or real(p))
+        real = partition._passed
+        monkeypatch.setattr(partition, "_passed", lambda level, out: walked.append(level.poset) or real(level, out))
         assert verify_s_partition(cert) == [] and walked == []
         assert verify_s_partition(copy_) == [] and walked == [cert.poset]  # its sub-certificates are the library's
 
@@ -1773,3 +1787,57 @@ class TestTotalsMemo:
         calls.clear()
         assert all(level.token is not None for cert in certs for level in _levels(cert))
         assert calls == []
+
+
+class TestSubLevelsAreEulerian:
+    """The property that lets only the root be tested: the poset of every level below it is valid and Eulerian.
+
+    Each is the capped initial boundary of its parent, an interval [bot, sigma1] of an Eulerian or
+    semi-Eulerian poset, or a semisuspension that the class checks found Eulerian.  The parity test is called
+    directly, not through the memo of ``is_eulerian``.
+    """
+
+    @staticmethod
+    def sub_levels_checked(cert) -> int:
+        """The number of levels below cert's root, after asserting each one's poset valid and Eulerian."""
+        subs = _levels(cert)[1:]
+        for level in subs:
+            q = level.poset
+            assert validate(q) == [] and poset_module._parity_holds(q), q.name
+        return len(subs)
+
+    @pytest.mark.parametrize("family, params, search", TestReplay.SEARCHED)
+    def test_searched_zoo_certificates(self, family, params, search):
+        assert self.sub_levels_checked(search(zoo.gen(family, params))) > 1
+
+    def test_searched_random_eulerian_small(self):
+        levels = 0
+        for seed in range(200):
+            p = zoo.random_eulerian_small(seed, 5)
+            for search, passes in ((search_s_certificate, is_eulerian), (search_se_certificate, is_semi_eulerian)):
+                if p.rank_top >= 2 and validate(p) == [] and passes(p):
+                    cert = search(p)
+                    levels += 0 if cert is None else self.sub_levels_checked(cert)
+        assert levels == 7958  # below the roots of 400 certificates
+
+    @pytest.mark.parametrize("family", ["q-polytope", "torus-fig6", "torus-fig12"])
+    def test_zoo_published_certificates(self, family):
+        assert self.sub_levels_checked(zoo.fixture_certificate(family)) > 1
+
+    @pytest.mark.parametrize(
+        "name, family, params",
+        [
+            ("connected-sum-4", "connected-sum", (4,)),
+            ("cube-4", "cube", (4,)),
+            ("icosahedron", "icosahedron", ()),
+            ("polygon-100", "polygon", (100,)),
+            ("product-4-5", "product", (4, 5)),
+            ("q-polytope", "q-polytope", ()),
+            ("sphere2cells-8", "sphere2cells", (8,)),
+            ("torus-7vertex", "torus-7vertex", ()),
+            ("torus-fig12", "torus-fig12", ()),
+            ("torus-fig6", "torus-fig6", ()),
+        ],
+    )
+    def test_benchmark_certificates(self, name, family, params):
+        assert self.sub_levels_checked(_bench_cert(name, family, params)) > 1

@@ -832,7 +832,7 @@ class TestStructureTable:
     # parsed, verified and totalled benchmark certificate
     SHARING = [
         ("polygon", (100,), search_s_certificate, (198, 197, 4), (198, 295, 4), 2, 298, (198, 197, 4)),
-        ("cube", (4,), search_s_certificate, (144, 96, 23), (144, 122, 23), 13, 239, (144, 88, 17)),
+        ("cube", (4,), search_s_certificate, (144, 96, 23), (144, 122, 23), 10, 239, (144, 88, 17)),
         ("product", (4, 5), search_se_certificate, (99, 71, 12), (99, 98, 12), 6, 158, (99, 71, 12)),
     ]
 
