@@ -10,9 +10,10 @@ names are used only to name inputs and results, and names come out in
 
 Every constructor hands the core one input: the elements in (rank, name)
 order, their ranks by number and their lower-cover masks.  One step,
-``_numbered``, numbers named elements and ORs their lower-cover masks.  The
-name constructor calls it after checking the covers, and ``parse_poset``
-calls it after checking each line, so a parsed poset is not built by name.
+``_numbered``, sorts named elements into that order.  The name constructor
+calls it first and ORs each checked cover into a mask; ``parse_poset``
+numbers elements as declared, ORs each cover line into a mask and calls it
+last, and it renumbers the masks only if the order was another.
 Derived posets are built bitset to bitset by the derivation core:
 ``_cap_entry`` takes a down-closed bitset over the parent's numbers and
 renumbers the parent's lower-cover masks, and ``_suspension_entry`` shifts
@@ -63,8 +64,8 @@ import bisect
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 BOT = "bot"
@@ -145,19 +146,34 @@ def _run(walk):
 
 
 def _numbered(
-    rank: dict[str, int], covers: list[tuple[str, str]]
+    names: tuple[str, ...], ranks: list[int], down: list[int] | None = None
 ) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
-    """The elements in (rank, name) order, their ranks and the lower-cover masks over their numbers.
+    """The elements in (rank, name) order, their ranks and their lower-cover masks over those numbers.
 
-    Every cover must join two elements of rank.  The masks are OR-ed, so a
-    repeated cover changes nothing.
+    names and ranks give the elements in some order and down[i] the mask of element i over it (without down,
+    every mask is 0); the masks are renumbered only when that order is not (rank, name) order.
     """
-    elems = tuple(sorted(sorted(rank), key=rank.__getitem__))  # by name, then stably by rank
-    index = dict(zip(elems, range(len(elems))))
-    down = [0] * len(elems)
-    for lo, hi in covers:
-        down[index[hi]] |= 1 << index[lo]
-    return elems, tuple(map(rank.__getitem__, elems)), down
+    order = sorted(range(len(names)), key=names.__getitem__)
+    order.sort(key=ranks.__getitem__)  # by name, then stably by rank
+    if down is None:
+        down = [0] * len(names)
+    elif order != list(range(len(names))):
+        down = _renumbered(down, order)
+    return tuple(map(names.__getitem__, order)), tuple(map(ranks.__getitem__, order)), down
+
+
+def _renumbered(masks: list[int] | tuple[int, ...], kept: list[int]) -> list[int]:
+    """masks[i] for each i of kept, with each bit renumbered to its place in kept; KeyError on a bit outside kept."""
+    new = dict(zip(kept, range(len(kept))))
+    out = []
+    for i in kept:
+        m, below = masks[i], 0
+        while m:
+            low = m & -m
+            below |= 1 << new[low.bit_length() - 1]
+            m ^= low
+        out.append(below)
+    return out
 
 
 def _check_name(name: str) -> None:
@@ -260,18 +276,22 @@ class GradedPoset:
         if not set(map(type, rank.values())) <= {int}:  # a bool or a float would not round-trip
             x = next(x for x, r in rank.items() if type(r) is not int)
             raise PosetError(f"rank {rank[x]!r} of {x!r} is not an integer")
+        elems, ranks, down = _numbered(tuple(rank), list(rank.values()))  # sorted first: no cover is renumbered
+        index = dict(zip(elems, range(len(elems))))
         try:
             if not set(map(type, covers)) <= {tuple, list}:  # a str such as "ab" would unpack as the cover a < b
                 raise TypeError
             for lo, hi in covers:  # ValueError on a cover of another length, TypeError on an unhashable name
-                if lo not in rank or hi not in rank:
-                    raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}")
-                if rank[hi] <= rank[lo]:
+                try:
+                    i, j = index[lo], index[hi]
+                except KeyError:
+                    raise PosetError(f"cover references unknown element {lo if lo not in rank else hi!r}") from None
+                if ranks[j] <= ranks[i]:
                     raise PosetError(f"cover {lo} {hi} does not go up in rank")
+                down[j] |= 1 << i
         except (TypeError, ValueError):
             bad = next(c for c in covers if not _is_name_pair(c))  # every cover before the one that raised is a pair
             raise PosetError(f"cover {bad!r} is not a pair of element names") from None
-        elems, ranks, down = _numbered(rank, covers)
         table: dict = {}
         self._fill(name, elems, _structure(table, ranks, down), table)
 
@@ -417,15 +437,20 @@ def _well_formed(p: GradedPoset) -> bool:
     """Whether p's numbered structure passes every check of ``validate`` but the names of bot and top.
 
     Then p has one rank-0 element, numbered first, and one top-rank element, numbered last.  A negative
-    rank fails too: the lowest element has no lower cover.
+    rank fails too: the lowest element has no lower cover.  Each level, a run of numbers, is checked in C-level
+    steps: a lower cover for each element if the rank is not 0, an upper cover for each below the top rank, and
+    the union of the level's upper covers inside the next level.
     """
-    levels, rank_top = p._levels, p.rank_top
+    levels, rank_top, up, down = p._levels, p.rank_top, p._up, p._down
     if levels.get(0, 0).bit_count() != 1 or levels[rank_top].bit_count() != 1:
         return False
-    return not any(
-        (r and not below) or (r < rank_top and not above) or above & ~levels.get(r + 1, 0)
-        for r, above, below in zip(p._ranks, p._up, p._down)
-    )
+    for r, level in levels.items():
+        start, end = (level & -level).bit_length() - 1, level.bit_length()
+        if (r and 0 in down[start:end]) or (r < rank_top and 0 in up[start:end]):
+            return False
+        if functools.reduce(operator.or_, up[start:end]) & ~levels.get(r + 1, 0):
+            return False
+    return True
 
 
 @memoized
@@ -487,8 +512,8 @@ def _parity_holds(p: GradedPoset, skip: tuple[str, str] | None = None) -> bool:
     """Every interval [x, y] with x < y, except skip, has as many even-rank as odd-rank elements.
 
     By induction over [x, y] this holds exactly when mu(x, z) = (-1)^(rank z - rank x)
-    for all x <= z <= y, on any finite poset.  An interval is the intersection
-    of an up-closure and a down-closure.
+    for all x <= z <= y, on any finite poset.  An interval is the intersection of an
+    up-closure and a down-closure, and the counted ends y of each x are walked bit by bit, inline.
 
     Only intervals of even rank length are counted; the others follow from
     their sub-intervals.  Let e(u, w) be the sum of (-1)^(rank v - rank u) over
@@ -515,11 +540,14 @@ def _parity_holds(p: GradedPoset, skip: tuple[str, str] | None = None) -> bool:
         for i in _bits(p._downset[lo]):
             ends[i] |= p._upset[i] & p._upset[hi]
         ends[lo] &= ~(1 << hi)
+    downset = p._downset
     for up, counted in zip(p._upset, ends):
-        for j in _bits(counted):
-            span = up & p._downset[j]
+        while counted:
+            low = counted & -counted
+            span = up & downset[low.bit_length() - 1]
             if span.bit_count() != 2 * (span & even).bit_count():
                 return False
+            counted ^= low
     return True
 
 
@@ -632,19 +660,9 @@ def cap(p: GradedPoset, members: Iterable[str] | int, rank_top: int, name: str |
 def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     """The numbers ``cap`` keeps of p, and the ranks and lower-cover masks of its result; the errors of ``cap``."""
     kept = _bits(mask)
-    n = len(kept)
-    new = dict(zip(kept, range(n)))
-    p_down, down, covered = p._down, [], 0
     closed = BOT in p._index and mask >> p._index[BOT] & 1
     try:
-        for i in kept:
-            m, below = p_down[i], 0
-            while m:
-                low = m & -m
-                below |= 1 << new[low.bit_length() - 1]
-                m ^= low
-            down.append(below)
-            covered |= below
+        down = _renumbered(p._down, kept)
     except KeyError:  # a lower cover of a member is not a member
         closed = False
     if not closed:
@@ -656,7 +674,7 @@ def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], 
     if TOP in p._index and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
-    down.append((1 << n) - 1 & ~covered)  # the fresh top covers every member that no member covers
+    down.append((1 << len(kept)) - 1 & ~functools.reduce(operator.or_, down, 0))  # every member no member covers
     return tuple(kept), ranks + (rank_top,), down
 
 
@@ -898,7 +916,7 @@ def read_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] if "#" in line else line for line in lines]
-    return filter(itemgetter(2), zip(itertools.count(1), lines, map(str.split, lines)))
+    return filter(operator.itemgetter(2), zip(itertools.count(1), lines, map(str.split, lines)))
 
 
 def _integer(field: str) -> int | None:
@@ -911,34 +929,41 @@ def parse_poset(text: str) -> GradedPoset:
     """Parse the line-oriented poset file format (``#`` starts a comment).
 
     Each line is checked as it is read, and an error names its line.  The
-    elements are then numbered once, in (rank, name) order, and the cover
-    masks over those numbers go straight to the bitset core: no poset is
-    built from names.
+    elements are numbered as their ``elem`` lines come (each distinct rank
+    field is read once), and each ``cover`` line is OR-ed into a lower-cover
+    mask.  ``_numbered`` puts them in (rank, name) order, renumbering the
+    masks only if the file has another order (``format_poset`` writes that
+    one), and they go to the bitset core: no poset is built from names.
     """
     name: str | None = None
     declared_rank: int | None = None
-    ranks: dict[str, int] = {}
-    covers: list[tuple[str, str]] = []
+    index: dict[str, int] = {}  # element numbers in the order of the elem lines
+    ranks: list[int] = []  # by number, as are the lower-cover masks
+    down: list[int] = []
+    values: dict[str, int | None] = {}  # the value of each rank field read so far, None if it is no integer
     for lineno, _, fields in read_lines(text):
         kind = fields[0]
         if kind == "cover":
-            if len(fields) != 3:
-                raise PosetParseError("expected: cover <lower> <upper>", lineno)
-            _, lo, hi = fields
             try:
-                rises = ranks[hi] > ranks[lo]
+                _, lo, hi = fields
+                i, j = index[lo], index[hi]
+            except ValueError:
+                raise PosetParseError("expected: cover <lower> <upper>", lineno) from None
             except KeyError:
                 raise PosetParseError("cover references undeclared element", lineno) from None
-            if not rises:
+            if ranks[j] <= ranks[i]:
                 raise PosetParseError(f"cover {lo} {hi} does not go up in rank", lineno)
-            covers.append((lo, hi))
+            down[j] |= 1 << i
         elif kind == "elem":
-            r = _integer(fields[2]) if len(fields) == 3 else None
+            field = fields[2] if len(fields) == 3 else ""
+            r = values[field] if field in values else values.setdefault(field, _integer(field))
             if r is None:
                 raise PosetParseError("expected: elem <id> <rank>", lineno)
-            if fields[1] in ranks:
+            if fields[1] in index:
                 raise PosetParseError(f"duplicate element {fields[1]!r}", lineno)
-            ranks[fields[1]] = r
+            index[fields[1]] = len(ranks)
+            ranks.append(r)
+            down.append(0)
         elif kind == "rank":
             declared_rank = _integer(fields[1]) if len(fields) == 2 else None
             if declared_rank is None:
@@ -951,23 +976,18 @@ def parse_poset(text: str) -> GradedPoset:
             raise PosetParseError(f"unknown directive {kind!r}", lineno)
     if name is None:
         raise PosetParseError("missing poset header", 1)
-    if BOT not in ranks or ranks[BOT] != 0:
+    if BOT not in index or ranks[index[BOT]] != 0:
         raise PosetParseError("missing elem bot with rank 0", 1)
-    if TOP not in ranks or (declared_rank is not None and ranks[TOP] != declared_rank):
+    if TOP not in index or (declared_rank is not None and ranks[index[TOP]] != declared_rank):
         raise PosetParseError("missing elem top at the declared rank", 1)
-    elems, by_number, down = _numbered(ranks, covers)
+    elems, by_number, down = _numbered(tuple(index), ranks, down)
     table: dict = {}
     return GradedPoset._from_bits(name, elems, _structure(table, by_number, down), table)
 
 
 def format_poset(p: GradedPoset, provenance: str | None = None) -> str:
-    lines = []
-    if provenance:
-        lines.append(f"# provenance: {provenance}")
-    lines.append(f"poset {p.name}")
-    lines.append(f"rank {p.rank_top}")
-    for x in p.elements():
-        lines.append(f"elem {x} {p.rank(x)}")
-    for lo, hi in p.covers():
-        lines.append(f"cover {lo} {hi}")
+    lines = [f"# provenance: {provenance}"] if provenance else []
+    lines += [f"poset {p.name}", f"rank {p.rank_top}"]
+    lines += [f"elem {x} {r}" for x, r in zip(p._elements, p._ranks)]
+    lines += [f"cover {lo} {hi}" for lo, hi in p.covers()]
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdposet import zoo
+from cdposet import poset as poset_module, zoo
 from cdposet.cli import _parse_pairs
 from cdposet.partition import (
     CertificateParseError,
@@ -21,7 +21,7 @@ from cdposet.partition import (
     search_s_certificate,
     search_se_certificate,
 )
-from cdposet.poset import PosetParseError, format_poset, parse_poset, read_lines
+from cdposet.poset import GradedPoset, PosetParseError, format_poset, parse_poset, read_lines
 
 # whole lines that hold no content; odd indentation is allowed before a comment
 NOISE_LINES = st.sampled_from(["", "   ", "\t", "#", "# comment", "     # odd indent", "#pair x y", " \t # tab"])
@@ -236,3 +236,55 @@ class TestMalformedLineNumber:
         with pytest.raises(CertificateParseError) as exc:
             _parse_pairs(text)
         assert str(exc.value) == f"line {where[bad]}: expected `pair <restriction> <facet>`"
+
+
+# elements of negative and signed-zero rank, and rising covers to and from them; every zoo poset has bot and top
+EXTRA_ELEMS = [("low", "-2"), ("neg", "-1"), ("zero", "-0")]
+EXTRA_COVERS = [("low", "neg"), ("neg", "bot"), ("neg", "zero"), ("zero", "top")]
+
+
+def shuffled_text(rng, name: str, elems: list[tuple[str, str]], covers: list[tuple[str, str]]) -> str:
+    """A poset file with its elem lines and its cover lines in rng's order, each cover after both its elements."""
+    elems, covers = list(elems), list(covers)
+    rng.shuffle(elems)
+    rng.shuffle(covers)
+    where = {x: k for k, (x, _) in enumerate(elems)}
+    after: list[list[str]] = [[] for _ in range(len(elems) + 1)]  # the covers placed after the first k elem lines
+    for lo, hi in covers:
+        after[rng.randint(max(where[lo], where[hi]) + 1, len(elems))].append(f"cover {lo} {hi}")
+    lines = [f"poset {name}", *after[0]]
+    for (x, r), placed in zip(elems, after[1:]):
+        lines += [f"elem {x} {r}", *placed]
+    return "\n".join(lines) + "\n"
+
+
+class TestDeclarationOrder:
+    """``parse_poset`` numbers elements as their elem lines come; a file in another order than (rank, name) is
+    renumbered into exactly the poset the name constructor builds, and a file in that order is not renumbered."""
+
+    @given(
+        rng=st.randoms(use_true_random=False),
+        index=st.integers(0, len(POSETS)),
+        seed=st.integers(0, 10_000),
+        extra=st.booleans(),
+        repeated=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_shuffled_lines_parse_as_the_canonical_poset(self, rng, index, seed, extra, repeated):
+        p = POSETS[index] if index < len(POSETS) else zoo.random_eulerian_small(seed, 5)
+        elems = [(x, str(p.rank(x))) for x in p.elements()] + (EXTRA_ELEMS if extra else [])
+        covers = p.covers() + (EXTRA_COVERS if extra else [])
+        covers += covers[:1] if repeated else []  # a repeated cover line changes nothing
+        canonical = GradedPoset(p.name, {x: int(r) for x, r in elems}, covers)
+        assert extra or canonical == p
+        back = parse_poset(shuffled_text(rng, p.name, elems, covers))
+        assert back == canonical and back.name == canonical.name
+        assert (back._elements, back._ranks, back._down) == (canonical._elements, canonical._ranks, canonical._down)
+
+    def test_a_file_in_rank_name_order_is_not_renumbered(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("renumbered")
+
+        monkeypatch.setattr(poset_module, "_renumbered", refused)
+        for p in [*POSETS, *(zoo.random_eulerian_small(seed, 5) for seed in range(20))]:
+            assert parse_poset(format_poset(p)) == p

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -178,12 +179,54 @@ def test_every_import_is_stdlib_or_cdposet():
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
 
 
-def test_reproduce_tables_script_runs():
+def run_script(name: str, *args: str) -> str:
+    """The stdout of scripts/<name> run with the library on its path; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py")],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().splitlines()[-1] == "all recursive totals agree with the direct pipeline"
+    return proc.stdout
+
+
+def test_reproduce_tables_script_runs():
+    assert run_script("reproduce_tables.py").rstrip().splitlines()[-1] == "all recursive totals agree with the direct pipeline"
+
+
+# sha256 of each stage's results on the cd workload's 24 posets: parsed elements, ranks and lower-cover masks,
+# validate lists, Eulerian verdicts, flag f-vectors and (semi-)cd-indices
+STAGE_HASHES = {
+    "parse": "83839741def9f11ef54a1514ea8c47a328c55c2de1a22d90246a07d416a5290f",
+    "validate": "5e3393def462e8228a8c31420b2ff02ef0fae506c917d4086cdd730360aec84a",
+    "is_eulerian": "6416dd73c273a86bcfca4899090d3f4062710461463ba058ebd4f6c31e32472d",
+    "flag_f": "6936095c506fe54041198283fa75c15f1f29551ab321cc76a41bc25c629968ed",
+    "cd": "218d14ae0d0efc7dd767da51846c949737a65aed7f6dbc383c75df285ae65549",
+}
+
+
+def test_stages_script_runs_and_its_answers_stay():
+    report = json.loads(run_script("stages.py", "--repeat", "1"))
+    assert report["posets"] == 24 and set(report["seconds"]) == set(STAGE_HASHES)
+    assert report["sha256"] == STAGE_HASHES
+
+
+def test_only_numbered_sorts_elements_into_rank_name_order():
+    """One step numbers named elements: ``_numbered`` alone sorts by rank (by name, then stably by rank), and only
+    the name constructor and ``parse_poset`` call it.  Derived posets renumber bitsets instead."""
+    rank_sorts, users = [], []
+    for path in SOURCES:
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Name) and node.id == "_numbered":
+                users.append((path.name, scope))
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if (isinstance(fn, ast.Name) and fn.id == "sorted") or (isinstance(fn, ast.Attribute) and fn.attr == "sort"):
+                keys = [kw.value for kw in node.keywords if kw.arg == "key"]
+                words = {getattr(n, "id", getattr(n, "attr", "")) for key in keys for n in ast.walk(key)}
+                if any("rank" in word for word in words):
+                    rank_sorts.append((path.name, scope))
+    assert rank_sorts == [("poset.py", "_numbered")]
+    assert sorted(users) == [("poset.py", "GradedPoset.__init__"), ("poset.py", "parse_poset")]

@@ -1458,6 +1458,49 @@ class TestNumberedClassCheck:
         }, codes
 
 
+class TestGammaKeepsTheRootBot:
+    """In ``_class_failure``, the conjunct ``p._elements[kept[0]] == BOT`` never fails on a reachable input, which is
+    why replacing it by ``True`` (mutant m5 of the ROADMAP's mutant sweep) survives the suite: every caller runs
+    under a root that ``validate`` passed, every poset derived from it keeps the root's bot as element 0, and a
+    class's closure is not empty, so it holds element 0.  This pins that reason on the checks that certificates
+    and searches make."""
+
+    def test_first_kept_element_is_bot(self, monkeypatch, fresh_cert):
+        firsts = Counter()
+        checking = []
+        real_cap_entry, real_class_failure = partition._cap_entry, partition._class_failure
+
+        def cap_entry(p, mask, rank_top):
+            kept, entry = real_cap_entry(p, mask, rank_top)
+            if checking:
+                firsts[checking[-1], p._elements[kept[0]]] += 1
+            return kept, entry
+
+        def class_failure(*args):
+            checking.append(part)
+            try:
+                return real_class_failure(*args)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(partition, "_cap_entry", cap_entry)
+        monkeypatch.setattr(partition, "_class_failure", class_failure)
+        part = "published"
+        for family in ("q-polytope", "torus-fig6", "torus-fig12"):
+            assert partition.verify_partition(fresh_cert(family)) == []
+        part = "searched"
+        for family, params, search in TestReplay.SEARCHED:
+            search(parse_poset(format_poset(zoo.gen(family, params))))
+        part = "random"
+        for seed in range(50):
+            p = zoo.random_eulerian_small(seed, 5)
+            for search, passes in ((search_s_certificate, is_eulerian), (search_se_certificate, is_semi_eulerian)):
+                if p.rank_top >= 2 and validate(p) == [] and passes(p):
+                    search(p)
+        assert {first for _, first in firsts} == {BOT}
+        assert {part for part, _ in firsts} == {"published", "searched", "random"}, firsts
+
+
 class _Forgetful:
     """A stand-in for ``partition._VERIFIED`` that keeps no token, so every verification walks every level."""
 

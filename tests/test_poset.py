@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -670,6 +671,62 @@ class TestParityAgainstMobius:
     def test_fixtures_cover_all_three_verdicts(self):
         verdicts = {brute_verdicts(zoo.gen(f, params)) for f, params in SMALL_ZOO}
         assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def reference_well_formed(p) -> bool:
+    """``_well_formed`` per element on the name API: one element of rank 0 and one of the top rank; an element of
+    rank other than 0 has a lower cover, one below the top rank has an upper cover, and every upper cover is one
+    rank up."""
+    ranks = p.ranks()
+    if list(ranks.values()).count(0) != 1 or list(ranks.values()).count(p.rank_top) != 1:
+        return False
+    return all(
+        (r == 0 or p.lower_covers(x))
+        and (r >= p.rank_top or p.upper_covers(x))
+        and all(ranks[y] == r + 1 for y in p.upper_covers(x))
+        for x, r in ranks.items()
+    )
+
+
+def edited(p, rng):
+    """p with random covers dropped and added, ranks shifted (some below 0), and extra rank-0 and top-rank elements."""
+    ranks = p.ranks()
+    for x in rng.sample(sorted(ranks), rng.randint(0, 2)):
+        ranks[x] += rng.choice([-3, -2, -1, 1, 2])
+    if rng.random() < 0.3:
+        ranks["extra-bot"] = 0
+    if rng.random() < 0.3:
+        ranks["extra-top"] = max(ranks.values())
+    covers = p.covers()
+    for _ in range(rng.randint(0, 2)):
+        covers.remove(rng.choice(covers))
+    names = sorted(ranks)
+    covers += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 3))]
+    return GradedPoset(f"{p.name}~", ranks, [(lo, hi) for lo, hi in covers if ranks[lo] < ranks[hi]])
+
+
+class TestWellFormedAgainstElements:
+    """``_well_formed`` checks a level at a time; a per-element reference of the same rule agrees with it."""
+
+    def test_edited_posets(self):
+        rng = random.Random(32)
+        bases = [zoo.gen(family, params) for family, params in SMALL_ZOO]
+        bases += [zoo.random_eulerian_small(seed, 5) for seed in range(10)]
+        verdicts = Counter()
+        for base in bases:
+            for p in [base, *(edited(base, rng) for _ in range(20))]:
+                verdict = poset_module._well_formed(p)
+                assert verdict == reference_well_formed(p), (p.name, p.ranks(), p.covers())
+                verdicts[verdict, min(p.ranks().values()) < 0] += 1
+        assert set(verdicts) == {(True, False), (False, False), (False, True)}, verdicts
+
+    def test_empty_and_negative_rank_posets(self):
+        for p in [
+            GradedPoset("empty", {}, []),
+            GradedPoset("below", {"x": -1, BOT: 0, TOP: 1}, [("x", BOT), (BOT, TOP)]),
+            GradedPoset("chain", {BOT: 0, TOP: 1}, [(BOT, TOP)]),
+        ]:
+            assert poset_module._well_formed(p) == reference_well_formed(p) == (p.name == "chain")
 
 
 class TestMemo:
