@@ -158,14 +158,14 @@ def _numbered(
     if down is None:
         down = [0] * len(names)
     elif order != list(range(len(names))):
-        down = _renumbered(down, order)
+        down = _renumbered(down, order)[0]
     return tuple(map(names.__getitem__, order)), tuple(map(ranks.__getitem__, order)), down
 
 
-def _renumbered(masks: list[int] | tuple[int, ...], kept: list[int]) -> list[int]:
-    """masks[i] for each i of kept, with each bit renumbered to its place in kept; KeyError on a bit outside kept."""
+def _renumbered(masks: list[int] | tuple[int, ...], kept: list[int]) -> tuple[list[int], int]:
+    """masks[i] for each i of kept, each bit renumbered to its place in kept, and their union; KeyError off kept."""
     new = dict(zip(kept, range(len(kept))))
-    out = []
+    out, union = [], 0
     for i in kept:
         m, below = masks[i], 0
         while m:
@@ -173,7 +173,8 @@ def _renumbered(masks: list[int] | tuple[int, ...], kept: list[int]) -> list[int
             below |= 1 << new[low.bit_length() - 1]
             m ^= low
         out.append(below)
-    return out
+        union |= below
+    return out, union
 
 
 def _check_name(name: str) -> None:
@@ -662,7 +663,7 @@ def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], 
     kept = _bits(mask)
     closed = BOT in p._index and mask >> p._index[BOT] & 1
     try:
-        down = _renumbered(p._down, kept)
+        down, covered = _renumbered(p._down, kept)
     except KeyError:  # a lower cover of a member is not a member
         closed = False
     if not closed:
@@ -674,7 +675,7 @@ def _capped(p: GradedPoset, mask: int, rank_top: int) -> tuple[tuple[int, ...], 
     if TOP in p._index and mask >> p._index[TOP] & 1:  # the member top would cover the fresh top
         above = (*p._names(p._up[p._index[TOP]] & mask), TOP)
         raise PosetError(f"cover {TOP} {above[0]} does not go up in rank")
-    down.append((1 << len(kept)) - 1 & ~functools.reduce(operator.or_, down, 0))  # every member no member covers
+    down.append((1 << len(kept)) - 1 & ~covered)  # the fresh top covers every member that no member covers
     return tuple(kept), ranks + (rank_top,), down
 
 
@@ -938,8 +939,7 @@ def parse_poset(text: str) -> GradedPoset:
     name: str | None = None
     declared_rank: int | None = None
     index: dict[str, int] = {}  # element numbers in the order of the elem lines
-    ranks: list[int] = []  # by number, as are the lower-cover masks
-    down: list[int] = []
+    ranks, down = [], []  # by number: the ranks and the lower-cover masks
     values: dict[str, int | None] = {}  # the value of each rank field read so far, None if it is no integer
     for lineno, _, fields in read_lines(text):
         kind = fields[0]
