@@ -51,9 +51,10 @@ structure-table entry of the level's poset and keyed by numbers only (see
 ``_level``), derived from the class and subclass bitsets the builder kept.
 A full walk of a level that finds no violation marks its token verified,
 and a later walk of any level with that token returns at once, so each
-distinct numbered level is verified once per poset family.  A record built
-by hand, with the constructor or ``dataclasses.replace``, has no token and
-is verified in full.
+distinct numbered level is verified once per poset family.  The token
+holds that mark and the level's totals, so they go with the family.  A
+record built by hand, with the constructor or ``dataclasses.replace``, has
+no token and is verified in full.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -62,7 +63,7 @@ contribute zero.  Each level makes one cross-check: its initial boundary's
 cd-index, from the direct flag pipeline, must equal its initial
 sub-certificate's recursive total.  An ordinary block's boundary is the
 capped closure of tau in its sub-certificate, so the block reads that index
-from the sub-certificate's totals.  Totals hold no names and are kept by
+from the sub-certificate's totals.  Totals hold no names and live on the
 level token, so each distinct numbered level is totalled and cross-checked
 once per poset family, and a record built by hand is walked in full.
 """
@@ -70,7 +71,6 @@ once per poset family, and a record built by hand is walked in full.
 from __future__ import annotations
 
 import bisect
-import weakref
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
@@ -176,14 +176,19 @@ class Budget:
 class _Level:
     """The token of a numbered certificate level: one object per key in its structure's table entry (``_level``).
 
-    A token holds nothing and is compared by identity.  Once a full walk of a
-    record with this token has found no violation, the token is in
-    ``_VERIFIED``; its key fixes that outcome, so a later walk of any record
-    with this token returns at once.  Its key fixes the level's totals too,
-    which ``_TOTALS`` keeps once a walk of ``_contributions`` has made them.
+    A token is compared by identity and is its level's one memo.  Its key
+    fixes whether a record with this token verifies, so ``verified`` turns
+    True once a full walk of such a record has found no violation, and a
+    later walk of any record with this token returns at once.  Its key fixes
+    the level's totals too, which ``totals`` keeps once a walk of
+    ``_contributions`` has made them.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("verified", "totals")
+
+    def __init__(self) -> None:
+        self.verified = False
+        self.totals: _Totals | None = None
 
 
 class _Totals(NamedTuple):
@@ -195,11 +200,6 @@ class _Totals(NamedTuple):
     ordinary: NcPolynomial  # per[omega]·c summed over the ordinary coatoms omega
 
 
-# The marks of ``_verify`` and the totals of ``_contributions``, by level token.  They stay out of the
-# structure table, whose memo holds only immutable values that never change, and they are weak, so a
-# family's tokens, marks and totals go with its posets.
-_VERIFIED: "weakref.WeakSet[_Level]" = weakref.WeakSet()
-_TOTALS: "weakref.WeakKeyDictionary[_Level, _Totals]" = weakref.WeakKeyDictionary()
 _NO_ITEMS = MappingProxyType({})
 
 
@@ -408,11 +408,12 @@ def _suspension(p: GradedPoset, sigma: str, closed: int, j: int | None) -> Grade
 def _class_failure(p: GradedPoset, sigma: str, rest: int, j: int | None) -> FailureReport | None:
     """The first rule that an ordinary (sub)class breaks, or None: decided on numbers, naming no poset.
 
-    gamma is a view of the table entry that ``_cap_entry`` keeps.  With
-    its first element named bot (its top is the fresh one), it is valid and
-    near-Eulerian exactly when ``_near_eulerian_at`` holds at its tau's
-    number; that verdict and its boundary are memos of gamma's entry.
-    Names are formed for the failure text only, gamma's from p's.
+    gamma is a view of the table entry that ``_cap_entry`` keeps.  Its first
+    element is the bot of a valid root, which every derived poset keeps
+    first, and its top is the fresh one, so it is valid and near-Eulerian
+    exactly when ``_near_eulerian_at`` holds at its tau's number; that
+    verdict and its boundary are memos of gamma's entry.  Names are formed
+    for the failure text only, gamma's from p's.
     """
     if not rest:
         return FailureReport(sigma, "ordinary-singleton", "ordinary class has no members besides its coatom")
@@ -425,11 +426,7 @@ def _class_failure(p: GradedPoset, sigma: str, rest: int, j: int | None) -> Fail
     if closed >> p._index.get(tau, len(p)) & 1:  # only a poset with an element named like a tau gets here
         return FailureReport(sigma, "tau-name-taken", f"{tau} is already an element of {_gamma_name(p, sigma)}")
     gamma = _derived_poset(p, entry)
-    if not (
-        gamma.rank_top >= 2
-        and p._elements[kept[0]] == BOT
-        and _near_eulerian_at(gamma, _tau_number(p, kept, gamma, tau))
-    ):
+    if gamma.rank_top < 2 or not _near_eulerian_at(gamma, _tau_number(p, kept, gamma, tau)):
         return FailureReport(sigma, "gamma-not-near-eulerian", _gamma_name(p, sigma))
     # gamma numbers the elements of closed in order, so a member's number there is the count of closed below it
     members = sum(1 << (closed & (1 << i) - 1).bit_count() for i in _bits(rest))
@@ -613,7 +610,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
     """The walk of ``verify_partition`` at one level; a level whose token is verified passes at once."""
     if cert._token_due:
         _derive_tokens(cert)
-    if cert._token in _VERIFIED:
+    if cert._token is not None and cert._token.verified:
         return []
     p, eulerian = cert.poset, isinstance(cert, SPartitionCert)
     if p.rank_top - 1 == 0:
@@ -652,7 +649,7 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
 def _passed(cert: SPartitionCert | SEPartitionCert, out: list[Violation]) -> list[Violation]:
     """out, the violations of a full walk of cert's level; its token is marked verified when there are none."""
     if cert._token is not None and not out:
-        _VERIFIED.add(cert._token)
+        cert._token.verified = True
     return out
 
 
@@ -666,10 +663,10 @@ _RANK1_TOTALS = _Totals({}, NcPolynomial.unit(CD), None, NcPolynomial.zero(CD))
 
 
 def _known_totals(cert: SPartitionCert | SEPartitionCert) -> _Totals | None:
-    """The totals ``_TOTALS`` keeps for cert's level token, after deriving the token; None without them."""
+    """The totals of cert's level token, after deriving the token; None without them."""
     if cert._token_due:
         _derive_tokens(cert)
-    return None if cert._token is None else _TOTALS.get(cert._token)
+    return None if cert._token is None else cert._token.totals
 
 
 def _contributions(cert: SPartitionCert | SEPartitionCert):
@@ -680,8 +677,8 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
     recursive total (else CrossCheckError).  The initial coatom contributes
     phi·c, and an ordinary block the phi·d plus the ordinary part of its
     sub-certificate's totals.  A walked level with a token keeps its totals
-    in ``_TOTALS``, unless it raises, and a sub-level whose token has totals
-    there is read, not walked.
+    on the token, unless it raises, and a sub-level whose token has totals is
+    read, not walked.
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
@@ -711,7 +708,7 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
         ordinary = ordinary + acc
     totals = _Totals(per, sum(per.values(), zero), phi, ordinary.times_letter("c"))
     if cert._token is not None:
-        _TOTALS[cert._token] = totals
+        cert._token.totals = totals
     return totals
 
 
@@ -775,13 +772,16 @@ def _components(p: GradedPoset, members: int) -> list[int]:
 def _level(p: GradedPoset, key: tuple) -> _Level:
     """The token of the numbered certificate level key on p's structure, interned in its table entry.
 
-    key is the record's kind, the bitset of its zero classes, (coatom number,
-    member bitset) per class, and (coatom number, subclass number, subclass
-    bitset, sub-certificate token) per block, the initial block first; an S
-    block and the initial one are not numbered and have the bitset 0, since
-    their members are their class's.  Tokens are compared and hashed by
-    identity, so a key holds its sub-levels at the cost of one object each
-    (hash-consing).
+    key is the record's kind, (coatom number, member bitset) per class, and
+    (coatom number, subclass number, subclass bitset, sub-certificate token)
+    per block, the initial block first; an S block and the initial one are
+    not numbered and have the bitset 0, since their members are their
+    class's.  Tokens are compared and hashed by identity, so a key holds its
+    sub-levels at the cost of one object each (hash-consing).  The key needs
+    no zero classes: the library gives a record a sub-certificate exactly for
+    its initial class and for each block of its ordinary classes, so the zero
+    classes are the class coatoms that are neither the initial one nor the
+    coatom of a block.
 
     The key fixes whether a record verifies.  The walk reads numbers, and
     the names it reads give the same answer on every record that gets a
@@ -816,13 +816,11 @@ def _token_of(cert: SPartitionCert | SEPartitionCert) -> _Level | None:
     each subclass j by coatom number, the j-th in its list.  None when a
     sub-certificate has no token, a class's coatom is not an element (the
     parser's numbers are then not read), or an ordinary sub-certificate does
-    not start at its tau (verification fails there).  The library gives a
-    record a sub-certificate exactly for its initial class and for each block
-    of its ordinary classes.
+    not start at its tau (verification fails there).
     """
     p = cert.poset
     if not cert.classes:  # a rank-1 record
-        return _level(p, (cert.header, 0, (), ()))
+        return _level(p, (cert.header, (), ()))
     index = p._index
     if not all(map(index.__contains__, cert.classes)) or cert.subcert_initial._token is None:
         return None
@@ -834,8 +832,7 @@ def _token_of(cert: SPartitionCert | SEPartitionCert) -> _Level | None:
             return None
         i = index[sigma]
         subs.append((i, j, 0 if j is None else blocks[i][j - 1][1], sub._token))
-    zero = sum(1 << index[sigma] for sigma in cert.zero_classes())
-    return _level(p, (cert.header, zero, tuple(masks.items()), tuple(subs)))
+    return _level(p, (cert.header, tuple(masks.items()), tuple(subs)))
 
 
 def _certificate(

@@ -241,12 +241,14 @@ def memoized(fn=None, *, shared: bool = False):
     structure only, never its element names: the value is kept in
     ``p._shared``, the memo of p's structure-table entry, so every poset of
     p's family with the same structure reads it.  A poset never changes after
-    it is built; the values must not change either, and a shared value holds
-    no poset.  The derived table entries of ``cap`` and ``semisuspension``
-    sit beside this memo, in ``p._derived``.  Keys name fn by string, so a
-    poset with a memo still pickles.  A call with an argument that does not
-    hash, such as a list, is not memoized: fn runs, and its own checks raise
-    the ``PosetError`` that names the argument.
+    it is built, and neither do the values, but for the verified mark and
+    totals that a certificate level's token (``partition._Level``) fills in
+    once; a shared value holds no poset.  The derived table entries of
+    ``cap`` and ``semisuspension`` sit beside this memo, in ``p._derived``.
+    Keys name fn by string, so a poset with a memo still pickles.  A call
+    with an argument that does not hash, such as a list, is not memoized: fn
+    runs, and its own checks raise the ``PosetError`` that names the
+    argument.
     """
     if fn is None:
         return functools.partial(memoized, shared=shared)

@@ -222,6 +222,15 @@ class TestReports:
         code, _, err = run("validate", str(bad))
         assert code == 2 and "line 3" in err
 
+    def test_invalid_poset_exit_2(self, run, tmp_path):
+        """A poset file that parses but fails ``validate`` is an input error of every verb that computes."""
+        bad = tmp_path / "unbounded.poset"
+        bad.write_text(
+            "poset x\nrank 2\nelem bot 0\nelem v0 1\nelem v1 1\nelem top 2\ncover bot v0\ncover bot v1\ncover v0 top\n"
+        )
+        code, out, err = run("cd", str(bad))
+        assert code == 2 and out == "" and err == f"error: {bad}: VIOLATION not-bounded-above v1 covered by nothing\n"
+
     def test_json_matches_text_content(self, run, q_files):
         _, text_out, _ = run("contributions", *q_files)
         code, json_out, _ = run("--json", "contributions", *q_files)

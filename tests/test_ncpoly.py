@@ -83,6 +83,11 @@ class TestResultsFromCheckedTerms:
             cd({"c": 1}).times_letter("x")
         with pytest.raises(AlphabetMismatch):
             cd({"c": 1}) + ab({"a": 1})
+        for convert, wrong in [
+            (expand_cd_to_ab, ab({"a": 1})), (substitute_a_minus_b, cd({"c": 1})), (ab_to_cd, cd({"c": 1})),
+        ]:
+            with pytest.raises(AlphabetMismatch):
+                convert(wrong)
 
 
 class TestPickleAndCopy:

@@ -1501,14 +1501,13 @@ class TestGammaKeepsTheRootBot:
         assert {part for part, _ in firsts} == {"published", "searched", "random"}, firsts
 
 
-class _Forgetful:
-    """A stand-in for ``partition._VERIFIED`` that keeps no token, so every verification walks every level."""
+def _forgetting(patched, slot, blank):
+    """Turn a memo slot of ``partition._Level`` off: it reads blank and keeps nothing, so every walk walks every level.
 
-    def add(self, token):
-        pass
-
-    def __contains__(self, token):
-        return False
+    A token made meanwhile holds blank, its initial value, once the patch is undone.
+    """
+    real = vars(partition._Level)[slot]
+    patched.setattr(partition._Level, slot, property(lambda token: blank, lambda token, _: real.__set__(token, blank)))
 
 
 def _levels(cert):
@@ -1539,7 +1538,7 @@ class TestVerificationMemo:
         on = [str(v) for v in partition.verify_partition(cert)]
         again = [str(v) for v in partition.verify_partition(cert)]
         with monkeypatch.context() as patched:
-            patched.setattr(partition, "_VERIFIED", _Forgetful())
+            _forgetting(patched, "verified", False)
             off = [str(v) for v in partition.verify_partition(cert)]
         assert on == again == off
         return on
@@ -1690,7 +1689,7 @@ class TestVerificationMemo:
                 continue
             on = [str(v) for v in verify_s_partition(cert)]
             with monkeypatch.context() as patched:
-                patched.setattr(partition, "_VERIFIED", _Forgetful())
+                _forgetting(patched, "verified", False)
                 assert [str(v) for v in verify_s_partition(parse_certificate(mutated, q))] == on
             failing += on != []
         assert failing >= 20
@@ -1705,16 +1704,6 @@ class TestVerificationMemo:
     def test_no_token_on_an_invalid_poset(self):
         p = parse_poset(_UNBOUNDED)
         assert partition._reads_numbers(p) is False and partition._reads_numbers(zoo.gen("polygon", (4,))) is True
-
-
-class _KeepsNothing:
-    """A stand-in for ``partition._TOTALS`` that keeps no totals, so every contribution walk walks every level."""
-
-    def get(self, token):
-        return None
-
-    def __setitem__(self, token, totals):
-        pass
 
 
 # the certificates of bench_cdposet/certs/, by file name: (poset family, params)
@@ -1752,7 +1741,7 @@ class TestTotalsMemo:
         on = partition.contributions(cert)
         again = partition.contributions(cert)
         with monkeypatch.context() as patched:
-            patched.setattr(partition, "_TOTALS", _KeepsNothing())
+            _forgetting(patched, "totals", None)
             off = partition.contributions(cert)
         assert on == again == off and list(on.per_coatom) == list(off.per_coatom)
         assert on.total == (cd_index if isinstance(cert, SPartitionCert) else semi_cd_index)(cert.poset)
@@ -1805,7 +1794,7 @@ class TestTotalsMemo:
             patched.setattr(partition, "cd_index", lambda q: real(q) * 2 if q.name == "bnd(q-polytope@s1)" else real(q))
             with pytest.raises(CrossCheckError):
                 contributions_s(cert)
-        assert cert.token not in partition._TOTALS and cert.subcert_initial.token in partition._TOTALS
+        assert cert.token.totals is None and cert.subcert_initial.token.totals is not None
         assert contributions_s(cert).total == cd_index(cert.poset)
 
     def test_a_replace_result_is_walked_at_its_own_level(self, monkeypatch, fresh_cert):

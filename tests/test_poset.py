@@ -400,6 +400,25 @@ class TestConnectedSum:
         with pytest.raises(NotAnIsomorphism):
             connected_sum(q_poset, zoo.gen("q-polytope"), "s1", "s5", bogus)
 
+    @pytest.mark.parametrize(
+        "family, fp, iso, error",
+        [
+            ("polygon", "v0", {BOT: BOT}, "^connected_sum expects coatoms of the respective posets$"),
+            ("polygon", "e0", {BOT: "v0", "v0": BOT, "v1": "v1"}, "^rank mismatch 'bot'->'v0'$"),
+            # a and b swap, their edges stay: a < ab holds, b < ab too, but a < ac becomes b < ac
+            (
+                "simplex-boundary",
+                "abc",
+                {BOT: BOT, "a": "b", "b": "a", "c": "c", "ab": "ab", "ac": "ac", "bc": "bc"},
+                "^cover a<ac not preserved$",
+            ),
+        ],
+    )
+    def test_a_bad_gluing_is_refused(self, family, fp, iso, error):
+        p = zoo.gen(family, (4,) if family == "polygon" else (3,))
+        with pytest.raises(PosetError, match=error):
+            connected_sum(p, p, fp, fp, iso)
+
 
     @staticmethod
     def triangle(name, vertices):
@@ -842,14 +861,14 @@ class TestMemo:
             for store in (q._cache, q._shared):
                 for value in store.values():
                     for item in value if isinstance(value, tuple) else (value,):
-                        # a certificate-level token holds no state: it is compared by identity
+                        # a certificate-level token is compared by identity; its slots hold what its key fixes
                         assert isinstance(item, (bool, int, str, NcPolynomial, GradedPoset, partition_module._Level))
                         kinds.add(type(item))
                         if isinstance(item, GradedPoset):
                             assert store is q._cache  # a poset has names, so it is never shared by structure
                             stack.append(item)
         assert len(seen) > 50 and NcPolynomial in kinds and partition_module._Level in kinds
-        assert partition_module._Level.__slots__ == ("__weakref__",)
+        assert partition_module._Level.__slots__ == ("verified", "totals")
 
 
 class TestStructureTable:

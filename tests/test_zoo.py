@@ -59,12 +59,20 @@ class TestGenerators:
     def test_unknown_family(self):
         with pytest.raises(zoo.UnknownFamily):
             zoo.gen("dodecahedron")
+        with pytest.raises(zoo.UnknownFamily):
+            zoo.fixture_spec("dodecahedron")
 
     def test_bad_params(self):
         with pytest.raises(zoo.BadParams):
             zoo.gen("polygon", ())
         with pytest.raises(zoo.BadParams):
             zoo.gen("polygon", (1,))
+        for family, low in [
+            ("simplex-boundary", 0), ("boolean", 0), ("cube", 0), ("cross-polytope", 0), ("sphere2cells", -1),
+            ("discrete-points", 0),
+        ]:
+            with pytest.raises(zoo.BadParams, match=f"^{family} needs .*, got {low}$"):
+                zoo.gen(family, (low,))
 
     def test_boolean_lattices_eulerian(self):
         for n in range(2, 6):
