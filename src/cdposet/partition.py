@@ -39,22 +39,22 @@ checked before the walk reads any class.
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
-certificate exists.  Within one public call, an S sub-search of a numbered
-structure (and tau number) already searched replays the recorded node
-count and facet order instead of searching again (see ``_search``).
+certificate exists.  Within one public call, an S sub-search whose key was
+already searched spends the recorded node count and returns the recorded
+level instead of searching again (see ``_search``).
 
-Certificate records are frozen dataclasses with read-only mappings, so a
-record never changes once built.  ``parse_certificate`` and ``_certificate``
-(the searches and converters) build each level once, after its
-sub-certificates, and give it a level token: an object interned in the
-structure-table entry of the level's poset and keyed by numbers only (see
-``_level``), derived from the class and subclass bitsets the builder kept.
-A full walk of a level that finds no violation marks its token verified,
-and a later walk of any level with that token returns at once, so each
-distinct numbered level is verified once per poset family.  The token
-holds that mark and the level's totals, so they go with the family.  A
-record built by hand, with the constructor or ``dataclasses.replace``, has
-no token and is verified in full.
+A certificate level is numbered data, a ``_Level``: its key holds the kind,
+the class bitsets by coatom number and the sub-level of each block, and it
+is interned in the structure-table entry of the level's poset (``_level``).
+Every record the library builds (``_certificate`` for the searches and
+converters, ``parse_certificate``) is a view of (poset, level): a frozen
+dataclass with read-only mappings whose named fields are formed from the
+key when one of them is first read (``_view_fields``), so a search forms no
+names.  A full walk of a level that finds no violation marks the level
+verified, and a later walk of any record of that level returns at once, so
+each distinct numbered level is verified once per poset family.  A record
+built by hand, with the constructor, ``dataclasses.replace``, pickling or
+copying, has no level and is walked in full.
 
 The initial coatom contributes the cd-index of its capped boundary times
 c; ordinary coatoms contribute, per subclass, the boundary cd-index times d
@@ -64,8 +64,8 @@ cd-index, from the direct flag pipeline, must equal its initial
 sub-certificate's recursive total.  An ordinary block's boundary is the
 capped closure of tau in its sub-certificate, so the block reads that index
 from the sub-certificate's totals.  Totals hold no names and live on the
-level token, so each distinct numbered level is totalled and cross-checked
-once per poset family, and a record built by hand is walked in full.
+level, so each distinct numbered level is totalled and cross-checked once
+per poset family.
 """
 
 from __future__ import annotations
@@ -174,19 +174,19 @@ class Budget:
 
 
 class _Level:
-    """The token of a numbered certificate level: one object per key in its structure's table entry (``_level``).
+    """A numbered certificate level: its key, and the one memo of what the key fixes (see ``_level``).
 
-    A token is compared by identity and is its level's one memo.  Its key
-    fixes whether a record with this token verifies, so ``verified`` turns
-    True once a full walk of such a record has found no violation, and a
-    later walk of any record with this token returns at once.  Its key fixes
-    the level's totals too, which ``totals`` keeps once a walk of
-    ``_contributions`` has made them.
+    A level is compared by identity.  Its key fixes whether a record of
+    this level verifies, so ``verified`` turns True once a full walk of such
+    a record has found no violation, and a later walk of any record of it
+    returns at once.  Its key fixes the level's totals too, which ``totals``
+    keeps once a walk of ``_contributions`` has made them.
     """
 
-    __slots__ = ("verified", "totals")
+    __slots__ = ("key", "verified", "totals")
 
-    def __init__(self) -> None:
+    def __init__(self, key: tuple) -> None:
+        self.key = key
         self.verified = False
         self.totals: _Totals | None = None
 
@@ -209,21 +209,15 @@ class _Certificate:
     Records are frozen dataclasses with read-only mappings, so a record
     never changes after it is built.  ``header`` is the file-format
     word and the default violation path; ``zero_kind`` names the kind of
-    class that contributes zero.  A record that ``parse_certificate`` or
-    ``_certificate`` built gets its level ``token`` when it is first asked
-    for (``_derive_tokens``) from the numbers its builder kept on it; a
-    record built by hand (the constructor, ``dataclasses.replace``, a copy)
-    has none.
+    class that contributes zero.  A record the library builds is a view of
+    its poset and ``_level`` (``_view``); a record built by hand (the
+    constructor, ``dataclasses.replace``, a copy) has the level None.
     """
 
     header = ""
     zero_kind = ""
     _mappings: tuple[str, ...] = ()
-    _token_due = False  # the library built this record, and ``_derive_tokens`` has not yet derived its token
-    _token: _Level | None = None
-    # the bitsets that the builder kept for the token (see ``_token_of``): the classes', an SE record's subclasses'
-    _masks: dict | None = None
-    _blocks: dict | None = None
+    _level: _Level | None = None
 
     def __post_init__(self) -> None:
         """Keep a read-only copy of each mapping, so that the caller's dicts cannot change the record."""
@@ -231,32 +225,26 @@ class _Certificate:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @classmethod
-    def _built(cls, token_due: bool, **fields):
-        """``cls(**fields)`` as the library's builders make it, marked for a level token when ``token_due``.
-
-        fields are every field and ``_masks`` (and an SE record's
-        ``_blocks``), or only the poset of a rank-1 record, whose mappings
-        are empty and whose other fields keep their defaults.  The builders'
-        mappings are fresh dicts that nothing else holds, so they are wrapped
-        read-only as they are: the constructor's copies and field-by-field
-        writes would only cost time.
-        """
+    def _view(cls, p: GradedPoset, level: _Level, named: dict | None = None):
+        """The view of level on p: its named fields are those given, or are all formed when one is first read."""
         cert = object.__new__(cls)
         state = cert.__dict__
-        state.update(fields)
-        if len(fields) == 1:
-            state.update(cls._rank1)
-        else:
-            for name in cls._mappings:
-                state[name] = MappingProxyType(state[name])
-        state["_token_due"] = token_due
+        state["poset"], state["_level"] = p, level
+        if named:
+            state.update(named)
         return cert
 
-    @property
-    def token(self) -> _Level | None:
-        """The level token of a record the library built (see ``_level``); None on a record built by hand."""
-        _derive_tokens(self)
-        return self._token
+    def __getattr__(self, name: str):
+        """A field of a view, read for the first time: all its fields are formed at once (``_view_fields``).
+
+        The class namespace keeps no field defaults, so ``==``, ``repr``, ``replace`` and pickling reach this too.
+        """
+        level = self._level
+        if level is None or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = self.__dict__
+        state.update(_view_fields(type(self), self.poset, level.key))
+        return state[name]
 
     def __reduce__(self):
         """Pickle and copy through the constructor: the copy is a hand-built record."""
@@ -324,8 +312,11 @@ class SEPartitionCert(_Certificate):
         return [(j, frozenset(part), (sigma, j)) for j, part in enumerate(parts, start=1)]
 
 
-for _kind in (SPartitionCert, SEPartitionCert):  # the fields of a rank-1 record besides its poset
+for _kind in (SPartitionCert, SEPartitionCert):
+    # the fields of a rank-1 record besides its poset; the generated __init__ keeps its own defaults
     _kind._rank1 = {f.name: _NO_ITEMS if f.name in _kind._mappings else f.default for f in fields(_kind)[1:]}
+    for _name in _kind._rank1.keys() & vars(_kind).keys():
+        delattr(_kind, _name)
 
 
 @dataclass
@@ -607,10 +598,8 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
 
 
 def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
-    """The walk of ``verify_partition`` at one level; a level whose token is verified passes at once."""
-    if cert._token_due:
-        _derive_tokens(cert)
-    if cert._token is not None and cert._token.verified:
+    """The walk of ``verify_partition`` at one level; a record of a verified level passes at once."""
+    if cert._level is not None and cert._level.verified:
         return []
     p, eulerian = cert.poset, isinstance(cert, SPartitionCert)
     if p.rank_top - 1 == 0:
@@ -647,9 +636,9 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
 
 
 def _passed(cert: SPartitionCert | SEPartitionCert, out: list[Violation]) -> list[Violation]:
-    """out, the violations of a full walk of cert's level; its token is marked verified when there are none."""
-    if cert._token is not None and not out:
-        cert._token.verified = True
+    """out, the violations of a full walk of cert's level; its level is marked verified when there are none."""
+    if cert._level is not None and not out:
+        cert._level.verified = True
     return out
 
 
@@ -662,13 +651,6 @@ verify_s_partition = verify_se_partition = verify_partition
 _RANK1_TOTALS = _Totals({}, NcPolynomial.unit(CD), None, NcPolynomial.zero(CD))
 
 
-def _known_totals(cert: SPartitionCert | SEPartitionCert) -> _Totals | None:
-    """The totals of cert's level token, after deriving the token; None without them."""
-    if cert._token_due:
-        _derive_tokens(cert)
-    return None if cert._token is None else cert._token.totals
-
-
 def _contributions(cert: SPartitionCert | SEPartitionCert):
     """The walk of the contributions of one certificate level: its ``_Totals``, one sub-level per sub-walk.
 
@@ -676,9 +658,9 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
     direct through the flag vector, must equal the initial sub-certificate's
     recursive total (else CrossCheckError).  The initial coatom contributes
     phi·c, and an ordinary block the phi·d plus the ordinary part of its
-    sub-certificate's totals.  A walked level with a token keeps its totals
-    on the token, unless it raises, and a sub-level whose token has totals is
-    read, not walked.
+    sub-certificate's totals.  A walked record with a level keeps its totals
+    on the level, unless it raises, and a sub-level that has totals is read,
+    not walked.
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
@@ -687,7 +669,7 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
     zero = NcPolynomial.zero(CD)
     phi = cd_index(initial_boundary_poset(p, cert.initial))
     sub = cert.subcert_initial
-    rec = _known_totals(sub)
+    rec = sub._level and sub._level.totals  # None without a level or totals
     if rec is None:
         rec = yield _contributions(sub)
     if rec.total != phi:
@@ -700,15 +682,15 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
         acc = zero
         for _, _, key in cert._subclasses(sigma):
             sub = cert.subcerts[key]
-            rec = _known_totals(sub)
+            rec = sub._level and sub._level.totals
             if rec is None:
                 rec = yield _contributions(sub)
             acc = acc + rec.phi.times_letter("d") + rec.ordinary
         per[index[sigma]] = acc
         ordinary = ordinary + acc
     totals = _Totals(per, sum(per.values(), zero), phi, ordinary.times_letter("c"))
-    if cert._token is not None:
-        cert._token.totals = totals
+    if cert._level is not None:
+        cert._level.totals = totals
     return totals
 
 
@@ -716,20 +698,21 @@ def contributions(cert: SPartitionCert | SEPartitionCert, check: bool = True) ->
     """Per-coatom contributions of a certificate; the total is the (semi-)cd-index.
 
     ``check`` verifies first, raising all violations as CertificateInvalid
-    before any cd-index; without it the certificate must be valid, and an
-    invalid one may raise any error or give a meaningless map.  The totals
-    read the same memoized sub-posets as verification, so they build none
-    after it.  At every level walked the initial boundary's cd-index, from
+    before any cd-index; a record built by hand is verified first either
+    way.  Without ``check``, a record the library built (searched, converted
+    or parsed) must be valid: an invalid one may raise any error or give a
+    meaningless map.  The totals read the same memoized sub-posets as
+    verification.  At every level walked the initial boundary's cd-index, from
     the direct flag pipeline, must equal the initial sub-certificate's
     recursive total (else CrossCheckError).  Each distinct numbered level is
     walked once per poset family, and a record built by hand is walked in
     full.  The walk keeps no names: the map is named here, a fresh one on
     every call.
     """
-    violations = verify_partition(cert) if check else []
+    violations = verify_partition(cert) if check or cert._level is None else []
     if violations:
         raise CertificateInvalid(violations)
-    totals = _known_totals(cert)
+    totals = cert._level and cert._level.totals
     if totals is None:
         totals = _run(_contributions(cert))
     names = cert.poset._elements
@@ -770,69 +753,68 @@ def _components(p: GradedPoset, members: int) -> list[int]:
 
 @memoized(shared=True)
 def _level(p: GradedPoset, key: tuple) -> _Level:
-    """The token of the numbered certificate level key on p's structure, interned in its table entry.
+    """The numbered certificate level key on p's structure, interned in its table entry.
 
-    key is the record's kind, (coatom number, member bitset) per class, and
-    (coatom number, subclass number, subclass bitset, sub-certificate token)
-    per block, the initial block first; an S block and the initial one are
-    not numbered and have the bitset 0, since their members are their
-    class's.  Tokens are compared and hashed by identity, so a key holds its
-    sub-levels at the cost of one object each (hash-consing).  The key needs
-    no zero classes: the library gives a record a sub-certificate exactly for
-    its initial class and for each block of its ordinary classes, so the zero
-    classes are the class coatoms that are neither the initial one nor the
-    coatom of a block.
+    key is the record's kind, (coatom number, member bitset) per class in
+    the record's order, and (coatom number, subclass number, subclass
+    bitset, sub-level) per block in the record's order, the initial block
+    first; an S block and the initial one are not numbered and have the
+    bitset 0, since their members are their class's.  Levels are compared
+    and hashed by identity (hash-consing).  The key needs no zero classes:
+    the library gives a record a sub-certificate exactly for its initial
+    class and each block of its ordinary classes, so the zero classes are
+    the class coatoms that are neither the initial one nor a block's.
 
     The key fixes whether a record verifies.  The walk reads numbers, and
-    the names it reads give the same answer on every record that gets a
-    token (see ``_reads_numbers``): the poset's bot and top are named right,
+    the names it reads give the same answer on every record of an interned
+    level (see ``_reads_numbers``): the poset's bot and top are named right,
     no class can find its tau name taken, every sub-certificate certifies the
     sub-poset ``_verify`` derives (it is that object), and every ordinary
     sub-certificate starts at its tau.
     """
-    return _Level()
+    return _Level(key)
 
 
-def _derive_tokens(cert: SPartitionCert | SEPartitionCert) -> None:
-    """Derive the level tokens that cert and the sub-certificates below it are due, sub-certificates first."""
-    due, stack = [], [cert]
-    while stack:
-        level = stack.pop()
-        if level._token_due:
-            vars(level)["_token_due"] = False
-            due.append(level)
-            if level.subcert_initial is not None:
-                stack.append(level.subcert_initial)
-            stack.extend(level.subcerts.values())
-    for level in reversed(due):  # each after the levels below it
-        vars(level)["_token"] = _token_of(level)
+def _level_of(p: GradedPoset, key: tuple, shared: bool) -> _Level:
+    """The level key on p: interned (``_level``) when shared, else a fresh one that only its record holds."""
+    return _level(p, key) if shared else _Level(key)
 
 
-def _token_of(cert: SPartitionCert | SEPartitionCert) -> _Level | None:
-    """cert's level token, from its sub-certificates' tokens and the numbers its builder kept.
+def _view_fields(cls: type, p: GradedPoset, key: tuple) -> dict:
+    """The named fields, besides the poset, of the view of the level key on p (see ``_level`` for the key).
 
-    The numbers are the member bitset of each class by coatom number, in
-    the order of ``classes``, and for an SE record the (j, member bitset) of
-    each subclass j by coatom number, the j-th in its list.  None when a
-    sub-certificate has no token, a class's coatom is not an element (the
-    parser's numbers are then not read), or an ordinary sub-certificate does
-    not start at its tau (verification fails there).
+    Each sub-certificate is the view of its sub-level on the sub-poset that
+    ``_verify`` derives, so its own fields are formed when first read.
     """
-    p = cert.poset
-    if not cert.classes:  # a rank-1 record
-        return _level(p, (cert.header, (), ()))
-    index = p._index
-    if not all(map(index.__contains__, cert.classes)) or cert.subcert_initial._token is None:
-        return None
-    masks, blocks = cert._masks, cert._blocks
-    subs = [(index[cert.initial], None, 0, cert.subcert_initial._token)]
-    for key, sub in cert.subcerts.items():
-        sigma, j = key if type(key) is tuple else (key, None)
-        if sub._token is None or sub.initial != tau_name(sigma, j):
-            return None
-        i = index[sigma]
-        subs.append((i, j, 0 if j is None else blocks[i][j - 1][1], sub._token))
-    return _level(p, (cert.header, tuple(masks.items()), tuple(subs)))
+    _, classes, blocks = key
+    if not blocks:
+        return cls._rank1
+    names = p._elements
+    masks = dict(classes)
+    (initial, _, _, sub), *ordinary = blocks
+    subcerts: dict = {}
+    decomp: dict[str, list[frozenset[str]]] = {}
+    for i, j, rest, level in ordinary:
+        sigma = names[i]
+        if j is None:
+            subcerts[sigma] = SPartitionCert._view(_suspended(p, sigma, masks[i] & ~(1 << i), None), level)
+        else:
+            decomp.setdefault(sigma, []).append(frozenset(p._names(rest)))
+            subcerts[sigma, j] = SPartitionCert._view(_suspended(p, sigma, rest, j), level)
+    blocked = {i for i, *_ in blocks}
+    zero = [names[i] for i, _ in classes if i not in blocked]
+    named = {
+        "classes": MappingProxyType({names[i]: frozenset(p._names(m)) for i, m in classes}),
+        "initial": names[initial],
+        "subcert_initial": SPartitionCert._view(_initial_boundary(p, initial), sub),
+        "subcerts": MappingProxyType(subcerts),
+    }
+    if cls is SPartitionCert:
+        named["terminal"] = zero[0]  # every builder leaves an S record exactly one
+    else:
+        named["singletons"] = frozenset(zero)
+        named["subclass_decomp"] = MappingProxyType({sigma: tuple(parts) for sigma, parts in decomp.items()})
+    return named
 
 
 def _certificate(
@@ -853,48 +835,32 @@ def _certificate(
     exactly one) or the SE singletons.  SE ordinary classes split into their
     connected components.  ``checked``: the caller already ran the class
     checks.  p is (semi-)Eulerian, so its capped initial boundary, an
-    interval of p, is Eulerian and searched untested.  The record is built
-    once, after its sub-certificates, and names are formed only for it; it is
-    marked for a level token unless ``replay`` is None.
+    interval of p, is Eulerian and searched untested.  The record is the
+    view of a level made after its sub-levels, interned unless ``replay`` is
+    None, and it forms no names.
     """
-    names = p._elements
     zero = [i for i in sorted(classes) if i != initial and classes[i] == 1 << i]
     if cls is SPartitionCert:
         zero = zero[:1]
-    blocks = {}  # (j, members besides the coatom) per subclass of each ordinary class
+    sub = yield _search(_initial_boundary(p, initial), budget, SPartitionCert, replay=replay)
+    if sub is None:
+        return FailureReport(p._elements[initial], "initial-subcert", "capped boundary admits no certificate")
+    blocks = [(initial, None, 0, sub._level)]
     for i in sorted(classes):
-        if i != initial and i not in zero:
-            rest = classes[i] & ~(1 << i)
-            blocks[i] = [(None, rest)] if cls is SPartitionCert else list(enumerate(_components(p, rest), start=1))
-    sub_initial = yield _search(_initial_boundary(p, initial), budget, SPartitionCert, replay=replay)
-    if sub_initial is None:
-        return FailureReport(names[initial], "initial-subcert", "capped boundary admits no certificate")
-    subcerts = {}
-    for i, parts in blocks.items():
-        sigma = names[i]
-        for j, rest in parts:
-            suspended = (_suspended if checked else _gamma_checked)(p, sigma, rest, j)
+        if i == initial or i in zero:
+            continue
+        sigma, rest = p._elements[i], classes[i] & ~(1 << i)
+        for j, part in [(None, rest)] if cls is SPartitionCert else enumerate(_components(p, rest), start=1):
+            suspended = (_suspended if checked else _gamma_checked)(p, sigma, part, j)
             if isinstance(suspended, FailureReport):
                 return suspended
             sub = yield _search(suspended, budget, SPartitionCert, tau_name(sigma, j), replay)
             if sub is None:
                 where = "" if j is None else f"subclass {j} "
                 return FailureReport(sigma, "subcert-search", f"{where}semisuspension admits no certificate")
-            subcerts[sigma if j is None else (sigma, j)] = sub
-    record = {names[i]: frozenset(p._names(members)) for i, members in classes.items()}
-    token_due = replay is not None
-    if cls is SPartitionCert:
-        terminal = names[zero[0]] if zero else None
-        return SPartitionCert._built(
-            token_due, poset=p, classes=record, initial=names[initial], terminal=terminal,
-            subcert_initial=sub_initial, subcerts=subcerts, _masks=classes,
-        )
-    decomp = {names[i]: tuple(frozenset(p._names(m)) for _, m in parts) for i, parts in blocks.items()}
-    singletons = frozenset(map(names.__getitem__, zero))
-    return SEPartitionCert._built(
-        token_due, poset=p, classes=record, initial=names[initial], singletons=singletons, subclass_decomp=decomp,
-        subcert_initial=sub_initial, subcerts=subcerts, _masks=classes, _blocks=blocks,
-    )
+            blocks.append((i, j, 0 if j is None else part, sub._level))
+    key = (cls.header, tuple(classes.items()), tuple(blocks))
+    return cls._view(p, _level_of(p, key, replay is not None))
 
 
 def _reads_numbers(p: GradedPoset) -> bool:
@@ -906,13 +872,14 @@ def _reads_numbers(p: GradedPoset) -> bool:
     holds at most one, its own tau, a coatom, so no class can fail
     ``tau-name-taken``.  Searches of p replay (``_replay_table``), and the
     records that ``_certificate`` and ``parse_certificate`` build on p get
-    level tokens (``_level``).
+    interned levels (``_level``); on another root each record gets a fresh
+    level of its own.
     """
     return not validate(p) and not any(map(str.startswith, p._elements, repeat("tau@")))
 
 
 def _replay_table(p: GradedPoset) -> dict | None:
-    """The replay table of one public call on p: empty, or None (no replay, no level tokens) unless ``_reads_numbers``."""
+    """The replay table of one public call on p: empty, or None (no replay, fresh levels) unless ``_reads_numbers``."""
     return {} if _reads_numbers(p) else None
 
 
@@ -957,6 +924,14 @@ def _class_masks(p: GradedPoset, order: list[int] | tuple[int, ...]) -> dict[int
     return classes
 
 
+def _replay_key(p: GradedPoset, first: str | None) -> tuple:
+    """The replay-table key of an S search of p (see ``_search``): p's numbered structure, the number of ``first``,
+    and per rank level the number of its first element whose name does not sort before ``tau@``."""
+    levels = p._levels.values()
+    at = tuple(bisect.bisect_left(p._elements, "tau@", (m & -m).bit_length() - 1, m.bit_length()) for m in levels)
+    return p._ranks, p._down, None if first is None else p._index[first], at
+
+
 def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None, replay: dict | None = None):
     """Depth-first search over facet orders: the first order whose certificate assembles, or None.
 
@@ -979,33 +954,33 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
     an Eulerian poset is a diamond, so gamma has an empty boundary and its
     semisuspension, with a coatom covering nothing, fails validation.
 
-    An S search records its node count and facet order (None when the
-    orders ran out) in ``replay``, the table of one public call, by p's
-    numbered structure and the number of ``first``.  A search with a
-    recorded key charges that count at once, raising BudgetExhausted exactly
-    when the search would, and rebuilds the certificate from the order.  The
-    caller's budget has paid for the nested searches of the rebuild, so they
-    charge a budget of their own.  A search that raises records nothing.
-    The key fixes the outcome: the walk reads numbers, and the one name it
-    depends on is where a semisuspension puts its tau among the elements of
-    its rank.  But a tau is the forced first facet of the one search that
-    sees it, and no poset derived from that search keeps it, so its place
-    changes nothing else.  A root with an element named like a tau gets no
-    table (``_replay_table``), since there a tau name can be taken.
+    An S search records its node count and level (None when the orders ran
+    out) in ``replay``, the table of one public call, by ``_replay_key``.  A
+    search with a recorded key spends that count at once, raising
+    BudgetExhausted exactly when the search would, and returns the view of
+    the recorded level on p; a search that raises records nothing.  The key
+    fixes the level and what its view names.  The walk reads numbers; the
+    one name it reads is where a semisuspension puts its tau among gamma's
+    coatoms, which fixes the numbering of every poset below it.  The names
+    below p are p's plus one tau per poset, its own, which no poset derived
+    from it keeps.  A name not starting with ``tau@`` sorts before every tau
+    name exactly when it sorts before ``tau@``, and a rank level is one run
+    of names in name order, so the count of such names per level fixes where
+    every tau below p goes: without it, two posets of one structure would
+    share a level whose sub-levels number the wrong sub-posets.  A root with
+    an element named like a tau gets no table (``_replay_table``).
     """
     if p.rank_top == 1:
-        return cls._built(replay is not None, poset=p)
+        return cls._view(p, _level_of(p, (cls.header, (), ()), replay is not None), cls._rank1)
     s_rules = cls is SPartitionCert
     key = None
     if s_rules and replay is not None:
-        key = p._ranks, p._down, None if first is None else p._index[first]
+        key = _replay_key(p, first)
         known = replay.get(key)
         if known is not None:
-            nodes, order = known
+            nodes, level = known
             budget.spend(nodes)
-            if order is None:
-                return None
-            return (yield _certificate(p, cls, order[0], _class_masks(p, order), Budget(nodes), replay, checked=True))
+            return None if level is None else cls._view(p, level)
         start = budget.used
     facets = p._levels[p.rank_top - 1]
     ridges = p._levels.get(p.rank_top - 2, 0)
@@ -1049,7 +1024,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
 
     cert = yield place(0, 0, 0)
     if key is not None:
-        replay[key] = budget.used - start, None if cert is None else tuple(order)
+        replay[key] = budget.used - start, None if cert is None else cert._level
     return cert
 
 
@@ -1350,25 +1325,35 @@ def _read_block(
     return frozenset(members), mask, sub_block
 
 
-def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, tokens: bool, build, *args):
+def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, shared: bool, build, *args):
     """Build the poset a sub-certificate certifies; the walk that parses its ``sub`` block."""
     try:
         sub_poset = build(*args)
     except PosetError as exc:
         raise CertificateParseError(str(exc), lineno)
-    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert, tokens)
+    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert, shared)
+
+
+def _level_at(sub: SPartitionCert, tau: str) -> _Level | None:
+    """sub's level when it starts at tau, its level's initial coatom number being tau's; else None."""
+    level = sub._level
+    if level is None or not level.key[2] or level.key[2][0][0] != sub.poset._index.get(tau):
+        return None
+    return level
 
 
 def _parse_classes(
-    tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type, tokens: bool
+    tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type, shared: bool
 ):
     """The class blocks of one certificate level, rows ``block[0]`` to ``block[1] - 1``.
 
     SE ordinary classes hold subclass blocks.  lineno is the line of the
     level's header or ``sub`` row, named by the errors of the whole level.
-    The record is built once, after its sub-certificates; with ``tokens`` it
-    is marked for a level token (``_derive_tokens``), and it keeps the
-    bitsets read here by coatom number for that token (``_token_of``).
+    The record is built once, after its sub-certificates, with the names
+    read here.  It is the view of a level (``_level_of``) where the numbers
+    read stand for the text: every class coatom is an element, every
+    sub-certificate has a level, and every ordinary one starts at its tau.
+    Otherwise the constructor builds it, as by hand.
     """
     rows, ends = tree
     i, stop = block
@@ -1376,14 +1361,15 @@ def _parse_classes(
     if poset.rank_top - 1 == 0:
         if i < stop:
             raise CertificateParseError("rank-1 certificate must have no classes", rows[i][0])
-        return cls._built(tokens, poset=poset)
+        return cls._view(poset, _level_of(poset, (cls.header, (), ()), shared), cls._rank1)
     index = poset._index
     classes: dict[str, frozenset[str]] = {}
     decomp: dict[str, tuple[frozenset[str], ...]] = {}
     subcerts: dict = {}
     zero: list[str] = []
-    masks: dict = {}  # the member bitset of each class, by coatom number (None: not an element)
-    blocks: dict = {}  # the (j, member bitset) of each SE subclass j, by coatom number; empty for S
+    masks = []  # (coatom number, member bitset) per class
+    blocks = []  # (coatom number, subclass number, bitset, sub-level) per ordinary block, as in the level key
+    numbered = True  # every class coatom is an element, and every ordinary sub-certificate has a level at its tau
     initial = sub_initial = None
     while i < stop:
         line_no, _, fields = rows[i]
@@ -1395,10 +1381,10 @@ def _parse_classes(
             raise CertificateParseError(f"unknown kind {kind!r}", line_no)
         if sigma in classes:
             raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
-        number = index.get(sigma)  # None when sigma is not an element: the record then gets no token
+        number = index.get(sigma)
+        numbered = numbered and number is not None
         if kind == "ordinary" and split:
             parts: list[frozenset[str]] = []
-            rests = blocks[number] = []
             mask = 0 if number is None else 1 << number
             k = i + 1
             while k < ends[i]:
@@ -1408,47 +1394,53 @@ def _parse_classes(
                     raise CertificateParseError(f"expected: subclass {j}", inner_no)
                 part, rest, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
                 parts.append(part)
-                rests.append((j, rest))
                 mask |= rest
-                sub = _parse_sub(tree, sub_block, inner_no, tokens, _suspended, poset, sigma, rest, j)
-                subcerts[sigma, j] = yield sub
+                sub = yield _parse_sub(tree, sub_block, inner_no, shared, _suspended, poset, sigma, rest, j)
+                subcerts[sigma, j] = sub
+                level = _level_at(sub, tau_name(sigma, j))
+                numbered = numbered and level is not None
+                blocks.append((number, j, rest, level))
                 k = ends[k]
             if not parts:
                 raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line_no)
             decomp[sigma] = tuple(parts)
             classes[sigma] = frozenset({sigma}).union(*parts)
-            masks[number] = mask
+            masks.append((number, mask))
             i = ends[i]
             continue
         members, mask, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
         classes[sigma] = members
-        masks[number] = mask
+        masks.append((number, mask))
         if kind == "initial":
             if initial is not None:
                 raise CertificateParseError("two initial classes", line_no)
-            initial = sigma
-            sub_initial = yield _parse_sub(tree, sub_block, line_no, tokens, initial_boundary_poset, poset, sigma)
+            initial, first = sigma, number
+            sub_initial = yield _parse_sub(tree, sub_block, line_no, shared, initial_boundary_poset, poset, sigma)
         elif kind == "ordinary":
             rest = mask if number is None else mask & ~(1 << number)
-            subcerts[sigma] = yield _parse_sub(tree, sub_block, line_no, tokens, _suspended, poset, sigma, rest, None)
+            sub = yield _parse_sub(tree, sub_block, line_no, shared, _suspended, poset, sigma, rest, None)
+            subcerts[sigma] = sub
+            level = _level_at(sub, tau_name(sigma))
+            numbered = numbered and level is not None
+            blocks.append((number, None, 0, level))
         elif split or not zero:
             zero.append(sigma)
         else:
             raise CertificateParseError("two terminal classes", line_no)
         i = ends[i]
+    if initial is None or not (split or zero):
+        what = "an initial class" if split else "an initial and a terminal class"
+        raise CertificateParseError(f"certificate needs {what}", lineno)
+    named = {"classes": MappingProxyType(classes), "initial": initial, "subcert_initial": sub_initial}
+    named["subcerts"] = MappingProxyType(subcerts)
     if split:
-        if initial is None:
-            raise CertificateParseError("certificate needs an initial class", lineno)
-        return SEPartitionCert._built(
-            tokens, poset=poset, classes=classes, initial=initial, singletons=frozenset(zero), subclass_decomp=decomp,
-            subcert_initial=sub_initial, subcerts=subcerts, _masks=masks, _blocks=blocks,
-        )
-    if initial is None or not zero:
-        raise CertificateParseError("certificate needs an initial and a terminal class", lineno)
-    return SPartitionCert._built(
-        tokens, poset=poset, classes=classes, initial=initial, terminal=zero[0], subcert_initial=sub_initial,
-        subcerts=subcerts, _masks=masks,
-    )
+        named["singletons"], named["subclass_decomp"] = frozenset(zero), MappingProxyType(decomp)
+    else:
+        named["terminal"] = zero[0]
+    if numbered and sub_initial._level is not None:
+        key = (cls.header, tuple(masks), ((first, None, 0, sub_initial._level), *blocks))
+        return cls._view(poset, _level_of(poset, key, shared), named)
+    return cls(poset, **named)
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:

@@ -242,7 +242,7 @@ def memoized(fn=None, *, shared: bool = False):
     ``p._shared``, the memo of p's structure-table entry, so every poset of
     p's family with the same structure reads it.  A poset never changes after
     it is built, and neither do the values, but for the verified mark and
-    totals that a certificate level's token (``partition._Level``) fills in
+    totals that a certificate level (``partition._Level``) fills in
     once; a shared value holds no poset.  The derived table entries of
     ``cap`` and ``semisuspension`` sit beside this memo, in ``p._derived``.
     Keys name fn by string, so a poset with a memo still pickles.  A call

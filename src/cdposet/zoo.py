@@ -432,21 +432,26 @@ def families() -> list[str]:
     return sorted(_FAMILIES)
 
 
-def fixture_spec(family: str, params: tuple[int, ...] = ()) -> FixtureSpec:
+def _family(family: str, params: tuple[int, ...] | list[int]) -> tuple:
+    """The ``_FAMILIES`` row of family, after checking that it takes as many parameters as given."""
     if family not in _FAMILIES:
-        raise UnknownFamily(family)
-    return FixtureSpec(family, tuple(params), _FAMILIES[family][2])
+        raise UnknownFamily(f"unknown family {family!r}; available: {', '.join(families())}")
+    row = _FAMILIES[family]
+    if len(params) != row[1]:
+        raise BadParams(f"{family} takes {row[1]} parameter(s), got {len(params)}")
+    return row
+
+
+def fixture_spec(family: str, params: tuple[int, ...] = ()) -> FixtureSpec:
+    """The provenance of a family; UnknownFamily, or BadParams on a wrong number of parameters (values: ``gen``)."""
+    params = tuple(params)
+    return FixtureSpec(family, params, _family(family, params)[2])
 
 
 def gen(family: str, params: tuple[int, ...] | list[int] = ()) -> GradedPoset:
     """Build a validated poset of the given family; UnknownFamily/BadParams on misuse."""
-    if family not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {family!r}; available: {', '.join(families())}")
-    builder, arity, _ = _FAMILIES[family]
     params = tuple(params)
-    if len(params) != arity:
-        raise BadParams(f"{family} takes {arity} parameter(s), got {len(params)}")
-    p = builder(*params)
+    p = _family(family, params)[0](*params)
     problems = validate(p)
     if problems:
         raise PosetError(f"generated poset invalid: {problems[0]}")

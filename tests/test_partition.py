@@ -159,13 +159,26 @@ class TestContributionsS:
         assert cm.per_coatom[cert.terminal].is_zero()
 
     def test_invalid_certificate_raises(self, q_poset, q_cert):
+        """A hand-built record is verified first, with or without ``check``: a moved member, a zero class whose
+        coatom is not an element, and an ordinary block whose sub-certificate has rank 1 each raise the violations."""
         classes = dict(q_cert.classes)
         classes["s7"] = classes["s7"] | {"CD"}
         classes["s6"] = classes["s6"] - {"CD"}
-        bad = SPartitionCert(q_poset, classes, q_cert.initial, q_cert.terminal,
-                             q_cert.subcert_initial, q_cert.subcerts)
-        with pytest.raises(CertificateInvalid):
-            contributions_s(bad)
+        moved = SPartitionCert(q_poset, classes, q_cert.initial, q_cert.terminal,
+                               q_cert.subcert_initial, q_cert.subcerts)
+        point = SPartitionCert(GradedPoset("point", {BOT: 0, TOP: 1}, [(BOT, TOP)]), {})
+        expected = [
+            (moved, "VIOLATION terminal-not-singleton spart/class[s7] must be a one-element class"),
+            (replace(q_cert, terminal="zzz"), "VIOLATION terminal-missing spart 'zzz'"),
+            (
+                replace(q_cert, subcerts={**q_cert.subcerts, "s2": point}),
+                "VIOLATION subposet-mismatch spart/class[s2]/sub semisuspension differs",
+            ),
+        ]
+        for (bad, first), check in itertools.product(expected, (True, False)):
+            with pytest.raises(CertificateInvalid) as err:
+                contributions_s(bad, check=check)
+            assert str(err.value.violations[0]) == first
 
     def test_the_map_pickles_and_copies(self, q_cert):
         cm = contributions_s(q_cert)
@@ -1098,9 +1111,10 @@ class TestWalk:
         assert [str(v) for v in err.value.violations] == expected
 
     def test_checked_totals_build_no_more_subposets(self, monkeypatch):
-        """Both passes read the sub-posets the fixture's conversion built; the counter's positive control is
-        ``TestSharedSubposets.test_parse_from_scratch_builds_through_partition``."""
+        """Both passes read the sub-posets that the fixture's conversion built or that reading its levels named;
+        the counter's positive control is ``TestSharedSubposets.test_parse_from_scratch_builds_through_partition``."""
         cert = zoo.fixture_certificate("torus-fig12")  # a fresh poset: no other test warmed its memo
+        _levels(cert)  # a replayed sub-search is a view, which names its sub-posets when they are first read
         built = TestSharedSubposets.record_builds(monkeypatch)
         unchecked = contributions_se(cert, check=False)
         checked = contributions_se(cert, check=True)
@@ -1172,6 +1186,7 @@ class TestSharedSubposets:
 
     def test_verify_and_totals_after_search_build_no_subposet(self, monkeypatch):
         cert = search_s_certificate(parse_poset(format_poset(zoo.gen("simplex-boundary", (5,)))))
+        _levels(cert)  # a replayed sub-search is a view, which names its sub-posets when they are first read
         built = self.record_builds(monkeypatch)
         assert verify_s_partition(cert) == []
         contributions_s(cert, check=False)
@@ -1213,8 +1228,8 @@ class TestTakenTauName:
 
 
 class TestReplay:
-    """Within one call, an S search of a (numbered structure, first) already searched replays the recorded node
-    count and facet order; every replay gives the certificate text and ``Budget.used`` of a fresh search."""
+    """Within one call, an S search whose key (``partition._replay_key``) was already searched replays the recorded
+    node count and level; every replay gives the certificate text and ``Budget.used`` of a fresh search."""
 
     @staticmethod
     def replayed(monkeypatch, run):
@@ -1223,8 +1238,7 @@ class TestReplay:
         hits = []
 
         def recorded(p, budget, cls, first=None, replay=None):
-            key = p._ranks, p._down, None if first is None else p._index[first]
-            known = replay is not None and cls is SPartitionCert and key in replay
+            known = replay is not None and cls is SPartitionCert and partition._replay_key(p, first) in replay
             before = budget.used
             cert = yield real(p, budget, cls, first, replay)
             if known:
@@ -1281,7 +1295,7 @@ class TestReplay:
         p = parse_poset(format_poset(zoo.gen(family, params)))
         self.assert_exact(monkeypatch, lambda budget: search(p, budget))
 
-    @pytest.mark.parametrize("family, params, replays", [("cube", (4,), 77), ("simplex-boundary", (5,), 96), ("sphere2cells", (8,), 0)])
+    @pytest.mark.parametrize("family, params, replays", [("cube", (4,), 25), ("simplex-boundary", (5,), 31), ("sphere2cells", (8,), 0)])
     def test_replays_counted(self, monkeypatch, family, params, replays):
         """cube(4) and simplex-boundary(5) repeat many sub-searches; every level of sphere2cells(8) has its own structure."""
         p = zoo.gen(family, params)
@@ -1306,7 +1320,46 @@ class TestReplay:
             for search, passes in ((search_s_certificate, is_eulerian), (search_se_certificate, is_semi_eulerian)):
                 if p.rank_top >= 2 and validate(p) == [] and passes(p):
                     replays += len(self.assert_exact(monkeypatch, lambda budget: search(p, budget)))
-        assert replays > 3000  # 3,218 replays, each compared with a fresh search
+        assert replays > 1900  # 1,922 replays, each compared with a fresh search
+
+    # prefixes, each followed by "_", that put a name before every tau name (t, ta, tau0, s) or after them (tau, tauA, u)
+    PREFIXES = ("t", "ta", "tau", "tau0", "tauA", "s", "u")
+    RENAMED = [
+        ("q-polytope", ()), ("torus-fig6", ()), ("octahedron", ()), ("cube", (3,)), ("cross-polytope", (4,)),
+        ("product", (3, 4)),
+    ]
+
+    @staticmethod
+    def renamed(p, seed):
+        """p with each element but bot and top renamed by a prefix drawn from PREFIXES, so that posets of one numbered
+        structure below it can place their tau names apart."""
+        rng = random.Random(seed)
+        names = {x: x if x in (BOT, TOP) else f"{rng.choice(TestReplay.PREFIXES)}_{x}" for x in p.elements()}
+        covers = [(names[x], names[y]) for x, y in p.covers()]
+        return GradedPoset(f"{p.name}-{seed}", {names[x]: r for x, r in p.ranks().items()}, covers)
+
+    @pytest.mark.parametrize("family, params", RENAMED)
+    def test_renamed_around_the_tau_names(self, monkeypatch, family, params):
+        """Replay keys count, per rank level, the names that sort before ``tau@``: without that count a replayed
+        level would name the wrong elements of a poset whose taus sort elsewhere, and still verify from its mark
+        (25 of these 140 searches differed from their twin without replay)."""
+        p = zoo.gen(family, params)
+        searches = [search_s_certificate, search_se_certificate] if is_eulerian(p) else [search_se_certificate]
+
+        def outcome(q, search):
+            budget = Budget()
+            cert = search(q, budget)
+            if cert is None:
+                return None, budget.used
+            total = partition.contributions(cert, check=False).total
+            return format_certificate(cert), budget.used, [str(v) for v in partition.verify_partition(cert)], total
+
+        for seed in range(14):
+            for search in searches:
+                with_replay = outcome(self.renamed(p, seed), search)
+                with monkeypatch.context() as patched:
+                    patched.setattr(partition, "_replay_table", lambda root: None)
+                    assert outcome(self.renamed(p, seed), search) == with_replay, (seed, search.__name__)
 
     def test_no_replay_where_a_tau_name_can_be_taken(self, monkeypatch):
         q = _renamed_polygon4()
@@ -1546,27 +1599,27 @@ class TestVerificationMemo:
     @pytest.mark.parametrize("family", ["q-polytope", "torus-fig6", "torus-fig12"])
     def test_zoo_published_certificates(self, monkeypatch, family):
         cert = zoo.fixture_certificate(family)
-        assert cert.token is not None and self.both_ways(monkeypatch, cert) == []
+        assert cert._level is not None and self.both_ways(monkeypatch, cert) == []
 
     @pytest.mark.parametrize("family, params, search", TestReplay.SEARCHED)
     def test_searched_certificates(self, monkeypatch, family, params, search):
         cert = search(parse_poset(format_poset(zoo.gen(family, params))))
-        assert all(level.token is not None for level in _levels(cert))
+        assert all(level._level is not None for level in _levels(cert))
         assert self.both_ways(monkeypatch, cert) == []
 
     @pytest.mark.parametrize("name", sorted(_MUTATIONS))
     def test_mutations(self, request, monkeypatch, name):
         fixture, mutate, expected = _MUTATIONS[name]
         cert = mutate(request.getfixturevalue(fixture))
-        assert cert.token is None  # a replace result is verified in full
+        assert cert._level is None  # a replace result is verified in full
         assert self.both_ways(monkeypatch, cert) == expected
 
     def test_polygon100_walks_each_distinct_level_once(self, monkeypatch):
         """199 levels of 3 numbered shapes: the poset, its rank-2 boundaries and semisuspensions, and rank 1."""
         cert = _bench_cert("polygon-100", "polygon", (100,))
         levels = _levels(cert)
-        tokens = {id(level.token) for level in levels}
-        assert len(levels) == 199 and len(tokens) == 3 and None not in {level.token for level in levels}
+        tokens = {id(level._level) for level in levels}
+        assert len(levels) == 199 and len(tokens) == 3 and None not in {level._level for level in levels}
         walked = []
         real = partition._passed  # a full walk of a level ends here once; a memo hit does not
         monkeypatch.setattr(partition, "_passed", lambda level, out: walked.append(level.poset) or real(level, out))
@@ -1577,15 +1630,15 @@ class TestVerificationMemo:
     def test_levels_of_one_structure_share_a_token(self):
         cert = _bench_cert("polygon-100", "polygon", (100,))
         subs = list(cert.subcerts.values())
-        assert len(subs) == 98 and len({id(sub.token) for sub in subs}) == 1
+        assert len(subs) == 98 and len({id(sub._level) for sub in subs}) == 1
         assert len({sub.poset.name for sub in subs}) == 98  # 98 posets, named apart, of one numbered structure
-        assert subs[0].token is cert.subcert_initial.token  # the capped boundary of an edge has that shape too
+        assert subs[0]._level is cert.subcert_initial._level  # the capped boundary of an edge has that shape too
 
     def test_a_replace_result_has_no_token_and_is_walked_in_full(self, monkeypatch):
         cert = _bench_cert("q-polytope", "q-polytope")
         assert verify_s_partition(cert) == []
         copy_ = replace(cert)
-        assert cert.token is not None and copy_.token is None and copy_ == cert
+        assert cert._level is not None and copy_._level is None and copy_ == cert
         walked = []
         real = partition._passed
         monkeypatch.setattr(partition, "_passed", lambda level, out: walked.append(level.poset) or real(level, out))
@@ -1601,7 +1654,7 @@ class TestVerificationMemo:
             with pytest.raises(FrozenInstanceError):
                 cert.initial = "s2"
             with pytest.raises(FrozenInstanceError):
-                cert.token = None
+                cert._level = None
         with pytest.raises(TypeError):
             torus6_cert.subclass_decomp["F00"] = ()
 
@@ -1610,11 +1663,11 @@ class TestVerificationMemo:
         c = q_cert
         cert = SPartitionCert(c.poset, classes, c.initial, c.terminal, c.subcert_initial, c.subcerts)
         classes.pop("s1")
-        assert cert == q_cert and "s1" in cert.classes and cert.token is None
+        assert cert == q_cert and "s1" in cert.classes and cert._level is None
 
     def test_a_record_pickles_and_copies_as_a_hand_built_one(self, q_cert):
         for back in (pickle.loads(pickle.dumps(q_cert)), copy.deepcopy(q_cert), copy.copy(q_cert)):
-            assert back == q_cert and back.token is None
+            assert back == q_cert and back._level is None
             assert format_certificate(back) == format_certificate(q_cert) and verify_s_partition(back) == []
 
     def test_a_sub_certificate_that_does_not_start_at_its_tau(self, monkeypatch, q_cert):
@@ -1631,8 +1684,8 @@ class TestVerificationMemo:
         )
         cert = parse_certificate(text.replace(tau_first, p_first), parse_poset(format_poset(q_cert.poset)))
         level = cert.subcert_initial
-        assert level.subcerts["AP"].token is not None and verify_s_partition(level.subcerts["AP"]) == []
-        assert level.token is None and cert.token is None
+        assert level.subcerts["AP"]._level is not None and verify_s_partition(level.subcerts["AP"]) == []
+        assert level._level is None and cert._level is None
         assert self.both_ways(monkeypatch, cert) == [
             "VIOLATION initial-not-tau spart/class[s1]/sub/class[AP]/sub initial is 'P', expected 'tau@AP'"
         ]
@@ -1662,16 +1715,16 @@ class TestVerificationMemo:
             lines[k] = lines[k][: len(lines[k]) - len(lines[k].lstrip())] + " ".join(b)
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize(
-        "family, params, search",
-        [
-            ("q-polytope", (), None),
-            ("torus-fig6", (), None),
-            ("polygon", (8,), search_s_certificate),
-            ("cube", (3,), search_s_certificate),
-            ("product", (3, 4), search_se_certificate),
-        ],
-    )
+    # family, params, and the search that finds the certificate to edit (None: the published one)
+    MUTATED_FAMILIES = [
+        ("q-polytope", (), None),
+        ("torus-fig6", (), None),
+        ("polygon", (8,), search_s_certificate),
+        ("cube", (3,), search_s_certificate),
+        ("product", (3, 4), search_se_certificate),
+    ]
+
+    @pytest.mark.parametrize("family, params, search", MUTATED_FAMILIES)
     def test_mutated_texts_of_one_family(self, monkeypatch, family, params, search):
         """Mutated texts parsed against one poset share its structure table, so their levels share tokens;
         each verifies as it does without the memo, whatever the texts verified before it."""
@@ -1695,10 +1748,14 @@ class TestVerificationMemo:
         assert failing >= 20
 
     def test_no_token_where_a_tau_name_can_be_taken(self):
+        """There each record gets a level of its own, so no verified mark or totals pass between records."""
         q = _renamed_polygon4()
         cert = search_s_certificate(q)
         parsed = parse_certificate(format_certificate(cert), q)
-        assert {level.token for level in _levels(cert) + _levels(parsed)} == {None}
+        records = _levels(cert) + _levels(parsed)
+        levels = [record._level for record in records]
+        assert None not in levels and len({id(level) for level in levels}) == len(levels) == 14
+        assert not any(key[0] == "cdposet.partition._level" for record in records for key in record.poset._shared)
         assert verify_s_partition(parsed) == []
 
     def test_no_token_on_an_invalid_poset(self):
@@ -1794,7 +1851,7 @@ class TestTotalsMemo:
             patched.setattr(partition, "cd_index", lambda q: real(q) * 2 if q.name == "bnd(q-polytope@s1)" else real(q))
             with pytest.raises(CrossCheckError):
                 contributions_s(cert)
-        assert cert.token.totals is None and cert.subcert_initial.token.totals is not None
+        assert cert._level.totals is None and cert.subcert_initial._level.totals is not None
         assert contributions_s(cert).total == cd_index(cert.poset)
 
     def test_a_replace_result_is_walked_at_its_own_level(self, monkeypatch, fresh_cert):
@@ -1817,7 +1874,7 @@ class TestTotalsMemo:
             search_se_certificate(parse_poset(format_poset(zoo.gen("product", (3, 4))))),
         ]
         calls.clear()
-        assert all(level.token is not None for cert in certs for level in _levels(cert))
+        assert all(level._level is not None for cert in certs for level in _levels(cert))
         assert calls == []
 
 

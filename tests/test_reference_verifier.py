@@ -3,12 +3,13 @@
 The reference reads certificates by names, through the public poset API
 only (``closure``, ``cap``, ``boundary_set``, ``semisuspension``,
 ``validate``, the Eulerian tests), and recurses on the sub-certificates.  It
-keeps no memo, bitset or level token, and it totals each level with a direct
+keeps no memo, bitset or numbered level, and it totals each level with a direct
 ``cd_index`` of its capped boundaries.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -18,8 +19,11 @@ from cdposet import zoo
 from cdposet.flags import cd_index
 from cdposet.ncpoly import CD, NcPolynomial
 from cdposet.partition import (
+    CertificateParseError,
     SPartitionCert,
     contributions,
+    format_certificate,
+    parse_certificate,
     search_s_certificate,
     search_se_certificate,
     tau_name,
@@ -171,3 +175,25 @@ class TestReferenceVerifier:
                     cert = search(p)
                     found += cert is not None and self.agree(cert)
         assert found == 100
+
+    @pytest.mark.parametrize("family, params, search", tp.TestVerificationMemo.MUTATED_FAMILIES)
+    def test_mutated_texts(self, family, params, search):
+        """Randomly edited certificate texts that parse, each into a fresh family and into one shared family whose
+        levels the unedited text has already verified: a parsed level shared within a family changes no verdict."""
+        p = zoo.gen(family, params)
+        text = format_certificate(zoo.fixture_certificate(family) if search is None else search(p))
+        poset_text = format_poset(p)
+        shared = parse_poset(poset_text)
+        assert self.agree(parse_certificate(text, shared))
+        rng = random.Random(2)
+        verdicts = Counter()
+        for _ in range(150):
+            mutated = tp.TestVerificationMemo.mutated(text, shared.elements(), rng)
+            try:
+                parse_certificate(mutated, shared)
+            except CertificateParseError:
+                continue
+            for q in (parse_poset(poset_text), shared):
+                verdicts[self.agree(parse_certificate(mutated, q))] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 30, verdicts  # 172 texts parse, 2 families each
+

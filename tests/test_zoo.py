@@ -67,6 +67,10 @@ class TestGenerators:
             zoo.gen("polygon", ())
         with pytest.raises(zoo.BadParams):
             zoo.gen("polygon", (1,))
+        for lookup in (zoo.fixture_spec, zoo.gen):  # one check of the number of parameters for both
+            for params in [(3, 5), (1,)]:
+                with pytest.raises(zoo.BadParams, match=rf"^q-polytope takes 0 parameter\(s\), got {len(params)}$"):
+                    lookup("q-polytope", params)
         for family, low in [
             ("simplex-boundary", 0), ("boolean", 0), ("cube", 0), ("cross-polytope", 0), ("sphere2cells", -1),
             ("discrete-points", 0),
