@@ -74,7 +74,8 @@ import bisect
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+import operator
+from itertools import compress, count, repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -512,6 +513,11 @@ def _check_partition(
     return None if out else by_coatom
 
 
+def _starts_at(level, p: GradedPoset, tau: str) -> bool:
+    """Whether level is a ``_Level`` on p whose initial coatom is tau, compared by number (a view's names are not read)."""
+    return type(level) is _Level and level.key[2] != () and level.key[2][0][0] == p._index.get(tau)
+
+
 def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]):
     """Check the sub-certificate of the initial class (tau None) or of a subclass, then walk it."""
     if sub is None:
@@ -522,7 +528,7 @@ def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, t
     elif sub.poset != expected:
         what = "capped boundary" if tau is None else "semisuspension"
         out.append(Violation("subposet-mismatch", f"{cpath}/sub", f"{what} differs"))
-    elif tau is not None and sub.initial != tau:
+    elif tau is not None and not (_starts_at(sub._level, sub.poset, tau) if sub._level else sub.initial == tau):
         out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
         out.extend((yield _verify(sub, f"{cpath}/sub")))
@@ -560,12 +566,15 @@ def _check_singletons(cert: SEPartitionCert, masks: dict[str, int], path: str, o
     return True
 
 
-def _check_decomposition(cert: SEPartitionCert, sigma: str, cpath: str, out: list[Violation]) -> bool:
-    """SE only: the subclasses of an ordinary class partition it minus its coatom."""
+def _check_decomposition(cert: SEPartitionCert, sigma: str, cpath: str, out: list[Violation]) -> list[int]:
+    """SE only: the subclasses of an ordinary class partition it minus its coatom: their bitsets, or [] if not.
+
+    The class's members are elements of the poset (``_check_partition``).
+    """
     parts = cert.subclass_decomp[sigma]
     if not parts:
         out.append(Violation("empty-decomposition", cpath, "ordinary class with no subclasses"))
-        return False
+        return []
     rest = cert.classes[sigma] - {sigma}
     union: set[str] = set()
     ok = True
@@ -577,7 +586,8 @@ def _check_decomposition(cert: SEPartitionCert, sigma: str, cpath: str, out: lis
     if union != set(rest):
         out.append(Violation("subclasses-not-partition", cpath, f"union {sorted(union)} vs {sorted(rest)}"))
         ok = False
-    return ok
+    index = cert.poset._index
+    return [sum(map((1).__lshift__, map(index.__getitem__, part))) for part in parts] if ok else []
 
 
 def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
@@ -597,11 +607,70 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
     return _run(_verify(cert, cert.header))
 
 
+def _key_holds(p: GradedPoset, key: tuple, eulerian: bool) -> bool:
+    """Whether the level key on p keeps the rules that ``_verify`` checks by name on a level before its class
+    checks and sub-levels: the classes partition the elements below the top, one per coatom and each in its
+    coatom's closure, the initial one being the whole closure; the zero classes are singletons, one for S,
+    and no SE ordinary class is one; and the subclasses of each SE ordinary class partition it minus its
+    coatom.  What else the named walk checks holds for every key by how keys are built (see ``_level``): a
+    key's blocks are its ordinary classes and its initial one, and each sub-level is an S level that starts
+    at its tau on the sub-poset ``_verify`` derives."""
+    _, classes, blocks = key
+    if not blocks:
+        return p.rank_top == 1 and not classes
+    owned = keys = 0
+    for i, m in classes:
+        if m & owned or not m >> i & 1 or m & ~p._downset[i]:
+            return False
+        owned |= m
+        keys |= 1 << i
+    masks, first = dict(classes), blocks[0][0]
+    if keys != p._down[-1] or owned != (1 << len(p) - 1) - 1 or masks[first] != p._downset[first]:
+        return False
+    parts: dict[int, int] = {}  # the union of the subclasses by coatom number (0 for S)
+    for i, _, rest, _ in blocks[1:]:
+        if rest & parts.get(i, 0):
+            return False
+        parts[i] = parts.get(i, 0) | rest
+    zero = [i for i in masks if i != first and i not in parts]
+    if eulerian:
+        return len(zero) == 1 and masks[zero[0]] == 1 << zero[0]
+    singletons = all(masks[i] == 1 << i for i in zero)
+    return singletons and all(masks[i] != 1 << i and part == masks[i] & ~(1 << i) for i, part in parts.items())
+
+
+def _block_path(path: str, sigma: str, j: int | None) -> str:
+    return f"{path}/class[{sigma}]" if j is None else f"{path}/class[{sigma}]/subclass[{j}]"
+
+
 def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
-    """The walk of ``verify_partition`` at one level; a record of a verified level passes at once."""
-    if cert._level is not None and cert._level.verified:
+    """The walk of ``verify_partition`` at one level; a record of a verified level passes at once.
+
+    A view whose key keeps its level's rules (``_key_holds``) is walked on
+    numbers and forms no name: its blocks come from the key in name order,
+    and a sub-level is walked, as a view, only while it is not verified.
+    Any other record, a view whose key breaks a rule among them, is walked
+    by name, so each violation text comes from one check.
+    """
+    level = cert._level
+    if level is not None and level.verified:
         return []
     p, eulerian = cert.poset, isinstance(cert, SPartitionCert)
+    if level is not None and _key_holds(p, level.key, eulerian):
+        out: list[Violation] = []
+        _, classes, blocks = level.key
+        masks, names = dict(classes), p._elements
+        for n, (i, j, rest, sub) in enumerate([*blocks[:1], *sorted(blocks[1:], key=operator.itemgetter(0))]):
+            if not n:
+                poset = _initial_boundary(p, i)
+            else:
+                poset = _gamma_checked(p, names[i], rest if j else masks[i] & ~(1 << i), j)
+                if isinstance(poset, FailureReport):
+                    out.append(Violation(poset.code, _block_path(path, names[i], j), poset.detail))
+                    continue
+            if not sub.verified:
+                out.extend((yield _verify(SPartitionCert._view(poset, sub), f"{_block_path(path, names[i], j)}/sub")))
+        return _passed(cert, out)
     if p.rank_top - 1 == 0:
         if cert.classes or cert.initial or cert.zero_classes() or cert.subcerts or cert.subcert_initial:
             return [Violation("base-not-empty", path, "rank-1 certificate carries classes")]
@@ -621,12 +690,9 @@ def _verify(cert: SPartitionCert | SEPartitionCert, path: str):
         return out
     for sigma in ordinary:
         cpath = f"{path}/class[{sigma}]"
-        if not eulerian and not _check_decomposition(cert, sigma, cpath, out):
-            continue
-        for j, part, key in cert._subclasses(sigma):
+        rests = [masks[sigma] & ~(1 << p._index[sigma])] if eulerian else _check_decomposition(cert, sigma, cpath, out)
+        for (j, _, key), rest in zip(cert._subclasses(sigma), rests):
             spath = cpath if j is None else f"{cpath}/subclass[{j}]"
-            # a checked decomposition holds only members of the class
-            rest = masks[sigma] & ~(1 << p._index[sigma]) if j is None else p._mask(part)
             suspended = _gamma_checked(p, sigma, rest, j)
             if isinstance(suspended, FailureReport):
                 out.append(Violation(suspended.code, spath, suspended.detail))
@@ -660,37 +726,46 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
     phi·c, and an ordinary block the phi·d plus the ordinary part of its
     sub-certificate's totals.  A walked record with a level keeps its totals
     on the level, unless it raises, and a sub-level that has totals is read,
-    not walked.
+    not walked.  A view's blocks are read from its key, in name order, so it
+    forms no name, and a sub-level that is not walked is not built.
     """
     p = cert.poset
     if p.rank_top - 1 == 0:
         return _RANK1_TOTALS
-    index = p._index
+    level = cert._level
+    if level is None:
+        index, masks = p._index, None
+        blocks = [(index[cert.initial], None, 0, cert.subcert_initial)]
+        blocks += [(index[s], j, 0, cert.subcerts[key]) for s in cert.ordinary() for j, _, key in cert._subclasses(s)]
+        zero_classes = sorted(map(index.__getitem__, cert.zero_classes()))
+    else:
+        _, classes, blocks = level.key
+        masks = dict(classes)
+        zero_classes = sorted(masks.keys() - {i for i, *_ in blocks})
+        blocks = [*blocks[:1], *sorted(blocks[1:], key=operator.itemgetter(0))]
     zero = NcPolynomial.zero(CD)
-    phi = cd_index(initial_boundary_poset(p, cert.initial))
-    sub = cert.subcert_initial
-    rec = sub._level and sub._level.totals  # None without a level or totals
-    if rec is None:
-        rec = yield _contributions(sub)
-    if rec.total != phi:
-        raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
-    per = {index[cert.initial]: phi.times_letter("c")}
-    for sigma in sorted(cert.zero_classes()):
-        per[index[sigma]] = zero
+    phi = cd_index(_initial_boundary(p, blocks[0][0]))
+    per: dict[int, NcPolynomial] = {}
     ordinary = zero
-    for sigma in cert.ordinary():
-        acc = zero
-        for _, _, key in cert._subclasses(sigma):
-            sub = cert.subcerts[key]
-            rec = sub._level and sub._level.totals
-            if rec is None:
-                rec = yield _contributions(sub)
-            acc = acc + rec.phi.times_letter("d") + rec.ordinary
-        per[index[sigma]] = acc
-        ordinary = ordinary + acc
+    for n, (i, j, rest, sub) in enumerate(blocks):
+        sub_level = sub if type(sub) is _Level else sub._level  # a view's key holds levels, a record records
+        rec = sub_level and (sub_level.totals or (None if sub_level.key[2] else _RANK1_TOTALS))
+        if rec is None:
+            if type(sub) is _Level:
+                sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), sub)
+            rec = yield _contributions(sub)
+        if n:
+            part = rec.phi.times_letter("d") + rec.ordinary
+            per[i] = per.get(i, zero) + part
+            ordinary = ordinary + part
+            continue
+        if rec.total != phi:
+            raise CrossCheckError(f"initial boundary cd-index mismatch: {phi} vs {rec.total}")
+        per[i] = phi.times_letter("c")
+        per.update(dict.fromkeys(zero_classes, zero))
     totals = _Totals(per, sum(per.values(), zero), phi, ordinary.times_letter("c"))
-    if cert._level is not None:
-        cert._level.totals = totals
+    if level is not None:
+        level.totals = totals
     return totals
 
 
@@ -783,30 +858,30 @@ def _level_of(p: GradedPoset, key: tuple, shared: bool) -> _Level:
 def _view_fields(cls: type, p: GradedPoset, key: tuple) -> dict:
     """The named fields, besides the poset, of the view of the level key on p (see ``_level`` for the key).
 
-    Each sub-certificate is the view of its sub-level on the sub-poset that
-    ``_verify`` derives, so its own fields are formed when first read.
+    Each sub-certificate is the view of its sub-level on the poset of its
+    block (``_key_sub``), so its own fields are formed when first read.
     """
     _, classes, blocks = key
     if not blocks:
         return cls._rank1
-    names = p._elements
-    masks = dict(classes)
-    (initial, _, _, sub), *ordinary = blocks
+    names, masks = p._elements, dict(classes)
     subcerts: dict = {}
     decomp: dict[str, list[frozenset[str]]] = {}
-    for i, j, rest, level in ordinary:
-        sigma = names[i]
-        if j is None:
-            subcerts[sigma] = SPartitionCert._view(_suspended(p, sigma, masks[i] & ~(1 << i), None), level)
+    for n, (i, j, rest, level) in enumerate(blocks):
+        sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level)
+        if not n:
+            first = sub
+        elif j is None:
+            subcerts[names[i]] = sub
         else:
-            decomp.setdefault(sigma, []).append(frozenset(p._names(rest)))
-            subcerts[sigma, j] = SPartitionCert._view(_suspended(p, sigma, rest, j), level)
+            decomp.setdefault(names[i], []).append(frozenset(map(names.__getitem__, _bits(rest))))
+            subcerts[names[i], j] = sub
     blocked = {i for i, *_ in blocks}
     zero = [names[i] for i, _ in classes if i not in blocked]
     named = {
-        "classes": MappingProxyType({names[i]: frozenset(p._names(m)) for i, m in classes}),
-        "initial": names[initial],
-        "subcert_initial": SPartitionCert._view(_initial_boundary(p, initial), sub),
+        "classes": MappingProxyType({names[i]: frozenset(map(names.__getitem__, _bits(m))) for i, m in classes}),
+        "initial": names[blocks[0][0]],
+        "subcert_initial": first,
         "subcerts": MappingProxyType(subcerts),
     }
     if cls is SPartitionCert:
@@ -1219,36 +1294,85 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[dict[str, str], int] 
 # -- certificate file format ------------------------------------------------------------
 
 
-def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]):
-    pad = "  " * depth
+def _key_sub(p: GradedPoset, masks: dict[int, int], i: int, j: int | None, rest: int, first: bool) -> GradedPoset:
+    """The poset of a block's sub-certificate in a level key on p (see ``_level``), the one ``_verify`` derives:
+    the capped boundary of the initial coatom i (first), else the semisuspension of the block's gamma.
+
+    masks holds the key's class bitsets by coatom number; an S block's members are its class's.
+    """
+    if first:
+        return _initial_boundary(p, i)
+    return _suspended(p, p._elements[i], rest if j else masks[i] & ~(1 << i), j)
+
+
+def _named_classes(cert: SPartitionCert | SEPartitionCert):
+    """(coatom, kind, blocks) per class of a record built by hand, in name order; blocks holds (subclass
+    number, members, sub-certificate) per block, and only SE subclasses are numbered."""
     zero = cert.zero_classes()
-    index = cert.poset._index
     for sigma in sorted(cert.classes):
-        # (subclass number, members, sub-certificate) per block; only SE subclasses are numbered
         if sigma == cert.initial:
-            kind, blocks = "initial", [(None, cert.classes[sigma], cert.subcert_initial)]
+            yield sigma, "initial", [(None, cert.classes[sigma], cert.subcert_initial)]
         elif sigma in zero:
-            kind, blocks = cert.zero_kind, [(None, cert.classes[sigma], None)]
+            yield sigma, cert.zero_kind, [(None, cert.classes[sigma], None)]
         else:
-            kind = "ordinary"
-            blocks = [
-                (j, cert.classes[sigma] if j is None else part, cert.subcerts[key])
-                for j, part, key in cert._subclasses(sigma)
-            ]
+            blocks = cert._subclasses(sigma)
+            yield sigma, "ordinary", [(j, part if j else cert.classes[sigma], cert.subcerts[k]) for j, part, k in blocks]
+
+
+def _numbered_classes(cert: SPartitionCert | SEPartitionCert) -> list:
+    """The same for a view, read from its level's key: members are bitsets, and a sub-certificate whose level
+    holds no class is ``_EMPTY_SUB``, left unbuilt."""
+    p = cert.poset
+    _, classes, blocks = cert._level.key
+    names, masks, by_coatom = p._elements, dict(classes), {}
+    for n, (i, j, rest, level) in enumerate(blocks):
+        sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level) if level.key[1] else _EMPTY_SUB
+        by_coatom.setdefault(i, []).append((j, rest if j else masks[i], sub))
+    initial = blocks[0][0] if blocks else None
+    out = []
+    for i, mask in sorted(classes, key=lambda c: names[c[0]]):
+        kind = "initial" if i == initial else "ordinary" if i in by_coatom else cert.zero_kind
+        out.append((names[i], kind, by_coatom.get(i) or [(None, mask, None)]))
+    return out
+
+
+_EMPTY_SUB = object()  # a sub-certificate with no class to write
+
+
+def _member_names(index: Mapping[str, int], members: Iterable[str]) -> str:
+    """The members of a block built by hand, in (rank, name) order; PosetError on one that is not an element."""
+    try:
+        return " ".join(sorted(members, key=index.__getitem__))
+    except KeyError:
+        raise PosetError(f"unknown element {min(set(members) - index.keys(), key=str)!r}") from None
+
+
+def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: list[str]):
+    """The walk that writes the classes of one certificate level in name order, one sub-walk per sub-certificate.
+
+    A view is written from its level's key and forms no named field: a
+    block's members in number order, which is their (rank, name) order.  A
+    record built by hand is written from its fields.
+    """
+    pad = "  " * depth
+    if cert._level is None:
+        index = cert.poset._index
+        classes, render = _named_classes(cert), lambda members: _member_names(index, members)
+    else:
+        names = cert.poset._elements
+        classes, render = _numbered_classes(cert), lambda mask: " ".join(map(names.__getitem__, _bits(mask)))
+    for sigma, kind, blocks in classes:
         lines.append(f"{pad}class {sigma} kind={kind}")
         for j, members, sub in blocks:
             inner = depth + 1
             if j is not None:
                 lines.append(f"{pad}  subclass {j}")
                 inner += 1
-            try:
-                names = " ".join(sorted(members, key=index.__getitem__))  # in (rank, name) order
-            except KeyError:
-                raise PosetError(f"unknown element {min(set(members) - index.keys(), key=str)!r}") from None
-            lines.append(f"{'  ' * inner}members {names}")
+            lines.append(f"{'  ' * inner}members {render(members)}")
             if sub is not None:
                 lines.append(f"{'  ' * inner}sub")
-                yield _emit_classes(sub, inner + 1, lines)
+                if sub is not _EMPTY_SUB:
+                    yield _emit_classes(sub, inner + 1, lines)
 
 
 def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
@@ -1257,196 +1381,253 @@ def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _block_tree(text: str) -> tuple[list, list[int], CertificateParseError | None]:
-    """The rows of a certificate text, the end of each row's block, and the first misplaced row.
+def _rows(text: str) -> tuple[list, list[int], CertificateParseError | None]:
+    """The rows of a certificate text, the indentation of each, and the first misplaced row.
 
-    The rows are the ``(lineno, line, fields)`` triples of ``read_lines``.  A
-    row's level is half its leading spaces, and the block of row i is the rows
-    nested in it: rows i + 1 to ``ends[i] - 1``, so ``ends[i]`` is also where
-    its next sibling starts.  The first row is the header, whose block is the
-    rest.  An odd indentation raises at once; the first row below the header
-    at level 0 or more than one level deeper than the row before it is
-    returned as the error to raise once the header has been checked.
+    The rows are the ``(lineno, line, fields)`` triples of ``read_lines``,
+    and a row's indentation is its leading spaces; the header's counts as 0
+    wherever it stands.  An odd indentation raises at once.  The first row
+    below the header indented by 0, or by more than two spaces more than the
+    row before it, is returned as the error to raise once the header has
+    been checked.  Then every row but the header is nested in the one
+    before it or in a row above that, which is all the walk needs.
     """
     rows = list(read_lines(text))
-    ends = [len(rows)] * len(rows)
-    open_rows: list[int] = []  # the rows whose blocks are open, at levels 1, 2, ...
-    misplaced = None
-    for i, (lineno, line, _) in enumerate(rows):
-        spaces = len(line) - len(line.lstrip(" ")) if line[0] == " " else 0
-        if spaces % 2:
-            raise CertificateParseError("odd indentation", lineno)
-        if misplaced is not None or not i:
-            continue
-        level = spaces // 2
-        if level == 0:
-            misplaced = CertificateParseError("trailing content", lineno)
-        elif level > len(open_rows) + 1:
-            misplaced = CertificateParseError("unexpected indentation", lineno)
-        else:
-            for k in open_rows[level - 1 :]:
-                ends[k] = i
-            del open_rows[level - 1 :]
-            open_rows.append(i)
-    return rows, ends, misplaced
+    indents = [len(line) - len(line.lstrip(" ")) for _, line, _ in rows]
+    odd = next(compress(rows, map(operator.and_, indents, repeat(1))), None)
+    if odd is not None:
+        raise CertificateParseError("odd indentation", odd[0])
+    if rows:
+        indents[0] = 0
+    deeper = map(operator.gt, map(operator.sub, indents[1:], indents), repeat(2))
+    at = next(compress(count(1), map(operator.or_, map(operator.not_, indents[1:]), deeper)), None)
+    if at is None:
+        return rows, indents, None
+    return rows, indents, CertificateParseError("unexpected indentation" if indents[at] else "trailing content", rows[at][0])
 
 
-def _read_block(
-    tree: tuple[list, list[int]], i: int, poset: GradedPoset, what: str, sub: bool = True
-) -> tuple[frozenset[str], int, tuple[int, int]]:
-    """The members, their bitset and the ``sub`` block (empty unless ``sub``) of the (sub)class block of row i."""
-    rows, ends = tree
-    members: list[str] | None = None
-    sub_block = (0, 0)
-    seen: set[str] = set()
-    k = i + 1
-    while k < ends[i]:
-        lineno, _, fields = rows[k]
-        if fields[0] in seen:
-            raise CertificateParseError(f"second {fields[0]!r} line in {what}", lineno)
-        seen.add(fields[0])
-        if fields[0] == "members":
-            members = fields[1:]
-        elif fields == ["sub"] and not sub:
-            raise CertificateParseError(f"{what} takes no sub block", lineno)
-        elif fields == ["sub"]:
-            sub_block = (k + 1, ends[k])
-        else:
-            raise CertificateParseError(f"unexpected {fields[0]!r}", lineno)
-        k = ends[k]
-    if members is None:
-        raise CertificateParseError(f"{what} has no members line", rows[i][0])
-    index, mask = poset._index, 0
-    for name in members:
-        number = index.get(name)
-        if number is None:
-            raise CertificateParseError(f"unknown members {sorted(set(members) - index.keys())}", rows[i][0])
-        mask |= 1 << number
-    return frozenset(members), mask, sub_block
+def _block_name(kind: str, sigma: str, j: int | None) -> str:
+    return f"{kind} class {sigma!r}" if j is None else f"subclass {j} of {sigma!r}"
 
 
-def _parse_sub(tree: tuple[list, list[int]], block: tuple[int, int], lineno: int, shared: bool, build, *args):
-    """Build the poset a sub-certificate certifies; the walk that parses its ``sub`` block."""
-    try:
-        sub_poset = build(*args)
-    except PosetError as exc:
-        raise CertificateParseError(str(exc), lineno)
-    return _parse_classes(tree, block, sub_poset, lineno, SPartitionCert, shared)
+def _children(tree: tuple, k: int, indent: int, members: list | None, sub_at: int | None, what: tuple, takes_sub: bool):
+    """Read the rows of a (sub)class block that are indented by indent, from row k on, passing over the rows
+    nested in them: (the ``members`` row's fields, the ``sub`` row, the row reached).
 
-
-def _level_at(sub: SPartitionCert, tau: str) -> _Level | None:
-    """sub's level when it starts at tau, its level's initial coatom number being tau's; else None."""
-    level = sub._level
-    if level is None or not level.key[2] or level.key[2][0][0] != sub.poset._index.get(tau):
-        return None
-    return level
-
-
-def _parse_classes(
-    tree: tuple[list, list[int]], block: tuple[int, int], poset: GradedPoset, lineno: int, cls: type, shared: bool
-):
-    """The class blocks of one certificate level, rows ``block[0]`` to ``block[1] - 1``.
-
-    SE ordinary classes hold subclass blocks.  lineno is the line of the
-    level's header or ``sub`` row, named by the errors of the whole level.
-    The record is built once, after its sub-certificates, with the names
-    read here.  It is the view of a level (``_level_of``) where the numbers
-    read stand for the text: every class coatom is an element, every
-    sub-certificate has a level, and every ordinary one starts at its tau.
-    Otherwise the constructor builds it, as by hand.
+    members and sub_at are what the block's earlier rows gave.  The read
+    stops at the end of the block, or right after a ``sub`` row that follows
+    the ``members`` row, so that the walk reads the ``sub`` block before the
+    block's later rows.  what names the block (``_block_name``) in the errors.
     """
-    rows, ends = tree
-    i, stop = block
-    split = cls is SEPartitionCert
-    if poset.rank_top - 1 == 0:
-        if i < stop:
-            raise CertificateParseError("rank-1 certificate must have no classes", rows[i][0])
-        return cls._view(poset, _level_of(poset, (cls.header, (), ()), shared), cls._rank1)
-    index = poset._index
-    classes: dict[str, frozenset[str]] = {}
-    decomp: dict[str, tuple[frozenset[str], ...]] = {}
-    subcerts: dict = {}
-    zero: list[str] = []
-    masks = []  # (coatom number, member bitset) per class
-    blocks = []  # (coatom number, subclass number, bitset, sub-level) per ordinary block, as in the level key
-    numbered = True  # every class coatom is an element, and every ordinary sub-certificate has a level at its tau
-    initial = sub_initial = None
-    while i < stop:
-        line_no, _, fields = rows[i]
-        if fields[0] != "class" or len(fields) != 3 or not fields[2].startswith("kind="):
-            raise CertificateParseError("expected: class <coatom> kind=<kind>", line_no)
-        sigma = fields[1]
-        kind = fields[2].removeprefix("kind=")
-        if kind not in ("initial", "ordinary", cls.zero_kind):
-            raise CertificateParseError(f"unknown kind {kind!r}", line_no)
-        if sigma in classes:
-            raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
-        number = index.get(sigma)
-        numbered = numbered and number is not None
-        if kind == "ordinary" and split:
-            parts: list[frozenset[str]] = []
-            mask = 0 if number is None else 1 << number
-            k = i + 1
-            while k < ends[i]:
-                j = len(parts) + 1
-                inner_no, _, inner = rows[k]
-                if inner != ["subclass", str(j)]:
-                    raise CertificateParseError(f"expected: subclass {j}", inner_no)
-                part, rest, sub_block = _read_block(tree, k, poset, f"subclass {j} of {sigma!r}")
-                parts.append(part)
-                mask |= rest
-                sub = yield _parse_sub(tree, sub_block, inner_no, shared, _suspended, poset, sigma, rest, j)
-                subcerts[sigma, j] = sub
-                level = _level_at(sub, tau_name(sigma, j))
-                numbered = numbered and level is not None
-                blocks.append((number, j, rest, level))
-                k = ends[k]
-            if not parts:
-                raise CertificateParseError(f"ordinary class {sigma!r} has no subclasses", line_no)
-            decomp[sigma] = tuple(parts)
-            classes[sigma] = frozenset({sigma}).union(*parts)
-            masks.append((number, mask))
-            i = ends[i]
-            continue
-        members, mask, sub_block = _read_block(tree, i, poset, f"{kind} class {sigma!r}", kind != cls.zero_kind)
-        classes[sigma] = members
-        masks.append((number, mask))
-        if kind == "initial":
-            if initial is not None:
-                raise CertificateParseError("two initial classes", line_no)
-            initial, first = sigma, number
-            sub_initial = yield _parse_sub(tree, sub_block, line_no, shared, initial_boundary_poset, poset, sigma)
-        elif kind == "ordinary":
-            rest = mask if number is None else mask & ~(1 << number)
-            sub = yield _parse_sub(tree, sub_block, line_no, shared, _suspended, poset, sigma, rest, None)
-            subcerts[sigma] = sub
-            level = _level_at(sub, tau_name(sigma))
-            numbered = numbered and level is not None
-            blocks.append((number, None, 0, level))
-        elif split or not zero:
-            zero.append(sigma)
-        else:
-            raise CertificateParseError("two terminal classes", line_no)
-        i = ends[i]
-    if initial is None or not (split or zero):
-        what = "an initial class" if split else "an initial and a terminal class"
-        raise CertificateParseError(f"certificate needs {what}", lineno)
-    named = {"classes": MappingProxyType(classes), "initial": initial, "subcert_initial": sub_initial}
-    named["subcerts"] = MappingProxyType(subcerts)
-    if split:
-        named["singletons"], named["subclass_decomp"] = frozenset(zero), MappingProxyType(decomp)
+    rows, indents = tree
+    n = len(rows)
+    while k < n and indents[k] >= indent:
+        if indents[k] == indent:
+            lineno, _, fields = rows[k]
+            word = fields[0]
+            if word == "members" and members is None:
+                members = fields
+            elif word == "members" or word == "sub" and sub_at is not None:
+                raise CertificateParseError(f"second {word!r} line in {_block_name(*what)}", lineno)
+            elif fields != ["sub"]:
+                raise CertificateParseError(f"unexpected {word!r}", lineno)
+            elif not takes_sub:
+                raise CertificateParseError(f"{_block_name(*what)} takes no sub block", lineno)
+            elif members is not None:
+                return members, k, k + 1
+            else:
+                sub_at = k
+        k += 1
+    return members, sub_at, k
+
+
+def _block_poset(poset: GradedPoset, what: tuple, number: int | None, members: list, lineno: int, initial) -> tuple:
+    """The member bitset of a (sub)class block and the poset its sub-certificate certifies, or their error.
+
+    These checks follow a block's own rows and precede its ``sub`` block.
+    number is the class coatom's, and initial the initial class read before.
+    """
+    index, mask = poset._index, 0
+    for name in members[1:]:
+        i = index.get(name)
+        if i is None:
+            raise CertificateParseError(f"unknown members {sorted(set(members[1:]) - index.keys())}", lineno)
+        mask |= 1 << i
+    kind, sigma, j = what
+    if kind == "initial":
+        if initial is not None:
+            raise CertificateParseError("two initial classes", lineno)
+        if number is None:
+            raise CertificateParseError(f"unknown element {sigma!r}", lineno)
+        build, args = _initial_boundary, (poset, number)
+    elif kind == "ordinary" or j is not None:
+        build, args = _suspended, (poset, sigma, mask if j or number is None else mask & ~(1 << number), j)
     else:
-        named["terminal"] = zero[0]
-    if numbered and sub_initial._level is not None:
-        key = (cls.header, tuple(masks), ((first, None, 0, sub_initial._level), *blocks))
-        return cls._view(poset, _level_of(poset, key, shared), named)
-    return cls(poset, **named)
+        return mask, None
+    try:
+        return mask, build(*args)
+    except PosetError as exc:
+        raise CertificateParseError(str(exc), lineno) from None
+
+
+def _rank1(tree: tuple, k: int, indent: int, poset: GradedPoset, cls: type, shared: bool) -> tuple:
+    """What ``_parse_classes`` reads of a rank-1 level, which holds no class, without a walk of its own."""
+    rows, indents = tree
+    if k < len(rows) and indents[k] == indent:
+        return CertificateParseError("rank-1 certificate must have no classes", rows[k][0]), k
+    return _level_of(poset, (cls.header, (), ()), shared), k
+
+
+def _parse_classes(tree: tuple, k: int, indent: int, poset: GradedPoset, lineno: int, cls: type, shared: bool):
+    """The walk that reads one certificate level against poset: the class rows indented by indent from row k on.
+
+    Its value is (the level's ``_Level``, or its record where it is built by
+    name, or else the first error; the row after the level's rows).  SE
+    ordinary classes hold subclass blocks.  lineno is the line of the
+    level's header or ``sub`` row, named by the errors of the whole level.
+    A block's members are read into a bitset, and its ``sub`` block against
+    the poset derived from the class coatom's number.  The errors keep the
+    order of a read that checks all of a block's own rows before its
+    ``sub`` block: where the ``members`` row comes first, the ``sub`` block
+    is read at once and its error kept until the block's later rows have
+    been read.  So the walk returns an error, and a walk that reads a
+    ``sub`` block goes on past the rows of an error it keeps.  Where the
+    numbers read stand for the text (every class coatom is an element, every
+    sub-certificate has a level, and every ordinary one starts at its tau),
+    the level they key is interned (``_level_of``) and no name is formed;
+    otherwise the constructor builds the record by name, as by hand.
+    """
+    if poset.rank_top == 1:
+        return _rank1(tree, k, indent, poset, cls, shared)
+    rows, indents = tree
+    n = len(rows)
+    try:
+        split = cls is SEPartitionCert
+        index = poset._index
+        seen: set[str] = set()
+        sigmas: list[str] = []  # the class coatoms, as read
+        masks = []  # (coatom number, member bitset) per class, as in the level key
+        blocks = []  # (coatom, its number, subclass number, bitset, sub-poset, sub-level or record) per ordinary block
+        zero: list[str] = []
+        numbered = True  # every class coatom is an element, and every ordinary sub-certificate has a level at its tau
+        initial = sub_initial = se = None  # se: the SE ordinary class whose subclass rows come next
+        while True:
+            if se is not None and k < n and indents[k] == indent + 2:
+                j += 1
+                block_no, _, fields = rows[k]
+                if fields != ["subclass", str(j)]:
+                    raise CertificateParseError(f"expected: subclass {j}", block_no)
+                what = ("subclass", se, j)
+            else:
+                if se is not None:
+                    if not j:
+                        raise CertificateParseError(f"ordinary class {se!r} has no subclasses", line_no)
+                    sigmas.append(se)
+                    masks.append((number, se_mask))
+                    se = None
+                if k == n or indents[k] != indent:
+                    break
+                line_no, _, fields = rows[k]
+                if fields[0] != "class" or len(fields) != 3 or not fields[2].startswith("kind="):
+                    raise CertificateParseError("expected: class <coatom> kind=<kind>", line_no)
+                sigma, kind = fields[1], fields[2][5:]
+                if kind not in ("initial", "ordinary", cls.zero_kind):
+                    raise CertificateParseError(f"unknown kind {kind!r}", line_no)
+                if sigma in seen:
+                    raise CertificateParseError(f"duplicate class {sigma!r}", line_no)
+                seen.add(sigma)
+                number = index.get(sigma)
+                numbered = numbered and number is not None
+                if kind == "ordinary" and split:
+                    se, j, se_mask = sigma, 0, 0 if number is None else 1 << number
+                    k += 1
+                    continue
+                block_no, what = line_no, (kind, sigma, None)
+            # the block of row k: its own rows, and its sub block, read at once after a members row before it
+            child = indents[k] + 2
+            members, sub_at, k = _children(tree, k + 1, child, None, None, what, what[0] != cls.zero_kind)
+            if members is None:
+                raise CertificateParseError(f"{_block_name(*what)} has no members line", block_no)
+            early = sub_at is not None and k == sub_at + 1
+            at = k if sub_at is None else sub_at + 1
+            try:
+                mask, sub_poset = _block_poset(poset, what, number, members, block_no, initial)
+            except CertificateParseError as exc:
+                sub = exc
+            else:
+                if sub_poset is None:
+                    sub = None
+                elif sub_poset.rank_top == 1:
+                    sub, end = _rank1(tree, at, child + 2, sub_poset, SPartitionCert, shared)
+                else:
+                    sub, end = yield _parse_classes(tree, at, child + 2, sub_poset, block_no, SPartitionCert, shared)
+            if early:
+                if type(sub) is not CertificateParseError:
+                    k = end
+                if k < n and indents[k] >= child:  # rows of the block after its sub block
+                    members, _, k = _children(tree, k, child, members, sub_at, what, True)
+            if type(sub) is CertificateParseError:
+                raise sub
+            kind, sigma, j = what
+            if kind == "subclass":
+                se_mask |= mask
+                numbered = numbered and _starts_at(sub, sub_poset, tau_name(sigma, j))
+                blocks.append((sigma, number, j, mask, sub_poset, sub))
+                continue
+            sigmas.append(sigma)
+            masks.append((number, mask))
+            if kind == "initial":
+                initial, sub_initial = number, (sub_poset, sub)
+            elif kind == "ordinary":
+                numbered = numbered and _starts_at(sub, sub_poset, tau_name(sigma))
+                blocks.append((sigma, number, None, 0, sub_poset, sub))
+            elif split or not zero:
+                zero.append(sigma)
+            else:
+                raise CertificateParseError("two terminal classes", block_no)
+        if initial is None or not (split or zero):
+            what = "an initial class" if split else "an initial and a terminal class"
+            raise CertificateParseError(f"certificate needs {what}", lineno)
+        if numbered and type(sub_initial[1]) is _Level:
+            ordinary = ((number, j, rest, sub) for _, number, j, rest, _, sub in blocks)
+            key = (cls.header, tuple(masks), ((initial, None, 0, sub_initial[1]), *ordinary))
+            return _level_of(poset, key, shared), k
+        return _by_name(cls, poset, sigmas, masks, initial, sub_initial, blocks, zero), k
+    except CertificateParseError as exc:
+        return exc, k
+
+
+
+
+def _record(p: GradedPoset, sub) -> SPartitionCert:
+    """The record of a sub-certificate that the walk read on p: the view of its level, or the record built by name."""
+    return SPartitionCert._view(p, sub) if type(sub) is _Level else sub
+
+
+def _by_name(cls: type, p: GradedPoset, sigmas: list[str], masks: list, initial: int, sub_initial, blocks, zero):
+    """The record of a parsed level whose numbers do not stand for the text, built by name as by hand."""
+    subcerts: dict = {}
+    decomp: dict[str, list[frozenset[str]]] = {}
+    for sigma, _, j, rest, sub_poset, sub in blocks:
+        if j is None:
+            subcerts[sigma] = _record(sub_poset, sub)
+        else:
+            decomp.setdefault(sigma, []).append(frozenset(p._names(rest)))
+            subcerts[sigma, j] = _record(sub_poset, sub)
+    classes = {}
+    for sigma, (_, mask) in zip(sigmas, masks):
+        classes[sigma] = frozenset(p._names(mask)).union([sigma] if sigma in decomp else ())
+    first = p._elements[initial], _record(*sub_initial)
+    if cls is SPartitionCert:
+        return cls(p, classes, first[0], zero[0], first[1], subcerts)
+    decomp = {sigma: tuple(parts) for sigma, parts in decomp.items()}
+    return cls(p, classes, first[0], frozenset(zero), decomp, first[1], subcerts)
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:
     """Parse the indentation-nested certificate format against a loaded poset."""
     kinds = {cls.header: cls for cls in (SPartitionCert, SEPartitionCert)}
-    rows, ends, misplaced = _block_tree(text)
+    rows, indents, misplaced = _rows(text)
     if not rows or rows[0][2][0] not in kinds or len(rows[0][2]) != 2:
         raise CertificateParseError("expected header: spart|separt <poset-name>", rows[0][0] if rows else 1)
     lineno, _, (header, name) = rows[0]
@@ -1454,4 +1635,8 @@ def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEParti
         raise CertificateParseError(f"certificate is for {name!r}, poset is {poset.name!r}", lineno)
     if misplaced is not None:
         raise misplaced
-    return _run(_parse_classes((rows, ends), (1, len(rows)), poset, lineno, kinds[header], _reads_numbers(poset)))
+    cls = kinds[header]
+    level, _ = _run(_parse_classes((rows, indents), 1, 2, poset, lineno, cls, _reads_numbers(poset)))
+    if type(level) is CertificateParseError:
+        raise level
+    return cls._view(poset, level) if type(level) is _Level else level

@@ -196,19 +196,25 @@ def test_reproduce_tables_script_runs():
 
 
 # sha256 of each stage's results on the cd workload's 24 posets: parsed elements, ranks and lower-cover masks,
-# validate lists, Eulerian verdicts, flag f-vectors and (semi-)cd-indices
+# validate lists, Eulerian verdicts, flag f-vectors and (semi-)cd-indices; then on the ten benchmark certificates:
+# the parsed roots' kinds, posets, initial coatoms and classes, the violation lists, the checked per-coatom
+# contributions and totals, and the formatted texts
 STAGE_HASHES = {
     "parse": "83839741def9f11ef54a1514ea8c47a328c55c2de1a22d90246a07d416a5290f",
     "validate": "5e3393def462e8228a8c31420b2ff02ef0fae506c917d4086cdd730360aec84a",
     "is_eulerian": "6416dd73c273a86bcfca4899090d3f4062710461463ba058ebd4f6c31e32472d",
     "flag_f": "6936095c506fe54041198283fa75c15f1f29551ab321cc76a41bc25c629968ed",
     "cd": "218d14ae0d0efc7dd767da51846c949737a65aed7f6dbc383c75df285ae65549",
+    "cert_parse": "1ec0e2be74b258fcebd4e19100ce1e4c930d0436d895ead8f7c505fead05e8fb",
+    "cert_verify": "3cb845f78f7c3bdce4b7d749b6039ee6a28da83e8d0fb07449397e05ae10800c",
+    "cert_contributions": "8fa4eee20530c1d45622817222479e959c63fd9b4a9e3bc037dda2ab4c8b9996",
+    "cert_format": "121fb6fdf5aae810cfc5f3b8a0b4092e855c1c794a9d5431dfd1a376aa8045e3",
 }
 
 
 def test_stages_script_runs_and_its_answers_stay():
     report = json.loads(run_script("stages.py", "--repeat", "1"))
-    assert report["posets"] == 24 and set(report["seconds"]) == set(STAGE_HASHES)
+    assert report["posets"] == 24 and report["certificates"] == 10 and set(report["seconds"]) == set(STAGE_HASHES)
     assert report["sha256"] == STAGE_HASHES
 
 

@@ -1778,6 +1778,84 @@ _BENCH_FAMILIES = {
 }
 
 
+class TestParseOutcomes:
+    """What reading a fixed corpus of certificate texts gives, pinned by one hash across changes to the reader.
+
+    The corpus: the ten benchmark texts, the three published ones, the ``TestVerificationMemo.mutated`` texts of
+    ``MUTATED_FAMILIES`` (each family's texts read into one poset family, after its unedited text) and seeded
+    one-line edits of the thirteen texts, each read into a fresh family.
+    """
+
+    # sha256 of the repr of every outcome, in corpus order
+    PINNED = "d77f9739dbc5114325631d25e98490f4efc854dfd09e005d569d37c933500da0"
+
+    @staticmethod
+    def outcome(text, q):
+        """The parse error, or the formatted text, the violations and the checked total or the error it raises."""
+        try:
+            cert = parse_certificate(text, q)
+        except CertificateParseError as exc:
+            return str(exc)
+        try:
+            total = str(partition.contributions(cert, check=True).total)
+        except PosetError as exc:
+            total = f"{type(exc).__name__}: {exc}"
+        return format_certificate(cert), [str(v) for v in partition.verify_partition(cert)], total
+
+    @staticmethod
+    def edited(text, names, rng):
+        """text with one seeded edit of one line: its indentation moved by ±1 or ±2, the line dropped or
+        doubled, a member renamed, or a class's kind swapped."""
+        lines = text.splitlines()
+        edit = rng.randrange(8)
+        if edit < 6:
+            i = rng.randrange(1, len(lines))
+            if edit < 4:
+                shift = (1, -1, 2, -2)[edit]
+                pad = len(lines[i]) - len(lines[i].lstrip())
+                lines[i] = " " * max(pad + shift, 0) + lines[i].lstrip()
+            elif edit == 4:
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+        elif edit == 6:
+            i = rng.choice([i for i, line in enumerate(lines) if line.lstrip().startswith("members ")])
+            fields = lines[i].split()
+            fields[rng.randrange(1, len(fields))] = rng.choice([*names, "nowhere"])
+            lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(fields)
+        else:
+            i = rng.choice([i for i, line in enumerate(lines) if " kind=" in line])
+            kind = rng.choice(["initial", "ordinary", "terminal", "singleton"])
+            lines[i] = lines[i][: lines[i].index(" kind=")] + f" kind={kind}"
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def corpus_outcomes(cls):
+        posets = {name: format_poset(zoo.gen(*family)) for name, family in _BENCH_FAMILIES.items()}
+        texts = {name: (_BENCH_CERTS / f"{name}.cert").read_text(encoding="utf-8") for name in posets}
+        for family in ("q-polytope", "torus-fig6", "torus-fig12"):
+            posets[f"published {family}"] = format_poset(zoo.gen(family))
+            texts[f"published {family}"] = format_certificate(zoo.fixture_certificate(family))
+        out = [cls.outcome(texts[name], parse_poset(posets[name])) for name in texts]
+        for family, params, search in TestVerificationMemo.MUTATED_FAMILIES:
+            p = zoo.gen(family, params)
+            text = format_certificate(zoo.fixture_certificate(family) if search is None else search(p))
+            q = parse_poset(format_poset(p))
+            out.append(cls.outcome(text, q))
+            rng = random.Random(1)
+            out += [cls.outcome(TestVerificationMemo.mutated(text, q.elements(), rng), q) for _ in range(300)]
+        rng = random.Random(35)
+        for name, text in texts.items():
+            names = parse_poset(posets[name]).elements()
+            out += [cls.outcome(cls.edited(text, names, rng), parse_poset(posets[name])) for _ in range(24)]
+        return out
+
+    def test_outcomes_stay(self):
+        out = self.corpus_outcomes()
+        assert sum(isinstance(o, str) for o in out) > 1000 and sum(isinstance(o, tuple) and o[1] != [] for o in out) > 200
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.PINNED
+
+
 def _comparisons(monkeypatch, run):
     """The cross-check comparisons that run() makes: each takes one direct cd-index in ``partition``."""
     calls = []
@@ -1862,19 +1940,23 @@ class TestTotalsMemo:
         assert contributions_s(copy_) == totals
 
     def test_tokens_read_the_builders_numbers(self, monkeypatch):
-        """Deriving the tokens of a parsed or searched certificate names no class: ``_mask`` is not called."""
-        calls = []
-        real = GradedPoset._mask
-        monkeypatch.setattr(GradedPoset, "_mask", lambda p, names: calls.append(names) or real(p, names))
-        certs = [_bench_cert(name, *_BENCH_FAMILIES[name]) for name in ("q-polytope", "torus-fig6", "cube-4")]
-        # parsing reads members by number; it names the initial coatom of each level above rank 1, once
-        assert sorted(calls) == sorted([level.initial] for cert in certs for level in _levels(cert) if level.classes)
-        certs += [
+        """Parsing, verifying and totalling the ten benchmark certificates, and reading the levels of searched
+        ones, turn no name back into a bitset: ``GradedPoset._mask`` is not called."""
+        texts = {name: (_BENCH_CERTS / f"{name}.cert").read_text(encoding="utf-8") for name in _BENCH_FAMILIES}
+        posets = {name: parse_poset(format_poset(zoo.gen(*family))) for name, family in _BENCH_FAMILIES.items()}
+        searched = [
             search_s_certificate(parse_poset(format_poset(zoo.gen("cube", (3,))))),
             search_se_certificate(parse_poset(format_poset(zoo.gen("product", (3, 4))))),
         ]
-        calls.clear()
-        assert all(level._level is not None for cert in certs for level in _levels(cert))
+        calls = []
+        real = GradedPoset._mask
+        monkeypatch.setattr(GradedPoset, "_mask", lambda p, names: calls.append(names) or real(p, names))
+        for name, text in texts.items():
+            cert = parse_certificate(text, posets[name])
+            assert partition.verify_partition(cert) == []
+            assert partition.contributions(cert, check=True).total == partition.contributions(cert).total
+            assert all(level._level is not None for level in _levels(cert))
+        assert all(level._level is not None for cert in searched for level in _levels(cert))
         assert calls == []
 
 

@@ -908,11 +908,12 @@ class TestStructureTable:
     # family, params, search; then (named posets, views, structures) after the search and after the checked
     # totals, the parity tests of both, the search's Budget.used, and (named posets, views, structures) of the
     # parsed, verified and totalled benchmark certificate.  A replayed sub-search is a view of its recorded level,
-    # which names the posets below it only when they are first read, here by the totals of the levels they walk
+    # and verification and totals walk a view on numbers, building the view of a sub-level only to walk it, so
+    # the checked totals after a search name no poset
     SHARING = [
-        ("polygon", (100,), search_s_certificate, (101, 197, 4), (198, 295, 4), 2, 298, (198, 197, 4)),
-        ("cube", (4,), search_s_certificate, (37, 66, 23), (69, 104, 23), 10, 239, (144, 88, 17)),
-        ("product", (4, 5), search_se_certificate, (36, 60, 12), (68, 98, 12), 6, 158, (99, 71, 12)),
+        ("polygon", (100,), search_s_certificate, (101, 197, 4), (101, 295, 4), 2, 298, (198, 197, 4)),
+        ("cube", (4,), search_s_certificate, (37, 66, 23), (37, 92, 23), 10, 239, (144, 88, 17)),
+        ("product", (4, 5), search_se_certificate, (36, 60, 12), (36, 87, 12), 6, 158, (99, 71, 12)),
     ]
 
     @staticmethod
@@ -950,6 +951,24 @@ class TestStructureTable:
         assert verify_partition(cert) == []
         contributions(cert, check=True)
         assert (len(named), len(views), len(q._table)) == parsed
+
+    @pytest.mark.parametrize("family, params", [(f, p) for f, p, *_ in SHARING])
+    def test_a_parse_and_its_text_form_no_field(self, monkeypatch, family, params):
+        """Parsing a benchmark certificate and writing it back read and write numbers: no view forms its named
+        fields (``_view_fields``), and each distinct numbered level of the text is made once."""
+        formed, made = [], []
+        real_fields, real_init = partition_module._view_fields, partition_module._Level.__init__
+        monkeypatch.setattr(partition_module, "_view_fields", lambda *a: formed.append(1) or real_fields(*a))
+        monkeypatch.setattr(partition_module._Level, "__init__", lambda level, key: made.append(level) or real_init(level, key))
+        text = (BENCH_CERT_DIR / f"{family}-{'-'.join(map(str, params))}.cert").read_text(encoding="utf-8")
+        cert = parse_certificate(text, self.fresh(family, params))
+        assert format_certificate(cert) == text and formed == []
+        records, stack = [], [cert]
+        while stack:
+            records.append(stack.pop())
+            stack.extend(sub for sub in (records[-1].subcert_initial, *records[-1].subcerts.values()) if sub)
+        assert len(made) == len({id(level) for level in made}) == len({id(record._level) for record in records})
+        assert {id(level) for level in made} == {id(record._level) for record in records} and len(records) > len(made)
 
     @pytest.mark.parametrize("family, params, search", [(f, p, s) for f, p, s, *_ in SHARING])
     def test_one_named_poset_per_level_below_the_root(self, monkeypatch, family, params, search):
