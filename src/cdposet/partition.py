@@ -1305,40 +1305,6 @@ def _key_sub(p: GradedPoset, masks: dict[int, int], i: int, j: int | None, rest:
     return _suspended(p, p._elements[i], rest if j else masks[i] & ~(1 << i), j)
 
 
-def _named_classes(cert: SPartitionCert | SEPartitionCert):
-    """(coatom, kind, blocks) per class of a record built by hand, in name order; blocks holds (subclass
-    number, members, sub-certificate) per block, and only SE subclasses are numbered."""
-    zero = cert.zero_classes()
-    for sigma in sorted(cert.classes):
-        if sigma == cert.initial:
-            yield sigma, "initial", [(None, cert.classes[sigma], cert.subcert_initial)]
-        elif sigma in zero:
-            yield sigma, cert.zero_kind, [(None, cert.classes[sigma], None)]
-        else:
-            blocks = cert._subclasses(sigma)
-            yield sigma, "ordinary", [(j, part if j else cert.classes[sigma], cert.subcerts[k]) for j, part, k in blocks]
-
-
-def _numbered_classes(cert: SPartitionCert | SEPartitionCert) -> list:
-    """The same for a view, read from its level's key: members are bitsets, and a sub-certificate whose level
-    holds no class is ``_EMPTY_SUB``, left unbuilt."""
-    p = cert.poset
-    _, classes, blocks = cert._level.key
-    names, masks, by_coatom = p._elements, dict(classes), {}
-    for n, (i, j, rest, level) in enumerate(blocks):
-        sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level) if level.key[1] else _EMPTY_SUB
-        by_coatom.setdefault(i, []).append((j, rest if j else masks[i], sub))
-    initial = blocks[0][0] if blocks else None
-    out = []
-    for i, mask in sorted(classes, key=lambda c: names[c[0]]):
-        kind = "initial" if i == initial else "ordinary" if i in by_coatom else cert.zero_kind
-        out.append((names[i], kind, by_coatom.get(i) or [(None, mask, None)]))
-    return out
-
-
-_EMPTY_SUB = object()  # a sub-certificate with no class to write
-
-
 def _member_names(index: Mapping[str, int], members: Iterable[str]) -> str:
     """The members of a block built by hand, in (rank, name) order; PosetError on one that is not an element."""
     try:
@@ -1351,28 +1317,51 @@ def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: lis
     """The walk that writes the classes of one certificate level in name order, one sub-walk per sub-certificate.
 
     A view is written from its level's key and forms no named field: a
-    block's members in number order, which is their (rank, name) order.  A
-    record built by hand is written from its fields.
+    block's members in number order, which is their (rank, name) order, and
+    a sub-level that holds classes as the view on its block's poset
+    (``_key_sub``).  A record built by hand is written from its fields.
     """
-    pad = "  " * depth
+    pad, inner = "  " * depth, "  " * (depth + 1)
     if cert._level is None:
-        index = cert.poset._index
-        classes, render = _named_classes(cert), lambda members: _member_names(index, members)
-    else:
-        names = cert.poset._elements
-        classes, render = _numbered_classes(cert), lambda mask: " ".join(map(names.__getitem__, _bits(mask)))
-    for sigma, kind, blocks in classes:
-        lines.append(f"{pad}class {sigma} kind={kind}")
-        for j, members, sub in blocks:
-            inner = depth + 1
+        index, zero = cert.poset._index, cert.zero_classes()
+        for sigma in sorted(cert.classes):
+            if sigma == cert.initial:
+                kind, blocks = "initial", [(None, cert.classes[sigma], cert.subcert_initial)]
+            elif sigma in zero:
+                kind, blocks = cert.zero_kind, [(None, cert.classes[sigma], None)]
+            else:
+                kind = "ordinary"
+                blocks = [(j, part if j else cert.classes[sigma], cert.subcerts[k]) for j, part, k in cert._subclasses(sigma)]
+            lines.append(f"{pad}class {sigma} kind={kind}")
+            for j, members, sub in blocks:
+                at = inner if j is None else f"{inner}  "
+                if j is not None:
+                    lines.append(f"{inner}subclass {j}")
+                lines.append(f"{at}members {_member_names(index, members)}")
+                if sub is not None:
+                    lines.append(f"{at}sub")
+                    yield _emit_classes(sub, depth + (2 if j is None else 3), lines)
+        return
+    p = cert.poset
+    _, classes, blocks = cert._level.key
+    names, masks, by_coatom = p._elements, dict(classes), {}
+    for n, block in enumerate(blocks):
+        by_coatom.setdefault(block[0], []).append((n, block))
+    for i, mask in sorted(classes, key=lambda c: names[c[0]]):
+        if i not in by_coatom:
+            lines.append(f"{pad}class {names[i]} kind={cert.zero_kind}")
+            lines.append(f"{inner}members {' '.join(map(names.__getitem__, _bits(mask)))}")
+            continue
+        lines.append(f"{pad}class {names[i]} kind={'ordinary' if blocks[0][0] != i else 'initial'}")
+        for n, (_, j, rest, level) in by_coatom[i]:
+            at = inner if j is None else f"{inner}  "
             if j is not None:
-                lines.append(f"{pad}  subclass {j}")
-                inner += 1
-            lines.append(f"{'  ' * inner}members {render(members)}")
-            if sub is not None:
-                lines.append(f"{'  ' * inner}sub")
-                if sub is not _EMPTY_SUB:
-                    yield _emit_classes(sub, inner + 1, lines)
+                lines.append(f"{inner}subclass {j}")
+            lines.append(f"{at}members {' '.join(map(names.__getitem__, _bits(rest if j else mask)))}")
+            lines.append(f"{at}sub")
+            if level.key[1]:  # a level with no class writes nothing
+                sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level)
+                yield _emit_classes(sub, depth + (2 if j is None else 3), lines)
 
 
 def format_certificate(cert: SPartitionCert | SEPartitionCert) -> str:
