@@ -10,8 +10,8 @@ single subclass.  Every walk is written once over the view both share.
 
 Each certificate level below the root holds one named poset, its capped
 initial boundary or a semisuspension, memoized on its parent level's poset
-by coatom number (and class bitset), so parsing, verifying, totalling and
-searching one certificate name each of them once.  Only the root's poset is
+by coatom number (and class bitset), so each is named once, when a parse
+or search reaches it or a walk first builds its level's view.  Only the root's poset is
 validated and tested (semi-)Eulerian: every proper interval of a
 semi-Eulerian poset, such as a capped initial boundary [bot, sigma1], is
 Eulerian, and each semisuspension is one the class checks found so.  A
@@ -30,12 +30,20 @@ levels hold, that record, violation and failure text and file output.
 Searching, verifying, totalling, parsing and formatting walk the levels of
 a certificate as generators that yield each sub-level to ``poset._run``,
 so depth costs no Python frames.
-The reader keeps a certificate file as one list of the rows ``poset.read_lines``
-yields, and its block tree as index ranges over that list: ``ends[i]`` is
-the row after row i's block, which is also where row i's next sibling
-starts, so a level is a range of rows and no row holds a list of its own.
-Every row's indentation, then the header, then the tree's shape are
-checked before the walk reads any class.
+
+The reader keeps a certificate file as the list of rows ``poset.read_lines``
+yields and their indentations.  Every row's indentation, then the header,
+then the shape of the nesting are checked before the walk reads any class;
+the walk then reads the rows once, in order, and a block ends at the first
+row indented no deeper than it.  A block's members are read into a bitset
+against its level's poset, and its ``sub`` block against the poset derived
+from the class coatom's number.  The errors come in the order of a read
+that checks all of a block's own rows before its ``sub`` block: a ``sub``
+block is read as soon as its row follows the ``members`` row, and its
+error waits until the block's later rows are read.  A parse interns each
+level it reads and returns the view of the root's level, naming nothing
+but the sub-posets.  The writer reads a view's key, a record built by hand
+its fields: members in number order are in (rank, name) order.
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
@@ -49,10 +57,13 @@ is interned in the structure-table entry of the level's poset (``_level``).
 Every record the library builds (``_certificate`` for the searches and
 converters, ``parse_certificate``) is a view of (poset, level): a frozen
 dataclass with read-only mappings whose named fields are formed from the
-key when one of them is first read (``_view_fields``), so a search forms no
-names.  A full walk of a level that finds no violation marks the level
-verified, and a later walk of any record of that level returns at once, so
-each distinct numbered level is verified once per poset family.  A record
+key when one of them is first read (``_view_fields``).  A search, a parse,
+and formatting, verifying and totalling a view form none: the walks read a
+view's key (a key that breaks a rule of its level is verified by name, for
+the violation text), and build the view of a sub-level only to walk it.  A
+full walk of a level that finds no violation marks the level verified, and
+a later walk of any record of that level returns at once, so each distinct
+numbered level is verified once per poset family.  A record
 built by hand, with the constructor, ``dataclasses.replace``, pickling or
 copying, has no level and is walked in full.
 
@@ -71,10 +82,10 @@ per poset family.
 from __future__ import annotations
 
 import bisect
+import operator
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
-import operator
 from itertools import compress, count, repeat
 from types import MappingProxyType
 from typing import NamedTuple

@@ -712,6 +712,33 @@ class TestCertificateIO:
             parse_certificate(text.replace(old, new, 1), cert.poset)
         assert str(err.value) == f"line {lineno}: {message}"
 
+    # (row edited in the sub block of s2, its edit, its error alone, the line of that error relative to the row,
+    # a row added to the block of s2 after its sub block, the error that row makes first)
+    READ_ORDER = [
+        ("      class BC kind=ordinary\n", "      class BC kind=nonsense\n", "unknown kind 'nonsense'", 0,
+         "    members C R BC CR QR s2\n", "second 'members' line in ordinary class 's2'"),
+        ("          class C kind=terminal\n", "          class C kind=bogus\n", "unknown kind 'bogus'", 0,
+         "    sub\n", "second 'sub' line in ordinary class 's2'"),
+        ("            members C\n", "            members C zz\n", "unknown members ['zz']", -1, "    note s2\n", "unexpected 'note'"),
+    ]
+
+    def test_a_block_reads_its_own_rows_before_its_sub_block(self, q_cert):
+        """The sub block of s2 is read as soon as its sub row follows its members row, and its error waits until
+        the rest of s2's block has been read: a later row of that block is the error named.  A sub row may
+        also come before the members row."""
+        text = format_certificate(q_cert)
+        head, tail = text[: text.index("  class s3")], text[text.index("  class s3") :]
+        for old, new, alone, offset, later, message in self.READ_ORDER:
+            broken = head.replace(old, new, 1)
+            with pytest.raises(CertificateParseError) as err:
+                parse_certificate(broken + tail, q_cert.poset)
+            assert str(err.value) == f"line {broken[: broken.index(new)].count(chr(10)) + 1 + offset}: {alone}"
+            with pytest.raises(CertificateParseError) as err:
+                parse_certificate(broken + later + tail, q_cert.poset)
+            assert str(err.value) == f"line {head.count(chr(10)) + 1}: {message}"
+        moved = head.replace("    members C R BC CR QR s2\n    sub\n", "    sub\n", 1) + "    members C R BC CR QR s2\n"
+        assert format_certificate(parse_certificate(moved + tail, q_cert.poset)) == text
+
     # (fixture, class line whose whole block is dropped, message): the error names the header line
     MISSING_CLASS = {
         "no-initial": ("torus6_cert", "  class F02 kind=initial", "certificate needs an initial class"),
