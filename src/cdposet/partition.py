@@ -763,7 +763,7 @@ def _contributions(cert: SPartitionCert | SEPartitionCert):
         rec = sub_level and (sub_level.totals or (None if sub_level.key[2] else _RANK1_TOTALS))
         if rec is None:
             if type(sub) is _Level:
-                sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), sub)
+                sub = SPartitionCert._view(_key_sub(p, i, j, rest if j else masks[i], not n), sub)
             rec = yield _contributions(sub)
         if n:
             part = rec.phi.times_letter("d") + rec.ordinary
@@ -879,7 +879,7 @@ def _view_fields(cls: type, p: GradedPoset, key: tuple) -> dict:
     subcerts: dict = {}
     decomp: dict[str, list[frozenset[str]]] = {}
     for n, (i, j, rest, level) in enumerate(blocks):
-        sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level)
+        sub = SPartitionCert._view(_key_sub(p, i, j, rest if j else masks[i], not n), level)
         if not n:
             first = sub
         elif j is None:
@@ -1305,15 +1305,15 @@ def check_reverse_partition(cert: SPartitionCert) -> tuple[dict[str, str], int] 
 # -- certificate file format ------------------------------------------------------------
 
 
-def _key_sub(p: GradedPoset, masks: dict[int, int], i: int, j: int | None, rest: int, first: bool) -> GradedPoset:
+def _key_sub(p: GradedPoset, i: int, j: int | None, members: int, first: bool) -> GradedPoset:
     """The poset of a block's sub-certificate in a level key on p (see ``_level``), the one ``_verify`` derives:
     the capped boundary of the initial coatom i (first), else the semisuspension of the block's gamma.
 
-    masks holds the key's class bitsets by coatom number; an S block's members are its class's.
+    members is the block's bitset: its class's for an S block, its own for an SE subclass.
     """
     if first:
         return _initial_boundary(p, i)
-    return _suspended(p, p._elements[i], rest if j else masks[i] & ~(1 << i), j)
+    return _suspended(p, p._elements[i], members if j else members & ~(1 << i), j)
 
 
 def _member_names(index: Mapping[str, int], members: Iterable[str]) -> str:
@@ -1355,23 +1355,23 @@ def _emit_classes(cert: SPartitionCert | SEPartitionCert, depth: int, lines: lis
         return
     p = cert.poset
     _, classes, blocks = cert._level.key
-    names, masks, by_coatom = p._elements, dict(classes), {}
-    for n, block in enumerate(blocks):
-        by_coatom.setdefault(block[0], []).append((n, block))
+    names, by_coatom = p._elements, {}
+    for n, (i, j, rest, level) in enumerate(blocks):
+        by_coatom.setdefault(i, []).append((n, j, rest, level))
     for i, mask in sorted(classes, key=lambda c: names[c[0]]):
         if i not in by_coatom:
             lines.append(f"{pad}class {names[i]} kind={cert.zero_kind}")
             lines.append(f"{inner}members {' '.join(map(names.__getitem__, _bits(mask)))}")
             continue
         lines.append(f"{pad}class {names[i]} kind={'ordinary' if blocks[0][0] != i else 'initial'}")
-        for n, (_, j, rest, level) in by_coatom[i]:
-            at = inner if j is None else f"{inner}  "
+        for n, j, rest, level in by_coatom[i]:
+            at, members = (inner, mask) if j is None else (f"{inner}  ", rest)
             if j is not None:
                 lines.append(f"{inner}subclass {j}")
-            lines.append(f"{at}members {' '.join(map(names.__getitem__, _bits(rest if j else mask)))}")
+            lines.append(f"{at}members {' '.join(map(names.__getitem__, _bits(members)))}")
             lines.append(f"{at}sub")
             if level.key[1]:  # a level with no class writes nothing
-                sub = SPartitionCert._view(_key_sub(p, masks, i, j, rest, not n), level)
+                sub = SPartitionCert._view(_key_sub(p, i, j, members, not n), level)
                 yield _emit_classes(sub, depth + (2 if j is None else 3), lines)
 
 
