@@ -1517,7 +1517,7 @@ def _parse_classes(tree: tuple, k: int, indent: int, poset: GradedPoset, lineno:
                 block_no, _, fields = rows[k]
                 if fields != ["subclass", str(j)]:
                     raise CertificateParseError(f"expected: subclass {j}", block_no)
-                what = ("subclass", se, j)
+                what, child = ("subclass", se, j), indent + 4
             else:
                 if se is not None:
                     if not j:
@@ -1542,9 +1542,8 @@ def _parse_classes(tree: tuple, k: int, indent: int, poset: GradedPoset, lineno:
                     se, j, se_mask = sigma, 0, 0 if number is None else 1 << number
                     k += 1
                     continue
-                block_no, what = line_no, (kind, sigma, None)
+                block_no, what, child = line_no, (kind, sigma, None), indent + 2
             # the block of row k: its own rows, and its sub block, read at once after a members row before it
-            child = indents[k] + 2
             members, sub_at, k = _children(tree, k + 1, child, None, None, what, what[0] != cls.zero_kind)
             if members is None:
                 raise CertificateParseError(f"{_block_name(*what)} has no members line", block_no)
