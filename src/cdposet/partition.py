@@ -524,11 +524,6 @@ def _check_partition(
     return None if out else by_coatom
 
 
-def _starts_at(level, p: GradedPoset, tau: str) -> bool:
-    """Whether level is a ``_Level`` on p whose initial coatom is tau, compared by number (a view's names are not read)."""
-    return type(level) is _Level and level.key[2] != () and level.key[2][0][0] == p._index.get(tau)
-
-
 def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, tau: str | None, out: list[Violation]):
     """Check the sub-certificate of the initial class (tau None) or of a subclass, then walk it."""
     if sub is None:
@@ -539,7 +534,7 @@ def _verify_sub(sub: SPartitionCert | None, expected: GradedPoset, cpath: str, t
     elif sub.poset != expected:
         what = "capped boundary" if tau is None else "semisuspension"
         out.append(Violation("subposet-mismatch", f"{cpath}/sub", f"{what} differs"))
-    elif tau is not None and not (_starts_at(sub._level, sub.poset, tau) if sub._level else sub.initial == tau):
+    elif tau is not None and sub.initial != tau:
         out.append(Violation("initial-not-tau", f"{cpath}/sub", f"initial is {sub.initial!r}, expected {tau!r}"))
     else:
         out.extend((yield _verify(sub, f"{cpath}/sub")))
@@ -1596,6 +1591,9 @@ def _parse_classes(tree: tuple, k: int, indent: int, poset: GradedPoset, lineno:
         return exc, k
 
 
+def _starts_at(level, p: GradedPoset, tau: str) -> bool:
+    """Whether level, what the reader read of a sub-certificate on p, is a level whose initial coatom is tau."""
+    return type(level) is _Level and level.key[2] != () and level.key[2][0][0] == p._index.get(tau)
 
 
 def _record(p: GradedPoset, sub) -> SPartitionCert:
