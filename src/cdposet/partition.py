@@ -237,13 +237,10 @@ class _Certificate:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @classmethod
-    def _view(cls, p: GradedPoset, level: _Level, named: dict | None = None):
-        """The view of level on p: its named fields are those given, or are all formed when one is first read."""
+    def _view(cls, p: GradedPoset, level: _Level):
+        """The view of level on p: its named fields are all formed when one is first read."""
         cert = object.__new__(cls)
-        state = cert.__dict__
-        state["poset"], state["_level"] = p, level
-        if named:
-            state.update(named)
+        cert.__dict__.update(poset=p, _level=level)
         return cert
 
     def __getattr__(self, name: str):
@@ -1052,7 +1049,7 @@ def _search(p: GradedPoset, budget: Budget, cls: type, first: str | None = None,
     an element named like a tau gets no table (``_replay_table``).
     """
     if p.rank_top == 1:
-        return cls._view(p, _level_of(p, (cls.header, (), ()), replay is not None), cls._rank1)
+        return cls._view(p, _level_of(p, (cls.header, (), ()), replay is not None))
     s_rules = cls is SPartitionCert
     key = None
     if s_rules and replay is not None:
@@ -1606,19 +1603,14 @@ def _by_name(cls: type, p: GradedPoset, sigmas: list[str], masks: list, initial:
     subcerts: dict = {}
     decomp: dict[str, list[frozenset[str]]] = {}
     for sigma, _, j, rest, sub_poset, sub in blocks:
-        if j is None:
-            subcerts[sigma] = _record(sub_poset, sub)
-        else:
+        subcerts[sigma if j is None else (sigma, j)] = _record(sub_poset, sub)
+        if j is not None:
             decomp.setdefault(sigma, []).append(frozenset(p._names(rest)))
-            subcerts[sigma, j] = _record(sub_poset, sub)
-    classes = {}
-    for sigma, (_, mask) in zip(sigmas, masks):
-        classes[sigma] = frozenset(p._names(mask)).union([sigma] if sigma in decomp else ())
-    first = p._elements[initial], _record(*sub_initial)
+    classes = {s: frozenset(p._names(mask)).union([s] if s in decomp else ()) for s, (_, mask) in zip(sigmas, masks)}
+    first, sub = p._elements[initial], _record(*sub_initial)
     if cls is SPartitionCert:
-        return cls(p, classes, first[0], zero[0], first[1], subcerts)
-    decomp = {sigma: tuple(parts) for sigma, parts in decomp.items()}
-    return cls(p, classes, first[0], frozenset(zero), decomp, first[1], subcerts)
+        return cls(p, classes, first, zero[0], sub, subcerts)
+    return cls(p, classes, first, frozenset(zero), {s: tuple(parts) for s, parts in decomp.items()}, sub, subcerts)
 
 
 def parse_certificate(text: str, poset: GradedPoset) -> SPartitionCert | SEPartitionCert:
