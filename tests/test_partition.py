@@ -1814,7 +1814,7 @@ class TestParseOutcomes:
     """
 
     # sha256 of the repr of every outcome, in corpus order
-    PINNED = "d77f9739dbc5114325631d25e98490f4efc854dfd09e005d569d37c933500da0"
+    PINNED = "0b93e543de844241f257a4270b7e7ecd52de7b452b321c34141fb86ec0baf806"
 
     @staticmethod
     def outcome(text, q):
@@ -1871,7 +1871,7 @@ class TestParseOutcomes:
             out.append(cls.outcome(text, q))
             rng = random.Random(1)
             out += [cls.outcome(TestVerificationMemo.mutated(text, q.elements(), rng), q) for _ in range(300)]
-        rng = random.Random(35)
+        rng = random.Random(7)
         for name, text in texts.items():
             names = parse_poset(posets[name]).elements()
             out += [cls.outcome(cls.edited(text, names, rng), parse_poset(posets[name])) for _ in range(24)]
