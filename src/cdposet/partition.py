@@ -613,11 +613,12 @@ def verify_partition(cert: SPartitionCert | SEPartitionCert) -> list[Violation]:
 def _key_holds(p: GradedPoset, key: tuple, eulerian: bool) -> bool:
     """Whether the level key on p keeps the rules that ``_verify`` checks by name on a level before its class
     checks and sub-levels: the classes partition the elements below the top, one per coatom and each in its
-    coatom's closure, the initial one being the whole closure; the zero classes are singletons, one for S,
-    and no SE ordinary class is one; and the subclasses of each SE ordinary class partition it minus its
-    coatom.  What else the named walk checks holds for every key by how keys are built (see ``_level``): a
-    key's blocks are its ordinary classes and its initial one, and each sub-level is an S level that starts
-    at its tau on the sub-poset ``_verify`` derives."""
+    coatom's closure, the initial one being the whole closure; the zero classes are singletons, one for S;
+    and the subclasses of each SE ordinary class partition it minus its coatom.  What else the named walk
+    checks holds for every key by how keys are built (see ``_level``): a key's blocks are its ordinary
+    classes and its initial one, each sub-level is an S level that starts at its tau on the sub-poset
+    ``_verify`` derives, and no SE ordinary class is a singleton, since its subclasses would be empty and
+    the cap of an empty set has no poset."""
     _, classes, blocks = key
     if not blocks:
         return p.rank_top == 1 and not classes
@@ -639,7 +640,7 @@ def _key_holds(p: GradedPoset, key: tuple, eulerian: bool) -> bool:
     if eulerian:
         return len(zero) == 1 and masks[zero[0]] == 1 << zero[0]
     singletons = all(masks[i] == 1 << i for i in zero)
-    return singletons and all(masks[i] != 1 << i and part == masks[i] & ~(1 << i) for i, part in parts.items())
+    return singletons and all(part == masks[i] & ~(1 << i) for i, part in parts.items())
 
 
 def _block_path(path: str, sigma: str, j: int | None) -> str:
