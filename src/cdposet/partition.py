@@ -11,10 +11,11 @@ single subclass.  Every walk is written once over the view both share.
 Each certificate level below the root holds one named poset, its capped
 initial boundary or a semisuspension, memoized on its parent level's poset
 by coatom number (and class bitset), so each is named once, when a parse
-or search reaches it or a walk first builds its level's view.  Only the root's poset is
-validated and tested (semi-)Eulerian: every proper interval of a
-semi-Eulerian poset, such as a capped initial boundary [bot, sigma1], is
-Eulerian, and each semisuspension is one the class checks found so.  A
+or search reaches it or a walk first builds its level's view.  Only the
+root's poset is validated and tested (semi-)Eulerian: every proper
+interval of a semi-Eulerian poset, such as a capped initial boundary
+[bot, sigma1], is Eulerian, and each semisuspension is one the class checks
+found so.  A
 class is decided on numbers (``_class_failure``): its gamma, the capped
 closure of the class minus its coatom, is a nameless view of the table
 entry that ``poset._cap_entry`` derives from the parent's bitsets, and its
@@ -44,6 +45,7 @@ error waits until the block's later rows are read.  A parse interns each
 level it reads and returns the view of the root's level, naming nothing
 but the sub-posets.  The writer reads a view's key, a record built by hand
 its fields: members in number order are in (rank, name) order.
+
 ``verify_partition`` checks an explicit witness and never searches.  Both
 searches walk facet orders depth first, one slot per level of the walk.  A
 search that returns None has exhausted the facet orders, not shown that no
