@@ -1010,7 +1010,7 @@ class TestStructureTable:
         monkeypatch.setattr(partition_module._Level, "__init__", lambda level, key: made.append(level) or real_init(level, key))
         text = (BENCH_CERT_DIR / f"{family}-{'-'.join(map(str, params))}.cert").read_text(encoding="utf-8")
         cert = parse_certificate(text, self.fresh(family, params))
-        assert format_certificate(cert) == text and formed == []
+        assert format_certificate(cert) == text and formed == [] and cert.__dict__.keys() == {"poset", "_level"}
         records, stack = [], [cert]
         while stack:
             records.append(stack.pop())
